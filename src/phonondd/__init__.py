@@ -70,15 +70,10 @@ from .propagation import (
     PropagatorConfig,
     SchedulePropagator,
     SimulationResult,
-    StaircaseDrive,
     apply_ideal_phase,
     beam_splitter_reference,
     error_beam_splitter,
     error_overlap,
-    evolve_constant,
-    evolve_shaped,
-    frame_rotation,
-    lab_frame_oscillator,
     number_expectation,
     run_schedule,
 )

@@ -1,24 +1,31 @@
 """Executes pulse schedules on phonon states in the interaction picture.
 
-Free segments evolve under the number conserving hopping Hamiltonian, which
-is constant in the frame rotating at the secular frequency, so they reduce
-to one cached eigendecomposition.  Ideal pulses are instantaneous parity
-phases.  Shaped pulses open a window in which the trap drive of the pulsed
-modes acts without the rotating wave reduction,
+Every operator here changes the total phonon number N by zero or two, so
+the engine works in sectors of the Fock basis.  Free segments evolve under
+the number conserving hopping Hamiltonian, which is constant in the frame
+rotating at the secular frequency; each N sector evolves through the
+eigendecomposition of its own block, computed the first time a state
+occupies that sector.  A sector holding no amplitude stays exactly zero
+and is skipped.  Ideal pulses are instantaneous parity phases.  Shaped
+pulses open a window in which the trap drive of the pulsed modes acts
+without the rotating wave reduction,
 
     H_I(t)/hbar = H_hop/hbar
         + sum_j g_j(t) (a_j^2 e^{-2 i w0 t} + a_j^dag^2 e^{+2 i w0 t} + 2 n_j + 1)
 
-with g_j(t) the squared frequency excess over 4 w0; the window is handed to
-an adaptive high order integrator with certified local error.  By default a
-window replaces the trailing portion of its preceding free segment, so the
-wall clock of the schedule is unchanged; the alternative placement inserts
-the window and stretches the timeline.  The counter rotating part of the
-Coulomb coupling can optionally be kept during windows.
+with g_j(t) the squared frequency excess over 4 w0.  The drive moves N by
+two, so a window conserves the parity of N: each parity class holding
+amplitude is handed on its own to an adaptive high order integrator with
+certified local error.  By default a window replaces the trailing portion
+of its preceding free segment, so the wall clock of the schedule is
+unchanged; the alternative placement inserts the window and stretches the
+timeline.  The counter rotating part of the Coulomb coupling, which also
+moves N by two, can optionally be kept during windows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -34,7 +41,6 @@ from .model import (
     DEFAULT_SECULAR_FREQUENCY,
     CouplingMatrix,
     FockSpace,
-    OperatorMatrix,
     PhononState,
     hopping_hamiltonian,
     ladder_operator,
@@ -60,7 +66,6 @@ class PropagatorConfig:
     local_error_tolerance: float = 1e-12
     absolute_tolerance: float = 1e-14
     max_step: float | None = None
-    interaction_picture_frequency: float | None = None
     record_stride: float | None = None
     window_placement: str = "carve"
     window_coupling: str = "rwa"
@@ -103,21 +108,6 @@ class SimulationResult:
         return {self.space.label(i): float(p) for i, p in enumerate(row)}
 
 
-def evolve_constant(state: PhononState, hamiltonian: OperatorMatrix,
-                    duration: float,
-                    constants=CONSTANTS) -> PhononState:
-    """exp(-i duration H / hbar) applied through an eigendecomposition."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    h = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
-    if h.shape != (state.space.dimension, state.space.dimension):
-        raise ValueError("Hamiltonian dimension does not match the state")
-    vals, vecs = eigh(h)
-    phases = np.exp(-1j * vals * duration / constants.hbar)
-    amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
-    return PhononState(state.space, amps)
-
-
 def apply_ideal_phase(state: PhononState, modes: Iterable[int]) -> PhononState:
     """Instantaneous pi phase shift: amplitudes pick up exp(-i pi sum n_j)."""
     modes = set(modes)
@@ -129,37 +119,24 @@ def apply_ideal_phase(state: PhononState, modes: Iterable[int]) -> PhononState:
     return PhononState(state.space, state.amplitudes * np.exp(-1j * math.pi * total))
 
 
-@dataclass(frozen=True)
-class StaircaseDrive:
-    """Piecewise constant squared frequency excess, for cross checks."""
+def _total_number(space: FockSpace) -> np.ndarray:
+    return sum(space.mode_occupations(q) for q in range(space.mode_count))
 
-    levels: tuple[tuple[float, float], ...]
 
-    @property
-    def duration(self) -> float:
-        return sum(d for d, _ in self.levels)
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        acc, out = 0.0, []
-        for d, _ in self.levels[:-1]:
-            acc += d
-            out.append(acc)
-        return tuple(out)
-
-    def drive(self, tau):
-        edges = np.cumsum([d for d, _ in self.levels])
-        vals = np.array([v for _, v in self.levels])
-        idx = np.minimum(np.searchsorted(edges, np.asarray(tau, dtype=float),
-                                         side="right"), len(vals) - 1)
-        return vals[idx]
+def _number_sectors(space: FockSpace) -> list[np.ndarray]:
+    """Basis indices grouped by total phonon number; entry N holds sector N."""
+    total = _total_number(space)
+    return [np.flatnonzero(total == n)
+            for n in range(space.mode_count * space.per_mode_cutoff + 1)]
 
 
 class SchedulePropagator:
     """Engine bound to one Fock space and coupling matrix.
 
-    Precomputes the hopping eigensystem, per mode parity phases, and the
-    window operators, then replays any schedule on that chain.
+    Splits the basis into sectors of fixed total phonon number and caches,
+    for each sector a state reaches, the eigensystem of its hopping block,
+    and for each pulsed-mode set and parity of N, the stacked window
+    operator; then replays any schedule on that chain.
     """
 
     def __init__(self, space: FockSpace, couplings: CouplingMatrix,
@@ -170,89 +147,111 @@ class SchedulePropagator:
         self.space = space
         self.couplings = couplings
         self.config = config or PropagatorConfig()
-        self.frame_frequency = (self.config.interaction_picture_frequency
-                                or secular_frequency)
-        hop = hopping_hamiltonian(space, couplings, form="rwa") / CONSTANTS.hbar
-        self._hop = sp.csr_matrix(hop.astype(complex))
-        self._evals, self._evecs = eigh(self._hop.toarray())
+        self.secular_frequency = secular_frequency
+        self._hop = hopping_hamiltonian(space, couplings, form="rwa") / CONSTANTS.hbar
         self._numbers = [space.mode_occupations(q).astype(float)
                          for q in range(space.mode_count)]
-        lowers = [ladder_operator(space, q) for q in range(space.mode_count)]
-        self._sq = [sp.csr_matrix((a @ a).astype(complex)) for a in lowers]
-        self._sq_dag = [m.conj().T.tocsr() for m in self._sq]
+        self._lowers = [ladder_operator(space, q) for q in range(space.mode_count)]
+        self._sectors = _number_sectors(space)
+        total = _total_number(space)
+        self._parity_classes = [np.flatnonzero(total % 2 == p) for p in (0, 1)]
         self._boundary = space.boundary_mask()
-        self._window_ops: dict[frozenset[int], tuple] = {}
-        self._counter_rotating = None
-        if self.config.window_coupling == "full":
-            cr = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
-            for j in range(space.mode_count):
-                for k in range(j):
-                    rate = couplings.rate(j, k)
-                    if rate:
-                        cr = cr + 0.5 * rate * (lowers[j].conj().T @ lowers[k].conj().T)
-            self._counter_rotating = (cr.tocsr(), cr.conj().T.tocsr())
+        self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._window_ops: dict[tuple[frozenset[int], int], sp.csr_matrix] = {}
 
-    # free evolution through the cached eigensystem, sampled at offsets dts
+    def _occupied(self, amps: np.ndarray):
+        """(indices, amplitudes, eigenvalues, eigenvectors) of each nonzero sector."""
+        for n, idx in enumerate(self._sectors):
+            block = amps[idx]
+            if not block.any():
+                continue
+            if n not in self._eigensystems:
+                self._eigensystems[n] = eigh(self._hop[idx][:, idx].toarray())
+            yield idx, block, *self._eigensystems[n]
+
+    # free evolution through the sector eigensystems, sampled at offsets dts
     def _free_states(self, amps: np.ndarray, dts: np.ndarray) -> np.ndarray:
-        coeff = self._evecs.conj().T @ amps
-        phases = np.exp(-1j * np.outer(self._evals, dts))
-        return self._evecs @ (phases * coeff[:, None])
+        out = np.zeros((amps.size, dts.size), dtype=complex)
+        for idx, block, vals, vecs in self._occupied(amps):
+            coeff = vecs.conj().T @ block
+            out[idx] = vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
+        return out
 
     def _free(self, amps: np.ndarray, duration: float) -> np.ndarray:
-        return self._evecs @ (np.exp(-1j * self._evals * duration)
-                              * (self._evecs.conj().T @ amps))
+        return self._free_states(amps, np.array([duration]))[:, 0]
 
     def _parity(self, modes: frozenset[int]) -> np.ndarray:
         total = sum(self._numbers[q] for q in modes)
         return np.exp(-1j * math.pi * total)
 
-    def _ops_for(self, modes: frozenset[int]) -> tuple:
-        if modes not in self._window_ops:
-            lower_sq = sum(self._sq[q] for q in modes).tocsr()
-            raise_sq = sum(self._sq_dag[q] for q in modes).tocsr()
-            diag = sum(2.0 * self._numbers[q] + 1.0 for q in modes)
-            self._window_ops[modes] = (lower_sq, raise_sq, diag)
-        return self._window_ops[modes]
+    def _window_op(self, modes: frozenset[int], parity: int) -> sp.csr_matrix:
+        """-i times the window terms on one parity class, stacked row-wise.
+
+        The blocks are the hopping, the raising and lowering squeezes of
+        the pulsed modes, their number term and, with full coupling, the
+        counter rotating pair creation and annihilation.  The right hand
+        side weighs them with 1, g e^{2iw0t}, g e^{-2iw0t}, g, e^{2iw0t}
+        and e^{-2iw0t}.
+        """
+        key = (modes, parity)
+        if key not in self._window_ops:
+            dim = self.space.dimension
+            zero = sp.csr_matrix((dim, dim), dtype=complex)
+            lower_sq = sum((self._lowers[q] @ self._lowers[q] for q in modes), zero)
+            diag = sum((2.0 * self._numbers[q] + 1.0 for q in modes), np.zeros(dim))
+            terms = [self._hop, lower_sq.conj().T, lower_sq, sp.diags(diag)]
+            if self.config.window_coupling == "full":
+                cr = zero
+                for j in range(self.space.mode_count):
+                    for k in range(j):
+                        rate = self.couplings.rate(j, k)
+                        if rate:
+                            cr = cr + 0.5 * rate * (self._lowers[j].conj().T
+                                                    @ self._lowers[k].conj().T)
+                terms += [cr, cr.conj().T]
+            idx = self._parity_classes[parity]
+            self._window_ops[key] = -1j * sp.vstack(
+                [sp.csr_matrix(term)[idx][:, idx] for term in terms], format="csr")
+        return self._window_ops[key]
 
     def _window(self, amps: np.ndarray, start: float, modes: frozenset[int],
                 pulse: ShapedPulse, t_eval: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate one shaped window starting at absolute time ``start``."""
-        lower_sq, raise_sq, diag = self._ops_for(modes)
-        hop = self._hop
-        w0 = self.frame_frequency
-        cr = self._counter_rotating
+        """Integrate one shaped window starting at absolute time ``start``.
 
-        def rhs(t, y):
-            g = pulse.drive(t - start) / (4.0 * w0)
-            ph = np.exp(2j * w0 * t)
-            out = hop.dot(y)
-            out = out + g * (ph * raise_sq.dot(y) + np.conj(ph) * lower_sq.dot(y)
-                             + diag * y)
-            if cr is not None:
-                out = out + ph * cr[0].dot(y) + np.conj(ph) * cr[1].dot(y)
-            return -1j * out
-
-        stops = [start, start + pulse.duration]
-        for bp in getattr(pulse, "breakpoints", ()):
-            if 0.0 < bp < pulse.duration:
-                stops.insert(-1, start + bp)
+        Returns the final amplitudes and the states at ``t_eval``, which
+        must lie strictly inside the window.
+        """
+        w0 = self.secular_frequency
+        stop = start + pulse.duration
         eval_pts = sorted(set(t_eval))
-        states = []
-        for lo, hi in zip(stops[:-1], stops[1:]):
-            inner = [t for t in eval_pts if lo < t < hi]
-            sol = solve_ivp(rhs, (lo, hi), amps, method="DOP853",
+        final = np.zeros_like(amps)
+        states = np.zeros((len(eval_pts), amps.size), dtype=complex)
+        for parity, idx in enumerate(self._parity_classes):
+            y0 = amps[idx]
+            if not y0.any():
+                continue
+            op = self._window_op(modes, parity)
+            blocks = op.shape[0] // idx.size
+
+            def rhs(t, y, op=op, blocks=blocks):
+                g = pulse.drive(t - start) / (4.0 * w0)
+                ph = cmath.exp(2j * w0 * t)
+                weights = np.array((1.0, g * ph, g * ph.conjugate(), g,
+                                    ph, ph.conjugate())[:blocks])
+                return weights @ op.dot(y).reshape(blocks, -1)
+
+            sol = solve_ivp(rhs, (start, stop), y0, method="DOP853",
                             rtol=self.config.local_error_tolerance,
                             atol=self.config.absolute_tolerance,
                             max_step=self.config.step_cap(w0),
-                            t_eval=inner + [hi] if inner else None,
+                            t_eval=eval_pts + [stop] if eval_pts else None,
                             dense_output=False)
             if not sol.success:
                 raise PropagationError(f"window integration failed: {sol.message}")
-            for col, tc in zip(sol.y.T, sol.t):
-                if tc in inner:
-                    states.append(col)
-            amps = sol.y[:, -1]
-        return amps, np.asarray(states)
+            final[idx] = sol.y[:, -1]
+            if eval_pts:
+                states[:, idx] = sol.y[:, :-1].T
+        return final, states
 
     def run(self, schedule: PulseSchedule, initial: PhononState,
             reference: PhononState | None = None) -> SimulationResult:
@@ -260,6 +259,8 @@ class SchedulePropagator:
 
         ``error_E`` is one minus the overlap magnitude with the initial
         state; ``error_EB`` the same against ``reference`` when given.
+        Norm drift and cutoff leakage are checked at the end of every
+        segment and window and at every sample recorded inside a window.
         """
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
@@ -287,22 +288,34 @@ class SchedulePropagator:
         records: list[tuple[float, np.ndarray]] = [(0.0, amps.copy())]
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         leakage = float(np.sum(np.abs(amps[self._boundary]) ** 2))
+        t = 0.0
 
-        def note(t_now: float, vec: np.ndarray) -> None:
+        def note(vec: np.ndarray) -> None:
             nonlocal norm_drift, leakage
             norm_drift = max(norm_drift, abs(np.linalg.norm(vec) - 1.0))
             leakage = max(leakage, float(np.sum(np.abs(vec[self._boundary]) ** 2)))
 
-        def record_free(t0: float, dur: float, start_amps: np.ndarray) -> None:
-            inner = [t for t in grid if t0 < t < t0 + dur]
+        def free(duration: float) -> None:
+            nonlocal amps, t
+            inner = [s for s in grid if t < s < t + duration]
             if inner:
-                cols = self._free_states(start_amps, np.asarray(inner) - t0)
-                for t_s, col in zip(inner, cols.T):
-                    records.append((t_s, col))
+                cols = self._free_states(amps, np.asarray(inner) - t)
+                records.extend(zip(inner, cols.T))
+            amps = self._free(amps, duration)
+            t += duration
+
+        def window(modes: frozenset[int]) -> None:
+            nonlocal amps, t
+            inner = [s for s in grid if t < s < t + pulse.duration]
+            amps, sampled = self._window(amps, t, modes, pulse, inner)
+            for t_s, col in zip(inner, sampled):
+                records.append((t_s, col))
+                note(col)
+            t += pulse.duration
+            note(amps)
 
         events = schedule.events
         i = 0
-        t = 0.0
         while i < len(events):
             ev = events[i]
             if isinstance(ev, Evolve):
@@ -314,35 +327,19 @@ class SchedulePropagator:
                     if lead < -1e-12 * ev.duration:
                         raise PropagationError(
                             "pulse window does not fit inside its segment")
-                    lead = max(lead, 0.0)
-                    record_free(t, lead, amps)
-                    amps = self._free(amps, lead)
-                    t += lead
-                    inner = [s for s in grid if t < s < t + pulse.duration]
-                    amps, sampled = self._window(amps, t, events[i + 1].modes,
-                                                 pulse, inner)
-                    for t_s, col in zip(inner, sampled):
-                        records.append((t_s, col))
-                    t += pulse.duration
-                    note(t, amps)
+                    free(max(lead, 0.0))
+                    window(events[i + 1].modes)
                     i += 2
                 else:
-                    record_free(t, ev.duration, amps)
-                    amps = self._free(amps, ev.duration)
-                    t += ev.duration
-                    note(t, amps)
+                    free(ev.duration)
+                    note(amps)
                     i += 1
             else:
                 if shaped:
                     if carve:
                         raise PropagationError(
                             "pulse event has no preceding segment to carve")
-                    inner = [s for s in grid if t < s < t + pulse.duration]
-                    amps, sampled = self._window(amps, t, ev.modes, pulse, inner)
-                    for t_s, col in zip(inner, sampled):
-                        records.append((t_s, col))
-                    t += pulse.duration
-                    note(t, amps)
+                    window(ev.modes)
                 else:
                     amps = amps * self._parity(ev.modes)
                 i += 1
@@ -373,91 +370,6 @@ def run_schedule(initial: PhononState, schedule: PulseSchedule,
     return engine.run(schedule, initial, reference)
 
 
-def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
-                  background: OperatorMatrix | None = None,
-                  config: PropagatorConfig | None = None,
-                  secular_frequency: float | None = None,
-                  start_time: float = 0.0) -> PhononState:
-    """Propagate one shaped window outside any schedule.
-
-    ``pulse`` needs a ``duration`` and a ``drive(tau)`` giving the squared
-    frequency excess ``tau`` seconds into the window; both the designed
-    pulse and :class:`StaircaseDrive` qualify.  ``background`` is a bare
-    Hamiltonian in joules, defaulting to no coupling at all.
-    """
-    config = config or PropagatorConfig()
-    space = state.space
-    if secular_frequency is None:
-        secular_frequency = getattr(pulse, "secular_frequency",
-                                    DEFAULT_SECULAR_FREQUENCY)
-    w0 = config.interaction_picture_frequency or secular_frequency
-    modes = frozenset(target_modes)
-    if any(not 0 <= q < space.mode_count for q in modes):
-        raise ValueError("target mode out of range")
-    if background is None:
-        hop = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
-    else:
-        hop = sp.csr_matrix(background, dtype=complex) / CONSTANTS.hbar
-    lower_sq = raise_sq = None
-    diag = np.zeros(space.dimension)
-    for q in modes:
-        a = ladder_operator(space, q)
-        asq = sp.csr_matrix((a @ a).astype(complex))
-        lower_sq = asq if lower_sq is None else lower_sq + asq
-        raise_sq = asq.conj().T if raise_sq is None else raise_sq + asq.conj().T
-        diag = diag + 2.0 * space.mode_occupations(q) + 1.0
-
-    def rhs(t, y):
-        g = pulse.drive(t - start_time) / (4.0 * w0)
-        ph = np.exp(2j * w0 * t)
-        out = hop.dot(y)
-        if modes:
-            out = out + g * (ph * raise_sq.dot(y) + np.conj(ph) * lower_sq.dot(y)
-                             + diag * y)
-        return -1j * out
-
-    stops = [start_time]
-    for bp in getattr(pulse, "breakpoints", ()):
-        if 0.0 < bp < pulse.duration:
-            stops.append(start_time + bp)
-    stops.append(start_time + pulse.duration)
-    amps = state.amplitudes.copy()
-    for lo, hi in zip(stops[:-1], stops[1:]):
-        sol = solve_ivp(rhs, (lo, hi), amps, method="DOP853",
-                        rtol=config.local_error_tolerance,
-                        atol=config.absolute_tolerance,
-                        max_step=config.step_cap(w0))
-        if not sol.success:
-            raise PropagationError(f"window integration failed: {sol.message}")
-        amps = sol.y[:, -1]
-    return PhononState(space, amps)
-
-
-def lab_frame_oscillator(space: FockSpace, mode: int, omega_sq_excess: float,
-                         secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
-                         constants=CONSTANTS) -> np.ndarray:
-    """Lab picture Hamiltonian of one mode under a constant drive (joules).
-
-    hbar w0 (n + 1/2) plus the quadratic drive; used to cross check the
-    interaction picture window against plain constant evolution.
-    """
-    a = ladder_operator(space, mode).toarray()
-    n = a.conj().T @ a
-    x = a + a.conj().T
-    g = omega_sq_excess / (4.0 * secular_frequency)
-    return constants.hbar * (secular_frequency * (n + 0.5 * np.eye(space.dimension))
-                             + g * (x @ x))
-
-
-def frame_rotation(space: FockSpace, duration: float,
-                   secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> np.ndarray:
-    """Diagonal that maps a lab picture state into the rotating frame."""
-    total = np.zeros(space.dimension)
-    for q in range(space.mode_count):
-        total = total + space.mode_occupations(q) + 0.5
-    return np.exp(1j * secular_frequency * duration * total)
-
-
 def error_overlap(initial: PhononState, final: PhononState) -> float:
     """1 - |<initial|final>|, insensitive to global phase."""
     if initial.space.dimension != final.space.dimension:
@@ -467,15 +379,23 @@ def error_overlap(initial: PhononState, final: PhononState) -> float:
 
 def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
                             angle: float = math.pi / 4.0) -> PhononState:
-    """Exact 50:50 target: exp(-i angle (a_j^dag a_k + a_k^dag a_j)) |state>."""
+    """Exact 50:50 target: exp(-i angle (a_j^dag a_k + a_k^dag a_j)) |state>.
+
+    The mixer conserves the total phonon number, so it is diagonalized one
+    sector at a time, over the sectors the state occupies.
+    """
     j, k = pair
     if j == k:
         raise ValueError("pair must name two distinct modes")
     aj = ladder_operator(state.space, j)
     ak = ladder_operator(state.space, k)
-    mixer = (aj.conj().T @ ak + ak.conj().T @ aj).toarray()
-    vals, vecs = eigh(mixer)
-    amps = vecs @ (np.exp(-1j * angle * vals) * (vecs.conj().T @ state.amplitudes))
+    mixer = (aj.conj().T @ ak + ak.conj().T @ aj).tocsr()
+    amps = np.zeros_like(state.amplitudes)
+    for idx in _number_sectors(state.space):
+        block = state.amplitudes[idx]
+        if block.any():
+            vals, vecs = eigh(mixer[idx][:, idx].toarray())
+            amps[idx] = vecs @ (np.exp(-1j * angle * vals) * (vecs.conj().T @ block))
     return PhononState(state.space, amps)
 
 
@@ -489,7 +409,4 @@ def error_beam_splitter(initial: PhononState, final: PhononState,
 def number_expectation(state: PhononState) -> float:
     """Total phonon number expectation of the state."""
     pops = np.abs(state.amplitudes) ** 2
-    total = np.zeros(state.space.dimension)
-    for q in range(state.space.mode_count):
-        total = total + state.space.mode_occupations(q)
-    return float(np.dot(total, pops))
+    return float(np.dot(_total_number(state.space), pops))

@@ -252,12 +252,13 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     if not full:
         header.append("residual")
     out.write(",".join(header) + "\n")
-    for row_i, t in enumerate(result.times):
-        row = result.populations[row_i]
-        cells = [repr(float(t * 1e6))] + [repr(float(row[i])) for i in keep]
+    kept = result.populations if full else result.populations[:, keep]
+    dropped = result.populations[:, drop]
+    for row_i, t in enumerate(result.times.tolist()):
+        cells = [t * 1e6] + kept[row_i].tolist()
         if not full:
-            cells.append(repr(float(row[drop].sum()) if drop else 0.0))
-        out.write(",".join(cells) + "\n")
+            cells.append(float(dropped[row_i].sum()) if drop else 0.0)
+        out.write(",".join(map(repr, cells)) + "\n")
     return out.getvalue()
 
 

@@ -1,0 +1,217 @@
+"""Full-dimension reference propagation for the tests.
+
+Dense eigendecompositions over the whole Fock space, and the shaped window
+right hand side applied to every basis state at once.  The sector engine of
+``phonondd.propagation`` is checked against these; the lab frame helpers
+cross check the interaction picture window itself.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.integrate import solve_ivp
+from scipy.linalg import eigh
+
+from phonondd import (
+    CONSTANTS,
+    DEFAULT_SECULAR_FREQUENCY,
+    CouplingMatrix,
+    Evolve,
+    FockSpace,
+    PhaseShift,
+    PhononState,
+    PropagationError,
+    PropagatorConfig,
+    PulseSchedule,
+    apply_ideal_phase,
+    hopping_hamiltonian,
+    ladder_operator,
+)
+from phonondd.model import OperatorMatrix
+
+
+def evolve_constant(state: PhononState, hamiltonian: OperatorMatrix,
+                    duration: float,
+                    constants=CONSTANTS) -> PhononState:
+    """exp(-i duration H / hbar) applied through an eigendecomposition."""
+    if duration < 0:
+        raise ValueError("duration must be non-negative")
+    h = hamiltonian.toarray() if sp.issparse(hamiltonian) else np.asarray(hamiltonian)
+    if h.shape != (state.space.dimension, state.space.dimension):
+        raise ValueError("Hamiltonian dimension does not match the state")
+    vals, vecs = eigh(h)
+    phases = np.exp(-1j * vals * duration / constants.hbar)
+    amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
+    return PhononState(state.space, amps)
+
+
+@dataclass(frozen=True)
+class StaircaseDrive:
+    """Piecewise constant squared frequency excess, for cross checks."""
+
+    levels: tuple[tuple[float, float], ...]
+
+    @property
+    def duration(self) -> float:
+        return sum(d for d, _ in self.levels)
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        acc, out = 0.0, []
+        for d, _ in self.levels[:-1]:
+            acc += d
+            out.append(acc)
+        return tuple(out)
+
+    def drive(self, tau):
+        edges = np.cumsum([d for d, _ in self.levels])
+        vals = np.array([v for _, v in self.levels])
+        idx = np.minimum(np.searchsorted(edges, np.asarray(tau, dtype=float),
+                                         side="right"), len(vals) - 1)
+        return vals[idx]
+
+
+def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
+                  background: OperatorMatrix | None = None,
+                  config: PropagatorConfig | None = None,
+                  secular_frequency: float | None = None,
+                  start_time: float = 0.0,
+                  pair_creation: OperatorMatrix | None = None) -> PhononState:
+    """Propagate one shaped window over the full Fock space.
+
+    ``pulse`` needs a ``duration`` and a ``drive(tau)`` giving the squared
+    frequency excess ``tau`` seconds into the window; both the designed
+    pulse and :class:`StaircaseDrive` qualify.  ``background`` is a bare
+    Hamiltonian in joules, defaulting to no coupling at all.
+    ``pair_creation`` is the counter rotating hopping part that creates
+    two quanta, in joules; it rotates at e^{+2 i w0 t} and its adjoint at
+    e^{-2 i w0 t}.
+    """
+    config = config or PropagatorConfig()
+    space = state.space
+    if secular_frequency is None:
+        secular_frequency = getattr(pulse, "secular_frequency",
+                                    DEFAULT_SECULAR_FREQUENCY)
+    w0 = secular_frequency
+    modes = frozenset(target_modes)
+    if any(not 0 <= q < space.mode_count for q in modes):
+        raise ValueError("target mode out of range")
+    if background is None:
+        hop = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
+    else:
+        hop = sp.csr_matrix(background, dtype=complex) / CONSTANTS.hbar
+    cr = None
+    if pair_creation is not None:
+        cr = sp.csr_matrix(pair_creation, dtype=complex) / CONSTANTS.hbar
+        cr = (cr, cr.conj().T.tocsr())
+    lower_sq = raise_sq = None
+    diag = np.zeros(space.dimension)
+    for q in modes:
+        a = ladder_operator(space, q)
+        asq = sp.csr_matrix((a @ a).astype(complex))
+        lower_sq = asq if lower_sq is None else lower_sq + asq
+        raise_sq = asq.conj().T if raise_sq is None else raise_sq + asq.conj().T
+        diag = diag + 2.0 * space.mode_occupations(q) + 1.0
+
+    def rhs(t, y):
+        g = pulse.drive(t - start_time) / (4.0 * w0)
+        ph = np.exp(2j * w0 * t)
+        out = hop.dot(y)
+        if modes:
+            out = out + g * (ph * raise_sq.dot(y) + np.conj(ph) * lower_sq.dot(y)
+                             + diag * y)
+        if cr is not None:
+            out = out + ph * cr[0].dot(y) + np.conj(ph) * cr[1].dot(y)
+        return -1j * out
+
+    stops = [start_time]
+    for bp in getattr(pulse, "breakpoints", ()):
+        if 0.0 < bp < pulse.duration:
+            stops.append(start_time + bp)
+    stops.append(start_time + pulse.duration)
+    amps = state.amplitudes.copy()
+    for lo, hi in zip(stops[:-1], stops[1:]):
+        sol = solve_ivp(rhs, (lo, hi), amps, method="DOP853",
+                        rtol=config.local_error_tolerance,
+                        atol=config.absolute_tolerance,
+                        max_step=config.step_cap(w0))
+        if not sol.success:
+            raise PropagationError(f"window integration failed: {sol.message}")
+        amps = sol.y[:, -1]
+    return PhononState(space, amps)
+
+
+def lab_frame_oscillator(space: FockSpace, mode: int, omega_sq_excess: float,
+                         secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
+                         constants=CONSTANTS) -> np.ndarray:
+    """Lab picture Hamiltonian of one mode under a constant drive (joules).
+
+    hbar w0 (n + 1/2) plus the quadratic drive; used to cross check the
+    interaction picture window against plain constant evolution.
+    """
+    a = ladder_operator(space, mode).toarray()
+    n = a.conj().T @ a
+    x = a + a.conj().T
+    g = omega_sq_excess / (4.0 * secular_frequency)
+    return constants.hbar * (secular_frequency * (n + 0.5 * np.eye(space.dimension))
+                             + g * (x @ x))
+
+
+def frame_rotation(space: FockSpace, duration: float,
+                   secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> np.ndarray:
+    """Diagonal that maps a lab picture state into the rotating frame."""
+    total = np.zeros(space.dimension)
+    for q in range(space.mode_count):
+        total = total + space.mode_occupations(q) + 0.5
+    return np.exp(1j * secular_frequency * duration * total)
+
+
+def pair_creation_hamiltonian(space: FockSpace, couplings: CouplingMatrix,
+                              constants=CONSTANTS) -> sp.csr_matrix:
+    """sum_{j>k} (hbar kappa_jk / 2) a_j^dag a_k^dag, in joules."""
+    raises = [ladder_operator(space, q, "raise") for q in range(space.mode_count)]
+    out = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
+    for j in range(space.mode_count):
+        for k in range(j):
+            out = out + 0.5 * constants.hbar * couplings.rate(j, k) * (raises[j] @ raises[k])
+    return out.tocsr()
+
+
+def dense_run(schedule: PulseSchedule, initial: PhononState,
+              couplings: CouplingMatrix, config: PropagatorConfig | None = None,
+              secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> PhononState:
+    """Final state of a schedule, propagated over the full Fock space.
+
+    Free segments go through :func:`evolve_constant`, ideal pulses through
+    :func:`apply_ideal_phase` and shaped windows through
+    :func:`evolve_shaped`, placed as ``config.window_placement`` says.
+    """
+    config = config or PropagatorConfig()
+    space = initial.space
+    hop = hopping_hamiltonian(space, couplings, form="rwa")
+    pairs = (pair_creation_hamiltonian(space, couplings)
+             if config.window_coupling == "full" else None)
+    shaped = schedule.pulse_model == "shaped"
+    pulse = schedule.shaped_pulse
+    events = schedule.events
+    state, t = initial, 0.0
+    for i, ev in enumerate(events):
+        if isinstance(ev, Evolve):
+            duration = ev.duration
+            if (shaped and config.window_placement == "carve"
+                    and i + 1 < len(events) and isinstance(events[i + 1], PhaseShift)):
+                duration = max(duration - pulse.duration, 0.0)
+            state = evolve_constant(state, hop, duration)
+            t += duration
+        elif shaped:
+            state = evolve_shaped(state, pulse, ev.modes, background=hop,
+                                  config=config, secular_frequency=secular_frequency,
+                                  start_time=t, pair_creation=pairs)
+            t += pulse.duration
+        else:
+            state = apply_ideal_phase(state, ev.modes)
+    return state

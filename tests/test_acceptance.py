@@ -25,7 +25,6 @@ from phonondd import (
     coupling_rate,
     design_pulse,
     ermakov_residual,
-    evolve_shaped,
     feasibility_bounds,
     get_scenario,
     hopping_hamiltonian,
@@ -40,6 +39,8 @@ from phonondd import (
     synthesize,
 )
 from phonondd.pulses import dc_to_omega_sq, dc_waveform, rf_to_omega_sq, rf_waveform
+
+from dense_oracle import evolve_shaped
 
 W0 = DEFAULT_SECULAR_FREQUENCY
 T0 = 1.0 / 2.2e6

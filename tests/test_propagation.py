@@ -17,7 +17,6 @@ from phonondd import (
     PropagationError,
     PropagatorConfig,
     SchedulePropagator,
-    StaircaseDrive,
     apply_ideal_phase,
     basis_state,
     beam_splitter_reference,
@@ -26,16 +25,20 @@ from phonondd import (
     design_pulse,
     error_beam_splitter,
     error_overlap,
-    evolve_constant,
-    evolve_shaped,
-    frame_rotation,
     hopping_hamiltonian,
-    lab_frame_oscillator,
     number_expectation,
     run_schedule,
     synthesize,
 )
 from phonondd.sequences import PulseSchedule
+
+from dense_oracle import (
+    StaircaseDrive,
+    evolve_constant,
+    evolve_shaped,
+    frame_rotation,
+    lab_frame_oscillator,
+)
 
 W0 = DEFAULT_SECULAR_FREQUENCY
 T0 = 1.0 / 2.2e6

@@ -21,7 +21,11 @@ from phonondd import (
     scenario_catalog,
     sweep,
 )
-from phonondd.scenarios import output_directory
+from phonondd.scenarios import (
+    POPULATION_COLUMN_THRESHOLD,
+    _hom_labels,
+    output_directory,
+)
 
 CHEAP = """
 chain.modes = 2
@@ -120,6 +124,31 @@ class TestExecution:
         assert out["relative_change"] < 0.05
 
 
+def cell_by_cell_populations_csv(result, cfg, full):
+    """Reference formatter: one repr(float(...)) call per cell."""
+    space = result.space
+    labels = [space.label(i) for i in range(space.dimension)]
+    if full:
+        keep = list(range(space.dimension))
+        drop = []
+    else:
+        forced = {space.index(cfg.initial_occupations)}
+        forced.update(labels.index(lab) for lab in _hom_labels(cfg, space))
+        peaks = result.populations.max(axis=0)
+        keep = [i for i in range(space.dimension)
+                if peaks[i] > POPULATION_COLUMN_THRESHOLD or i in forced]
+        drop = [i for i in range(space.dimension) if i not in set(keep)]
+    header = ["t_us"] + [labels[i] for i in keep] + ([] if full else ["residual"])
+    lines = [",".join(header)]
+    for row_i, t in enumerate(result.times):
+        row = result.populations[row_i]
+        cells = [repr(float(t * 1e6))] + [repr(float(row[i])) for i in keep]
+        if not full:
+            cells.append(repr(float(row[drop].sum()) if drop else 0.0))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestPopulationsCsv:
     def test_row_sums_and_determinism(self, scenario_cache):
         cfg = get_scenario("fig3")
@@ -152,6 +181,13 @@ class TestPopulationsCsv:
         cols = header.split(",")
         assert len(cols) == 1 + result.space.dimension
         assert "residual" not in cols
+
+    @pytest.mark.parametrize("name,full", [("fig1b", False), ("fig7a", True)])
+    def test_rows_match_cell_by_cell_formatting(self, scenario_cache, name, full):
+        cfg = get_scenario(name)
+        _, result = scenario_cache(name)
+        assert populations_csv(result, cfg, full=full) == \
+            cell_by_cell_populations_csv(result, cfg, full)
 
     def test_run_scenario_writes_files(self, tmp_path):
         record = run_scenario(cheap_config(), output_dir=tmp_path)
