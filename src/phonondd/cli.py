@@ -89,9 +89,7 @@ def sweep(scenario: str, axis: str, values: str, out: str | None) -> None:
         raw = [v.strip() for v in values.split(",") if v.strip()]
         if axis in ("n_r", "n_max"):
             parsed = [int(v) for v in raw]
-        elif axis == "d":
-            parsed = [float(v) * 1e-6 for v in raw]
-        else:
+        else:  # d and T_P are given in microns and microseconds
             parsed = [float(v) * 1e-6 for v in raw]
         records = run_sweep(cfg, axis, parsed)
     except (ScenarioError, ValueError) as exc:

@@ -1,35 +1,51 @@
 """Executes pulse schedules on phonon states in the interaction picture.
 
-Every operator here changes the total phonon number N by zero or two, so
-the engine works in sectors of the Fock basis.  Free segments evolve under
-the number conserving hopping Hamiltonian, which is constant in the frame
-rotating at the secular frequency; each N sector evolves through the
-eigendecomposition of its own block, computed the first time a state
-occupies that sector.  A sector holding no amplitude stays exactly zero
-and is skipped.  Ideal pulses are instantaneous parity phases.  Shaped
-pulses open a window in which the trap drive of the pulsed modes acts
-without the rotating wave reduction,
+Free segments evolve under the number conserving hopping Hamiltonian,
+which is constant in the frame rotating at the secular frequency, so the
+engine works in sectors of fixed total phonon number N: each sector
+evolves through the eigendecomposition of its own block, computed the
+first time a state occupies it, and a sector holding no amplitude stays
+exactly zero.  Ideal pulses are instantaneous parity phases.
+
+A shaped pulse opens a window in which the trap drive of the pulsed modes
+acts without the rotating wave reduction,
 
     H_I(t)/hbar = H_hop/hbar
         + sum_j g_j(t) (a_j^2 e^{-2 i w0 t} + a_j^dag^2 e^{+2 i w0 t} + 2 n_j + 1)
 
-with g_j(t) the squared frequency excess over 4 w0.  The drive moves N by
-two, so a window conserves the parity of N: each parity class holding
-amplitude is handed on its own to an adaptive high order integrator with
-certified local error.  By default a window replaces the trailing portion
-of its preceding free segment, so the wall clock of the schedule is
-unchanged; the alternative placement inserts the window and stretches the
-timeline.  The counter rotating part of the Coulomb coupling, which also
-moves N by two, can optionally be kept during windows.
+with g_j(t) the squared frequency excess over 4 w0.  Every term is
+quadratic in the ladder operators, so the window is a Gaussian unitary U
+fixed by two M x M matrices: U^dag a U = A a + B a^dag.  The engine
+integrates (A, B) once per pulsed-mode set and pulse, from time 0 with a
+dense interpolant; a window starting at t0 has (A, B e^{2 i w0 t0}).  U
+acts on the Fock vector through its normal ordered form
+
+    U = c exp(a^dag X a^dag / 2) Gamma(Y) exp(a Z a / 2),
+    Y = (A^dag)^{-1},  X = Y B^T,  Z = -B^dag Y,  |c| = |det A|^{-1/2},
+
+with Gamma(Y) the number conserving map a_i^dag -> sum_j Y_ji a_j^dag.
+The engine takes c = |det A|^{-1/2}: the phase of c is global to the
+state, and every output is a population or an overlap magnitude.  The
+lowering factor keeps the cutoff cube closed, raising never returns to
+it, and Gamma is built column by column from raised columns of lower N, so
+the engine applies the exact projection P U P onto the cube: the squeezing
+transient inside a window is never truncated, and the population U pushes
+past the cutoff is lost from the norm.  By default a window replaces the
+trailing portion of its preceding free segment, so the wall clock of the
+schedule is unchanged; the alternative placement inserts the window and
+stretches the timeline.  The counter rotating part of the Coulomb
+coupling, which creates and destroys pairs, can optionally be kept during
+windows.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +63,10 @@ from .model import (
 )
 from .pulses import ShapedPulse
 from .sequences import Evolve, PhaseShift, PulseSchedule
+
+
+WINDOW_PLACEMENTS = ("carve", "insert")
+WINDOW_COUPLINGS = ("rwa", "full")
 
 
 class PropagationError(Exception):
@@ -77,9 +97,9 @@ class PropagatorConfig:
             raise ValueError("max_step must be positive")
         if self.record_stride is not None and self.record_stride <= 0:
             raise ValueError("record_stride must be positive")
-        if self.window_placement not in ("carve", "insert"):
+        if self.window_placement not in WINDOW_PLACEMENTS:
             raise ValueError("window_placement must be 'carve' or 'insert'")
-        if self.window_coupling not in ("rwa", "full"):
+        if self.window_coupling not in WINDOW_COUPLINGS:
             raise ValueError("window_coupling must be 'rwa' or 'full'")
 
     def step_cap(self, frame_frequency: float) -> float:
@@ -91,7 +111,13 @@ class PropagatorConfig:
 
 @dataclass
 class SimulationResult:
-    """Timeline record of one schedule execution."""
+    """Timeline record of one schedule execution.
+
+    ``norm_drift`` is the largest deviation of the state norm from one.
+    On shaped runs it includes, exactly, the population each window has
+    pushed past the cutoff, since windows apply the projection P U P;
+    ``boundary_leakage`` is the largest population seen on the cutoff.
+    """
 
     times: np.ndarray
     populations: np.ndarray
@@ -130,13 +156,32 @@ def _number_sectors(space: FockSpace) -> list[np.ndarray]:
             for n in range(space.mode_count * space.per_mode_cutoff + 1)]
 
 
+@dataclass(frozen=True)
+class HeisenbergMap:
+    """Mode operator map a -> A a + B a^dag of a window that starts at time 0.
+
+    ``solution`` interpolates the rows of [A | B], flattened, over the
+    window.
+    """
+
+    mode_count: int
+    solution: Callable[[float], np.ndarray]
+
+    def at(self, tau: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(A, B, |det A|^{-1/2}) at offset ``tau`` into the window."""
+        m = self.mode_count
+        rows = self.solution(tau).reshape(m, 2 * m)
+        a, b = rows[:, :m], rows[:, m:]
+        return a, b, 1.0 / math.sqrt(abs(np.linalg.det(a)))
+
+
 class SchedulePropagator:
     """Engine bound to one Fock space and coupling matrix.
 
     Splits the basis into sectors of fixed total phonon number and caches,
     for each sector a state reaches, the eigensystem of its hopping block,
-    and for each pulsed-mode set and parity of N, the stacked window
-    operator; then replays any schedule on that chain.
+    and for each pulsed-mode set and pulse, the Heisenberg map of its
+    window; then replays any schedule on that chain.
     """
 
     def __init__(self, space: FockSpace, couplings: CouplingMatrix,
@@ -151,13 +196,12 @@ class SchedulePropagator:
         self._hop = hopping_hamiltonian(space, couplings, form="rwa") / CONSTANTS.hbar
         self._numbers = [space.mode_occupations(q).astype(float)
                          for q in range(space.mode_count)]
-        self._lowers = [ladder_operator(space, q) for q in range(space.mode_count)]
         self._sectors = _number_sectors(space)
-        total = _total_number(space)
-        self._parity_classes = [np.flatnonzero(total % 2 == p) for p in (0, 1)]
         self._boundary = space.boundary_mask()
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._window_ops: dict[tuple[frozenset[int], int], sp.csr_matrix] = {}
+        self._maps: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = {}
+        self._pair_table: tuple | None = None
+        self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
 
     def _occupied(self, amps: np.ndarray):
         """(indices, amplitudes, eigenvalues, eigenvectors) of each nonzero sector."""
@@ -184,74 +228,156 @@ class SchedulePropagator:
         total = sum(self._numbers[q] for q in modes)
         return np.exp(-1j * math.pi * total)
 
-    def _window_op(self, modes: frozenset[int], parity: int) -> sp.csr_matrix:
-        """-i times the window terms on one parity class, stacked row-wise.
+    def _map(self, modes: frozenset[int], pulse: ShapedPulse) -> HeisenbergMap:
+        """Integrate dA = -i(h A + G B^*), dB = -i(h B + G A^*) over the window.
 
-        The blocks are the hopping, the raising and lowering squeezes of
-        the pulsed modes, their number term and, with full coupling, the
-        counter rotating pair creation and annihilation.  The right hand
-        side weighs them with 1, g e^{2iw0t}, g e^{-2iw0t}, g, e^{2iw0t}
-        and e^{-2iw0t}.
+        h is kappa/2 plus 2 g on the pulsed diagonal and G is e^{2iw0t}
+        times 2 g on the pulsed diagonal, plus kappa/2 with full coupling.
         """
-        key = (modes, parity)
-        if key not in self._window_ops:
-            dim = self.space.dimension
-            zero = sp.csr_matrix((dim, dim), dtype=complex)
-            lower_sq = sum((self._lowers[q] @ self._lowers[q] for q in modes), zero)
-            diag = sum((2.0 * self._numbers[q] + 1.0 for q in modes), np.zeros(dim))
-            terms = [self._hop, lower_sq.conj().T, lower_sq, sp.diags(diag)]
-            if self.config.window_coupling == "full":
-                cr = zero
-                for j in range(self.space.mode_count):
-                    for k in range(j):
-                        rate = self.couplings.rate(j, k)
-                        if rate:
-                            cr = cr + 0.5 * rate * (self._lowers[j].conj().T
-                                                    @ self._lowers[k].conj().T)
-                terms += [cr, cr.conj().T]
-            idx = self._parity_classes[parity]
-            self._window_ops[key] = -1j * sp.vstack(
-                [sp.csr_matrix(term)[idx][:, idx] for term in terms], format="csr")
-        return self._window_ops[key]
+        key = (modes, pulse)
+        if key in self._maps:
+            return self._maps[key]
+        m = self.space.mode_count
+        w0 = self.secular_frequency
+        hop = self.couplings.kappa / 2.0
+        pulsed = np.zeros((m, 1))
+        pulsed[sorted(modes)] = 1.0
+        swap = np.r_[m:2 * m, 0:m]
+        full = self.config.window_coupling == "full"
+
+        def rhs(t, y):
+            drive = pulse.drive(t) / (2.0 * w0)
+            rows = y.reshape(m, 2 * m)
+            mixed = rows + cmath.exp(2j * w0 * t) * rows.conj()[:, swap]
+            return (-1j * (hop @ (mixed if full else rows)
+                           + drive * pulsed * mixed)).ravel()
+
+        start = np.hstack([np.eye(m), np.zeros((m, m))]).astype(complex).ravel()
+        sol = solve_ivp(rhs, (0.0, pulse.duration), start, method="DOP853",
+                        rtol=self.config.local_error_tolerance,
+                        atol=self.config.absolute_tolerance,
+                        max_step=self.config.step_cap(w0), dense_output=True)
+        if not sol.success:
+            raise PropagationError(f"window integration failed: {sol.message}")
+        self._maps[key] = HeisenbergMap(m, sol.sol)
+        return self._maps[key]
+
+    def _pairs(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """The pair lowerings a_i a_j (i <= j) stacked into one CSR matrix.
+
+        Their patterns are disjoint, so 1/2 sum_ij Z_ij a_i a_j has the
+        stacked pattern with each stored entry scaled by sym(Z)[i, j]; the
+        stacked data carries the 1/2 of i = j.  Returns the stacked matrix
+        and the pair (i, j) of each stored entry.
+        """
+        if self._pair_table is None:
+            lower = [ladder_operator(self.space, q)
+                     for q in range(self.space.mode_count)]
+            pairs = list(itertools.combinations_with_replacement(range(len(lower)), 2))
+            ops = [(0.5 if i == j else 1.0) * (lower[i] @ lower[j]) for i, j in pairs]
+            stacked = sum(ops).tocsr()
+            label = sum((k + 1) * (op != 0) for k, op in enumerate(ops)).tocsr()
+            stacked.sort_indices()
+            label.sort_indices()
+            mi, mj = np.array(pairs).T[:, label.data.astype(int) - 1]
+            self._pair_table = (stacked, mi, mj)
+        return self._pair_table
+
+    def _pair_series(self, amps: np.ndarray, coeffs: np.ndarray,
+                     raising: bool) -> np.ndarray:
+        """exp(1/2 a^dag C a^dag) or exp(1/2 a C a) applied to ``amps``.
+
+        Both generators are nilpotent on the cube, so the series ends
+        exactly once a term vanishes.
+        """
+        stacked, mi, mj = self._pairs()
+        sym = 0.5 * (coeffs + coeffs.T)
+        op = sp.csr_matrix((stacked.data * sym[mi, mj], stacked.indices,
+                            stacked.indptr), shape=stacked.shape)
+        if raising:
+            op = op.T
+        out, term = amps.copy(), amps
+        for k in itertools.count(1):
+            term = op @ term / k
+            if not term.any():
+                return out
+            out += term
+
+    def _levels(self) -> list[tuple[np.ndarray, ...]]:
+        """Per sector N >= 1: how each of its states is raised from sector N-1.
+
+        Entry N-1 holds, for each state n of sector N, the lowest occupied
+        mode i and 1/sqrt(n_i); for each mode j, sqrt(n_j); and the flat
+        index into the sector N-1 matrix of the element (n - e_j, m - e_i)
+        that feeds element (n, m) through a_j^dag.  Where n_j = 0 the index
+        is 0 and the weight sqrt(n_j) removes the term.
+        """
+        if self._raise_levels is None:
+            space = self.space
+            m, base = space.mode_count, space.per_mode_cutoff + 1
+            occ = np.array(self._numbers)
+            pos = np.empty(space.dimension, dtype=int)
+            for idx in self._sectors:
+                pos[idx] = np.arange(idx.size)
+            self._raise_levels = []
+            for lower, upper in zip(self._sectors, self._sectors[1:]):
+                first = np.argmax(occ[:, upper] > 0, axis=0)
+                parent = pos[upper - base ** first]
+                rows = np.array([np.where(occ[j, upper] > 0,
+                                          pos[upper - base ** j], 0)
+                                 for j in range(m)])
+                flat = rows[:, :, None] * lower.size + parent[None, None, :]
+                self._raise_levels.append(
+                    (first, 1.0 / np.sqrt(occ[first, upper]),
+                     np.sqrt(occ[:, upper]), flat))
+        return self._raise_levels
+
+    def _passive(self, amps: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """P Gamma(Y) P applied to ``amps``, one number sector at a time.
+
+        Column n of sector N is Gamma|n> = r_i Gamma|n - e_i> / sqrt(n_i)
+        with r_i = sum_j Y_ji a_j^dag; raising never leaves the cube and
+        comes back, so the cube columns need only cube rows.
+        """
+        occupied = [n for n, idx in enumerate(self._sectors) if amps[idx].any()]
+        out = np.zeros_like(amps)
+        gamma = np.ones((1, 1), dtype=complex)
+        for n, idx in enumerate(self._sectors[:max(occupied, default=-1) + 1]):
+            if n:
+                first, scale, weight, flat = self._levels()[n - 1]
+                coeffs = y[:, first] * scale
+                lower, gamma = gamma, np.zeros((idx.size, idx.size), dtype=complex)
+                # one mode at a time keeps each temporary at one sector block
+                for j, rows in enumerate(flat):
+                    term = np.take(lower, rows)
+                    term *= weight[j][:, None]
+                    term *= coeffs[j]
+                    gamma += term
+            out[idx] = gamma @ amps[idx]
+        return out
+
+    def _apply(self, amps: np.ndarray, heis: tuple[np.ndarray, np.ndarray, complex],
+               gauge: complex) -> np.ndarray:
+        """P U P amps for the map (A, B gauge), normal ordered."""
+        a, b, norm = heis
+        b = b * gauge
+        y = np.linalg.inv(a.conj().T)
+        lowered = self._pair_series(amps, -b.conj().T @ y, raising=False)
+        passive = self._passive(lowered, y)
+        return norm * self._pair_series(passive, y @ b.T, raising=True)
 
     def _window(self, amps: np.ndarray, start: float, modes: frozenset[int],
-                pulse: ShapedPulse, t_eval: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate one shaped window starting at absolute time ``start``.
+                pulse: ShapedPulse,
+                t_eval: Sequence[float] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Apply one shaped window starting at absolute time ``start``.
 
         Returns the final amplitudes and the states at ``t_eval``, which
         must lie strictly inside the window.
         """
-        w0 = self.secular_frequency
-        stop = start + pulse.duration
-        eval_pts = sorted(set(t_eval))
-        final = np.zeros_like(amps)
-        states = np.zeros((len(eval_pts), amps.size), dtype=complex)
-        for parity, idx in enumerate(self._parity_classes):
-            y0 = amps[idx]
-            if not y0.any():
-                continue
-            op = self._window_op(modes, parity)
-            blocks = op.shape[0] // idx.size
-
-            def rhs(t, y, op=op, blocks=blocks):
-                g = pulse.drive(t - start) / (4.0 * w0)
-                ph = cmath.exp(2j * w0 * t)
-                weights = np.array((1.0, g * ph, g * ph.conjugate(), g,
-                                    ph, ph.conjugate())[:blocks])
-                return weights @ op.dot(y).reshape(blocks, -1)
-
-            sol = solve_ivp(rhs, (start, stop), y0, method="DOP853",
-                            rtol=self.config.local_error_tolerance,
-                            atol=self.config.absolute_tolerance,
-                            max_step=self.config.step_cap(w0),
-                            t_eval=eval_pts + [stop] if eval_pts else None,
-                            dense_output=False)
-            if not sol.success:
-                raise PropagationError(f"window integration failed: {sol.message}")
-            final[idx] = sol.y[:, -1]
-            if eval_pts:
-                states[:, idx] = sol.y[:, :-1].T
-        return final, states
+        heis = self._map(modes, pulse)
+        gauge = cmath.exp(2j * self.secular_frequency * start)
+        final = self._apply(amps, heis.at(pulse.duration), gauge)
+        return final, [self._apply(amps, heis.at(t - start), gauge) for t in t_eval]
 
     def run(self, schedule: PulseSchedule, initial: PhononState,
             reference: PhononState | None = None) -> SimulationResult:
@@ -270,11 +396,7 @@ class SchedulePropagator:
             raise PropagationError("shaped schedule carries no pulse")
         carve = self.config.window_placement == "carve"
         started = time.perf_counter()
-
-        wall = schedule.total_evolve_time
-        if shaped and not carve:
-            windows = sum(isinstance(ev, PhaseShift) for ev in schedule.events)
-            wall += windows * pulse.duration
+        wall = wall_time(schedule, self.config.window_placement)
 
         if self.config.record_stride is not None:
             grid = list(np.arange(0.0, wall, self.config.record_stride))
@@ -358,6 +480,15 @@ class SchedulePropagator:
                                 boundary_leakage=leakage,
                                 wall_time=time.perf_counter() - started,
                                 error_E=err, error_EB=err_b)
+
+
+def wall_time(schedule: PulseSchedule, window_placement: str) -> float:
+    """Clock time a schedule spans; inserted windows add their duration."""
+    wall = schedule.total_evolve_time
+    if schedule.pulse_model == "shaped" and window_placement == "insert":
+        windows = sum(isinstance(ev, PhaseShift) for ev in schedule.events)
+        wall += windows * schedule.shaped_pulse.duration
+    return wall
 
 
 def run_schedule(initial: PhononState, schedule: PulseSchedule,

@@ -31,13 +31,16 @@ from .model import (
     coupling_rate,
 )
 from .propagation import (
+    WINDOW_COUPLINGS,
+    WINDOW_PLACEMENTS,
     PropagatorConfig,
     SchedulePropagator,
     SimulationResult,
     beam_splitter_reference,
+    wall_time,
 )
 from .pulses import ShapedPulse, design_pulse
-from .sequences import DDSpec, PulseSchedule, synthesize
+from .sequences import PULSE_MODELS, DDSpec, PulseSchedule, synthesize
 
 POPULATION_COLUMN_THRESHOLD = 1e-4
 LEAKAGE_LIMIT = 1e-6
@@ -45,6 +48,13 @@ DEFAULT_RECORD_SAMPLES = 512
 
 # cycle time of one bare secular oscillation, the natural pulse length unit
 SECULAR_PERIOD = 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY
+
+# allowed values of the ScenarioConfig fields that name a model choice
+CHOICES = {
+    "pulse_model": PULSE_MODELS,
+    "window_placement": WINDOW_PLACEMENTS,
+    "window_coupling": WINDOW_COUPLINGS,
+}
 
 
 class ScenarioError(Exception):
@@ -83,6 +93,11 @@ class ScenarioConfig:
         object.__setattr__(self, "protected_set", frozenset(self.protected_set))
         object.__setattr__(self, "initial_occupations",
                            tuple(self.initial_occupations))
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ScenarioError(
+                    f"{self.name}: {key} must be one of {', '.join(allowed)},"
+                    f" not {getattr(self, key)!r}")
         if len(self.initial_occupations) != self.mode_count:
             raise ScenarioError(f"{self.name}: initial state names "
                                 f"{len(self.initial_occupations)} modes, chain has "
@@ -141,10 +156,7 @@ def build_scenario(cfg: ScenarioConfig):
                   level_role_swap=cfg.level_role_swap,
                   pulse_model=cfg.pulse_model, shaped_pulse=pulse)
     schedule = synthesize(spec)
-    wall = schedule.total_evolve_time
-    if cfg.pulse_model == "shaped" and cfg.window_placement == "insert":
-        wall += pulse.duration * sum(1 for ev in schedule.events
-                                     if not hasattr(ev, "duration"))
+    wall = wall_time(schedule, cfg.window_placement)
     prop_cfg = PropagatorConfig(
         local_error_tolerance=cfg.local_error_tolerance,
         record_stride=wall / (cfg.record_samples - 1),
@@ -453,13 +465,18 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     output.samples, output.beam_splitter_pair.
     """
     entries: dict[str, str] = {}
-    for raw in text.splitlines():
+    lines: dict[str, int] = {}
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ScenarioError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ScenarioError(f"config key {key!r} is set on line {lines[key]}"
+                                f" and again on line {number}")
+        lines[key] = number
         entries[key] = value
     try:
         kwargs: dict = {

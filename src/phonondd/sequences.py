@@ -51,6 +51,9 @@ class PhaseShift:
 ScheduleEvent = Union[Evolve, PhaseShift]
 
 
+PULSE_MODELS = ("ideal", "shaped")
+
+
 @dataclass(frozen=True)
 class DDSpec:
     """What to decouple: mode count, cycle time, and scheme options.
@@ -83,7 +86,7 @@ class DDSpec:
             raise ValueError("repetitions must be >= 1")
         if any(not 0 <= q < self.mode_count for q in self.protected_set):
             raise ValueError("protected_set indices out of range")
-        if self.pulse_model not in ("ideal", "shaped"):
+        if self.pulse_model not in PULSE_MODELS:
             raise ValueError("pulse_model must be 'ideal' or 'shaped'")
         if self.pulse_model == "shaped" and self.shaped_pulse is None:
             raise ValueError("shaped pulse_model needs a shaped_pulse")

@@ -1,9 +1,11 @@
 """Full-dimension reference propagation for the tests.
 
-Dense eigendecompositions over the whole Fock space, and the shaped window
-right hand side applied to every basis state at once.  The sector engine of
-``phonondd.propagation`` is checked against these; the lab frame helpers
-cross check the interaction picture window itself.
+Dense eigendecompositions over the whole Fock space, and the Fock space
+window ODE: the shaped window right hand side applied to every basis state
+at once.  The engine of ``phonondd.propagation``, which applies windows as
+Gaussian maps, is checked against these; windows can run at a raised
+cutoff and be projected back.  The lab frame helpers cross check the
+interaction picture window itself.
 """
 
 from __future__ import annotations
@@ -181,19 +183,53 @@ def pair_creation_hamiltonian(space: FockSpace, couplings: CouplingMatrix,
     return out.tocsr()
 
 
+def embed(state: PhononState, space: FockSpace) -> PhononState:
+    """The same amplitudes in a space with the same modes and a higher cutoff."""
+    base = space.per_mode_cutoff + 1
+    index = sum(state.space.mode_occupations(q) * base ** q
+                for q in range(space.mode_count))
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[index] = state.amplitudes
+    return PhononState(space, amps)
+
+
+def project(state: PhononState, space: FockSpace) -> PhononState:
+    """Orthogonal projection onto a space with a lower cutoff."""
+    base = state.space.per_mode_cutoff + 1
+    index = sum(space.mode_occupations(q) * base ** q
+                for q in range(space.mode_count))
+    return PhononState(space, state.amplitudes[index])
+
+
+def phase_distance(got: np.ndarray, expected: np.ndarray) -> float:
+    """min over phi of |e^{i phi} got - expected|.
+
+    The engine drops the global phase of each window, so its states are
+    compared with the oracle's up to one phase.
+    """
+    overlap = np.vdot(got, expected)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.linalg.norm(phase * got - expected))
+
+
 def dense_run(schedule: PulseSchedule, initial: PhononState,
               couplings: CouplingMatrix, config: PropagatorConfig | None = None,
-              secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> PhononState:
+              secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
+              window_cutoff: int | None = None) -> PhononState:
     """Final state of a schedule, propagated over the full Fock space.
 
     Free segments go through :func:`evolve_constant`, ideal pulses through
     :func:`apply_ideal_phase` and shaped windows through
     :func:`evolve_shaped`, placed as ``config.window_placement`` says.
+    With ``window_cutoff`` each window runs in a space of that cutoff and
+    is projected back, so it approaches P U P as the cutoff grows.
     """
     config = config or PropagatorConfig()
     space = initial.space
+    wide = FockSpace(space.mode_count, window_cutoff or space.per_mode_cutoff)
     hop = hopping_hamiltonian(space, couplings, form="rwa")
-    pairs = (pair_creation_hamiltonian(space, couplings)
+    wide_hop = hopping_hamiltonian(wide, couplings, form="rwa")
+    pairs = (pair_creation_hamiltonian(wide, couplings)
              if config.window_coupling == "full" else None)
     shaped = schedule.pulse_model == "shaped"
     pulse = schedule.shaped_pulse
@@ -208,9 +244,10 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
             state = evolve_constant(state, hop, duration)
             t += duration
         elif shaped:
-            state = evolve_shaped(state, pulse, ev.modes, background=hop,
-                                  config=config, secular_frequency=secular_frequency,
-                                  start_time=t, pair_creation=pairs)
+            state = project(evolve_shaped(embed(state, wide), pulse, ev.modes,
+                                          background=wide_hop, config=config,
+                                          secular_frequency=secular_frequency,
+                                          start_time=t, pair_creation=pairs), space)
             t += pulse.duration
         else:
             state = apply_ideal_phase(state, ev.modes)

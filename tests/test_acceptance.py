@@ -172,13 +172,14 @@ def test_two_mode_shaped_wide_spacing(scenario_cache):
     assert within_factor(err, 2.2e-8, 10.0), (
         f"error = {err:.4e}, {err / 2.2e-8:.0f}x the 2.2e-8 quote; cause "
         "undetermined. Measured on this schedule and carve placement: the "
-        "sector engine and the full-space dense oracle give final states "
-        "within 1e-12 in norm; raising n_max from 12 to 20 moves the error "
-        "by 1.5e-6 relative; the error grows about as (kappa T_P)^2 "
-        "(d = 27.6 / 34.8 / 43.8 / 55.2 um gives 1.68e-5 / 4.52e-6 / "
-        "1.18e-6 / 3.00e-7, T_P = 4.4 / 8.8 / 17.6 T0 gives 3.00e-7 / "
-        "1.18e-6 / 4.57e-6); insert placement gives 1.25e-6 and full "
-        "window coupling 1.07e-6. The quotes fit no single law in "
+        "window-map engine and the dense oracle, its windows run at a "
+        "cutoff of 24 that agrees with 20 to 1.1e-12, give final states "
+        "1.2e-12 apart up to a global phase; n_max = 12, 14, 16 and 20 "
+        "give the same error to all printed digits; the error grows about "
+        "as (kappa T_P)^2 (d = 27.6 / 34.8 / 43.8 / 55.2 um gives 1.68e-5 / "
+        "4.52e-6 / 1.18e-6 / 3.00e-7, T_P = 4.4 / 8.8 / 17.6 T0 gives "
+        "3.00e-7 / 1.18e-6 / 4.57e-6); insert placement gives 1.25e-6 and "
+        "full window coupling 1.07e-6. The quotes fit no single law in "
         "kappa T_P: fig1b's 4x shorter pulse lowers fig1a's 1.0e-5 by "
         "4.5x, while fig2's 4x weaker kappa lowers it by 455x.")
 

@@ -320,6 +320,20 @@ output.samples = 64
         with pytest.raises(ScenarioError):
             parse_config_text("chain.modes = 2\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ScenarioError, match="line 5 and again on line 8"):
+            parse_config_text(CHEAP + "# again\npropagator.n_max = 6\n")
+
+    @pytest.mark.parametrize("key,field,allowed", [
+        ("pulse.model", "pulse_model", "ideal, shaped"),
+        ("propagator.placement", "window_placement", "carve, insert"),
+        ("propagator.coupling", "window_coupling", "rwa, full"),
+    ])
+    def test_unknown_model_choice_rejected_at_parse(self, key, field, allowed):
+        with pytest.raises(ScenarioError,
+                           match=f"{field} must be one of {allowed}, not 'shapd'"):
+            parse_config_text(CHEAP + f"{key} = shapd\n")
+
 
 class TestOutputDirectory:
     def test_explicit_wins(self, tmp_path, monkeypatch):

@@ -1,9 +1,16 @@
 """Sector engine against the full-dimension oracle on random small chains.
 
 Initial states are superpositions that span several total phonon number
-sectors and both parities of N, so the skipped empty sectors, the per
-parity window integration and the scatter back into the full vector all
-take part.
+sectors and both parities of N, so the skipped empty sectors and the
+window maps on both parities all take part.  The engine applies each
+shaped window as the exact projection P U P onto its cutoff, up to a
+global phase; the oracle runs each window at a raised cutoff, checks that
+raising it further no longer moves the result, and projects back.  Under
+the 1.1 T0 test pulse the squeezing inside a window peaks at r = 0.34, so
+the oracle converges to 1e-10 only some 35 quanta above n_max: under 2,000
+states at two modes, but about 80,000 at three.  Three-mode chains
+therefore run an 8.8 T0 pulse (r = 0.05) on n_max <= 3, where 12 quanta
+suffice (at most 4,096 states).
 """
 
 import numpy as np
@@ -13,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from phonondd import (
     DDSpec,
+    Evolve,
     FockSpace,
     IonChainConfig,
     PhaseShift,
@@ -26,11 +34,16 @@ from phonondd import (
     synthesize,
 )
 
-from dense_oracle import dense_run
+from dense_oracle import dense_run, phase_distance
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
+LONG_PULSE = design_pulse(8.8 * T0, ramp_up=4.4 * T0, ramp_down=4.4 * T0)
 AGREEMENT = 1e-9
+# per mode count of a shaped case: the test pulse, the largest n_max, and
+# the oracle window cutoffs above n_max for the result and its convergence
+# check
+SHAPED = {2: (PULSE, 5, 38, 34), 3: (LONG_PULSE, 3, 12, 10)}
 
 
 @st.composite
@@ -48,15 +61,33 @@ def superpositions(draw, space):
 
 
 @st.composite
-def chains(draw):
-    """(space, couplings, state) for a random chain with M <= 3, n_max <= 5."""
+def chains(draw, shaped=False):
+    """(space, couplings, state) for a random chain with M <= 3, n_max <= 5.
+
+    Shaped three-mode chains keep n_max <= 3, see ``SHAPED``.
+    """
     modes = draw(st.integers(2, 3))
     gaps = draw(st.lists(st.floats(25e-6, 60e-6), min_size=modes - 1,
                          max_size=modes - 1))
     positions = tuple(np.concatenate([[0.0], np.cumsum(gaps)]).tolist())
     couplings = build_coupling_matrix(IonChainConfig(modes, positions))
-    space = FockSpace(modes, draw(st.integers(2, 5)))
+    space = FockSpace(modes, draw(st.integers(2, SHAPED[modes][1] if shaped else 5)))
     return space, couplings, draw(superpositions(space))
+
+
+def window_spans(schedule, placement):
+    """(start, end) of each shaped window on the clock of the run."""
+    spans, t = [], 0.0
+    duration = schedule.shaped_pulse.duration
+    for ev in schedule.events:
+        if isinstance(ev, Evolve):
+            t += ev.duration
+        elif placement == "carve":
+            spans.append((t - duration, t))
+        else:
+            spans.append((t, t + duration))
+            t += duration
+    return spans
 
 
 @pytest.mark.parametrize("pulse_model,placement,coupling", [
@@ -67,26 +98,50 @@ def chains(draw):
     ("shaped", "insert", "full"),
 ])
 @settings(max_examples=2, deadline=None)
-@given(chain=chains(), total_us=st.floats(20.0, 100.0), samples=st.sampled_from([None, 7]))
+@given(data=st.data(), total_us=st.floats(20.0, 100.0),
+       samples=st.sampled_from([None, 7]))
 def test_sector_engine_matches_dense_oracle(pulse_model, placement, coupling,
-                                            chain, total_us, samples):
-    space, couplings, initial = chain
-    total = total_us * 1e-6
+                                            data, total_us, samples):
     shaped = pulse_model == "shaped"
+    space, couplings, initial = data.draw(chains(shaped))
+    pulse, _, raised, raised_check = SHAPED[space.mode_count]
+    total = total_us * 1e-6
     schedule = synthesize(DDSpec(space.mode_count, total, pulse_model=pulse_model,
-                                 shaped_pulse=PULSE if shaped else None))
+                                 shaped_pulse=pulse if shaped else None))
     windows = sum(isinstance(ev, PhaseShift) for ev in schedule.events)
-    wall = total + (windows * PULSE.duration
+    wall = total + (windows * pulse.duration
                     if shaped and placement == "insert" else 0.0)
     config = PropagatorConfig(
         record_stride=None if samples is None else wall / samples,
         window_placement=placement, window_coupling=coupling)
     result = SchedulePropagator(space, couplings, config).run(schedule, initial)
-    expected = dense_run(schedule, initial, couplings, config)
-    assert np.linalg.norm(result.final_state.amplitudes
-                          - expected.amplitudes) <= AGREEMENT
-    # every recorded row, in windows too, carries both parity classes
-    np.testing.assert_allclose(result.populations.sum(axis=1), 1.0, atol=AGREEMENT)
+    spans = window_spans(schedule, placement) if shaped else []
+    if shaped:
+        n_max = space.per_mode_cutoff
+        expected = dense_run(schedule, initial, couplings, config,
+                             window_cutoff=n_max + raised).amplitudes
+        check = dense_run(schedule, initial, couplings, config,
+                          window_cutoff=n_max + raised_check).amplitudes
+        assert np.linalg.norm(expected - check) <= 0.5 * AGREEMENT
+    else:
+        expected = dense_run(schedule, initial, couplings, config).amplitudes
+    assert phase_distance(result.final_state.amplitudes, expected) <= AGREEMENT
+    # free evolution keeps the norm and each window drops the population it
+    # pushes past the cutoff, so rows sum to 1 up to the first window, never
+    # grow between windows, and end at the squared norm of the oracle state;
+    # inside a window the population past the cutoff can return by the
+    # window's end, so those rows are bounded by the last row before it
+    times, sums = result.times, result.populations.sum(axis=1)
+    inside = np.zeros(times.size, dtype=bool)
+    for lo, hi in spans:
+        inside |= (lo < times) & (times < hi)
+    first = spans[0][0] if spans else wall
+    np.testing.assert_allclose(sums[times <= first], 1.0, rtol=0, atol=AGREEMENT)
+    assert np.all(np.diff(sums[~inside]) <= AGREEMENT)
+    before = np.maximum.accumulate(np.where(inside, 0, np.arange(times.size)))
+    assert np.all(sums <= sums[before] + AGREEMENT)
+    kept = np.vdot(expected, expected).real
+    assert sums[-1] == pytest.approx(kept, abs=AGREEMENT)
 
 
 @settings(max_examples=10, deadline=None)
