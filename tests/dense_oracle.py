@@ -10,6 +10,7 @@ interaction picture window itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,6 +35,12 @@ from phonondd import (
     ladder_operator,
 )
 from phonondd.model import OperatorMatrix
+
+# DOP853 settings of the window ODE besides the configured relative
+# tolerance: absolute tolerance, and the step cap as a fraction of the half
+# period of the secular rotation, the fastest scale of the window dynamics
+ATOL = 1e-14
+STEP_CAP_FRACTION = 1.0 / 20.0
 
 
 def evolve_constant(state: PhononState, hamiltonian: OperatorMatrix,
@@ -138,9 +145,8 @@ def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
     amps = state.amplitudes.copy()
     for lo, hi in zip(stops[:-1], stops[1:]):
         sol = solve_ivp(rhs, (lo, hi), amps, method="DOP853",
-                        rtol=config.local_error_tolerance,
-                        atol=config.absolute_tolerance,
-                        max_step=config.step_cap(w0))
+                        rtol=config.local_error_tolerance, atol=ATOL,
+                        max_step=(math.pi / w0) * STEP_CAP_FRACTION)
         if not sol.success:
             raise PropagationError(f"window integration failed: {sol.message}")
         amps = sol.y[:, -1]

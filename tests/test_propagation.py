@@ -243,12 +243,6 @@ class TestScheduleRuns:
         assert full.error_E == pytest.approx(rwa.error_E, rel=1.0)
         assert full.error_E != rwa.error_E
 
-    def test_step_cap(self):
-        cfg = PropagatorConfig()
-        assert cfg.step_cap(W0) == pytest.approx((math.pi / W0) / 20)
-        tight = PropagatorConfig(max_step=1e-10)
-        assert tight.step_cap(W0) == 1e-10
-
 
 class TestReferences:
     def test_beam_splitter_reference_is_hong_ou_mandel(self):

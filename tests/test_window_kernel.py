@@ -1,32 +1,39 @@
 """The shaped window kernel: Heisenberg maps and their exact Fock action.
 
 A window is the Gaussian unitary U with U^dag a U = A a + B a^dag.  The
-engine integrates (A, B) once per pulsed-mode set and pulse and applies
-P U P to Fock vectors.  These tests check the map against the symplectic
-conditions and a direct integration from a later start, and the Fock
-action against three independent constructions: the closed form single
-mode squeeze, the permanent formula for passive maps, and the dense
-exponential of a random quadratic generator at a raised, converged cutoff.
+engine finds (A, B) once per pulsed-mode set and pulse by doubling
+sixth-order Magnus steps and applies P U P to Fock vectors.  These tests
+check the map against the symplectic conditions, a direct integration from
+a later start and the closed form Lewis-Riesenfeld map of a lone mode;
+its order, step doubling certificate, failure at the step ceiling and
+drive reads; and the Fock action against three independent constructions:
+the closed form single mode squeeze, the permanent formula for passive
+maps, and the dense exponential of a random quadratic generator at a
+raised, converged cutoff.
 """
 
 import cmath
 import itertools
+import logging
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from phonondd import (
     DDSpec,
     FockSpace,
     IonChainConfig,
     PhononState,
+    PropagationError,
     PropagatorConfig,
     SchedulePropagator,
+    ShapedPulse,
     basis_state,
     build_coupling_matrix,
     design_pulse,
@@ -34,13 +41,18 @@ from phonondd import (
     synthesize,
 )
 from phonondd.model import CouplingMatrix
-from phonondd.propagation import HeisenbergMap
+from phonondd.propagation import FIRST_STEPS, MAX_STEPS, _expm
+from phonondd.pulses import scale_factor, scale_factor_derivatives
 
 from dense_oracle import embed, phase_distance, project
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
 TIGHT = 1e-10
+# DOP853 settings of the direct integration: absolute tolerance, and a
+# step cap of one twentieth of the half period of the secular rotation
+ATOL = 1e-14
+STEP_CAP = (math.pi / PULSE.secular_frequency) / 20.0
 
 
 @st.composite
@@ -70,8 +82,7 @@ def symplectic_residuals(a, b):
 def test_map_stays_symplectic(case, fractions):
     engine, pulsed = case
     heis = engine._map(pulsed, PULSE)
-    for tau in [PULSE.duration] + [f * PULSE.duration for f in fractions]:
-        a, b, _ = heis.at(tau)
+    for a, b, _ in [heis.end()] + heis.at([f * PULSE.duration for f in fractions]):
         assert max(symplectic_residuals(a, b)) <= TIGHT
 
 
@@ -92,7 +103,7 @@ def direct_map(engine, pulsed, start):
 
     y0 = np.concatenate([np.eye(m).ravel(), np.zeros(m * m)]).astype(complex)
     sol = solve_ivp(rhs, (start, start + PULSE.duration), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14, max_step=engine.config.step_cap(w0))
+                    rtol=1e-12, atol=ATOL, max_step=STEP_CAP)
     end = sol.y[:, -1]
     return end[:m * m].reshape(m, m), end[m * m:].reshape(m, m)
 
@@ -102,11 +113,51 @@ def direct_map(engine, pulsed, start):
 def test_gauge_identity_against_direct_integration(case, start_us):
     engine, pulsed = case
     start = start_us * 1e-6
-    a, b, _ = engine._map(pulsed, PULSE).at(PULSE.duration)
+    a, b, _ = engine._map(pulsed, PULSE).end()
     a_direct, b_direct = direct_map(engine, pulsed, start)
     gauge = cmath.exp(2j * engine.secular_frequency * start)
     assert np.linalg.norm(a - a_direct) <= TIGHT
     assert np.linalg.norm(b * gauge - b_direct) <= TIGHT
+
+
+def closed_form_map(pulse, tau):
+    """(A, B) of a lone mode (kappa = 0) at ``tau``, by Lewis-Riesenfeld.
+
+    With P = p / (m w0), x(t) = b (alpha cos theta + beta sin theta),
+    alpha = x0 / b(0), beta = b(0) P0 - b'(0) x0 / w0 and
+    theta = w0 int dt / b^2; P = x' / w0.  The erf tails leave b(0) a
+    little below one, so b(0) and b'(0) are taken as they are.
+    """
+    w0 = pulse.secular_frequency
+    b0, bd0, _ = scale_factor_derivatives(0.0, pulse.params)
+    b, bd, _ = scale_factor_derivatives(tau, pulse.params)
+    excess, _ = quad(lambda t: 1.0 / float(scale_factor(t, pulse.params)) ** 2 - 1.0,
+                     0.0, tau, limit=400, epsabs=1e-20, epsrel=1e-13)
+    theta = w0 * (tau + excess)
+    # coefficients of x0 and P0 in alpha and beta
+    alpha = np.array([1.0 / b0, 0.0])
+    beta = np.array([-bd0 / w0, b0])
+    swing = alpha * math.cos(theta) + beta * math.sin(theta)
+    xx, xp = b * swing
+    px, pp = (bd / w0) * swing + (beta * math.cos(theta) - alpha * math.sin(theta)) / b
+    # a = (x + i P) / sqrt 2 in units of the ground state width, and the
+    # interaction picture turns the lab frame map by e^{i w0 tau}
+    phase = cmath.exp(1j * w0 * tau)
+    return (phase * 0.5 * (xx + pp + 1j * (px - xp)),
+            phase * 0.5 * (xx - pp + 1j * (px + xp)))
+
+
+@pytest.mark.parametrize("pulse", [design_pulse(8.8 * T0),
+                                   design_pulse(2.2 * T0, 1.0 * T0, 1.0 * T0)],
+                         ids=["8.8T0", "2.2T0"])
+def test_lone_mode_map_matches_lewis_riesenfeld(pulse):
+    engine = SchedulePropagator(FockSpace(1, 2), CouplingMatrix(np.zeros((1, 1))))
+    heis = engine._map(frozenset({0}), pulse)
+    taus = [f * pulse.duration for f in (0.13, 0.5, 0.71, 0.94)]
+    for tau, (a, b, _) in zip(taus + [pulse.duration], heis.at(taus) + [heis.end()]):
+        a_exact, b_exact = closed_form_map(pulse, tau)
+        assert abs(a[0, 0] - a_exact) <= 1e-11
+        assert abs(b[0, 0] - b_exact) <= 1e-11
 
 
 def fock_matrix(engine, heis):
@@ -201,16 +252,15 @@ def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
     pair = 0.5 * (pair + pair.T)
     kernel = np.block([[h, pair], [-pair.conj(), -h.conj()]])
 
-    def rows(tau):
-        return scipy.linalg.expm(-1j * tau * kernel)[:modes].ravel()
-
-    heis = HeisenbergMap(modes, rows)
+    rows = scipy.linalg.expm(-1j * kernel)[:modes]
+    a, b = rows[:, :modes], rows[:, modes:]
 
     space = FockSpace(modes, n_max)
     engine = SchedulePropagator(space, CouplingMatrix(np.zeros((modes, modes))))
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state = PhononState(space, amps / np.linalg.norm(amps))
-    got = engine._apply(state.amplitudes, heis.at(1.0), 1.0)
+    got = engine._apply(state.amplitudes,
+                        (a, b, 1.0 / math.sqrt(abs(np.linalg.det(a)))), 1.0)
 
     def reference(cutoff):
         wide = FockSpace(modes, cutoff)
@@ -238,3 +288,67 @@ def test_each_pulse_gets_its_own_map():
         runs.append(shared)
     assert {pulse for _, pulse in engine._maps} == {PULSE, other}
     assert np.linalg.norm(runs[0] - runs[1]) > 1e-6
+
+
+@dataclass(frozen=True)
+class CountingPulse(ShapedPulse):
+    """The pulse, recording the size of each ``drive`` call."""
+
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+    def drive(self, t):
+        self.calls.append(np.size(t))
+        return super().drive(t)
+
+
+def test_map_reads_the_drive_once_per_level_and_window():
+    pulse = CountingPulse(PULSE.params)
+    engine = SchedulePropagator(FockSpace(2, 2), build_coupling_matrix(
+        IonChainConfig.equidistant(2, 30e-6)))
+    heis = engine._map(frozenset({0}), pulse)
+    levels = round(math.log2(heis.steps / FIRST_STEPS)) + 1
+    assert heis.steps == FIRST_STEPS * 2 ** (levels - 1)
+    assert len(pulse.calls) <= levels
+    amps = np.eye(engine.space.dimension, dtype=complex)[:, 1]
+    for inner in ([], [0.1 * PULSE.duration], np.linspace(0.05, 0.95, 7) * PULSE.duration):
+        before = len(pulse.calls)
+        engine._window(amps, 3e-6, frozenset({0}), pulse, [3e-6 + t for t in inner])
+        assert len(pulse.calls) - before <= min(len(inner), 1)
+
+
+def test_map_records_its_certificate(caplog):
+    tolerance = 1e-12
+    engine = SchedulePropagator(FockSpace(1, 2), CouplingMatrix(np.zeros((1, 1))),
+                                PropagatorConfig(local_error_tolerance=tolerance))
+    with caplog.at_level(logging.DEBUG, logger="phonondd"):
+        heis = engine._map(frozenset({0}), PULSE)
+    assert FIRST_STEPS < heis.steps <= MAX_STEPS
+    assert 0.0 < heis.delta <= 63.0 * tolerance
+    [line] = [r.getMessage() for r in caplog.records if "window map" in r.getMessage()]
+    assert f"steps={heis.steps}" in line and "modes=[0]" in line
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.01, 0.5, 3.0, 40.0])
+def test_batched_exponential_matches_scipy(scale):
+    rng = np.random.default_rng(7)
+    x = scale * (rng.normal(size=(50, 6, 6)) + 1j * rng.normal(size=(50, 6, 6))) / 6
+    expected = np.array([scipy.linalg.expm(m) for m in x])
+    assert np.abs(_expm(x) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_magnus_step_is_sixth_order():
+    engine = SchedulePropagator(FockSpace(2, 2), build_coupling_matrix(
+        IonChainConfig.equidistant(2, 30e-6)))
+    generator = engine._map(frozenset({0}), design_pulse(8.8 * T0)).generator
+    ends = [generator.nodes(FIRST_STEPS * 2 ** k)[-1] for k in range(3)]
+    coarse, fine = (np.abs(x - y).max() for x, y in zip(ends, ends[1:]))
+    assert fine * 2 ** 5 < coarse < fine * 2 ** 7
+
+
+def test_unreachable_tolerance_fails_at_the_step_ceiling():
+    engine = SchedulePropagator(FockSpace(1, 2), CouplingMatrix(np.zeros((1, 1))),
+                                PropagatorConfig(local_error_tolerance=1e-17))
+    with pytest.raises(PropagationError,
+                       match=f"local_error_tolerance 1.0e-17.*at {MAX_STEPS} steps"):
+        engine._map(frozenset({0}), PULSE)
+    assert not engine._maps
