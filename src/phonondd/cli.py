@@ -20,6 +20,7 @@ from .pulses import (
     waveform_table,
 )
 from .scenarios import (
+    SWEEP_AXES,
     ScenarioError,
     emit_report,
     execute_scenario,
@@ -78,7 +79,7 @@ def run(scenario: str, out: str | None, full_populations: bool) -> None:
 @main.command()
 @click.argument("scenario")
 @click.option("--axis", required=True,
-              type=click.Choice(["n_r", "d", "T_P", "n_max"]))
+              type=click.Choice(SWEEP_AXES))
 @click.option("--values", required=True,
               help="Comma separated values; d in um, T_P in us.")
 @click.option("--out", default=None)

@@ -8,17 +8,16 @@ exchanges vibrational quanta between modes at the hopping rate
 
 which falls off with the cube of the distance.  This module builds those
 rates, the truncated multimode Fock space, and the operators consumed by
-the propagator: ladder operators, the hopping Hamiltonian (with or without
-the number-conserving approximation) and the quadratic trap-modulation
-drive.  Hamiltonians are returned in energy units (J) as sparse CSR
-matrices; Hermiticity is exact by construction, not up to roundoff.
+the propagator: ladder operators and the number-conserving hopping
+Hamiltonian, returned in energy units (J) as a sparse CSR matrix whose
+Hermiticity is exact by construction, not up to roundoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,28 +27,6 @@ ELEMENTARY_CHARGE = 1.602176634e-19     # C
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 ATOMIC_MASS_UNIT = 1.66053906660e-27    # kg
 HBAR = 1.054571817e-34                  # J s
-
-#: Matrices act on a :class:`FockSpace`; sparse and dense are both accepted.
-OperatorMatrix = Union[np.ndarray, sp.spmatrix]
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants entering the rate formulas."""
-
-    elementary_charge: float = ELEMENTARY_CHARGE
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
-    atomic_mass_unit: float = ATOMIC_MASS_UNIT
-    hbar: float = HBAR
-
-    def __post_init__(self) -> None:
-        for name in ("elementary_charge", "vacuum_permittivity",
-                     "atomic_mass_unit", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-CONSTANTS = PhysicalConstants()
 
 DEFAULT_ION_MASS = 40.0 * ATOMIC_MASS_UNIT          # 40Ca+
 DEFAULT_SECULAR_FREQUENCY = 2.0 * math.pi * 2.2e6   # rad/s
@@ -101,13 +78,12 @@ class IonChainConfig:
         return abs(self.positions[j] - self.positions[k])
 
 
-def coupling_rate(spacing: float, ion_mass: float, secular_frequency: float,
-                  constants: PhysicalConstants = CONSTANTS) -> float:
+def coupling_rate(spacing: float, ion_mass: float, secular_frequency: float) -> float:
     """Phonon hopping rate (rad/s) between two modes a distance ``spacing`` apart."""
     if spacing <= 0 or ion_mass <= 0 or secular_frequency <= 0:
         raise ValueError("coupling_rate arguments must be positive")
-    e = constants.elementary_charge
-    return e * e / (4.0 * math.pi * constants.vacuum_permittivity
+    e = ELEMENTARY_CHARGE
+    return e * e / (4.0 * math.pi * VACUUM_PERMITTIVITY
                     * spacing ** 3 * ion_mass * secular_frequency)
 
 
@@ -133,8 +109,7 @@ class CouplingMatrix:
         return float(self.kappa[j, k])
 
 
-def build_coupling_matrix(config: IonChainConfig,
-                          constants: PhysicalConstants = CONSTANTS) -> CouplingMatrix:
+def build_coupling_matrix(config: IonChainConfig) -> CouplingMatrix:
     """Hopping rates for every mode pair, honoring the truncation distance."""
     m = config.mode_count
     kappa = np.zeros((m, m))
@@ -144,29 +119,9 @@ def build_coupling_matrix(config: IonChainConfig,
             if eta is not None and j - k > eta:
                 continue
             rate = coupling_rate(config.distance(j, k), config.ion_mass,
-                                 config.secular_frequency, constants)
+                                 config.secular_frequency)
             kappa[j, k] = kappa[k, j] = rate
     return CouplingMatrix(kappa)
-
-
-def compute_bare_frequencies(config: IonChainConfig,
-                             constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-    """Per-mode oscillation frequencies before the common-frequency compensation.
-
-    Mode j sits in the static Coulomb curvature of all other ions, so its
-    bare frequency is sqrt(omega0^2 + sum_k e^2 / (4 pi eps0 d_jk^3 m)).
-    Interior ions of an equidistant chain come out highest.  The simulator
-    itself works at the common compensated frequency; this is a diagnostic
-    and a waveform-design input.
-    """
-    e = constants.elementary_charge
-    pref = e * e / (4.0 * math.pi * constants.vacuum_permittivity * config.ion_mass)
-    out = np.empty(config.mode_count)
-    for j in range(config.mode_count):
-        shift = sum(pref / config.distance(j, k) ** 3
-                    for k in range(config.mode_count) if k != j)
-        out[j] = math.sqrt(config.secular_frequency ** 2 + shift)
-    return out
 
 
 @dataclass(frozen=True)
@@ -223,9 +178,6 @@ class FockSpace:
             return "".join(str(n) for n in occ)
         return "-".join(str(n) for n in occ)
 
-    def labels(self) -> list[str]:
-        return [self.label(i) for i in range(self.dimension)]
-
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation of one mode for every basis index, as an int array."""
         if not 0 <= mode < self.mode_count:
@@ -255,12 +207,6 @@ class PhononState:
             raise ValueError("amplitude vector has wrong length")
         self.amplitudes = amp
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def basis_state(space: FockSpace, occupations: Sequence[int]) -> PhononState:
     """Unit-amplitude Fock state |n_{M-1},...,n_0>."""
@@ -269,16 +215,10 @@ def basis_state(space: FockSpace, occupations: Sequence[int]) -> PhononState:
     return PhononState(space, amp)
 
 
-def ladder_operator(space: FockSpace, mode: int, kind: str = "lower") -> sp.csr_matrix:
-    """Annihilation (or creation) operator on one mode, identity elsewhere.
-
-    Amplitudes that would leave the cutoff are dropped, so raising from the
-    topmost level gives the zero vector.
-    """
+def ladder_operator(space: FockSpace, mode: int) -> sp.csr_matrix:
+    """Annihilation operator on one mode, identity elsewhere."""
     if not 0 <= mode < space.mode_count:
         raise ValueError("mode out of range")
-    if kind not in ("lower", "raise"):
-        raise ValueError("kind must be 'lower' or 'raise'")
     n = space.per_mode_cutoff
     single = sp.diags(np.sqrt(np.arange(1.0, n + 1)), 1, format="csr")
     eye = sp.identity(n + 1, format="csr")
@@ -286,54 +226,26 @@ def ladder_operator(space: FockSpace, mode: int, kind: str = "lower") -> sp.csr_
     op = single if mode == space.mode_count - 1 else eye
     for j in range(space.mode_count - 2, -1, -1):
         op = sp.kron(op, single if j == mode else eye, format="csr")
-    if kind == "raise":
-        op = op.conj().T.tocsr()
     return op.astype(complex)
 
 
-def hopping_hamiltonian(space: FockSpace, couplings: CouplingMatrix,
-                        form: str = "rwa",
-                        constants: PhysicalConstants = CONSTANTS) -> sp.csr_matrix:
+def hopping_hamiltonian(space: FockSpace,
+                        couplings: CouplingMatrix) -> sp.csr_matrix:
     """Coulomb-mediated hopping between modes, in energy units (J).
 
-    ``rwa`` keeps only the number-conserving exchange terms
-    (hbar kappa_jk / 2)(a_j^dag a_k + a_j a_k^dag); ``full`` keeps the
-    complete position-position product (hbar kappa_jk / 2)(a_j^dag + a_j)
-    (a_k^dag + a_k), which also creates and destroys pairs.
+    Keeps the number-conserving exchange terms
+    (hbar kappa_jk / 2)(a_j^dag a_k + a_j a_k^dag).
     """
-    if form not in ("rwa", "full"):
-        raise ValueError("form must be 'rwa' or 'full'")
     if couplings.mode_count != space.mode_count:
         raise ValueError("couplings and space disagree on mode count")
     dim = space.dimension
     h = sp.csr_matrix((dim, dim), dtype=complex)
-    lowering = [ladder_operator(space, j, "lower") for j in range(space.mode_count)]
+    lowering = [ladder_operator(space, j) for j in range(space.mode_count)]
     for j in range(space.mode_count):
         for k in range(j):
             rate = couplings.rate(j, k)
             if rate == 0.0:
                 continue
-            aj, ak = lowering[j], lowering[k]
-            if form == "rwa":
-                cross = aj.conj().T @ ak
-                term = cross + cross.conj().T
-            else:
-                term = (aj.conj().T + aj) @ (ak.conj().T + ak)
-            h = h + (0.5 * constants.hbar * rate) * term
+            cross = lowering[j].conj().T @ lowering[k]
+            h = h + (0.5 * HBAR * rate) * (cross + cross.conj().T)
     return h.tocsr()
-
-
-def modulation_hamiltonian(space: FockSpace, mode: int, omega_sq_excess: float,
-                           secular_frequency: float,
-                           constants: PhysicalConstants = CONSTANTS) -> sp.csr_matrix:
-    """Quadratic trap-modulation drive on one mode, in energy units (J).
-
-    For a frequency excursion Omega^2 = omega(t)^2 - omega0^2 the drive is
-    (hbar Omega^2 / 4 omega0) (a^dag + a)^2.
-    """
-    if secular_frequency <= 0:
-        raise ValueError("secular_frequency must be positive")
-    a = ladder_operator(space, mode, "lower")
-    x = a.conj().T + a
-    pref = constants.hbar * omega_sq_excess / (4.0 * secular_frequency)
-    return (pref * (x @ x)).tocsr()

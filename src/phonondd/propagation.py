@@ -51,15 +51,15 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from .model import (
-    CONSTANTS,
     DEFAULT_SECULAR_FREQUENCY,
+    HBAR,
     CouplingMatrix,
     FockSpace,
     PhononState,
@@ -110,9 +110,11 @@ class PropagatorConfig:
         if self.record_stride is not None and self.record_stride <= 0:
             raise ValueError("record_stride must be positive")
         if self.window_placement not in WINDOW_PLACEMENTS:
-            raise ValueError("window_placement must be 'carve' or 'insert'")
+            raise ValueError("window_placement must be one of"
+                             f" {', '.join(WINDOW_PLACEMENTS)}")
         if self.window_coupling not in WINDOW_COUPLINGS:
-            raise ValueError("window_coupling must be 'rwa' or 'full'")
+            raise ValueError("window_coupling must be one of"
+                             f" {', '.join(WINDOW_COUPLINGS)}")
 
 
 @dataclass
@@ -135,29 +137,10 @@ class SimulationResult:
     error_E: float | None = None
     error_EB: float | None = None
 
-    def populations_map(self, index: int) -> dict[str, float]:
-        row = self.populations[index]
-        return {self.space.label(i): float(p) for i, p in enumerate(row)}
-
-
-def apply_ideal_phase(state: PhononState, modes: Iterable[int]) -> PhononState:
-    """Instantaneous pi phase shift: amplitudes pick up exp(-i pi sum n_j)."""
-    modes = set(modes)
-    if any(not 0 <= q < state.space.mode_count for q in modes):
-        raise ValueError("mode index out of range")
-    total = np.zeros(state.space.dimension)
-    for q in modes:
-        total = total + state.space.mode_occupations(q)
-    return PhononState(state.space, state.amplitudes * np.exp(-1j * math.pi * total))
-
-
-def _total_number(space: FockSpace) -> np.ndarray:
-    return sum(space.mode_occupations(q) for q in range(space.mode_count))
-
 
 def _number_sectors(space: FockSpace) -> list[np.ndarray]:
     """Basis indices grouped by total phonon number; entry N holds sector N."""
-    total = _total_number(space)
+    total = sum(space.mode_occupations(q) for q in range(space.mode_count))
     return [np.flatnonzero(total == n)
             for n in range(space.mode_count * space.per_mode_cutoff + 1)]
 
@@ -292,7 +275,7 @@ class SchedulePropagator:
         self.couplings = couplings
         self.config = config or PropagatorConfig()
         self.secular_frequency = secular_frequency
-        self._hop = hopping_hamiltonian(space, couplings, form="rwa") / CONSTANTS.hbar
+        self._hop = hopping_hamiltonian(space, couplings) / HBAR
         self._numbers = [space.mode_occupations(q).astype(float)
                          for q in range(space.mode_count)]
         self._sectors = _number_sectors(space)
@@ -595,16 +578,6 @@ def wall_time(schedule: PulseSchedule, window_placement: str) -> float:
     return wall
 
 
-def run_schedule(initial: PhononState, schedule: PulseSchedule,
-                 couplings: CouplingMatrix,
-                 config: PropagatorConfig | None = None,
-                 secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
-                 reference: PhononState | None = None) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`SchedulePropagator`."""
-    engine = SchedulePropagator(initial.space, couplings, config, secular_frequency)
-    return engine.run(schedule, initial, reference)
-
-
 def error_overlap(initial: PhononState, final: PhononState) -> float:
     """1 - |<initial|final>|, insensitive to global phase."""
     if initial.space.dimension != final.space.dimension:
@@ -632,16 +605,3 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
             vals, vecs = eigh(mixer[idx][:, idx].toarray())
             amps[idx] = vecs @ (np.exp(-1j * angle * vals) * (vecs.conj().T @ block))
     return PhononState(state.space, amps)
-
-
-def error_beam_splitter(initial: PhononState, final: PhononState,
-                        pair: tuple[int, int],
-                        angle: float = math.pi / 4.0) -> float:
-    """1 - |<target|final>| against the exact pair beam splitter output."""
-    return error_overlap(beam_splitter_reference(initial, pair, angle), final)
-
-
-def number_expectation(state: PhononState) -> float:
-    """Total phonon number expectation of the state."""
-    pops = np.abs(state.amplitudes) ** 2
-    return float(np.dot(_total_number(state.space), pops))

@@ -34,12 +34,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf
 
-from .model import (
-    CONSTANTS,
-    DEFAULT_ION_MASS,
-    DEFAULT_SECULAR_FREQUENCY,
-    PhysicalConstants,
-)
+from .model import DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE
 
 
 class PulseDesignError(Exception):
@@ -193,12 +188,6 @@ class ShapedPulse:
     def duration(self) -> float:
         return self.params.total_duration
 
-    def scale(self, t):
-        return scale_factor(t, self.params)
-
-    def omega(self, t):
-        return np.sqrt(omega_squared(t, self.params, self.secular_frequency))
-
     def drive(self, t):
         """Squared frequency excess at time ``t`` from the pulse start."""
         return omega_sq_excess(t, self.params, self.secular_frequency)
@@ -230,14 +219,13 @@ def design_pulse(total_duration: float,
                  ramp_down: float | None = None,
                  sharpness: float = 6.0,
                  secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
-                 target_phase: float = math.pi,
-                 validate: bool = True) -> ShapedPulse:
+                 target_phase: float = math.pi) -> ShapedPulse:
     """Solve for the dip depth and return the finished pulse.
 
     Ramp durations default to half the total duration each, which makes
-    the dip a single symmetric well.  With ``validate`` the waveform is
-    sampled on a nanosecond grid and rejected if the scale factor or the
-    squared frequency ever leaves the physical region.
+    the dip a single symmetric well.  The waveform is sampled on a
+    nanosecond grid and rejected if the scale factor or the squared
+    frequency ever leaves the physical region.
     """
     if ramp_up is None:
         ramp_up = 0.5 * total_duration
@@ -250,8 +238,7 @@ def design_pulse(total_duration: float,
         secular_frequency=secular_frequency,
         target_phase=target_phase,
     )
-    if validate:
-        sample_pulse(pulse)
+    sample_pulse(pulse)
     return pulse
 
 
@@ -331,7 +318,6 @@ class TrapParams:
     electrode_radius: float = 5e-4
     axial_frequency: float = 2.0 * math.pi * 0.3e6
     dc_parameter: float = 0.002
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
         if min(self.ion_mass, self.drive_frequency, self.electrode_radius) <= 0:
@@ -343,7 +329,7 @@ class TrapParams:
     @property
     def _voltage_scale(self) -> float:
         return (self.ion_mass * self.drive_frequency ** 2
-                * self.electrode_radius ** 2 / self.constants.elementary_charge)
+                * self.electrode_radius ** 2 / ELEMENTARY_CHARGE)
 
     def rf_parameter(self, secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> float:
         """q that yields the given radial secular frequency at this dc point."""
@@ -353,13 +339,6 @@ class TrapParams:
         if arg <= 0:
             raise PulseInvalidError("secular frequency unreachable at this dc point")
         return math.sqrt(2.0 * arg)
-
-    def static_voltages(self, secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
-                        ) -> tuple[float, float]:
-        """(U0, V0) in volts that realize the secular frequency."""
-        u0 = self.dc_parameter * self._voltage_scale / 4.0
-        v0 = self.rf_parameter(secular_frequency) * self._voltage_scale / 2.0
-        return u0, v0
 
 
 def stability_parameters(trap: TrapParams, dc_voltage, rf_voltage):
@@ -393,15 +372,6 @@ def dc_waveform(omega_sq, trap: TrapParams,
     return a * trap._voltage_scale / 4.0
 
 
-def dc_to_omega_sq(dc_voltage, trap: TrapParams,
-                   secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
-    """Inverse of :func:`dc_waveform`."""
-    q = trap.rf_parameter(secular_frequency)
-    a = 4.0 * np.asarray(dc_voltage, dtype=float) / trap._voltage_scale
-    return ((a + 0.5 * q * q) * trap.drive_frequency ** 2 / 4.0
-            - 0.5 * trap.axial_frequency ** 2)
-
-
 def rf_waveform(omega_sq, trap: TrapParams):
     """Rf amplitude V0(t) realizing w(t)^2 with the dc point held fixed."""
     wsq = np.asarray(omega_sq, dtype=float)
@@ -411,13 +381,6 @@ def rf_waveform(omega_sq, trap: TrapParams):
         raise PulseInvalidError("rf amplitude would vanish along the waveform")
     q = np.sqrt(2.0 * arg)
     return q * trap._voltage_scale / 2.0
-
-
-def rf_to_omega_sq(rf_voltage, trap: TrapParams):
-    """Inverse of :func:`rf_waveform`."""
-    q = 2.0 * np.asarray(rf_voltage, dtype=float) / trap._voltage_scale
-    return ((trap.dc_parameter + 0.5 * q * q) * trap.drive_frequency ** 2 / 4.0
-            - 0.5 * trap.axial_frequency ** 2)
 
 
 def waveform_table(pulse: ShapedPulse, trap: TrapParams | None = None,

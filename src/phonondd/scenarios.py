@@ -15,11 +15,9 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .model import (
     DEFAULT_ION_MASS,
@@ -40,7 +38,7 @@ from .propagation import (
     wall_time,
 )
 from .pulses import ShapedPulse, design_pulse
-from .sequences import PULSE_MODELS, DDSpec, PulseSchedule, synthesize
+from .sequences import PULSE_MODELS, DDSpec, synthesize
 
 POPULATION_COLUMN_THRESHOLD = 1e-4
 LEAKAGE_LIMIT = 1e-6
@@ -102,8 +100,20 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: initial state names "
                                 f"{len(self.initial_occupations)} modes, chain has "
                                 f"{self.mode_count}")
-        if any(n > self.per_mode_cutoff for n in self.initial_occupations):
-            raise ScenarioError(f"{self.name}: initial occupation exceeds the cutoff")
+        if any(not 0 <= n <= self.per_mode_cutoff for n in self.initial_occupations):
+            raise ScenarioError(f"{self.name}: initial_occupations must lie in"
+                                f" 0..{self.per_mode_cutoff} (the cutoff)")
+        if not self.protected_set <= set(range(self.mode_count)):
+            raise ScenarioError(f"{self.name}: protected_set names a mode outside"
+                                f" 0..{self.mode_count - 1}")
+        if self.repetitions < 1:
+            raise ScenarioError(f"{self.name}: repetitions must be at least 1")
+        pair = self.beam_splitter_pair
+        if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
+                                 or not set(pair) <= set(range(self.mode_count))):
+            raise ScenarioError(f"{self.name}: beam_splitter_pair must name two"
+                                f" distinct modes in 0..{self.mode_count - 1},"
+                                f" not {pair}")
         if self.pulse_model == "shaped" and self.pulse_duration is None:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
         if self.record_samples < 2:
@@ -206,18 +216,6 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
                           boundary_leakage=float(result.boundary_leakage),
                           wall_time=float(result.wall_time))
     return record, result
-
-
-def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None,
-                 full_populations: bool = False) -> ResultRecord:
-    """Run a scenario; write its populations CSV when a directory is given."""
-    record, result = execute_scenario(cfg)
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        csv_text = populations_csv(result, cfg, full=full_populations)
-        (out / f"{cfg.name}_populations.csv").write_text(csv_text)
-    return record
 
 
 def _hom_labels(cfg: ScenarioConfig, space: FockSpace) -> list[str]:
@@ -448,10 +446,6 @@ def emit_report(records, references: dict | None = None) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_ok
 
 
-_TIME_KEYS_US = {"total_time_us": "total_time", "pulse_us": "pulse_duration",
-                 "ramp_up_us": "pulse_ramp_up", "ramp_down_us": "pulse_ramp_down"}
-
-
 def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     """Parse the flat ``section.key = value`` scenario format.
 
@@ -478,24 +472,22 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
                                 f" and again on line {number}")
         lines[key] = number
         entries[key] = value
-    try:
-        kwargs: dict = {
-            "name": entries.pop("scenario.name", name),
-            "mode_count": int(entries.pop("chain.modes")),
-            "spacing": float(entries.pop("chain.spacing_um")) * 1e-6,
-            "per_mode_cutoff": int(entries.pop("propagator.n_max", "10")),
-            "initial_occupations": tuple(
-                int(x) for x in entries.pop("state.occupations").split(",")),
-        }
-    except KeyError as exc:
-        raise ScenarioError(f"config is missing required key {exc}") from exc
+    for key in ("chain.modes", "chain.spacing_um", "state.occupations"):
+        if key not in entries:
+            raise ScenarioError(f"config is missing required key {key!r}")
     converters = {
+        "scenario.name": ("name", str),
+        "chain.modes": ("mode_count", int),
+        "chain.spacing_um": ("spacing", lambda v: float(v) * 1e-6),
+        "state.occupations": ("initial_occupations", lambda v: tuple(
+            int(x) for x in v.split(","))),
+        "propagator.n_max": ("per_mode_cutoff", int),
         "chain.truncation": ("truncation_distance", int),
         "schedule.repetitions": ("repetitions", int),
         "schedule.protected": ("protected_set", lambda v: frozenset(
             int(x) for x in v.split(",") if x != "")),
         "schedule.role_swap": ("level_role_swap", lambda v: tuple(
-            x.strip().lower() == "true" for x in v.split(","))),
+            _flag(x) for x in v.split(","))),
         "schedule.total_time_us": ("total_time", lambda v: float(v) * 1e-6),
         "pulse.model": ("pulse_model", str),
         "pulse.total_us": ("pulse_duration", lambda v: float(v) * 1e-6),
@@ -510,6 +502,7 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
         "output.beam_splitter_pair": ("beam_splitter_pair", lambda v: tuple(
             int(x) for x in v.split(","))),
     }
+    kwargs: dict = {"name": name, "per_mode_cutoff": 10}
     for key, value in entries.items():
         if key not in converters:
             raise ScenarioError(f"unknown config key {key!r}")
@@ -519,6 +512,14 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
         except ValueError as exc:
             raise ScenarioError(f"bad value for {key}: {value!r}") from exc
     return ScenarioConfig(**kwargs)
+
+
+def _flag(word: str) -> bool:
+    """``true`` or ``false`` in any case; any other word is a ValueError."""
+    word = word.strip().lower()
+    if word not in ("true", "false"):
+        raise ValueError(word)
+    return word == "true"
 
 
 def parse_config_file(path: str | Path) -> ScenarioConfig:

@@ -18,7 +18,7 @@ never touches the propagator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence, Union
 
 from .model import CouplingMatrix
@@ -87,7 +87,7 @@ class DDSpec:
         if any(not 0 <= q < self.mode_count for q in self.protected_set):
             raise ValueError("protected_set indices out of range")
         if self.pulse_model not in PULSE_MODELS:
-            raise ValueError("pulse_model must be 'ideal' or 'shaped'")
+            raise ValueError(f"pulse_model must be one of {', '.join(PULSE_MODELS)}")
         if self.pulse_model == "shaped" and self.shaped_pulse is None:
             raise ValueError("shaped pulse_model needs a shaped_pulse")
 
@@ -103,6 +103,13 @@ class PulseSchedule:
     pulse_model: str = "ideal"
     shaped_pulse: ShapedPulse | None = None
     warning: str | None = None
+
+    def __post_init__(self) -> None:
+        for ev in self.events:
+            if (isinstance(ev, PhaseShift)
+                    and not ev.modes <= set(range(self.mode_count))):
+                raise ValueError(f"pulse on modes {sorted(ev.modes)} of a"
+                                 f" {self.mode_count}-mode schedule")
 
     @property
     def total_evolve_time(self) -> float:
@@ -326,18 +333,13 @@ def synthesize(spec: DDSpec) -> PulseSchedule:
     return repeat_schedule(base, spec.repetitions)
 
 
-@dataclass(frozen=True)
-class SignTrace:
+def build_sign_trace(schedule: PulseSchedule
+                     ) -> dict[tuple[int, int], tuple[tuple[float, int], ...]]:
     """Piecewise-constant coupling sign per mode pair across a schedule.
 
-    ``segments`` maps each pair (j, k) with j > k to a tuple of
-    (duration, sign) runs covering the whole evolve timeline in order.
+    Maps each pair (j, k) with j > k to a tuple of (duration, sign) runs
+    covering the whole evolve timeline in order.
     """
-
-    segments: Mapping[tuple[int, int], tuple[tuple[float, int], ...]]
-
-
-def build_sign_trace(schedule: PulseSchedule) -> SignTrace:
     m = schedule.mode_count
     pairs = [(j, k) for j in range(m) for k in range(j)]
     sign = {p: 1 for p in pairs}
@@ -355,7 +357,7 @@ def build_sign_trace(schedule: PulseSchedule) -> SignTrace:
                 # both modes pulsed at once leaves the pair sign alone
                 if (j in ev.modes) != (k in ev.modes):
                     sign[(j, k)] = -sign[(j, k)]
-    return SignTrace({p: tuple(r) for p, r in runs.items()})
+    return {p: tuple(r) for p, r in runs.items()}
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,7 @@ def signed_dwell_check(schedule: PulseSchedule,
     tol = 1e-12 * total
     integrals: dict[tuple[int, int], float] = {}
     failures: list[str] = []
-    for pair, runs in trace.segments.items():
+    for pair, runs in trace.items():
         integrals[pair] = math.fsum(d * s for d, s in runs)
         j, k = pair
         coupled = couplings is None or couplings.rate(j, k) != 0.0
@@ -455,6 +457,8 @@ def schedule_to_text(schedule: PulseSchedule) -> str:
              f" total_time={schedule.total_time!r}"
              f" repetitions={schedule.repetitions}"
              f" model={schedule.pulse_model}"]
+    if schedule.warning is not None:
+        lines.append(f"# warning {schedule.warning}")
     for ev in schedule.events:
         if isinstance(ev, Evolve):
             lines.append(f"EVOLVE {ev.duration!r}")
@@ -466,6 +470,7 @@ def schedule_to_text(schedule: PulseSchedule) -> str:
 def schedule_from_text(text: str) -> PulseSchedule:
     """Inverse of :func:`schedule_to_text` (shaped pulses reattach separately)."""
     header: dict[str, str] = {}
+    warning = None
     events: list[ScheduleEvent] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -477,6 +482,8 @@ def schedule_from_text(text: str) -> PulseSchedule:
                 for item in body.split()[1:]:
                     key, _, value = item.partition("=")
                     header[key] = value
+            elif body.startswith("warning "):
+                warning = body[len("warning "):]
             continue
         keyword, _, rest = line.partition(" ")
         if keyword == "EVOLVE":
@@ -491,4 +498,5 @@ def schedule_from_text(text: str) -> PulseSchedule:
                          mode_count=int(header["modes"]),
                          total_time=float(header["total_time"]),
                          repetitions=int(header["repetitions"]),
-                         pulse_model=header["model"])
+                         pulse_model=header["model"],
+                         warning=warning)

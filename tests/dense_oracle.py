@@ -1,40 +1,39 @@
 """Full-dimension reference propagation for the tests.
 
-Dense eigendecompositions over the whole Fock space, and the Fock space
-window ODE: the shaped window right hand side applied to every basis state
-at once.  The engine of ``phonondd.propagation``, which applies windows as
-Gaussian maps, is checked against these; windows can run at a raised
-cutoff and be projected back.  The lab frame helpers cross check the
-interaction picture window itself.
+Dense eigendecompositions over the whole Fock space, the ideal pulse as
+its own parity phase, and the Fock space window ODE: the shaped window
+right hand side applied to every basis state at once.  The engine of
+``phonondd.propagation``, which applies windows as Gaussian maps, is
+checked against these; windows can run at a raised cutoff and be
+projected back.  The lab frame helpers and the quadratic drive operator
+cross check the interaction picture window itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh
 
-from phonondd import (
-    CONSTANTS,
+from phonondd.model import (
     DEFAULT_SECULAR_FREQUENCY,
+    HBAR,
     CouplingMatrix,
-    Evolve,
     FockSpace,
-    PhaseShift,
     PhononState,
-    PropagationError,
-    PropagatorConfig,
-    PulseSchedule,
-    apply_ideal_phase,
     hopping_hamiltonian,
     ladder_operator,
 )
-from phonondd.model import OperatorMatrix
+from phonondd.propagation import PropagationError, PropagatorConfig
+from phonondd.sequences import Evolve, PhaseShift, PulseSchedule
+
+#: Matrices act on a :class:`FockSpace`; sparse and dense are both accepted.
+OperatorMatrix = Union[np.ndarray, sp.spmatrix]
 
 # DOP853 settings of the window ODE besides the configured relative
 # tolerance: absolute tolerance, and the step cap as a fraction of the half
@@ -44,8 +43,7 @@ STEP_CAP_FRACTION = 1.0 / 20.0
 
 
 def evolve_constant(state: PhononState, hamiltonian: OperatorMatrix,
-                    duration: float,
-                    constants=CONSTANTS) -> PhononState:
+                    duration: float) -> PhononState:
     """exp(-i duration H / hbar) applied through an eigendecomposition."""
     if duration < 0:
         raise ValueError("duration must be non-negative")
@@ -53,9 +51,20 @@ def evolve_constant(state: PhononState, hamiltonian: OperatorMatrix,
     if h.shape != (state.space.dimension, state.space.dimension):
         raise ValueError("Hamiltonian dimension does not match the state")
     vals, vecs = eigh(h)
-    phases = np.exp(-1j * vals * duration / constants.hbar)
+    phases = np.exp(-1j * vals * duration / HBAR)
     amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
     return PhononState(state.space, amps)
+
+
+def apply_ideal_phase(state: PhononState, modes: Iterable[int]) -> PhononState:
+    """Instantaneous pi phase shift: amplitudes pick up exp(-i pi sum n_j)."""
+    modes = set(modes)
+    if any(not 0 <= q < state.space.mode_count for q in modes):
+        raise ValueError("mode index out of range")
+    total = np.zeros(state.space.dimension)
+    for q in modes:
+        total = total + state.space.mode_occupations(q)
+    return PhononState(state.space, state.amplitudes * np.exp(-1j * math.pi * total))
 
 
 @dataclass(frozen=True)
@@ -112,10 +121,10 @@ def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
     if background is None:
         hop = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
     else:
-        hop = sp.csr_matrix(background, dtype=complex) / CONSTANTS.hbar
+        hop = sp.csr_matrix(background, dtype=complex) / HBAR
     cr = None
     if pair_creation is not None:
-        cr = sp.csr_matrix(pair_creation, dtype=complex) / CONSTANTS.hbar
+        cr = sp.csr_matrix(pair_creation, dtype=complex) / HBAR
         cr = (cr, cr.conj().T.tocsr())
     lower_sq = raise_sq = None
     diag = np.zeros(space.dimension)
@@ -153,9 +162,21 @@ def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
     return PhononState(space, amps)
 
 
+def modulation_hamiltonian(space: FockSpace, mode: int, omega_sq_excess: float,
+                           secular_frequency: float) -> sp.csr_matrix:
+    """Quadratic trap-modulation drive on one mode, in energy units (J).
+
+    For a frequency excursion Omega^2 = omega(t)^2 - omega0^2 the drive is
+    (hbar Omega^2 / 4 omega0) (a^dag + a)^2.
+    """
+    a = ladder_operator(space, mode)
+    x = a.conj().T + a
+    return (HBAR * omega_sq_excess / (4.0 * secular_frequency) * (x @ x)).tocsr()
+
+
 def lab_frame_oscillator(space: FockSpace, mode: int, omega_sq_excess: float,
-                         secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
-                         constants=CONSTANTS) -> np.ndarray:
+                         secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
+                         ) -> np.ndarray:
     """Lab picture Hamiltonian of one mode under a constant drive (joules).
 
     hbar w0 (n + 1/2) plus the quadratic drive; used to cross check the
@@ -165,8 +186,8 @@ def lab_frame_oscillator(space: FockSpace, mode: int, omega_sq_excess: float,
     n = a.conj().T @ a
     x = a + a.conj().T
     g = omega_sq_excess / (4.0 * secular_frequency)
-    return constants.hbar * (secular_frequency * (n + 0.5 * np.eye(space.dimension))
-                             + g * (x @ x))
+    return HBAR * (secular_frequency * (n + 0.5 * np.eye(space.dimension))
+                   + g * (x @ x))
 
 
 def frame_rotation(space: FockSpace, duration: float,
@@ -178,14 +199,14 @@ def frame_rotation(space: FockSpace, duration: float,
     return np.exp(1j * secular_frequency * duration * total)
 
 
-def pair_creation_hamiltonian(space: FockSpace, couplings: CouplingMatrix,
-                              constants=CONSTANTS) -> sp.csr_matrix:
+def pair_creation_hamiltonian(space: FockSpace, couplings: CouplingMatrix
+                              ) -> sp.csr_matrix:
     """sum_{j>k} (hbar kappa_jk / 2) a_j^dag a_k^dag, in joules."""
-    raises = [ladder_operator(space, q, "raise") for q in range(space.mode_count)]
+    raises = [ladder_operator(space, q).conj().T for q in range(space.mode_count)]
     out = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
     for j in range(space.mode_count):
         for k in range(j):
-            out = out + 0.5 * constants.hbar * couplings.rate(j, k) * (raises[j] @ raises[k])
+            out = out + 0.5 * HBAR * couplings.rate(j, k) * (raises[j] @ raises[k])
     return out.tocsr()
 
 
@@ -233,8 +254,8 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
     config = config or PropagatorConfig()
     space = initial.space
     wide = FockSpace(space.mode_count, window_cutoff or space.per_mode_cutoff)
-    hop = hopping_hamiltonian(space, couplings, form="rwa")
-    wide_hop = hopping_hamiltonian(wide, couplings, form="rwa")
+    hop = hopping_hamiltonian(space, couplings)
+    wide_hop = hopping_hamiltonian(wide, couplings)
     pairs = (pair_creation_hamiltonian(wide, couplings)
              if config.window_coupling == "full" else None)
     shaped = schedule.pulse_model == "shaped"

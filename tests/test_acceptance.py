@@ -12,36 +12,45 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, reject, strategies as st
 
-from phonondd import (
-    DDSpec,
+from phonondd.model import (
     DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
     FockSpace,
     IonChainConfig,
-    TrapParams,
     basis_state,
     build_coupling_matrix,
-    convergence_check,
     coupling_rate,
+    hopping_hamiltonian,
+)
+from phonondd.propagation import SchedulePropagator
+from phonondd.pulses import (
+    TrapParams,
+    dc_waveform,
     design_pulse,
     ermakov_residual,
-    feasibility_bounds,
-    get_scenario,
-    hopping_hamiltonian,
-    modulation_hamiltonian,
-    run_schedule,
+    rf_waveform,
     sample_pulse,
+    solve_strength,
+)
+from phonondd.scenarios import (
+    convergence_check,
+    get_scenario,
+    scenario_catalog,
+    sweep,
+)
+from phonondd.sequences import (
+    DDSpec,
+    feasibility_bounds,
     schedule_from_text,
     schedule_to_text,
     signed_dwell_check,
-    solve_strength,
-    sweep,
     synthesize,
 )
-from phonondd.pulses import dc_to_omega_sq, dc_waveform, rf_to_omega_sq, rf_waveform
 
-from dense_oracle import evolve_shaped
+from dense_oracle import evolve_shaped, modulation_hamiltonian
+from trap_inverse import dc_to_omega_sq, rf_to_omega_sq
 
 W0 = DEFAULT_SECULAR_FREQUENCY
 T0 = 1.0 / 2.2e6
@@ -120,7 +129,7 @@ def test_two_mode_ideal_cancellation_exact():
     space = FockSpace(2, 8)
     cm = build_coupling_matrix(IonChainConfig.equidistant(2, WIDE))
     schedule = synthesize(DDSpec(2, hop_window(WIDE)))
-    res = run_schedule(basis_state(space, (2, 1)), schedule, cm)
+    res = SchedulePropagator(space, cm).run(schedule, basis_state(space, (2, 1)))
     assert res.error_E < 1e-12, f"error = {res.error_E:.3e}"
 
 
@@ -246,13 +255,28 @@ def test_property_signed_dwell_cancellation():
         assert report.ok, (modes, eta, report.failures)
 
 
-def test_property_schedule_serialization_round_trip():
-    for spec in (DDSpec(2, hop_window(NARROW)),
-                 DDSpec(3, hop_window(WIDE), repetitions=5),
-                 DDSpec(3, 1.0, protected_set=frozenset({0, 1})),
-                 DDSpec(8, 1.0, truncation_distance=2)):
+@st.composite
+def schedule_specs(draw):
+    """DDSpec over M <= 8 with random protected set or reach, roles and n_r."""
+    modes = draw(st.integers(1, 8))
+    protected = draw(st.frozensets(st.integers(0, modes - 1)))
+    reach = None if protected else draw(st.none() | st.integers(1, 8))
+    roles = draw(st.none() | st.lists(st.booleans(), min_size=1, max_size=3)
+                 .map(tuple))
+    return DDSpec(modes, draw(st.floats(1e-6, 1e-2)),
+                  repetitions=draw(st.integers(1, 5)), protected_set=protected,
+                  truncation_distance=reach, level_role_swap=roles)
+
+
+@given(spec=schedule_specs())
+@example(spec=DDSpec(1, hop_window(NARROW)))
+@example(spec=DDSpec(3, 1.0, protected_set=frozenset({0, 1, 2})))
+def test_property_schedule_serialization_round_trip(spec):
+    try:
         schedule = synthesize(spec)
-        assert schedule_from_text(schedule_to_text(schedule)) == schedule
+    except ValueError:
+        reject()
+    assert schedule_from_text(schedule_to_text(schedule)) == schedule
 
 
 def test_property_fock_index_bijection():
@@ -265,9 +289,8 @@ def test_property_fock_index_bijection():
 def test_property_hamiltonian_hermiticity():
     space = FockSpace(3, 6)
     cm = build_coupling_matrix(IonChainConfig.equidistant(3, WIDE))
-    for form in ("rwa", "full"):
-        h = hopping_hamiltonian(space, cm, form=form)
-        assert abs(h - h.conj().T).max() == 0.0
+    h = hopping_hamiltonian(space, cm)
+    assert abs(h - h.conj().T).max() == 0.0
     drive = modulation_hamiltonian(space, 1, (2 * math.pi * 250e3) ** 2, W0)
     assert abs(drive - drive.conj().T).max() == 0.0
 
@@ -281,7 +304,7 @@ def test_property_unitarity_drift(scenario_cache):
 def test_property_number_conservation():
     space = FockSpace(3, 5)
     cm = build_coupling_matrix(IonChainConfig.equidistant(3, WIDE))
-    h = hopping_hamiltonian(space, cm, form="rwa")
+    h = hopping_hamiltonian(space, cm)
     total = sum(np.asarray(space.mode_occupations(m)) for m in range(3))
     n_op = sp.diags(total.astype(float))
     assert abs((h @ n_op - n_op @ h)).max() == 0.0
@@ -329,7 +352,6 @@ def test_property_feasibility_bounds():
 # --- desk scale ------------------------------------------------------------
 
 def test_desk_scale_catalog(scenario_cache):
-    from phonondd import scenario_catalog
     for cfg in scenario_catalog():
         assert cfg.mode_count <= 3
         dim = (cfg.per_mode_cutoff + 1) ** cfg.mode_count

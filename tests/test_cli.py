@@ -49,6 +49,17 @@ class TestRun:
         assert res.exit_code == 2
         assert "fig99" in res.output
 
+    @pytest.mark.parametrize("line,bad", [
+        ("state.occupations = 1,0", "state.occupations = 2,x"),
+        ("chain.modes = 2", "chain.modes = two"),
+    ])
+    def test_malformed_number_exits_with_error(self, runner, tmp_path, line, bad):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CHEAP_CFG.replace(line, bad))
+        res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert f"error: bad value for {bad.split(' = ')[0]}" in res.output
+
     def test_full_populations_flag(self, runner, tmp_path):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(CHEAP_CFG)

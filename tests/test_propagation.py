@@ -6,31 +6,26 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phonondd import (
-    DDSpec,
+from phonondd.model import (
     DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
-    Evolve,
+    CouplingMatrix,
     FockSpace,
     IonChainConfig,
-    PhaseShift,
+    basis_state,
+    build_coupling_matrix,
+    coupling_rate,
+    hopping_hamiltonian,
+)
+from phonondd.propagation import (
     PropagationError,
     PropagatorConfig,
     SchedulePropagator,
-    apply_ideal_phase,
-    basis_state,
     beam_splitter_reference,
-    build_coupling_matrix,
-    coupling_rate,
-    design_pulse,
-    error_beam_splitter,
     error_overlap,
-    hopping_hamiltonian,
-    number_expectation,
-    run_schedule,
-    synthesize,
 )
-from phonondd.sequences import PulseSchedule
+from phonondd.pulses import design_pulse
+from phonondd.sequences import DDSpec, Evolve, PhaseShift, PulseSchedule, synthesize
 
 from dense_oracle import (
     StaircaseDrive,
@@ -53,10 +48,17 @@ def two_mode_setup(cutoff=6):
     return space, cm
 
 
+def number_expectation(state):
+    """Total phonon number expectation of the state."""
+    total = sum(state.space.mode_occupations(q)
+                for q in range(state.space.mode_count))
+    return float(np.dot(total, np.abs(state.amplitudes) ** 2))
+
+
 class TestFreeEvolution:
     def test_matches_dense_expm(self):
         space, cm = two_mode_setup(4)
-        h = hopping_hamiltonian(space, cm, form="rwa")
+        h = hopping_hamiltonian(space, cm)
         state = basis_state(space, (2, 1))
         got = evolve_constant(state, h, 3.7e-4).amplitudes
         hbar = 1.054571817e-34
@@ -65,7 +67,7 @@ class TestFreeEvolution:
 
     def test_unitary(self):
         space, cm = two_mode_setup()
-        h = hopping_hamiltonian(space, cm, form="rwa")
+        h = hopping_hamiltonian(space, cm)
         state = basis_state(space, (3, 2))
         out = evolve_constant(state, h, 12 * HOP_TIME)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
@@ -74,7 +76,7 @@ class TestFreeEvolution:
         # one phonon hops between two modes as cos^2(kappa t / 2); the
         # half makes the 50:50 window land exactly at pi / (2 kappa)
         space, cm = two_mode_setup(3)
-        h = hopping_hamiltonian(space, cm, form="rwa")
+        h = hopping_hamiltonian(space, cm)
         state = basis_state(space, (0, 1))
         for frac in (0.3, 0.5, 1.2):
             t = frac * HOP_TIME
@@ -85,7 +87,7 @@ class TestFreeEvolution:
 
     def test_fifty_fifty_window_is_hong_ou_mandel(self):
         space, cm = two_mode_setup(4)
-        h = hopping_hamiltonian(space, cm, form="rwa")
+        h = hopping_hamiltonian(space, cm)
         out = evolve_constant(basis_state(space, (1, 1)), h, HOP_TIME)
         pops = np.abs(out.amplitudes) ** 2
         assert pops[space.index((1, 1))] < 1e-10
@@ -101,33 +103,34 @@ class TestFreeEvolution:
 
 class TestIdealPhase:
     def test_parity_signs(self):
-        space = FockSpace(2, 3)
+        space, cm = two_mode_setup(3)
         state = basis_state(space, (2, 1))
-        flipped = apply_ideal_phase(state, {0})  # mode 0 holds one quantum
         i = space.index((2, 1))
-        assert flipped.amplitudes[i] == pytest.approx(-1.0)
-        flipped2 = apply_ideal_phase(state, {1})  # two quanta, sign survives
-        assert flipped2.amplitudes[i] == pytest.approx(1.0)
+        for modes, sign in (({0}, -1.0), ({1}, 1.0)):
+            # mode 0 holds one quantum, mode 1 two, so only mode 0 flips
+            schedule = PulseSchedule(events=(PhaseShift(frozenset(modes)),),
+                                     mode_count=2, total_time=HOP_TIME)
+            res = SchedulePropagator(space, cm).run(schedule, state)
+            assert res.final_state.amplitudes[i] == pytest.approx(sign)
 
     def test_conjugation_flips_coupling_sign(self):
         # P exp(-i H t) P = exp(-i H' t) with hopping terms through the
         # pulsed mode negated; propagating both sides must agree
         space, cm = two_mode_setup(4)
-        h = hopping_hamiltonian(space, cm, form="rwa")
         state = basis_state(space, (2, 1))
         t = 0.37 * HOP_TIME
-        left = apply_ideal_phase(evolve_constant(apply_ideal_phase(state, {1}),
-                                                 h, t), {1})
-        from phonondd import CouplingMatrix
-        flipped = CouplingMatrix(-cm.kappa)
-        h_neg = hopping_hamiltonian(space, flipped, form="rwa")
+        pulse = PhaseShift(frozenset({1}))
+        schedule = PulseSchedule(events=(pulse, Evolve(t), pulse),
+                                 mode_count=2, total_time=t)
+        left = SchedulePropagator(space, cm).run(schedule, state).final_state
+        h_neg = hopping_hamiltonian(space, CouplingMatrix(-cm.kappa))
         right = evolve_constant(state, h_neg, t)
         assert np.max(np.abs(left.amplitudes - right.amplitudes)) < 1e-12
 
     def test_mode_out_of_range(self):
-        space = FockSpace(2, 2)
         with pytest.raises(ValueError):
-            apply_ideal_phase(basis_state(space, (0, 0)), {5})
+            PulseSchedule(events=(PhaseShift(frozenset({5})),), mode_count=2,
+                          total_time=HOP_TIME)
 
 
 class TestShapedWindow:
@@ -176,7 +179,7 @@ class TestScheduleRuns:
     def test_two_mode_ideal_cancellation_exact(self):
         space, cm = two_mode_setup(8)
         schedule = synthesize(DDSpec(2, HOP_TIME))
-        res = run_schedule(basis_state(space, (2, 1)), schedule, cm)
+        res = SchedulePropagator(space, cm).run(schedule, basis_state(space, (2, 1)))
         assert res.error_E < 1e-12
         assert res.norm_drift <= 1e-10
 
@@ -184,7 +187,8 @@ class TestScheduleRuns:
         space, cm = two_mode_setup(6)
         schedule = synthesize(DDSpec(2, HOP_TIME))
         cfg = PropagatorConfig(record_stride=HOP_TIME / 64)
-        res = run_schedule(basis_state(space, (2, 1)), schedule, cm, cfg)
+        res = SchedulePropagator(space, cm, cfg).run(schedule,
+                                                     basis_state(space, (2, 1)))
         sums = res.populations.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
         assert np.all(np.diff(res.times) > 0)
@@ -195,7 +199,7 @@ class TestScheduleRuns:
         space, cm = two_mode_setup(6)
         schedule = synthesize(DDSpec(2, HOP_TIME))
         initial = basis_state(space, (2, 1))
-        res = run_schedule(initial, schedule, cm, reference=initial)
+        res = SchedulePropagator(space, cm).run(schedule, initial, initial)
         assert res.error_E == pytest.approx(res.error_EB, abs=1e-15)
 
     def test_shaped_carve_needs_room(self):
@@ -205,7 +209,7 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, 2 * T0, pulse_model="shaped",
                                      shaped_pulse=pulse))
         with pytest.raises(PropagationError):
-            run_schedule(basis_state(space, (1, 0)), schedule, cm)
+            SchedulePropagator(space, cm).run(schedule, basis_state(space, (1, 0)))
 
     def test_leading_pulse_rejected_on_carve(self):
         space, cm = two_mode_setup(4)
@@ -214,7 +218,7 @@ class TestScheduleRuns:
                             mode_count=2, total_time=HOP_TIME,
                             pulse_model="shaped", shaped_pulse=pulse)
         with pytest.raises(PropagationError):
-            run_schedule(basis_state(space, (1, 0)), bad, cm)
+            SchedulePropagator(space, cm).run(bad, basis_state(space, (1, 0)))
 
     def test_insert_placement_runs_and_differs(self):
         space, cm = two_mode_setup(8)
@@ -222,10 +226,10 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, HOP_TIME, pulse_model="shaped",
                                      shaped_pulse=pulse))
         initial = basis_state(space, (2, 1))
-        carve = run_schedule(initial, schedule, cm,
-                             PropagatorConfig(window_placement="carve"))
-        insert = run_schedule(initial, schedule, cm,
-                              PropagatorConfig(window_placement="insert"))
+        carve = SchedulePropagator(space, cm, PropagatorConfig(
+            window_placement="carve")).run(schedule, initial)
+        insert = SchedulePropagator(space, cm, PropagatorConfig(
+            window_placement="insert")).run(schedule, initial)
         assert carve.error_E < 1e-3
         assert insert.error_E < 1e-3
         assert carve.error_E != insert.error_E
@@ -236,10 +240,10 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, HOP_TIME, pulse_model="shaped",
                                      shaped_pulse=pulse))
         initial = basis_state(space, (2, 1))
-        rwa = run_schedule(initial, schedule, cm,
-                           PropagatorConfig(window_coupling="rwa"))
-        full = run_schedule(initial, schedule, cm,
-                            PropagatorConfig(window_coupling="full"))
+        rwa = SchedulePropagator(space, cm, PropagatorConfig(
+            window_coupling="rwa")).run(schedule, initial)
+        full = SchedulePropagator(space, cm, PropagatorConfig(
+            window_coupling="full")).run(schedule, initial)
         assert full.error_E == pytest.approx(rwa.error_E, rel=1.0)
         assert full.error_E != rwa.error_E
 
@@ -257,10 +261,11 @@ class TestReferences:
     def test_free_hop_window_realizes_the_splitter(self):
         # free hopping for the full window equals the 50:50 reference
         space, cm = two_mode_setup(5)
-        h = hopping_hamiltonian(space, cm, form="rwa")
+        h = hopping_hamiltonian(space, cm)
         initial = basis_state(space, (1, 1))
         evolved = evolve_constant(initial, h, HOP_TIME)
-        assert error_beam_splitter(initial, evolved, (0, 1)) < 1e-10
+        target = beam_splitter_reference(initial, (0, 1))
+        assert error_overlap(target, evolved) < 1e-10
 
     def test_error_overlap_bounds(self):
         space = FockSpace(1, 3)

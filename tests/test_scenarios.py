@@ -6,25 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phonondd import (
+from phonondd.scenarios import (
+    POPULATION_COLUMN_THRESHOLD,
     ScenarioError,
+    _hom_labels,
     build_scenario,
     convergence_check,
     emit_report,
     execute_scenario,
     get_scenario,
     load_reference_values,
+    output_directory,
     parse_config_text,
     populations_csv,
     records_csv,
-    run_scenario,
     scenario_catalog,
     sweep,
-)
-from phonondd.scenarios import (
-    POPULATION_COLUMN_THRESHOLD,
-    _hom_labels,
-    output_directory,
 )
 
 CHEAP = """
@@ -189,13 +186,6 @@ class TestPopulationsCsv:
         assert populations_csv(result, cfg, full=full) == \
             cell_by_cell_populations_csv(result, cfg, full)
 
-    def test_run_scenario_writes_files(self, tmp_path):
-        record = run_scenario(cheap_config(), output_dir=tmp_path)
-        out = tmp_path / "cheap_populations.csv"
-        assert out.exists()
-        assert out.read_text().startswith("t_us,")
-        assert record.failure is None
-
 
 class TestSweep:
     def test_repetition_axis(self):
@@ -311,6 +301,25 @@ output.samples = 64
                                         "schedule.role_swap = false,true\n")
         assert cfg.protected_set == frozenset({0})
         assert cfg.level_role_swap == (False, True)
+
+    def test_role_swap_rejects_other_words(self):
+        cfg = parse_config_text(CHEAP + "schedule.role_swap = TRUE\n")
+        assert cfg.level_role_swap == (True,)
+        with pytest.raises(ScenarioError, match="schedule.role_swap"):
+            parse_config_text(CHEAP + "schedule.role_swap = maybe\n")
+
+    @pytest.mark.parametrize("field,value", [
+        ("beam_splitter_pair", (0,)),
+        ("beam_splitter_pair", (0, 1, 1)),
+        ("beam_splitter_pair", (1, 1)),
+        ("beam_splitter_pair", (0, 2)),
+        ("initial_occupations", (-1, 0)),
+        ("protected_set", frozenset({2})),
+        ("repetitions", 0),
+    ])
+    def test_bad_field_rejected_at_parse(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            replace(cheap_config(), **{field: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown"):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from phonondd import (
+from phonondd.model import IonChainConfig, build_coupling_matrix
+from phonondd.sequences import (
     DDSpec,
     Evolve,
     PhaseShift,
-    build_coupling_matrix,
+    PulseSchedule,
     build_sign_trace,
     default_role_swap,
     feasibility_bounds,
@@ -22,7 +23,6 @@ from phonondd import (
     synthesize_protected,
     synthesize_truncated,
 )
-from phonondd.model import IonChainConfig
 
 T = 1.0
 
@@ -200,7 +200,6 @@ class TestSignedDwell:
         assert report.ok, report.failures
 
     def test_unbalanced_schedule_flagged(self):
-        from phonondd.sequences import PulseSchedule
         bad = PulseSchedule(events=(Evolve(0.75), PhaseShift(frozenset({1})),
                                     Evolve(0.25), PhaseShift(frozenset({1}))),
                             mode_count=2, total_time=T)
@@ -210,12 +209,12 @@ class TestSignedDwell:
     def test_sign_trace_segments_cover_timeline(self):
         s = synthesize(DDSpec(3, T))
         trace = build_sign_trace(s)
-        for pair, runs in trace.segments.items():
+        for pair, runs in trace.items():
             assert sum(d for d, _ in runs) == pytest.approx(T, rel=1e-12)
             assert all(sign in (-1, 1) for _, sign in runs)
         # pair (2, 1): pulses on 1 alone flip it, pulses on {1,2} leave it,
         # so the two central quarters merge into one negative run
-        runs = trace.segments[(2, 1)]
+        runs = trace[(2, 1)]
         assert [sign for _, sign in runs] == [1, -1, 1]
         assert [d for d, _ in runs] == pytest.approx([0.25, 0.5, 0.25])
 

@@ -25,24 +25,30 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from phonondd import (
-    DDSpec,
+from phonondd.model import (
+    CouplingMatrix,
     FockSpace,
     IonChainConfig,
     PhononState,
+    basis_state,
+    build_coupling_matrix,
+    ladder_operator,
+)
+from phonondd.propagation import (
+    FIRST_STEPS,
+    MAX_STEPS,
     PropagationError,
     PropagatorConfig,
     SchedulePropagator,
-    ShapedPulse,
-    basis_state,
-    build_coupling_matrix,
-    design_pulse,
-    ladder_operator,
-    synthesize,
+    _expm,
 )
-from phonondd.model import CouplingMatrix
-from phonondd.propagation import FIRST_STEPS, MAX_STEPS, _expm
-from phonondd.pulses import scale_factor, scale_factor_derivatives
+from phonondd.pulses import (
+    ShapedPulse,
+    design_pulse,
+    scale_factor,
+    scale_factor_derivatives,
+)
+from phonondd.sequences import DDSpec, synthesize
 
 from dense_oracle import embed, phase_distance, project
 
