@@ -121,6 +121,11 @@ class PropagatorConfig:
 class SimulationResult:
     """Timeline record of one schedule execution.
 
+    ``times`` is strictly increasing and holds every point of the record
+    grid and the end of the schedule; row k of ``populations`` holds the
+    float populations of the state at ``times[k]``, after every event at
+    that time.
+
     ``norm_drift`` is the largest deviation of the state norm from one.
     On shaped runs it includes, exactly, the population each window has
     pushed past the cutoff, since windows apply the projection P U P;
@@ -494,35 +499,51 @@ class SchedulePropagator:
         grid = sorted(set(grid))
 
         amps = initial.amplitudes.copy()
-        records: list[tuple[float, np.ndarray]] = [(0.0, amps.copy())]
+        on_grid = set(grid)
+        times: list[float] = []
+        pops = np.empty((len(grid) + 1, self.space.dimension))
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         leakage = float(np.sum(np.abs(amps[self._boundary]) ** 2))
         t = 0.0
+
+        def record(t_s: float, vec: np.ndarray) -> None:
+            # samples come in time order; a later state at the same time wins
+            if not times or times[-1] != t_s:
+                times.append(t_s)
+            pops[len(times) - 1] = np.abs(vec) ** 2
 
         def note(vec: np.ndarray) -> None:
             nonlocal norm_drift, leakage
             norm_drift = max(norm_drift, abs(np.linalg.norm(vec) - 1.0))
             leakage = max(leakage, float(np.sum(np.abs(vec[self._boundary]) ** 2)))
 
+        def boundary() -> None:
+            if t in on_grid:
+                record(t, amps)
+
         def free(duration: float) -> None:
             nonlocal amps, t
             inner = [s for s in grid if t < s < t + duration]
             if inner:
                 cols = self._free_states(amps, np.asarray(inner) - t)
-                records.extend(zip(inner, cols.T))
+                for t_s, col in zip(inner, cols.T):
+                    record(t_s, col)
             amps = self._free(amps, duration)
             t += duration
+            boundary()
 
         def window(modes: frozenset[int]) -> None:
             nonlocal amps, t
             inner = [s for s in grid if t < s < t + pulse.duration]
             amps, sampled = self._window(amps, t, modes, pulse, inner)
             for t_s, col in zip(inner, sampled):
-                records.append((t_s, col))
+                record(t_s, col)
                 note(col)
             t += pulse.duration
             note(amps)
+            boundary()
 
+        record(0.0, amps)
         events = schedule.events
         i = 0
         while i < len(events):
@@ -551,18 +572,15 @@ class SchedulePropagator:
                     window(ev.modes)
                 else:
                     amps = amps * self._parity(ev.modes)
+                    boundary()
                 i += 1
 
-        records.append((t, amps.copy()))
-        seen: dict[float, np.ndarray] = {}
-        for t_s, vec in records:
-            seen[t_s] = vec
-        times = np.array(sorted(seen))
-        pops = np.array([np.abs(seen[t_s]) ** 2 for t_s in times])
+        record(t, amps)
         final = PhononState(self.space, amps)
         err = error_overlap(initial, final)
         err_b = error_overlap(reference, final) if reference is not None else None
-        return SimulationResult(times=times, populations=pops, space=self.space,
+        return SimulationResult(times=np.array(times),
+                                populations=pops[:len(times)], space=self.space,
                                 final_state=final, norm_drift=norm_drift,
                                 boundary_leakage=leakage,
                                 wall_time=time.perf_counter() - started,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .model import (
     DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
@@ -249,26 +251,30 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     labels = [space.label(i) for i in range(space.dimension)]
     if full:
         keep = list(range(space.dimension))
-        drop: list[int] = []
     else:
         forced = {space.index(cfg.initial_occupations)}
         forced.update(labels.index(lab) for lab in _hom_labels(cfg, space))
         peaks = result.populations.max(axis=0)
         keep = [i for i in range(space.dimension)
                 if peaks[i] > POPULATION_COLUMN_THRESHOLD or i in forced]
-        drop = [i for i in range(space.dimension) if i not in set(keep)]
-    out = io.StringIO()
+    kept = result.populations if full else result.populations[:, keep]
+    # a column equal on every row (mostly an empty number sector) is
+    # formatted once into the row template; %r of a float is its repr
+    const = kept.min(axis=0) == kept.max(axis=0)
     header = ["t_us"] + [labels[i] for i in keep]
+    cells = ["%r"] + [repr(v) if c else "%r"
+                      for v, c in zip(kept[0].tolist(), const.tolist())]
+    live = [result.times * 1e6, kept[:, ~const]]
     if not full:
         header.append("residual")
+        cells.append("%r")
+        drop = sorted(set(range(space.dimension)).difference(keep))
+        # row by row: a sum over axis 1 may add in another order
+        live.append([row.sum() for row in result.populations[:, drop]])
+    out = io.StringIO()
     out.write(",".join(header) + "\n")
-    kept = result.populations if full else result.populations[:, keep]
-    dropped = result.populations[:, drop]
-    for row_i, t in enumerate(result.times.tolist()):
-        cells = [t * 1e6] + kept[row_i].tolist()
-        if not full:
-            cells.append(float(dropped[row_i].sum()) if drop else 0.0)
-        out.write(",".join(map(repr, cells)) + "\n")
+    template = ",".join(cells) + "\n"
+    out.writelines(template % tuple(row) for row in np.column_stack(live).tolist())
     return out.getvalue()
 
 

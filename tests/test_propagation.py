@@ -12,6 +12,7 @@ from phonondd.model import (
     CouplingMatrix,
     FockSpace,
     IonChainConfig,
+    PhononState,
     basis_state,
     build_coupling_matrix,
     coupling_rate,
@@ -112,6 +113,24 @@ class TestIdealPhase:
                                      mode_count=2, total_time=HOP_TIME)
             res = SchedulePropagator(space, cm).run(schedule, state)
             assert res.final_state.amplitudes[i] == pytest.approx(sign)
+
+    def test_zero_duration_schedule_records_state_after_pulse(self):
+        # a lone pulse takes no time, so the initial state and the final
+        # state share t = 0; the one row there holds the state after it
+        space, cm = two_mode_setup(5)
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        state = PhononState(space, amps / np.linalg.norm(amps))
+        schedule = PulseSchedule(events=(PhaseShift(frozenset({0})),),
+                                 mode_count=2, total_time=HOP_TIME)
+        res = SchedulePropagator(space, cm).run(schedule, state)
+        before = np.abs(state.amplitudes) ** 2
+        after = np.abs(res.final_state.amplitudes) ** 2
+        # the pulse moves some populations in their last bit, which tells
+        # the two states apart
+        assert not np.array_equal(before, after)
+        assert res.times.tolist() == [0.0]
+        assert np.array_equal(res.populations, after[None, :])
 
     def test_conjugation_flips_coupling_sign(self):
         # P exp(-i H t) P = exp(-i H' t) with hopping terms through the

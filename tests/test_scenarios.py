@@ -5,9 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from phonondd.model import FockSpace, basis_state
+from phonondd.propagation import SimulationResult
 from phonondd.scenarios import (
     POPULATION_COLUMN_THRESHOLD,
+    ScenarioConfig,
     ScenarioError,
     _hom_labels,
     build_scenario,
@@ -115,6 +119,17 @@ class TestExecution:
         assert couplings.mode_count == 2
         assert abs(np.linalg.norm(initial.amplitudes) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("samples", [3, 5, 9, 17, 33])
+    @pytest.mark.parametrize("name", ["fig3", "fig1a"])
+    def test_one_row_per_sample(self, name, samples):
+        # fig3 (ideal) and fig1a (shaped, carve) put grid points exactly on
+        # segment and window boundaries at these sample counts
+        cfg = replace(get_scenario(name), record_samples=samples)
+        _, result = execute_scenario(cfg)
+        assert len(result.times) == samples
+        assert result.populations.shape == (samples, result.space.dimension)
+        assert np.all(np.diff(result.times) > 0)
+
     def test_convergence_check_cheap(self):
         out = convergence_check(cheap_config(), step=2)
         assert out["converged"]
@@ -179,12 +194,64 @@ class TestPopulationsCsv:
         assert len(cols) == 1 + result.space.dimension
         assert "residual" not in cols
 
-    @pytest.mark.parametrize("name,full", [("fig1b", False), ("fig7a", True)])
+    @pytest.mark.parametrize("name,full", [("fig1b", False), ("fig7a", True),
+                                           ("fig6b", True), ("fig5b", False)])
     def test_rows_match_cell_by_cell_formatting(self, scenario_cache, name, full):
         cfg = get_scenario(name)
         _, result = scenario_cache(name)
         assert populations_csv(result, cfg, full=full) == \
             cell_by_cell_populations_csv(result, cfg, full)
+
+
+# cell values whose repr takes exponent form, the threshold and its
+# neighbours, and plain fractions
+CELL_VALUES = [0.0, 1e-05, 5e-324, 1e+16, 1e-4, 2e-4, 0.25, 1.0 / 3.0]
+
+
+@st.composite
+def synthetic_results(draw):
+    """(result, cfg) with columns that are zero, constant or varying."""
+    modes = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(1, 3))
+    space = FockSpace(modes, cutoff)
+    rows = draw(st.integers(2, 40))
+    # values at or below the threshold fill the residual of filtered rows
+    cell = (st.sampled_from(CELL_VALUES) | st.floats(0.0, 1.0)
+            | st.floats(0.0, POPULATION_COLUMN_THRESHOLD))
+    kinds = draw(st.just(["const", "live"] * space.dimension)
+                 | st.lists(st.sampled_from(["zero", "const", "live"]),
+                            min_size=space.dimension, max_size=space.dimension))
+    columns = []
+    for kind in kinds[:space.dimension]:
+        if kind == "zero":
+            columns.append([0.0] * rows)
+        elif kind == "const":
+            columns.append([draw(cell)] * rows)
+        else:
+            columns.append(draw(st.lists(cell, min_size=rows, max_size=rows)))
+    times = sorted(draw(st.lists(st.floats(0.0, 1e-2), min_size=rows,
+                                 max_size=rows, unique=True)))
+    occupations = tuple(draw(st.lists(st.integers(0, cutoff), min_size=modes,
+                                      max_size=modes)))
+    pair = (0, 1) if modes > 1 and draw(st.booleans()) else None
+    cfg = ScenarioConfig("synthetic", modes, 43.8e-6, cutoff, occupations,
+                         beam_splitter_pair=pair)
+    result = SimulationResult(
+        times=np.array(times), populations=np.column_stack(columns),
+        space=space, final_state=basis_state(space, occupations),
+        norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)
+    return result, cfg
+
+
+# no shrink phase: minimizing thousands of drawn cells takes minutes, so
+# a failing example is reported as first found
+@settings(max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(case=synthetic_results(), full=st.booleans())
+def test_populations_csv_matches_cell_by_cell(case, full):
+    result, cfg = case
+    assert populations_csv(result, cfg, full=full) == \
+        cell_by_cell_populations_csv(result, cfg, full)
 
 
 class TestSweep:
