@@ -35,12 +35,17 @@ lowering factor keeps the cutoff cube closed, raising never returns to
 it, and Gamma is built column by column from raised columns of lower N, so
 the engine applies the exact projection P U P onto the cube: the squeezing
 transient inside a window is never truncated, and the population U pushes
-past the cutoff is lost from the norm.  By default a window replaces the
-trailing portion of its preceding free segment, so the wall clock of the
-schedule is unchanged; the alternative placement inserts the window and
-stretches the timeline.  The counter rotating part of the Coulomb
-coupling, which creates and destroys pairs, can optionally be kept during
-windows.
+past the cutoff is lost from the norm.  The counter rotating part of the
+Coulomb coupling, which creates and destroys pairs, can optionally be kept
+during windows.
+
+A run first lowers the schedule into (kind, duration, modes) steps: free
+segments, parity phases (ideal pulses) and windows (shaped pulses).  By
+default a window replaces the trailing portion of its preceding free
+segment, so the wall clock of the schedule is unchanged; the alternative
+placement inserts the window and stretches the timeline.  One loop then
+runs the steps, sampling the populations on record_samples evenly spaced
+points from the start of the schedule to its end.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .model import (
     ladder_operator,
 )
 from .pulses import ShapedPulse
-from .sequences import Evolve, PhaseShift, PulseSchedule
+from .sequences import Evolve, PulseSchedule
 
 
 WINDOW_PLACEMENTS = ("carve", "insert")
@@ -95,20 +100,21 @@ class PropagatorConfig:
     """Numerical knobs for schedule execution.
 
     ``local_error_tolerance`` bounds the error estimate of each window map,
-    its step doubling difference over 63.  ``record_stride`` requests
-    population samples on a uniform grid; ``None`` records endpoints only.
+    its step doubling difference over 63.  ``record_samples`` is the number
+    of population samples, spaced evenly from the start of the schedule to
+    its end; the default 2 records the endpoints only.
     """
 
     local_error_tolerance: float = 1e-12
-    record_stride: float | None = None
+    record_samples: int = 2
     window_placement: str = "carve"
     window_coupling: str = "rwa"
 
     def __post_init__(self) -> None:
         if self.local_error_tolerance <= 0:
             raise ValueError("local_error_tolerance must be positive")
-        if self.record_stride is not None and self.record_stride <= 0:
-            raise ValueError("record_stride must be positive")
+        if self.record_samples < 2:
+            raise ValueError("record_samples must be at least 2")
         if self.window_placement not in WINDOW_PLACEMENTS:
             raise ValueError("window_placement must be one of"
                              f" {', '.join(WINDOW_PLACEMENTS)}")
@@ -121,10 +127,11 @@ class PropagatorConfig:
 class SimulationResult:
     """Timeline record of one schedule execution.
 
-    ``times`` is strictly increasing and holds every point of the record
-    grid and the end of the schedule; row k of ``populations`` holds the
-    float populations of the state at ``times[k]``, after every event at
-    that time.
+    ``times`` is the record grid, ``record_samples`` evenly spaced points
+    from the start of the schedule to its end; row k of ``populations``
+    holds the float populations of the state at ``times[k]``, after every
+    event at that time.  The last row holds the final state, at the time
+    the steps end on, which can differ from the grid end in the last bit.
 
     ``norm_drift`` is the largest deviation of the state norm from one.
     On shaped runs it includes, exactly, the population each window has
@@ -308,9 +315,6 @@ class SchedulePropagator:
             out[idx] = vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
         return out
 
-    def _free(self, amps: np.ndarray, duration: float) -> np.ndarray:
-        return self._free_states(amps, np.array([duration]))[:, 0]
-
     def _parity(self, modes: frozenset[int]) -> np.ndarray:
         total = sum(self._numbers[q] for q in modes)
         return np.exp(-1j * math.pi * total)
@@ -471,6 +475,45 @@ class SchedulePropagator:
         inner = heis.at(np.asarray(t_eval, dtype=float) - start)
         return final, [self._apply(amps, sample, gauge) for sample in inner]
 
+    def _steps(self, schedule: PulseSchedule
+               ) -> tuple[list[tuple[str, float, frozenset[int] | None]], float]:
+        """The schedule as (kind, duration, modes) steps, and its wall time.
+
+        A kind is "free", "parity" (an ideal pulse) or "window" (a shaped
+        pulse).  A carved window takes the trailing pulse duration of the
+        free step before it; an inserted one adds its duration to the wall.
+        """
+        shaped = schedule.pulse_model == "shaped"
+        pulse = schedule.shaped_pulse
+        if shaped and pulse is None:
+            raise PropagationError("shaped schedule carries no pulse")
+        carve = self.config.window_placement == "carve"
+        steps: list[tuple[str, float, frozenset[int] | None]] = []
+        windows = 0
+        for ev in schedule.events:
+            if isinstance(ev, Evolve):
+                steps.append(("free", ev.duration, None))
+            elif not shaped:
+                steps.append(("parity", 0.0, ev.modes))
+            else:
+                if carve:
+                    if not steps or steps[-1][0] != "free":
+                        raise PropagationError(
+                            "pulse event has no preceding segment to carve")
+                    _, duration, _ = steps.pop()
+                    lead = duration - pulse.duration
+                    if lead < -1e-12 * duration:
+                        raise PropagationError(
+                            "pulse window does not fit inside its segment")
+                    if lead > 0:
+                        steps.append(("free", lead, None))
+                steps.append(("window", pulse.duration, ev.modes))
+                windows += 1
+        wall = schedule.total_evolve_time
+        if windows and not carve:
+            wall += windows * pulse.duration
+        return steps, wall
+
     def run(self, schedule: PulseSchedule, initial: PhononState,
             reference: PhononState | None = None) -> SimulationResult:
         """Execute the schedule and collect the error metrics.
@@ -482,118 +525,54 @@ class SchedulePropagator:
         """
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
-        shaped = schedule.pulse_model == "shaped"
-        pulse = schedule.shaped_pulse
-        if shaped and pulse is None:
-            raise PropagationError("shaped schedule carries no pulse")
-        carve = self.config.window_placement == "carve"
         started = time.perf_counter()
-        wall = wall_time(schedule, self.config.window_placement)
-
-        if self.config.record_stride is not None:
-            grid = list(np.arange(0.0, wall, self.config.record_stride))
-            if not grid or grid[-1] < wall:
-                grid.append(wall)
-        else:
-            grid = [0.0, wall]
-        grid = sorted(set(grid))
-
+        steps, wall = self._steps(schedule)
+        # unique: a schedule that takes no time has one grid point
+        times = np.unique(np.linspace(0.0, wall, self.config.record_samples))
+        inside = times[:-1]  # the last row holds the final state
+        # amplitude magnitudes, squared in place once at the end
+        pops = np.empty((times.size, self.space.dimension))
         amps = initial.amplitudes.copy()
-        on_grid = set(grid)
-        times: list[float] = []
-        pops = np.empty((len(grid) + 1, self.space.dimension))
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         leakage = float(np.sum(np.abs(amps[self._boundary]) ** 2))
-        t = 0.0
+        k, t = 0, 0.0  # first grid point not yet recorded, and the clock
 
-        def record(t_s: float, vec: np.ndarray) -> None:
-            # samples come in time order; a later state at the same time wins
-            if not times or times[-1] != t_s:
-                times.append(t_s)
-            pops[len(times) - 1] = np.abs(vec) ** 2
-
-        def note(vec: np.ndarray) -> None:
-            nonlocal norm_drift, leakage
-            norm_drift = max(norm_drift, abs(np.linalg.norm(vec) - 1.0))
-            leakage = max(leakage, float(np.sum(np.abs(vec[self._boundary]) ** 2)))
-
-        def boundary() -> None:
-            if t in on_grid:
-                record(t, amps)
-
-        def free(duration: float) -> None:
-            nonlocal amps, t
-            inner = [s for s in grid if t < s < t + duration]
-            if inner:
-                cols = self._free_states(amps, np.asarray(inner) - t)
-                for t_s, col in zip(inner, cols.T):
-                    record(t_s, col)
-            amps = self._free(amps, duration)
-            t += duration
-            boundary()
-
-        def window(modes: frozenset[int]) -> None:
-            nonlocal amps, t
-            inner = [s for s in grid if t < s < t + pulse.duration]
-            amps, sampled = self._window(amps, t, modes, pulse, inner)
-            for t_s, col in zip(inner, sampled):
-                record(t_s, col)
-                note(col)
-            t += pulse.duration
-            note(amps)
-            boundary()
-
-        record(0.0, amps)
-        events = schedule.events
-        i = 0
-        while i < len(events):
-            ev = events[i]
-            if isinstance(ev, Evolve):
-                next_pulse = (i + 1 < len(events)
-                              and isinstance(events[i + 1], PhaseShift)
-                              and shaped)
-                if next_pulse and carve:
-                    lead = ev.duration - pulse.duration
-                    if lead < -1e-12 * ev.duration:
-                        raise PropagationError(
-                            "pulse window does not fit inside its segment")
-                    free(max(lead, 0.0))
-                    window(events[i + 1].modes)
-                    i += 2
-                else:
-                    free(ev.duration)
-                    note(amps)
-                    i += 1
+        for kind, duration, modes in steps:
+            if kind == "parity":
+                amps = amps * self._parity(modes)
+                continue
+            # grid points up to t hold the state after every event at t
+            start = np.searchsorted(inside, t, side="right")
+            pops[k:start] = np.abs(amps)
+            k = np.searchsorted(inside, t + duration)
+            inner = inside[start:k]
+            if kind == "free":
+                if inner.size:
+                    np.abs(self._free_states(amps, inner - t).T, out=pops[start:k])
+                amps = self._free_states(amps, np.array([duration]))[:, 0]
+                checked = [amps]
             else:
-                if shaped:
-                    if carve:
-                        raise PropagationError(
-                            "pulse event has no preceding segment to carve")
-                    window(ev.modes)
-                else:
-                    amps = amps * self._parity(ev.modes)
-                    boundary()
-                i += 1
+                amps, sampled = self._window(amps, t, modes, schedule.shaped_pulse,
+                                             inner)
+                if sampled:
+                    np.abs(sampled, out=pops[start:k])
+                checked = sampled + [amps]
+            for vec in checked:
+                norm_drift = max(norm_drift, abs(np.linalg.norm(vec) - 1.0))
+                leakage = max(leakage, float(np.sum(np.abs(vec[self._boundary]) ** 2)))
+            t += duration
 
-        record(t, amps)
+        pops[k:] = np.abs(amps)
+        pops **= 2
+        times[-1] = t
         final = PhononState(self.space, amps)
         err = error_overlap(initial, final)
         err_b = error_overlap(reference, final) if reference is not None else None
-        return SimulationResult(times=np.array(times),
-                                populations=pops[:len(times)], space=self.space,
+        return SimulationResult(times=times, populations=pops, space=self.space,
                                 final_state=final, norm_drift=norm_drift,
                                 boundary_leakage=leakage,
                                 wall_time=time.perf_counter() - started,
                                 error_E=err, error_EB=err_b)
-
-
-def wall_time(schedule: PulseSchedule, window_placement: str) -> float:
-    """Clock time a schedule spans; inserted windows add their duration."""
-    wall = schedule.total_evolve_time
-    if schedule.pulse_model == "shaped" and window_placement == "insert":
-        windows = sum(isinstance(ev, PhaseShift) for ev in schedule.events)
-        wall += windows * schedule.shaped_pulse.duration
-    return wall
 
 
 def error_overlap(initial: PhononState, final: PhononState) -> float:

@@ -37,7 +37,6 @@ from .propagation import (
     SchedulePropagator,
     SimulationResult,
     beam_splitter_reference,
-    wall_time,
 )
 from .pulses import ShapedPulse, design_pulse
 from .sequences import PULSE_MODELS, DDSpec, synthesize
@@ -168,10 +167,9 @@ def build_scenario(cfg: ScenarioConfig):
                   level_role_swap=cfg.level_role_swap,
                   pulse_model=cfg.pulse_model, shaped_pulse=pulse)
     schedule = synthesize(spec)
-    wall = wall_time(schedule, cfg.window_placement)
     prop_cfg = PropagatorConfig(
         local_error_tolerance=cfg.local_error_tolerance,
-        record_stride=wall / (cfg.record_samples - 1),
+        record_samples=cfg.record_samples,
         window_placement=cfg.window_placement,
         window_coupling=cfg.window_coupling,
     )

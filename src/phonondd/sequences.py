@@ -3,15 +3,17 @@
 A pi phase shift on one mode flips the sign of every hopping term touching
 that mode.  Interleaving free evolution with such shifts makes the signed
 dwell time of a mode pair (the time integral of its coupling sign) vanish,
-canceling the hop to first order.  The synthesizer builds schedules by
-recursive binary grouping: split the modes in half, pulse one half at the
-midpoint, recurse into each half at the quarter points, and close the cycle
-with a compensation pulse so every mode sees an even pulse count.
+canceling the hop to first order.  One synthesizer, :func:`synthesize`,
+builds every schedule from a plan of grouping levels: split the modes in
+half, pulse one half at the midpoint, recurse into each half at the quarter
+points, and close the cycle with a compensation pulse so every mode sees an
+even pulse count.
 
-Variants: a protected subset is left untouched by folding it into a single
-virtual mode; an interaction truncated at index distance eta needs only
-enough levels to cancel pairs up to that distance, shortening the schedule.
-All schedules are verifiable algebraically with `signed_dwell_check`, which
+A protected subset is left untouched: the plan folds it into one slot, the
+one the default roles never pulse.  An interaction truncated at index
+distance eta needs only enough levels to cancel pairs up to that distance;
+that plan is used when it is shorter than the plain grouping.  All
+schedules are verifiable algebraically with `signed_dwell_check`, which
 never touches the propagator.
 """
 
@@ -86,6 +88,10 @@ class DDSpec:
             raise ValueError("repetitions must be >= 1")
         if any(not 0 <= q < self.mode_count for q in self.protected_set):
             raise ValueError("protected_set indices out of range")
+        if self.truncation_distance is not None and self.truncation_distance < 1:
+            raise ValueError("truncation_distance must be >= 1")
+        if self.protected_set and self.truncation_distance is not None:
+            raise ValueError("protected_set and truncation_distance cannot be combined")
         if self.pulse_model not in PULSE_MODELS:
             raise ValueError(f"pulse_model must be one of {', '.join(PULSE_MODELS)}")
         if self.pulse_model == "shaped" and self.shaped_pulse is None:
@@ -105,6 +111,8 @@ class PulseSchedule:
     warning: str | None = None
 
     def __post_init__(self) -> None:
+        if self.pulse_model not in PULSE_MODELS:
+            raise ValueError(f"pulse_model must be one of {', '.join(PULSE_MODELS)}")
         for ev in self.events:
             if (isinstance(ev, PhaseShift)
                     and not ev.modes <= set(range(self.mode_count))):
@@ -124,14 +132,14 @@ class PulseSchedule:
         return counts
 
 
-def _split_levels(modes: Sequence[int]) -> list[dict[int, int]]:
-    """Binary grouping levels.  Level l maps each mode that splits at that
-    level to its bit: 0 for the first (smaller) half, 1 for the rest."""
-    levels: list[dict[int, int]] = []
-    groups: list[list[int]] = [list(modes)]
+def _split_levels(modes: Sequence) -> list[dict]:
+    """Binary grouping levels.  Level l maps each element that splits at
+    that level to its bit: 0 for the first (smaller) half, 1 for the rest."""
+    levels: list[dict] = []
+    groups: list[list] = [list(modes)]
     while any(len(g) > 1 for g in groups):
-        bits: dict[int, int] = {}
-        nxt: list[list[int]] = []
+        bits: dict = {}
+        nxt: list[list] = []
         for g in groups:
             if len(g) == 1:
                 nxt.append(g)
@@ -156,30 +164,25 @@ def default_role_swap(width: int) -> tuple[bool, ...]:
     return (False,) * depth
 
 
-def _level_target_sets(modes: Sequence[int],
-                       role_swap: Sequence[bool]) -> tuple[list[frozenset[int]], frozenset[int]]:
-    """Pulsed mode set per level plus the end-of-cycle compensation set."""
-    levels = _split_levels(modes)
+def _target_sets(levels: Sequence[dict[int, int]],
+                 role_swap: Sequence[bool]) -> list[frozenset[int]]:
+    """Pulsed mode set per level: the modes whose bit is the level's role."""
     if len(role_swap) != len(levels):
         raise ValueError(f"level_role_swap needs {len(levels)} flags, got {len(role_swap)}")
-    sets = []
-    for swap, bits in zip(role_swap, levels):
-        target = 0 if swap else 1
-        sets.append(frozenset(q for q, b in bits.items() if b == target))
-    # level l contributes 2^(l-1) pulses per member, so only level 1 decides
-    # the parity; compensating its set at t = T makes every count even
-    compensation = sets[0] if sets else frozenset()
-    return sets, compensation
+    return [frozenset(q for q, b in bits.items() if b == (0 if swap else 1))
+            for swap, bits in zip(role_swap, levels)]
 
 
-def _assemble(level_sets: Sequence[frozenset[int]], compensation: frozenset[int],
+def _assemble(level_sets: Sequence[frozenset[int]],
               total_time: float) -> tuple[ScheduleEvent, ...]:
     """Lay out one cycle: 2^depth equal segments, pulses at the boundaries.
 
     The boundary at m * T / 2^depth belongs to level depth - v where v is
-    the 2-adic valuation of m; the closing boundary carries only the
-    compensation.  Coincident sets merge by symmetric difference (a mode
-    pulsed twice at one instant is not pulsed).
+    the 2-adic valuation of m.  Level l contributes 2^(l-1) pulses per
+    member, so only level 1 decides the parity: the closing boundary
+    compensates its set, which makes every count even.  Coincident sets
+    merge by symmetric difference (a mode pulsed twice at one instant is
+    not pulsed).
     """
     depth = len(level_sets)
     nbp = 2 ** depth
@@ -191,117 +194,50 @@ def _assemble(level_sets: Sequence[frozenset[int]], compensation: frozenset[int]
         level = depth - v
         pulsed = level_sets[level - 1] if level >= 1 else frozenset()
         if m == nbp:
-            pulsed = pulsed ^ compensation
+            pulsed = pulsed ^ level_sets[0]
         if pulsed:
             events.append(PhaseShift(pulsed))
     return tuple(events)
 
 
-def _resolve_role_swap(spec_swap: tuple[bool, ...] | None, width: int) -> tuple[bool, ...]:
-    if spec_swap is None:
-        return default_role_swap(width)
-    return tuple(spec_swap)
+def _grouping_plan(spec: DDSpec) -> tuple[list[dict[int, int]], tuple[bool, ...]]:
+    """Binary grouping levels over the chain and their default roles.
 
-
-def synthesize_concatenated(spec: DDSpec) -> PulseSchedule:
-    """One decoupling cycle over all mode pairs of the chain."""
-    if spec.protected_set:
-        raise ValueError("use synthesize_protected for a non-empty protected set")
-    if spec.mode_count < 2:
-        return PulseSchedule(events=(Evolve(spec.total_time),),
-                             mode_count=spec.mode_count,
-                             total_time=spec.total_time,
-                             pulse_model=spec.pulse_model,
-                             shaped_pulse=spec.shaped_pulse,
-                             warning="single mode, nothing to decouple")
-    role_swap = _resolve_role_swap(spec.level_role_swap, spec.mode_count)
-    sets, comp = _level_target_sets(range(spec.mode_count), role_swap)
-    return PulseSchedule(events=_assemble(sets, comp, spec.total_time),
-                         mode_count=spec.mode_count,
-                         total_time=spec.total_time,
-                         pulse_model=spec.pulse_model,
-                         shaped_pulse=spec.shaped_pulse)
-
-
-def synthesize_protected(spec: DDSpec) -> PulseSchedule:
-    """Decoupling that never pulses the protected modes.
-
-    The protected set acts as one virtual mode placed in the never-pulsed
-    slot of the grouping; couplings inside the set stay fully on while every
-    pair with an unprotected member cancels.
+    A non-empty protected set is one slot, slot 0: the slot the default
+    roles never pulse, so couplings inside the set stay fully on while
+    every pair with an unprotected member cancels.
     """
     protected = spec.protected_set
-    if not protected:
-        raise ValueError("protected_set is empty; use synthesize_concatenated")
-    outside = sorted(set(range(spec.mode_count)) - protected)
-    if not outside:
-        return PulseSchedule(events=(Evolve(spec.total_time),),
-                             mode_count=spec.mode_count,
-                             total_time=spec.total_time,
-                             pulse_model=spec.pulse_model,
-                             shaped_pulse=spec.shaped_pulse,
-                             warning="every mode protected, nothing to cancel")
-    # virtual index 0 stands for the whole protected set; the first slot is
-    # the one the default roles never pulse
-    width = len(outside) + 1
-    role_swap = _resolve_role_swap(spec.level_role_swap, width)
-    sets, comp = _level_target_sets(range(width), role_swap)
-    if any(0 in s for s in sets) or 0 in comp:
-        raise ValueError("role swap pattern would pulse the protected set")
-    real = {v + 1: q for v, q in enumerate(outside)}
-    mapped = [frozenset(real[v] for v in s) for s in sets]
-    mapped_comp = frozenset(real[v] for v in comp)
-    return PulseSchedule(events=_assemble(mapped, mapped_comp, spec.total_time),
-                         mode_count=spec.mode_count,
-                         total_time=spec.total_time,
-                         pulse_model=spec.pulse_model,
-                         shaped_pulse=spec.shaped_pulse)
+    slots = ([tuple(sorted(protected))] if protected else []) + \
+        [(q,) for q in range(spec.mode_count) if q not in protected]
+    levels = [{q: b for slot, b in bits.items() for q in slot}
+              for bits in _split_levels(slots)]
+    return levels, default_role_swap(len(slots))
 
 
-def synthesize_truncated(spec: DDSpec) -> PulseSchedule:
-    """Decoupling for couplings truncated at index distance eta.
+def _truncated_plan(spec: DDSpec) -> tuple[list[dict[int, int]], tuple[bool, ...]] | None:
+    """Levels for couplings truncated at index distance eta, or None.
 
     Modes are grouped into consecutive blocks of eta (the last block may be
     short).  Pulsing the odd blocks at the midpoint cancels every pair that
     straddles a block boundary; the levels below run the plain grouping
     inside each block simultaneously.  Depth is min(ceil(log2 eta) + 1,
-    ceil(log2 M)); when that equals the full depth the plain schedule is
-    already optimal and is returned instead.
+    ceil(log2 M)); when that equals the full depth the plain grouping is
+    as short, and None says to use it.
     """
-    eta = spec.truncation_distance
+    eta, m = spec.truncation_distance, spec.mode_count
     if eta is None:
-        raise ValueError("truncation_distance is not set")
-    m = spec.mode_count
-    if m < 2:
-        return synthesize_concatenated(replace(spec, truncation_distance=None))
+        return None
     full_depth = math.ceil(math.log2(m))
     depth = min(math.ceil(math.log2(eta)) + 1 if eta > 1 else 1, full_depth)
     if eta >= m or depth >= full_depth:
-        return synthesize_concatenated(replace(spec, truncation_distance=None))
-    role_swap = spec.level_role_swap if spec.level_role_swap is not None \
-        else (False,) * depth
-    if len(role_swap) != depth:
-        raise ValueError(f"level_role_swap needs {depth} flags, got {len(role_swap)}")
-    blocks = [list(range(i, min(i + eta, m))) for i in range(0, m, eta)]
-    level_sets: list[frozenset[int]] = []
-    odd_union = frozenset(q for i, b in enumerate(blocks) if i % 2 == 1 for q in b)
-    level_sets.append(odd_union if not role_swap[0]
-                      else frozenset(range(m)) - odd_union)
-    inner = [_split_levels(b) for b in blocks]
+        return None
+    inner = [_split_levels(range(i, min(i + eta, m))) for i in range(0, m, eta)]
+    levels = [{q: (q // eta) % 2 for q in range(m)}]
     for level in range(2, depth + 1):
-        target = 0 if role_swap[level - 1] else 1
-        pulsed = set()
-        for levels in inner:
-            if level - 1 <= len(levels):
-                bits = levels[level - 2]
-                pulsed.update(q for q, b in bits.items() if b == target)
-        level_sets.append(frozenset(pulsed))
-    comp = level_sets[0]
-    return PulseSchedule(events=_assemble(level_sets, comp, spec.total_time),
-                         mode_count=m,
-                         total_time=spec.total_time,
-                         pulse_model=spec.pulse_model,
-                         shaped_pulse=spec.shaped_pulse)
+        levels.append({q: b for block in inner if level - 1 <= len(block)
+                       for q, b in block[level - 2].items()})
+    return levels, (False,) * depth
 
 
 def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
@@ -321,15 +257,27 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
 
 
 def synthesize(spec: DDSpec) -> PulseSchedule:
-    """Dispatch on the spec options and apply the requested repetition."""
-    if spec.protected_set and spec.truncation_distance is not None:
-        raise ValueError("protected_set and truncation_distance cannot be combined")
-    if spec.protected_set:
-        base = synthesize_protected(spec)
-    elif spec.truncation_distance is not None:
-        base = synthesize_truncated(spec)
+    """The decoupling schedule of ``spec``, repeated ``spec.repetitions`` times.
+
+    Uses the truncated-reach levels when they are shorter than the plain
+    grouping; with nothing to decouple the schedule is one free segment
+    and carries a warning.
+    """
+    levels, roles = _truncated_plan(spec) or _grouping_plan(spec)
+    events: tuple[ScheduleEvent, ...] = (Evolve(spec.total_time),)
+    warning = None
+    if not levels:
+        warning = ("every mode protected, nothing to cancel" if spec.protected_set
+                   else "single mode, nothing to decouple")
     else:
-        base = synthesize_concatenated(spec)
+        sets = _target_sets(levels, spec.level_role_swap
+                            if spec.level_role_swap is not None else roles)
+        if any(s & spec.protected_set for s in sets):
+            raise ValueError("role swap pattern would pulse the protected set")
+        events = _assemble(sets, spec.total_time)
+    base = PulseSchedule(events=events, mode_count=spec.mode_count,
+                         total_time=spec.total_time, pulse_model=spec.pulse_model,
+                         shaped_pulse=spec.shaped_pulse, warning=warning)
     return repeat_schedule(base, spec.repetitions)
 
 

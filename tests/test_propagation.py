@@ -205,7 +205,7 @@ class TestScheduleRuns:
     def test_population_rows_normalized(self):
         space, cm = two_mode_setup(6)
         schedule = synthesize(DDSpec(2, HOP_TIME))
-        cfg = PropagatorConfig(record_stride=HOP_TIME / 64)
+        cfg = PropagatorConfig(record_samples=65)
         res = SchedulePropagator(space, cm, cfg).run(schedule,
                                                      basis_state(space, (2, 1)))
         sums = res.populations.sum(axis=1)

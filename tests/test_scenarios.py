@@ -119,11 +119,13 @@ class TestExecution:
         assert couplings.mode_count == 2
         assert abs(np.linalg.norm(initial.amplitudes) - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("samples", [3, 5, 9, 17, 33])
-    @pytest.mark.parametrize("name", ["fig3", "fig1a"])
+    @pytest.mark.parametrize("name,samples", [
+        (name, samples) for name in ("fig3", "fig1a")
+        for samples in (3, 5, 9, 17, 33)] + [("fig5a", 1086)])
     def test_one_row_per_sample(self, name, samples):
         # fig3 (ideal) and fig1a (shaped, carve) put grid points exactly on
-        # segment and window boundaries at these sample counts
+        # segment and window boundaries at these sample counts; on fig5a a
+        # stride of wall / 1085 overshoots the grid end by one point
         cfg = replace(get_scenario(name), record_samples=samples)
         _, result = execute_scenario(cfg)
         assert len(result.times) == samples

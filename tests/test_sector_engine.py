@@ -97,8 +97,10 @@ def window_spans(schedule, placement):
     ("shaped", "insert", "full"),
 ])
 # no shrink phase: each shrink step reruns 0.2-0.6 s oracle windows, so a
-# failing example is reported as first found rather than minimized
-@settings(max_examples=2, deadline=None,
+# failing example is reported as first found rather than minimized; the
+# examples are derandomized, so each run draws the same ones and takes the
+# same time
+@settings(max_examples=2, deadline=None, derandomize=True,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data(), total_us=st.floats(20.0, 100.0),
        samples=st.sampled_from([None, 7]))
@@ -114,7 +116,7 @@ def test_sector_engine_matches_dense_oracle(pulse_model, placement, coupling,
     wall = total + (windows * pulse.duration
                     if shaped and placement == "insert" else 0.0)
     config = PropagatorConfig(
-        record_stride=None if samples is None else wall / samples,
+        record_samples=2 if samples is None else samples + 1,
         window_placement=placement, window_coupling=coupling)
     result = SchedulePropagator(space, couplings, config).run(schedule, initial)
     spans = window_spans(schedule, placement) if shaped else []

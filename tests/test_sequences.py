@@ -19,9 +19,6 @@ from phonondd.sequences import (
     schedule_to_text,
     signed_dwell_check,
     synthesize,
-    synthesize_concatenated,
-    synthesize_protected,
-    synthesize_truncated,
 )
 
 T = 1.0
@@ -52,26 +49,26 @@ class TestEventValidation:
 
 class TestConcatenated:
     def test_two_modes(self):
-        s = synthesize_concatenated(DDSpec(2, T))
+        s = synthesize(DDSpec(2, T))
         assert compact(s) == ["E0.5", "P1", "E0.5", "P1"]
 
     def test_three_modes_default_roles(self):
-        s = synthesize_concatenated(DDSpec(3, T))
+        s = synthesize(DDSpec(3, T))
         assert compact(s) == ["E0.25", "P1", "E0.25", "P12",
                               "E0.25", "P1", "E0.25", "P12"]
 
     def test_three_modes_uniform_roles(self):
-        s = synthesize_concatenated(DDSpec(3, T, level_role_swap=(False, False)))
+        s = synthesize(DDSpec(3, T, level_role_swap=(False, False)))
         assert compact(s) == ["E0.25", "P2", "E0.25", "P12",
                               "E0.25", "P2", "E0.25", "P12"]
 
     def test_four_modes(self):
-        s = synthesize_concatenated(DDSpec(4, T))
+        s = synthesize(DDSpec(4, T))
         assert compact(s) == ["E0.25", "P13", "E0.25", "P23",
                               "E0.25", "P13", "E0.25", "P23"]
 
     def test_single_mode_degenerates_to_free_evolution(self):
-        s = synthesize_concatenated(DDSpec(1, T))
+        s = synthesize(DDSpec(1, T))
         assert compact(s) == ["E1"]
         assert s.warning is not None
 
@@ -83,74 +80,79 @@ class TestConcatenated:
 
     @pytest.mark.parametrize("modes", range(2, 9))
     def test_pulse_counts_even(self, modes):
-        s = synthesize_concatenated(DDSpec(modes, T))
+        s = synthesize(DDSpec(modes, T))
         for mode, count in s.pulse_counts().items():
             assert count % 2 == 0, (modes, mode, count)
 
     def test_total_evolve_time_matches_request(self):
         for modes in range(1, 9):
-            s = synthesize_concatenated(DDSpec(modes, T))
+            s = synthesize(DDSpec(modes, T))
             assert s.total_evolve_time == pytest.approx(T, rel=1e-15)
 
 
 class TestProtected:
     def test_two_protected_of_three(self):
-        s = synthesize_protected(DDSpec(3, T, protected_set=frozenset({0, 1})))
+        s = synthesize(DDSpec(3, T, protected_set=frozenset({0, 1})))
         assert compact(s) == ["E0.5", "P2", "E0.5", "P2"]
 
     def test_one_protected_of_three(self):
-        s = synthesize_protected(DDSpec(3, T, protected_set=frozenset({1})))
+        s = synthesize(DDSpec(3, T, protected_set=frozenset({1})))
         assert compact(s) == ["E0.25", "P0", "E0.25", "P02",
                               "E0.25", "P0", "E0.25", "P02"]
 
     def test_all_protected_is_free_evolution(self):
-        s = synthesize_protected(DDSpec(2, T, protected_set=frozenset({0, 1})))
+        s = synthesize(DDSpec(2, T, protected_set=frozenset({0, 1})))
         assert compact(s) == ["E1"]
         assert s.warning is not None
 
     def test_protected_modes_never_pulsed(self):
         for prot in ({0}, {2}, {0, 2}, {1, 2}):
-            s = synthesize_protected(DDSpec(3, T, protected_set=frozenset(prot)))
+            s = synthesize(DDSpec(3, T, protected_set=frozenset(prot)))
             counts = s.pulse_counts()
             for mode in prot:
                 assert counts.get(mode, 0) == 0
 
     def test_role_swap_hitting_protected_block_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_protected(DDSpec(3, T, protected_set=frozenset({0, 1}),
-                                        level_role_swap=(True,)))
+            synthesize(DDSpec(3, T, protected_set=frozenset({0, 1}),
+                              level_role_swap=(True,)))
 
 
 class TestTruncated:
     def test_reach_one_of_four(self):
-        s = synthesize_truncated(DDSpec(4, T, truncation_distance=1))
+        s = synthesize(DDSpec(4, T, truncation_distance=1))
         assert compact(s) == ["E0.5", "P13", "E0.5", "P13"]
 
     def test_reach_two_of_eight(self):
-        s = synthesize_truncated(DDSpec(8, T, truncation_distance=2))
+        s = synthesize(DDSpec(8, T, truncation_distance=2))
         assert compact(s) == ["E0.25", "P1357", "E0.25", "P2367",
                               "E0.25", "P1357", "E0.25", "P2367"]
 
     def test_wide_reach_delegates_to_plain_concatenation(self):
-        full = synthesize_concatenated(DDSpec(4, T))
+        full = synthesize(DDSpec(4, T))
         for eta in (3, 4, 7):
-            s = synthesize_truncated(DDSpec(4, T, truncation_distance=eta))
+            s = synthesize(DDSpec(4, T, truncation_distance=eta))
             assert compact(s) == compact(full)
 
 
-class TestDispatcher:
-    def test_routes_by_spec(self):
-        assert compact(synthesize(DDSpec(3, T))) == \
-            compact(synthesize_concatenated(DDSpec(3, T)))
-        spec_p = DDSpec(3, T, protected_set=frozenset({1}))
-        assert compact(synthesize(spec_p)) == compact(synthesize_protected(spec_p))
-        spec_t = DDSpec(4, T, truncation_distance=1)
-        assert compact(synthesize(spec_t)) == compact(synthesize_truncated(spec_t))
-
+class TestSpecValidation:
     def test_protected_with_truncation_unsupported(self):
         with pytest.raises(ValueError):
             synthesize(DDSpec(4, T, protected_set=frozenset({0}),
                               truncation_distance=1))
+
+    @pytest.mark.parametrize("eta", [0, -1])
+    def test_reach_below_one_rejected(self, eta):
+        with pytest.raises(ValueError, match="truncation_distance"):
+            DDSpec(4, T, truncation_distance=eta)
+
+    def test_schedule_rejects_unknown_pulse_model(self):
+        with pytest.raises(ValueError, match="pulse_model"):
+            PulseSchedule(events=(Evolve(T),), mode_count=2, total_time=T,
+                          pulse_model="shapd")
+        with pytest.raises(ValueError, match="pulse_model"):
+            schedule_from_text("# schedule modes=2 total_time=1.0 "
+                               "repetitions=1 model=shapd\nEVOLVE 1.0\n")
 
 
 class TestRepetition:
