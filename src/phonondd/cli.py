@@ -24,6 +24,7 @@ from .scenarios import (
     ScenarioError,
     emit_report,
     execute_scenario,
+    from_micro,
     get_scenario,
     load_reference_values,
     output_directory,
@@ -91,7 +92,7 @@ def sweep(scenario: str, axis: str, values: str, out: str | None) -> None:
         if axis in ("n_r", "n_max"):
             parsed = [int(v) for v in raw]
         else:  # d and T_P are given in microns and microseconds
-            parsed = [float(v) * 1e-6 for v in raw]
+            parsed = [from_micro(v) for v in raw]
         records = run_sweep(cfg, axis, parsed)
     except (ScenarioError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)

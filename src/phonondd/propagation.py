@@ -60,7 +60,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 
 from .model import (
     DEFAULT_SECULAR_FREQUENCY,
@@ -275,7 +274,11 @@ class SchedulePropagator:
     Splits the basis into sectors of fixed total phonon number and caches,
     for each sector a state reaches, the eigensystem of its hopping block,
     and for each pulsed-mode set and pulse, the Heisenberg map of its
-    window; then replays any schedule on that chain.
+    window; then replays any schedule on that chain.  The pair lowering
+    and raising patterns of the window kernel are built once; each window
+    application only rescales their stored values.  Eigensystems come from
+    ``numpy.linalg.eigh``, so every dense call runs on numpy's OpenBLAS and
+    LAPACK: SciPy's second OpenBLAS pool slowed the numpy calls after it.
     """
 
     def __init__(self, space: FockSpace, couplings: CouplingMatrix,
@@ -294,7 +297,7 @@ class SchedulePropagator:
         self._boundary = space.boundary_mask()
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._maps: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = {}
-        self._pair_table: tuple | None = None
+        self._pair_ops: tuple | None = None
         self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
 
     def _occupied(self, amps: np.ndarray):
@@ -304,7 +307,8 @@ class SchedulePropagator:
             if not block.any():
                 continue
             if n not in self._eigensystems:
-                self._eigensystems[n] = eigh(self._hop[idx][:, idx].toarray())
+                self._eigensystems[n] = np.linalg.eigh(
+                    self._hop[idx][:, idx].toarray())
             yield idx, block, *self._eigensystems[n]
 
     # free evolution through the sector eigensystems, sampled at offsets dts
@@ -357,46 +361,59 @@ class SchedulePropagator:
                   sorted(modes), steps, delta, time.perf_counter() - started)
         return self._maps[key]
 
-    def _pairs(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    def _pairs(self) -> tuple[tuple[sp.csr_matrix, np.ndarray], ...]:
         """The pair lowerings a_i a_j (i <= j) stacked into one CSR matrix.
 
         Their patterns are disjoint, so 1/2 sum_ij Z_ij a_i a_j has the
         stacked pattern with each stored entry scaled by sym(Z)[i, j]; the
-        stacked data carries the 1/2 of i = j.  Returns the stacked matrix
-        and the pair (i, j) of each stored entry.
+        stacked data carries the 1/2 of i = j.  Entry 0 is the lowering
+        pattern and entry 1 the raising one, its CSR transpose, whose
+        stored entries are those of the lowering pattern permuted.  Each is
+        (matrix holding the real unscaled values, flat index of (i, j) in
+        an M x M matrix per stored entry, in the smallest integer type).
         """
-        if self._pair_table is None:
-            lower = [ladder_operator(self.space, q)
-                     for q in range(self.space.mode_count)]
-            pairs = list(itertools.combinations_with_replacement(range(len(lower)), 2))
+        if self._pair_ops is None:
+            m = self.space.mode_count
+            lower = [ladder_operator(self.space, q) for q in range(m)]
+            pairs = list(itertools.combinations_with_replacement(range(m), 2))
             ops = [(0.5 if i == j else 1.0) * (lower[i] @ lower[j]) for i, j in pairs]
             stacked = sum(ops).tocsr()
             label = sum((k + 1) * (op != 0) for k, op in enumerate(ops)).tocsr()
             stacked.sort_indices()
             label.sort_indices()
             mi, mj = np.array(pairs).T[:, label.data.astype(int) - 1]
-            self._pair_table = (stacked, mi, mj)
-        return self._pair_table
+            flat = (mi * m + mj).astype(np.min_scalar_type(m * m - 1))
+            stacked.data = stacked.data.real.copy()
+            # transposing the positions of the stored entries gives the permutation
+            order = sp.csr_matrix((np.arange(stacked.nnz), stacked.indices,
+                                   stacked.indptr), shape=stacked.shape).T.tocsr()
+            order.sort_indices()
+            raising = sp.csr_matrix((stacked.data[order.data], order.indices,
+                                     order.indptr), shape=order.shape)
+            self._pair_ops = ((stacked, flat), (raising, flat[order.data]))
+        return self._pair_ops
 
     def _pair_series(self, amps: np.ndarray, coeffs: np.ndarray,
                      raising: bool) -> np.ndarray:
         """exp(1/2 a^dag C a^dag) or exp(1/2 a C a) applied to ``amps``.
 
+        The kept pattern gets a new array of scaled values for the call
+        and its unscaled values back after it; they are never written.
         Both generators are nilpotent on the cube, so the series ends
         exactly once a term vanishes.
         """
-        stacked, mi, mj = self._pairs()
-        sym = 0.5 * (coeffs + coeffs.T)
-        op = sp.csr_matrix((stacked.data * sym[mi, mj], stacked.indices,
-                            stacked.indptr), shape=stacked.shape)
-        if raising:
-            op = op.T
-        out, term = amps.copy(), amps
-        for k in itertools.count(1):
-            term = op @ term / k
-            if not term.any():
-                return out
-            out += term
+        op, flat = self._pairs()[int(raising)]
+        unscaled = op.data
+        op.data = unscaled * np.take(0.5 * (coeffs + coeffs.T), flat)
+        try:
+            out, term = amps.copy(), amps
+            for k in itertools.count(1):
+                term = op @ term / k
+                if not term.any():
+                    return out
+                out += term
+        finally:
+            op.data = unscaled
 
     def _levels(self) -> list[tuple[np.ndarray, ...]]:
         """Per sector N >= 1: how each of its states is raised from sector N-1.
@@ -599,6 +616,6 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
     for idx in _number_sectors(state.space):
         block = state.amplitudes[idx]
         if block.any():
-            vals, vecs = eigh(mixer[idx][:, idx].toarray())
+            vals, vecs = np.linalg.eigh(mixer[idx][:, idx].toarray())
             amps[idx] = vecs @ (np.exp(-1j * angle * vals) * (vecs.conj().T @ block))
     return PhononState(state.space, amps)

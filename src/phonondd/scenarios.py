@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 
@@ -109,6 +110,13 @@ class ScenarioConfig:
                                 f" 0..{self.mode_count - 1}")
         if self.repetitions < 1:
             raise ScenarioError(f"{self.name}: repetitions must be at least 1")
+        if self.truncation_distance is not None:
+            if self.truncation_distance < 1:
+                raise ScenarioError(f"{self.name}: truncation_distance must be at"
+                                    f" least 1, not {self.truncation_distance}")
+            if self.protected_set:
+                raise ScenarioError(f"{self.name}: truncation_distance and"
+                                    " protected_set cannot be combined")
         pair = self.beam_splitter_pair
         if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
                                  or not set(pair) <= set(range(self.mode_count))):
@@ -482,7 +490,7 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     converters = {
         "scenario.name": ("name", str),
         "chain.modes": ("mode_count", int),
-        "chain.spacing_um": ("spacing", lambda v: float(v) * 1e-6),
+        "chain.spacing_um": ("spacing", from_micro),
         "state.occupations": ("initial_occupations", lambda v: tuple(
             int(x) for x in v.split(","))),
         "propagator.n_max": ("per_mode_cutoff", int),
@@ -492,11 +500,11 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
             int(x) for x in v.split(",") if x != "")),
         "schedule.role_swap": ("level_role_swap", lambda v: tuple(
             _flag(x) for x in v.split(","))),
-        "schedule.total_time_us": ("total_time", lambda v: float(v) * 1e-6),
+        "schedule.total_time_us": ("total_time", from_micro),
         "pulse.model": ("pulse_model", str),
-        "pulse.total_us": ("pulse_duration", lambda v: float(v) * 1e-6),
-        "pulse.ramp_up_us": ("pulse_ramp_up", lambda v: float(v) * 1e-6),
-        "pulse.ramp_down_us": ("pulse_ramp_down", lambda v: float(v) * 1e-6),
+        "pulse.total_us": ("pulse_duration", from_micro),
+        "pulse.ramp_up_us": ("pulse_ramp_up", from_micro),
+        "pulse.ramp_down_us": ("pulse_ramp_down", from_micro),
         "pulse.sharpness": ("pulse_sharpness", float),
         "pulse.target_phase": ("target_phase", float),
         "propagator.placement": ("window_placement", str),
@@ -516,6 +524,19 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
         except ValueError as exc:
             raise ScenarioError(f"bad value for {key}: {value!r}") from exc
     return ScenarioConfig(**kwargs)
+
+
+def from_micro(text: str) -> float:
+    """A value written in micrometres or microseconds, in metres or seconds.
+
+    The decimal text is scaled by 10^-6 exactly and rounded once, so
+    ``43.8`` gives the float of ``43.8e-6``; ``float(text) * 1e-6`` rounds
+    twice and gives 4.3799999999999994e-05.
+    """
+    try:
+        return float(Decimal(text).scaleb(-6))
+    except InvalidOperation as exc:
+        raise ValueError(f"not a number: {text!r}") from exc
 
 
 def _flag(word: str) -> bool:

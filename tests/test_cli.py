@@ -52,6 +52,7 @@ class TestRun:
     @pytest.mark.parametrize("line,bad", [
         ("state.occupations = 1,0", "state.occupations = 2,x"),
         ("chain.modes = 2", "chain.modes = two"),
+        ("chain.spacing_um = 43.8", "chain.spacing_um = 43.8um"),
     ])
     def test_malformed_number_exits_with_error(self, runner, tmp_path, line, bad):
         cfg = tmp_path / "demo.cfg"
@@ -59,6 +60,19 @@ class TestRun:
         res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
         assert f"error: bad value for {bad.split(' = ')[0]}" in res.output
+
+    @pytest.mark.parametrize("extra,message", [
+        ("chain.truncation = 0", "truncation_distance must be at least 1"),
+        ("chain.truncation = 1\nschedule.protected = 0",
+         "truncation_distance and protected_set cannot be combined"),
+    ])
+    def test_bad_truncation_exits_with_error(self, runner, tmp_path, extra, message):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CHEAP_CFG + extra + "\n")
+        res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not (tmp_path / "demo_populations.csv").exists()
 
     def test_full_populations_flag(self, runner, tmp_path):
         cfg = tmp_path / "demo.cfg"

@@ -1,6 +1,8 @@
 """Propagator physics: free flight, ideal pulses, shaped windows."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,32 @@ class TestReferences:
                                     IonChainConfig.equidistant(2, SPACING))),
             0.3 * HOP_TIME)
         assert number_expectation(mixed) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_package_never_imports_scipy_linalg():
+    """The engine runs on one BLAS: numpy's OpenBLAS and LAPACK.
+
+    SciPy links a second OpenBLAS with its own thread pool.  While the
+    sector eigensystems came from ``scipy.linalg.eigh``, that pool's worker
+    threads slowed the numpy BLAS calls after them on a 2-core box: free
+    evolution took 0.28-1.12 s per pass of the single-cycle shaped catalog
+    scenarios, against 0.07-0.08 s with ``numpy.linalg.eigh`` and
+    0.08-0.09 s with one OpenBLAS thread.  The tests' own oracles may still
+    use SciPy.
+    """
+    package = Path(__file__).resolve().parents[1] / "src" / "phonondd"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 1
+    offenders = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -389,6 +390,35 @@ output.samples = 64
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):
             replace(cheap_config(), **{field: value})
+
+    @pytest.mark.parametrize("extra,message", [
+        ("chain.truncation = 0\n", "truncation_distance must be at least 1, not 0"),
+        ("chain.truncation = -2\n", "truncation_distance must be at least 1, not -2"),
+        ("chain.truncation = 1\nschedule.protected = 0\n",
+         "truncation_distance and protected_set cannot be combined"),
+    ])
+    def test_bad_truncation_rejected_at_parse(self, extra, message):
+        with pytest.raises(ScenarioError, match=message):
+            parse_config_text(CHEAP + extra)
+
+    @pytest.mark.parametrize("cfg", scenario_catalog(), ids=lambda c: c.name)
+    def test_micro_units_round_trip_the_catalog_bit_for_bit(self, cfg):
+        # each value written as the exact decimal of its repr, in um or us
+        total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
+        values = {"chain.spacing_um": ("spacing", cfg.spacing),
+                  "schedule.total_time_us": ("total_time", total),
+                  "pulse.total_us": ("pulse_duration", cfg.pulse_duration),
+                  "pulse.ramp_up_us": ("pulse_ramp_up", cfg.pulse_ramp_up),
+                  "pulse.ramp_down_us": ("pulse_ramp_down", cfg.pulse_ramp_down)}
+        text = (f"chain.modes = {cfg.mode_count}\n"
+                f"state.occupations = {','.join('0' * cfg.mode_count)}\n"
+                f"pulse.model = {cfg.pulse_model}\n")
+        text += "".join(f"{key} = {Decimal(repr(value)).scaleb(6)}\n"
+                        for key, (_, value) in values.items() if value is not None)
+        parsed = parse_config_text(text)
+        for field, value in values.values():
+            if value is not None:
+                assert getattr(parsed, field).hex() == value.hex(), field
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown"):

@@ -246,27 +246,31 @@ def quadratic_generator(space, h, pair):
 RAISED = {1: (0.1, 2, (16, 20)), 2: (0.1, 2, (18, 22)), 3: (0.01, 1, (7, 9))}
 
 
-@settings(max_examples=6, deadline=None)
-@given(modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
-    rng = np.random.default_rng(seed)
-    strength, n_max, cutoffs = RAISED[modes]
+def random_quadratic(rng, modes, strength):
+    """(h, G, (A, B, |det A|^{-1/2})) of a random quadratic generator and its map."""
     h = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     h = 0.5 * (h + h.conj().T)
     pair = strength * (rng.normal(size=(modes, modes))
                        + 1j * rng.normal(size=(modes, modes)))
     pair = 0.5 * (pair + pair.T)
     kernel = np.block([[h, pair], [-pair.conj(), -h.conj()]])
-
     rows = scipy.linalg.expm(-1j * kernel)[:modes]
     a, b = rows[:, :modes], rows[:, modes:]
+    return h, pair, (a, b, 1.0 / math.sqrt(abs(np.linalg.det(a))))
+
+
+@settings(max_examples=6, deadline=None)
+@given(modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
+    rng = np.random.default_rng(seed)
+    strength, n_max, cutoffs = RAISED[modes]
+    h, pair, heis = random_quadratic(rng, modes, strength)
 
     space = FockSpace(modes, n_max)
     engine = SchedulePropagator(space, CouplingMatrix(np.zeros((modes, modes))))
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state = PhononState(space, amps / np.linalg.norm(amps))
-    got = engine._apply(state.amplitudes,
-                        (a, b, 1.0 / math.sqrt(abs(np.linalg.det(a)))), 1.0)
+    got = engine._apply(state.amplitudes, heis, 1.0)
 
     def reference(cutoff):
         wide = FockSpace(modes, cutoff)
@@ -277,6 +281,38 @@ def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
     lower, upper = (reference(c) for c in cutoffs)
     assert np.linalg.norm(upper - lower) <= TIGHT
     assert phase_distance(got, upper) <= TIGHT
+
+
+def test_reused_pair_operators_match_a_fresh_engine():
+    """One engine keeps its pair lowering and raising patterns and rescales
+    their stored values on every call.  Window applications with different
+    maps and gauges, interleaved with lone lowering and raising series in
+    both orders, must each give bit for bit what the same call gives on a
+    fresh engine: no call may see values an earlier call scaled into either
+    pattern."""
+    rng = np.random.default_rng(20)
+    modes = 3
+    space = FockSpace(modes, 3)
+    couplings = CouplingMatrix(np.zeros((modes, modes)))
+    engine = SchedulePropagator(space, couplings)
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    amps /= np.linalg.norm(amps)
+
+    def coeffs():
+        return 0.3 * (rng.normal(size=(modes, modes))
+                      + 1j * rng.normal(size=(modes, modes)))
+
+    calls = []
+    for raising_first in (True, False, True):
+        gauge = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        calls.append(("_apply", (amps, random_quadratic(rng, modes, 0.3)[2], gauge)))
+        calls.append(("_pair_series", (amps, coeffs(), raising_first)))
+        calls.append(("_pair_series", (amps, coeffs(), not raising_first)))
+    for name, args in calls:
+        got = getattr(engine, name)(*args)
+        fresh = getattr(SchedulePropagator(space, couplings), name)(*args)
+        assert np.abs(got - amps).max() > 1e-3  # the call did something
+        np.testing.assert_array_equal(got, fresh)
 
 
 def test_each_pulse_gets_its_own_map():
