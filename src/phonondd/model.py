@@ -7,10 +7,9 @@ exchanges vibrational quanta between modes at the hopping rate
     kappa = e^2 / (4 pi eps0 d^3 m omega0)
 
 which falls off with the cube of the distance.  This module builds those
-rates, the truncated multimode Fock space, and the operators consumed by
-the propagator: ladder operators and the number-conserving hopping
-Hamiltonian, returned in energy units (J) as a sparse CSR matrix whose
-Hermiticity is exact by construction, not up to roundoff.
+rates, the truncated multimode Fock space with its base-(n_max + 1)
+occupation-digit index, and Fock states on it.  The propagator builds
+every operator it needs from those digits, one number sector at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 # CODATA 2018
 ELEMENTARY_CHARGE = 1.602176634e-19     # C
@@ -214,38 +212,3 @@ def basis_state(space: FockSpace, occupations: Sequence[int]) -> PhononState:
     amp[space.index(occupations)] = 1.0
     return PhononState(space, amp)
 
-
-def ladder_operator(space: FockSpace, mode: int) -> sp.csr_matrix:
-    """Annihilation operator on one mode, identity elsewhere."""
-    if not 0 <= mode < space.mode_count:
-        raise ValueError("mode out of range")
-    n = space.per_mode_cutoff
-    single = sp.diags(np.sqrt(np.arange(1.0, n + 1)), 1, format="csr")
-    eye = sp.identity(n + 1, format="csr")
-    # mode 0 is the least significant kron factor
-    op = single if mode == space.mode_count - 1 else eye
-    for j in range(space.mode_count - 2, -1, -1):
-        op = sp.kron(op, single if j == mode else eye, format="csr")
-    return op.astype(complex)
-
-
-def hopping_hamiltonian(space: FockSpace,
-                        couplings: CouplingMatrix) -> sp.csr_matrix:
-    """Coulomb-mediated hopping between modes, in energy units (J).
-
-    Keeps the number-conserving exchange terms
-    (hbar kappa_jk / 2)(a_j^dag a_k + a_j a_k^dag).
-    """
-    if couplings.mode_count != space.mode_count:
-        raise ValueError("couplings and space disagree on mode count")
-    dim = space.dimension
-    h = sp.csr_matrix((dim, dim), dtype=complex)
-    lowering = [ladder_operator(space, j) for j in range(space.mode_count)]
-    for j in range(space.mode_count):
-        for k in range(j):
-            rate = couplings.rate(j, k)
-            if rate == 0.0:
-                continue
-            cross = lowering[j].conj().T @ lowering[k]
-            h = h + (0.5 * HBAR * rate) * (cross + cross.conj().T)
-    return h.tocsr()

@@ -59,17 +59,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .model import (
-    DEFAULT_SECULAR_FREQUENCY,
-    HBAR,
-    CouplingMatrix,
-    FockSpace,
-    PhononState,
-    hopping_hamiltonian,
-    ladder_operator,
-)
+from .model import DEFAULT_SECULAR_FREQUENCY, CouplingMatrix, FockSpace, PhononState
 from .pulses import ShapedPulse
 from .sequences import Evolve, PulseSchedule
 
@@ -154,6 +145,23 @@ def _number_sectors(space: FockSpace) -> list[np.ndarray]:
     total = sum(space.mode_occupations(q) for q in range(space.mode_count))
     return [np.flatnonzero(total == n)
             for n in range(space.mode_count * space.per_mode_cutoff + 1)]
+
+
+def _hopping_block(space: FockSpace, idx: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """sum_jk (kappa_jk / 2) a_j^dag a_k on the number sector of basis indices idx.
+
+    The hop k -> j takes state s, with occupation digits n, to
+    s + base^j - base^k with weight sqrt((n_j + 1) n_k); it stays in the
+    sector, so its position there is found by search in the sorted idx.
+    """
+    base = space.per_mode_cutoff + 1
+    occ = idx // base ** np.arange(space.mode_count)[:, None] % base
+    block = np.zeros((idx.size, idx.size))
+    for j, k in zip(*np.nonzero(kappa)):
+        src = np.flatnonzero((occ[k] > 0) & (occ[j] < space.per_mode_cutoff))
+        dst = np.searchsorted(idx, idx[src] + base ** j - base ** k)
+        block[dst, src] = 0.5 * kappa[j, k] * np.sqrt((occ[j, src] + 1) * occ[k, src])
+    return block
 
 
 @dataclass(frozen=True)
@@ -274,9 +282,11 @@ class SchedulePropagator:
     Splits the basis into sectors of fixed total phonon number and caches,
     for each sector a state reaches, the eigensystem of its hopping block,
     and for each pulsed-mode set and pulse, the Heisenberg map of its
-    window; then replays any schedule on that chain.  The pair lowering
-    and raising patterns of the window kernel are built once; each window
-    application only rescales their stored values.  Eigensystems come from
+    window; then replays any schedule on that chain.  Every operator it
+    applies comes from the base-(n_max + 1) occupation digits of the basis
+    index: the hopping block of each sector, the gather tables of the pair
+    lowering and raising, built once, and the raising levels of Gamma(Y).
+    No call writes to a stored table.  Eigensystems come from
     ``numpy.linalg.eigh``, so every dense call runs on numpy's OpenBLAS and
     LAPACK: SciPy's second OpenBLAS pool slowed the numpy calls after it.
     """
@@ -290,32 +300,35 @@ class SchedulePropagator:
         self.couplings = couplings
         self.config = config or PropagatorConfig()
         self.secular_frequency = secular_frequency
-        self._hop = hopping_hamiltonian(space, couplings) / HBAR
         self._numbers = [space.mode_occupations(q).astype(float)
                          for q in range(space.mode_count)]
         self._sectors = _number_sectors(space)
         self._boundary = space.boundary_mask()
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._maps: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = {}
-        self._pair_ops: tuple | None = None
+        self._pair_tables: tuple | None = None
         self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
 
     def _occupied(self, amps: np.ndarray):
-        """(indices, amplitudes, eigenvalues, eigenvectors) of each nonzero sector."""
+        """(indices, amplitudes, eigenvalues, eigenvectors) of each nonzero sector.
+
+        The hopping block of a sector is real symmetric, so its
+        eigenvectors are real.
+        """
         for n, idx in enumerate(self._sectors):
             block = amps[idx]
             if not block.any():
                 continue
             if n not in self._eigensystems:
                 self._eigensystems[n] = np.linalg.eigh(
-                    self._hop[idx][:, idx].toarray())
+                    _hopping_block(self.space, idx, self.couplings.kappa))
             yield idx, block, *self._eigensystems[n]
 
     # free evolution through the sector eigensystems, sampled at offsets dts
     def _free_states(self, amps: np.ndarray, dts: np.ndarray) -> np.ndarray:
         out = np.zeros((amps.size, dts.size), dtype=complex)
         for idx, block, vals, vecs in self._occupied(amps):
-            coeff = vecs.conj().T @ block
+            coeff = vecs.T @ block
             out[idx] = vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
         return out
 
@@ -361,59 +374,64 @@ class SchedulePropagator:
                   sorted(modes), steps, delta, time.perf_counter() - started)
         return self._maps[key]
 
-    def _pairs(self) -> tuple[tuple[sp.csr_matrix, np.ndarray], ...]:
-        """The pair lowerings a_i a_j (i <= j) stacked into one CSR matrix.
+    def _pairs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Gather tables of the pair lowerings a_i a_j and raisings (i <= j).
 
-        Their patterns are disjoint, so 1/2 sum_ij Z_ij a_i a_j has the
-        stacked pattern with each stored entry scaled by sym(Z)[i, j]; the
-        stacked data carries the 1/2 of i = j.  Entry 0 is the lowering
-        pattern and entry 1 the raising one, its CSR transpose, whose
-        stored entries are those of the lowering pattern permuted.  Each is
-        (matrix holding the real unscaled values, flat index of (i, j) in
-        an M x M matrix per stored entry, in the smallest integer type).
+        Entry 0 is lowering and entry 1 raising, each (flat index of (i, j)
+        in an M x M matrix per pair, source index and weight per pair and
+        basis index n).  Lowering feeds n from n + e_i + e_j with weight
+        sqrt((n_i + 1)(n_j + 1 + d_ij)), raising from n - e_i - e_j with
+        weight sqrt(n_i (n_j - d_ij)); the weights carry the 1/2 of i = j,
+        and where the source leaves the cube the index is 0 and the weight
+        0 removes the term.
         """
-        if self._pair_ops is None:
-            m = self.space.mode_count
-            lower = [ladder_operator(self.space, q) for q in range(m)]
+        if self._pair_tables is None:
+            space = self.space
+            m, cutoff = space.mode_count, space.per_mode_cutoff
+            occ = np.array(self._numbers)
+            index = np.arange(space.dimension)
             pairs = list(itertools.combinations_with_replacement(range(m), 2))
-            ops = [(0.5 if i == j else 1.0) * (lower[i] @ lower[j]) for i, j in pairs]
-            stacked = sum(ops).tocsr()
-            label = sum((k + 1) * (op != 0) for k, op in enumerate(ops)).tocsr()
-            stacked.sort_indices()
-            label.sort_indices()
-            mi, mj = np.array(pairs).T[:, label.data.astype(int) - 1]
-            flat = (mi * m + mj).astype(np.min_scalar_type(m * m - 1))
-            stacked.data = stacked.data.real.copy()
-            # transposing the positions of the stored entries gives the permutation
-            order = sp.csr_matrix((np.arange(stacked.nnz), stacked.indices,
-                                   stacked.indptr), shape=stacked.shape).T.tocsr()
-            order.sort_indices()
-            raising = sp.csr_matrix((stacked.data[order.data], order.indices,
-                                     order.indptr), shape=order.shape)
-            self._pair_ops = ((stacked, flat), (raising, flat[order.data]))
-        return self._pair_ops
+            flat = np.array([i * m + j for i, j in pairs])
+            tables = []
+            for raising in (False, True):
+                sources, weights = [], []
+                for i, j in pairs:
+                    same = float(i == j)
+                    shift = (cutoff + 1) ** i + (cutoff + 1) ** j
+                    if raising:
+                        weight = occ[i] * (occ[j] - same)
+                        inside, source = weight > 0, index - shift
+                    else:
+                        weight = (occ[i] + 1) * (occ[j] + 1 + same)
+                        inside = (occ[i] + 1 + same <= cutoff) & (occ[j] < cutoff)
+                        source = index + shift
+                    sources.append(np.where(inside, source, 0))
+                    weights.append(np.where(inside, (1.0 - 0.5 * same)
+                                            * np.sqrt(weight), 0.0))
+                tables.append((flat, np.array(sources), np.array(weights)))
+            self._pair_tables = tuple(tables)
+        return self._pair_tables
 
     def _pair_series(self, amps: np.ndarray, coeffs: np.ndarray,
                      raising: bool) -> np.ndarray:
         """exp(1/2 a^dag C a^dag) or exp(1/2 a C a) applied to ``amps``.
 
-        The kept pattern gets a new array of scaled values for the call
-        and its unscaled values back after it; they are never written.
+        Each term is one gather of the previous term through the pair
+        tables, scaled by sym(C)[i, j] per pair and summed over the pairs.
         Both generators are nilpotent on the cube, so the series ends
         exactly once a term vanishes.
         """
-        op, flat = self._pairs()[int(raising)]
-        unscaled = op.data
-        op.data = unscaled * np.take(0.5 * (coeffs + coeffs.T), flat)
-        try:
-            out, term = amps.copy(), amps
-            for k in itertools.count(1):
-                term = op @ term / k
-                if not term.any():
-                    return out
-                out += term
-        finally:
-            op.data = unscaled
+        flat, sources, weights = self._pairs()[int(raising)]
+        scaled = weights * np.take(0.5 * (coeffs + coeffs.T), flat)[:, None]
+        out, term = amps.copy(), amps
+        for k in itertools.count(1):
+            gathered = term[sources]
+            gathered *= scaled
+            term = gathered.sum(axis=0)
+            term /= k
+            if not term.any():
+                return out
+            out += term
 
     def _levels(self) -> list[tuple[np.ndarray, ...]]:
         """Per sector N >= 1: how each of its states is raised from sector N-1.
@@ -603,19 +621,20 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
                             angle: float = math.pi / 4.0) -> PhononState:
     """Exact 50:50 target: exp(-i angle (a_j^dag a_k + a_k^dag a_j)) |state>.
 
-    The mixer conserves the total phonon number, so it is diagonalized one
-    sector at a time, over the sectors the state occupies.
+    The mixer is the hopping operator with kappa = 2 on the pair alone.  It
+    conserves the total phonon number, so it is diagonalized one sector at
+    a time, over the sectors the state occupies.
     """
     j, k = pair
-    if j == k:
+    m = state.space.mode_count
+    if j == k or not (0 <= j < m and 0 <= k < m):
         raise ValueError("pair must name two distinct modes")
-    aj = ladder_operator(state.space, j)
-    ak = ladder_operator(state.space, k)
-    mixer = (aj.conj().T @ ak + ak.conj().T @ aj).tocsr()
+    mixer = np.zeros((m, m))
+    mixer[j, k] = mixer[k, j] = 2.0
     amps = np.zeros_like(state.amplitudes)
     for idx in _number_sectors(state.space):
         block = state.amplitudes[idx]
         if block.any():
-            vals, vecs = np.linalg.eigh(mixer[idx][:, idx].toarray())
-            amps[idx] = vecs @ (np.exp(-1j * angle * vals) * (vecs.conj().T @ block))
+            vals, vecs = np.linalg.eigh(_hopping_block(state.space, idx, mixer))
+            amps[idx] = vecs @ (np.exp(-1j * angle * vals) * (vecs.T @ block))
     return PhononState(state.space, amps)

@@ -201,18 +201,6 @@ class ShapedPulse:
         w = np.sqrt(omega_squared(t, self.params, self.secular_frequency))
         return float(np.max(np.abs(w - self.secular_frequency)))
 
-    def plateau_excursion(self, samples: int = 2001) -> float:
-        """Frequency shift at the bottom of the dip (rad/s).
-
-        Slightly below the sampled peak, which overshoots during the ramps.
-        """
-        t = np.linspace(0.0, self.duration, samples)
-        b = scale_factor(t, self.params)
-        bottom = t[int(np.argmin(b))]
-        w = math.sqrt(float(omega_squared(bottom, self.params,
-                                          self.secular_frequency)))
-        return w - self.secular_frequency
-
 
 def design_pulse(total_duration: float,
                  ramp_up: float | None = None,
@@ -273,27 +261,6 @@ def sample_pulse(pulse: ShapedPulse, sample_interval: float = 1e-9) -> PulseWave
         raise PulseInvalidError("squared trap frequency goes negative")
     return PulseWaveform(times=t, scale=b, omega=np.sqrt(wsq),
                          omega_sq_excess=wsq - pulse.secular_frequency ** 2)
-
-
-def ermakov_residual(pulse: ShapedPulse, samples: int = 2001) -> float:
-    """Worst relative violation of b'' + w^2 b = w0^2 / b^3 on a grid.
-
-    The second derivative is recomputed numerically from the sampled scale
-    factor (fourth order five point stencil, accurate enough in double
-    precision even for the sharp short pulse), so this checks the drive
-    against the shape it is supposed to realize rather than restating the
-    construction.
-    """
-    t = np.linspace(0.0, pulse.duration, samples)
-    h = t[1] - t[0]
-    b = np.asarray(scale_factor(t, pulse.params))
-    wsq = omega_squared(t, pulse.params, pulse.secular_frequency)
-    w0sq = pulse.secular_frequency ** 2
-    bdd = (-b[:-4] + 16.0 * b[1:-3] - 30.0 * b[2:-2] + 16.0 * b[3:-1]
-           - b[4:]) / (12.0 * h * h)
-    mid = slice(2, -2)
-    resid = bdd + wsq[mid] * b[mid] - w0sq / b[mid] ** 3
-    return float(np.max(np.abs(resid)) / w0sq)
 
 
 # trap electrode model: radial confinement from an rf quadrupole with a dc

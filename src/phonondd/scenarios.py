@@ -328,25 +328,6 @@ def get_scenario(name: str) -> ScenarioConfig:
     raise ScenarioError(f"unknown scenario {name!r}")
 
 
-def convergence_check(cfg: ScenarioConfig, step: int = 2,
-                      limit: float = 0.05) -> dict:
-    """Accept a cutoff only if raising it barely moves the reported error.
-
-    Runs the scenario at its cutoff and again ``step`` higher; the result
-    is converged when the tracked error metric changes by less than
-    ``limit`` relative.
-    """
-    rec_lo, _ = execute_scenario(cfg)
-    rec_hi, _ = execute_scenario(replace(
-        cfg, per_mode_cutoff=cfg.per_mode_cutoff + step,
-        initial_occupations=cfg.initial_occupations))
-    lo = rec_lo.error_EB if rec_lo.error_EB is not None else rec_lo.error_E
-    hi = rec_hi.error_EB if rec_hi.error_EB is not None else rec_hi.error_E
-    change = abs(hi - lo) / abs(hi) if hi else 0.0
-    return {"error": lo, "error_raised_cutoff": hi, "relative_change": change,
-            "converged": change < limit}
-
-
 SWEEP_AXES = ("n_r", "d", "T_P", "n_max")
 
 
@@ -356,31 +337,35 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if axis == "d":
         return replace(cfg, spacing=float(value))
     if axis == "T_P":
-        if cfg.pulse_duration is None:
-            raise ScenarioError("T_P sweep needs a shaped scenario")
         factor = float(value) / cfg.pulse_duration
         return replace(cfg, pulse_duration=float(value),
                        pulse_ramp_up=None if cfg.pulse_ramp_up is None
                        else cfg.pulse_ramp_up * factor,
                        pulse_ramp_down=None if cfg.pulse_ramp_down is None
                        else cfg.pulse_ramp_down * factor)
-    if axis == "n_max":
-        return replace(cfg, per_mode_cutoff=int(value))
-    raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    return replace(cfg, per_mode_cutoff=int(value))  # n_max
 
 
 def sweep(base: ScenarioConfig, axis: str, values) -> list[ResultRecord]:
-    """Run the base scenario once per axis value, collecting failures."""
+    """Run the base scenario once per axis value, collecting failures.
+
+    A value the scenario rejects, when its variant is built or run, gives
+    a failed record next to the others.
+    """
     if not values:
         raise ScenarioError("sweep needs at least one value")
+    if axis not in SWEEP_AXES:
+        raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if axis == "T_P" and base.pulse_duration is None:
+        raise ScenarioError("T_P sweep needs a shaped scenario")
     records = []
     for value in sorted(values):
-        variant = _apply_axis(base, axis, value)
-        variant = replace(variant, name=f"{base.name}_{axis}={value}")
+        name = f"{base.name}_{axis}={value}"
         try:
-            record, _ = execute_scenario(variant)
+            record, _ = execute_scenario(_apply_axis(replace(base, name=name),
+                                                     axis, value))
         except ScenarioError as exc:
-            record = ResultRecord(scenario=variant.name,
+            record = ResultRecord(scenario=name,
                                   parameters=((axis, str(value)),),
                                   error_E=None, error_EB=None, norm_drift=None,
                                   boundary_leakage=None, wall_time=None,

@@ -1,12 +1,14 @@
 """Full-dimension reference propagation for the tests.
 
-Dense eigendecompositions over the whole Fock space, the ideal pulse as
-its own parity phase, and the Fock space window ODE: the shaped window
-right hand side applied to every basis state at once.  The engine of
-``phonondd.propagation``, which applies windows as Gaussian maps, is
-checked against these; windows can run at a raised cutoff and be
-projected back.  The lab frame helpers and the quadratic drive operator
-cross check the interaction picture window itself.
+Ladder operators and the hopping Hamiltonian as Kronecker products of
+single-mode matrices, independent of the engine's digit arithmetic on
+number sectors; dense eigendecompositions over the whole Fock space, the
+ideal pulse as its own parity phase, and the Fock space window ODE: the
+shaped window right hand side applied to every basis state at once.  The
+engine of ``phonondd.propagation``, which applies windows as Gaussian
+maps, is checked against these; windows can run at a raised cutoff and
+be projected back.  The lab frame helpers and the quadratic drive
+operator cross check the interaction picture window itself.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from phonondd.model import (
     CouplingMatrix,
     FockSpace,
     PhononState,
-    hopping_hamiltonian,
-    ladder_operator,
 )
 from phonondd.propagation import PropagationError, PropagatorConfig
 from phonondd.sequences import Evolve, PhaseShift, PulseSchedule
@@ -40,6 +40,43 @@ OperatorMatrix = Union[np.ndarray, sp.spmatrix]
 # period of the secular rotation, the fastest scale of the window dynamics
 ATOL = 1e-14
 STEP_CAP_FRACTION = 1.0 / 20.0
+
+
+def ladder_operator(space: FockSpace, mode: int) -> sp.csr_matrix:
+    """Annihilation operator on one mode, identity elsewhere."""
+    if not 0 <= mode < space.mode_count:
+        raise ValueError("mode out of range")
+    n = space.per_mode_cutoff
+    single = sp.diags(np.sqrt(np.arange(1.0, n + 1)), 1, format="csr")
+    eye = sp.identity(n + 1, format="csr")
+    # mode 0 is the least significant kron factor
+    op = single if mode == space.mode_count - 1 else eye
+    for j in range(space.mode_count - 2, -1, -1):
+        op = sp.kron(op, single if j == mode else eye, format="csr")
+    return op.astype(complex)
+
+
+def hopping_hamiltonian(space: FockSpace,
+                        couplings: CouplingMatrix) -> sp.csr_matrix:
+    """Coulomb-mediated hopping between modes, in energy units (J).
+
+    Keeps the number-conserving exchange terms
+    (hbar kappa_jk / 2)(a_j^dag a_k + a_j a_k^dag); Hermitian exactly, not
+    up to roundoff.
+    """
+    if couplings.mode_count != space.mode_count:
+        raise ValueError("couplings and space disagree on mode count")
+    dim = space.dimension
+    h = sp.csr_matrix((dim, dim), dtype=complex)
+    lowering = [ladder_operator(space, j) for j in range(space.mode_count)]
+    for j in range(space.mode_count):
+        for k in range(j):
+            rate = couplings.rate(j, k)
+            if rate == 0.0:
+                continue
+            cross = lowering[j].conj().T @ lowering[k]
+            h = h + (0.5 * HBAR * rate) * (cross + cross.conj().T)
+    return h.tocsr()
 
 
 def evolve_constant(state: PhononState, hamiltonian: OperatorMatrix,

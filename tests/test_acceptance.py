@@ -22,34 +22,28 @@ from phonondd.model import (
     basis_state,
     build_coupling_matrix,
     coupling_rate,
-    hopping_hamiltonian,
 )
 from phonondd.propagation import SchedulePropagator
 from phonondd.pulses import (
     TrapParams,
     dc_waveform,
     design_pulse,
-    ermakov_residual,
     rf_waveform,
     sample_pulse,
     solve_strength,
 )
-from phonondd.scenarios import (
-    convergence_check,
-    get_scenario,
-    scenario_catalog,
-    sweep,
-)
+from phonondd.scenarios import get_scenario, scenario_catalog, sweep
 from phonondd.sequences import (
     DDSpec,
     feasibility_bounds,
-    schedule_from_text,
-    schedule_to_text,
     signed_dwell_check,
     synthesize,
 )
 
-from dense_oracle import evolve_shaped, modulation_hamiltonian
+from dense_oracle import evolve_shaped, hopping_hamiltonian, modulation_hamiltonian
+from convergence import convergence_check
+from pulse_checks import ermakov_residual, plateau_excursion
+from schedule_text import schedule_from_text, schedule_to_text
 from trap_inverse import dc_to_omega_sq, rf_to_omega_sq
 
 W0 = DEFAULT_SECULAR_FREQUENCY
@@ -119,7 +113,7 @@ def test_pulse_strength_short_window():
 
 def test_pulse_plateau_excursion():
     pulse = design_pulse(8.8 * T0, ramp_up=4.4 * T0, ramp_down=4.4 * T0)
-    excursion = pulse.plateau_excursion() / (2 * math.pi * 1e3)
+    excursion = plateau_excursion(pulse) / (2 * math.pi * 1e3)
     assert 245.0 <= excursion <= 255.0, f"{excursion:.3f} kHz"
 
 

@@ -100,6 +100,16 @@ class TestSweep:
                                    "--values", "3", "--out", str(tmp_path)])
         assert res.exit_code == 2
 
+    def test_rejected_value_keeps_the_other_rows(self, runner, tmp_path):
+        res = runner.invoke(main, ["sweep", "fig3", "--axis", "n_max",
+                                   "--values", "1,8", "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        rows = (tmp_path / "fig3_sweep_n_max.csv").read_text().splitlines()[1:]
+        cells = [row.split(",") for row in rows]
+        assert [c[0] for c in cells] == ["fig3_n_max=1", "fig3_n_max=8"]
+        assert "the cutoff" in cells[0][5] and cells[0][1] == ""
+        assert cells[1][5] == "" and float(cells[1][1]) > 0.0
+
 
 class TestReport:
     def test_subset_passes(self, runner, tmp_path):

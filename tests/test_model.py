@@ -1,4 +1,5 @@
-"""Chain geometry, hopping rates, Fock space indexing, Hamiltonians."""
+"""Chain geometry, hopping rates, Fock space indexing, and the oracle's
+Kronecker-product ladder operators and Hamiltonians."""
 
 import math
 
@@ -16,11 +17,9 @@ from phonondd.model import (
     basis_state,
     build_coupling_matrix,
     coupling_rate,
-    hopping_hamiltonian,
-    ladder_operator,
 )
 
-from dense_oracle import modulation_hamiltonian
+from dense_oracle import hopping_hamiltonian, ladder_operator, modulation_hamiltonian
 
 HBAR = 1.054571817e-34
 

@@ -18,7 +18,6 @@ from phonondd.model import (
     basis_state,
     build_coupling_matrix,
     coupling_rate,
-    hopping_hamiltonian,
 )
 from phonondd.propagation import (
     PropagationError,
@@ -35,6 +34,7 @@ from dense_oracle import (
     evolve_constant,
     evolve_shaped,
     frame_rotation,
+    hopping_hamiltonian,
     lab_frame_oscillator,
 )
 
@@ -315,8 +315,12 @@ def test_package_never_imports_scipy_linalg():
     threads slowed the numpy BLAS calls after them on a 2-core box: free
     evolution took 0.28-1.12 s per pass of the single-cycle shaped catalog
     scenarios, against 0.07-0.08 s with ``numpy.linalg.eigh`` and
-    0.08-0.09 s with one OpenBLAS thread.  The tests' own oracles may still
-    use SciPy.
+    0.08-0.09 s with one OpenBLAS thread.
+
+    Nor does it import ``scipy.sparse``: every operator the engine applies
+    is built by digit arithmetic on the occupation numbers of a number
+    sector, so the package keeps one layout of the Fock basis.  The tests'
+    own oracles may still use SciPy.
     """
     package = Path(__file__).resolve().parents[1] / "src" / "phonondd"
     modules = sorted(package.rglob("*.py"))
@@ -331,6 +335,7 @@ def test_package_never_imports_scipy_linalg():
                                          for alias in node.names]
             else:
                 continue
-            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            if any(n == banned or n.startswith(banned + ".") for n in names
+                   for banned in ("scipy.linalg", "scipy.sparse")):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders

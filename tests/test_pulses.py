@@ -16,7 +16,6 @@ from phonondd.pulses import (
     check_stability,
     dc_waveform,
     design_pulse,
-    ermakov_residual,
     omega_squared,
     phase_excess,
     rf_waveform,
@@ -28,6 +27,7 @@ from phonondd.pulses import (
     waveform_table,
 )
 
+from pulse_checks import ermakov_residual, plateau_excursion
 from trap_inverse import dc_to_omega_sq, rf_to_omega_sq, static_voltages
 
 T0 = 1.0 / 2.2e6  # one secular period
@@ -125,7 +125,7 @@ class TestDesignedPulse:
         assert pulse.params.ramp_down == pytest.approx(4.4 * T0)
 
     def test_plateau_excursion_long(self, long_pulse):
-        excursion = long_pulse.plateau_excursion()
+        excursion = plateau_excursion(long_pulse)
         assert excursion == pytest.approx(1587967.1566977762, rel=1e-6)
         assert 2 * math.pi * 245e3 < excursion < 2 * math.pi * 255e3
 

@@ -16,7 +16,6 @@ from phonondd.scenarios import (
     ScenarioError,
     _hom_labels,
     build_scenario,
-    convergence_check,
     emit_report,
     execute_scenario,
     get_scenario,
@@ -28,6 +27,8 @@ from phonondd.scenarios import (
     scenario_catalog,
     sweep,
 )
+
+from convergence import convergence_check
 
 CHEAP = """
 chain.modes = 2
@@ -277,9 +278,19 @@ class TestSweep:
         assert records[0].failure is not None
         assert "per_mode_cutoff" in records[0].failure
 
+    def test_rejected_value_fails_alone(self):
+        # fig3 starts in |2,1,0>, which n_max = 1 cannot hold
+        records = sweep(get_scenario("fig3"), "n_max", [8, 1])
+        assert [r.scenario for r in records] == ["fig3_n_max=1", "fig3_n_max=8"]
+        low, high = records
+        assert "0..1 (the cutoff)" in low.failure and low.error_E is None
+        assert high.failure is None and high.error_E is not None
+
     def test_unknown_axis(self):
         with pytest.raises(ScenarioError):
             sweep(cheap_config(), "voltage", [1.0])
+        with pytest.raises(ScenarioError, match="needs a shaped scenario"):
+            sweep(cheap_config(), "T_P", [1e-6])
 
     def test_records_csv_covers_failures(self):
         records = sweep(replace(get_scenario("fig3"), record_samples=16),

@@ -19,21 +19,23 @@ import scipy.linalg
 from hypothesis import Phase, given, settings, strategies as st
 
 from phonondd.model import (
+    HBAR,
     FockSpace,
     IonChainConfig,
     PhononState,
     build_coupling_matrix,
-    ladder_operator,
 )
 from phonondd.propagation import (
     PropagatorConfig,
     SchedulePropagator,
+    _hopping_block,
+    _number_sectors,
     beam_splitter_reference,
 )
 from phonondd.pulses import design_pulse
 from phonondd.sequences import DDSpec, Evolve, PhaseShift, synthesize
 
-from dense_oracle import dense_run, phase_distance
+from dense_oracle import dense_run, hopping_hamiltonian, ladder_operator, phase_distance
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
@@ -158,3 +160,17 @@ def test_beam_splitter_reference_matches_dense_expm(chain, data, angle):
     expected = scipy.linalg.expm(-1j * angle * mixer) @ state.amplitudes
     got = beam_splitter_reference(state, (j, k), angle).amplitudes
     assert np.linalg.norm(got - expected) <= AGREEMENT
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, 3), (2, 5), (3, 4)])
+def test_sector_hopping_blocks_match_the_kron_build(modes, cutoff):
+    space = FockSpace(modes, cutoff)
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 43.8e-6))
+    full = hopping_hamiltonian(space, couplings).toarray() / HBAR
+    stored = 0
+    for idx in _number_sectors(space):
+        block = _hopping_block(space, idx, couplings.kappa)
+        np.testing.assert_allclose(block, full[np.ix_(idx, idx)], rtol=1e-14, atol=0)
+        stored += np.count_nonzero(block)
+    # the sector blocks hold every hopping element of the full space
+    assert stored == np.count_nonzero(full)

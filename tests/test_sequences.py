@@ -15,11 +15,11 @@ from phonondd.sequences import (
     default_role_swap,
     feasibility_bounds,
     repeat_schedule,
-    schedule_from_text,
-    schedule_to_text,
     signed_dwell_check,
     synthesize,
 )
+
+from schedule_text import schedule_from_text, schedule_to_text
 
 T = 1.0
 

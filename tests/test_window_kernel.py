@@ -32,7 +32,6 @@ from phonondd.model import (
     PhononState,
     basis_state,
     build_coupling_matrix,
-    ladder_operator,
 )
 from phonondd.propagation import (
     FIRST_STEPS,
@@ -50,7 +49,7 @@ from phonondd.pulses import (
 )
 from phonondd.sequences import DDSpec, synthesize
 
-from dense_oracle import embed, phase_distance, project
+from dense_oracle import embed, ladder_operator, phase_distance, project
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
@@ -284,12 +283,11 @@ def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
 
 
 def test_reused_pair_operators_match_a_fresh_engine():
-    """One engine keeps its pair lowering and raising patterns and rescales
-    their stored values on every call.  Window applications with different
-    maps and gauges, interleaved with lone lowering and raising series in
-    both orders, must each give bit for bit what the same call gives on a
-    fresh engine: no call may see values an earlier call scaled into either
-    pattern."""
+    """One engine keeps its pair gather tables and raising levels across
+    calls.  Window applications with different maps and gauges, interleaved
+    with lone lowering and raising series in both orders, must each give bit
+    for bit what the same call gives on a fresh engine: no call may see any
+    state an earlier call left behind."""
     rng = np.random.default_rng(20)
     modes = 3
     space = FockSpace(modes, 3)
