@@ -149,26 +149,25 @@ def pulse() -> None:
 
 
 @pulse.command("design")
-@click.option("--tp-us", required=True, type=float, help="Pulse duration in us.")
-@click.option("--tud-us", default=None, type=float,
+@click.option("--tp-us", required=True, help="Pulse duration in us.")
+@click.option("--tud-us", default=None,
               help="Ramp duration in us (both ramps); default half the pulse.")
 @click.option("--sigma", default=6.0, type=float, help="Ramp sharpness.")
-@click.option("--omega0-mhz", default=2.2, type=float,
+@click.option("--omega0-mhz", default="2.2",
               help="Secular frequency over 2 pi, in MHz.")
 @click.option("--target-phase", default=math.pi, type=float,
               help="Phase excess to imprint, radians.")
 @click.option("--export", default=None, type=click.Path(),
               help="Write the sampled waveform (with voltages) to this CSV.")
-def pulse_design(tp_us: float, tud_us: float | None, sigma: float,
-                 omega0_mhz: float, target_phase: float,
+def pulse_design(tp_us: str, tud_us: str | None, sigma: float,
+                 omega0_mhz: str, target_phase: float,
                  export: str | None) -> None:
     """Solve the modulation depth for a pi phase shift pulse."""
-    w0 = 2.0 * math.pi * omega0_mhz * 1e6
-    tp = tp_us * 1e-6
-    ramp = tud_us * 1e-6 if tud_us is not None else 0.5 * tp
     try:
-        shaped = design_pulse(tp, ramp, ramp, sigma, w0, target_phase)
-    except PulseDesignError as exc:
+        w0 = 2.0 * math.pi * from_micro(omega0_mhz, exponent=6)
+        ramp = from_micro(tud_us) if tud_us is not None else None
+        shaped = design_pulse(from_micro(tp_us), ramp, ramp, sigma, w0, target_phase)
+    except (PulseDesignError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     click.echo(f"depth k = {shaped.params.depth:.6f}")

@@ -30,11 +30,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import erf
 
 from .model import DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE
+
+erf = np.vectorize(math.erf, otypes=[float])
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
+PANELS = 16
+NEWTON_STEPS = 100  # the catalog pulses take 30-36 from the deep end
 
 
 class PulseDesignError(Exception):
@@ -125,28 +127,27 @@ def omega_squared(t, params: BFunctionParams,
     return (w0sq / b ** 3 - bdd) / b
 
 
-def omega_sq_excess(t, params: BFunctionParams,
-                    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
-    """w(t)^2 - w0^2, the drive strength seen by the mode."""
-    return omega_squared(t, params, secular_frequency) - secular_frequency ** 2
+def _dip_on_nodes(params: BFunctionParams):
+    """The unit-depth dip g (b = 1 - k g) and the weights on the phase nodes.
+
+    The rule is composite Gauss-Legendre: PANELS panels of 48 nodes on each
+    smooth piece between the ramp break points, which sums the phase
+    integrand to roundoff.
+    """
+    tp = params.total_duration
+    cuts = np.unique(np.clip([0.0, params.ramp_up, tp - params.ramp_down, 0.5 * tp, tp],
+                             0.0, tp))
+    edges = np.unique([np.linspace(a, b, PANELS + 1) for a, b in zip(cuts, cuts[1:])])
+    half = 0.5 * np.diff(edges)[:, None]
+    u1, u2 = _ramp_coords((edges[:-1, None] + half * (1.0 + GAUSS_NODES)).ravel(), params)
+    return 0.5 * (erf(u1) - erf(u2)), (half * GAUSS_WEIGHTS).ravel()
 
 
 def phase_excess(params: BFunctionParams,
                  secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> float:
     """Accumulated phase beyond free evolution, w0 * int (1/b^2 - 1) dt."""
-    tp = params.total_duration
-
-    def integrand(t: float) -> float:
-        b = float(scale_factor(t, params))
-        return 1.0 / (b * b) - 1.0
-
-    pts = sorted({p for p in (params.ramp_up, tp - params.ramp_down, 0.5 * tp)
-                  if 0.0 < p < tp})
-    # epsabs keeps the returned phase accurate to ~1e-11 rad without
-    # pushing the quadrature into roundoff territory
-    val, _ = quad(integrand, 0.0, tp, points=pts, limit=300,
-                  epsabs=1e-18, epsrel=1e-12)
-    return secular_frequency * val
+    g, w = _dip_on_nodes(params)
+    return secular_frequency * float(w @ (1.0 / (1.0 - params.depth * g) ** 2 - 1.0))
 
 
 def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
@@ -155,17 +156,18 @@ def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
                 target_phase: float = math.pi) -> float:
     """Find the dip depth whose phase excess equals ``target_phase``.
 
-    The phase excess grows monotonically with depth (a deeper dip means a
-    smaller scale factor, hence a faster rotating mode), so the root is
-    unique when it exists.  Raises :class:`PulseInfeasibleError` when even
-    a depth of one is not enough.
+    On the phase nodes the excess is w0 sum w (1/(1 - k g)^2 - 1), convex
+    and growing in k (a deeper dip means a faster rotating mode), so Newton
+    from the deep end of the bracket falls onto the unique root.  Raises
+    :class:`PulseInfeasibleError` when even a depth of one is not enough.
     """
     if target_phase <= 0:
         raise ValueError("target_phase must be positive")
+    g, w = _dip_on_nodes(BFunctionParams(total_duration, ramp_up, ramp_down, sharpness))
+    w = secular_frequency * w
 
     def f(k: float) -> float:
-        p = BFunctionParams(total_duration, ramp_up, ramp_down, sharpness, k)
-        return phase_excess(p, secular_frequency) - target_phase
+        return float(w @ (1.0 / (1.0 - k * g) ** 2 - 1.0)) - target_phase
 
     lo, hi = 1e-6, 0.999999
     if f(hi) < 0:
@@ -173,7 +175,13 @@ def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
             "requested phase unreachable with scale factor dip below one")
     if f(lo) > 0:
         raise PulseInvalidError("phase excess already above target at zero depth")
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    k = hi
+    for _ in range(NEWTON_STEPS):
+        new = k - f(k) / float(w @ (2.0 * g / (1.0 - k * g) ** 3))
+        if new >= k:  # roundoff stops the descent: k is the root
+            return k
+        k = new
+    raise PulseDesignError(f"dip depth not converged in {NEWTON_STEPS} Newton steps")
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,8 @@ class ShapedPulse:
 
     def drive(self, t):
         """Squared frequency excess at time ``t`` from the pulse start."""
-        return omega_sq_excess(t, self.params, self.secular_frequency)
+        return (omega_squared(t, self.params, self.secular_frequency)
+                - self.secular_frequency ** 2)
 
     def achieved_phase(self) -> float:
         return phase_excess(self.params, self.secular_frequency)

@@ -39,7 +39,7 @@ from .propagation import (
     SimulationResult,
     beam_splitter_reference,
 )
-from .pulses import ShapedPulse, design_pulse
+from .pulses import design_pulse
 from .sequences import PULSE_MODELS, DDSpec, synthesize
 
 POPULATION_COLUMN_THRESHOLD = 1e-4
@@ -148,16 +148,6 @@ class ResultRecord:
     failure: str | None = None
 
 
-def _long_pulse(cfg: ScenarioConfig) -> ShapedPulse:
-    ramp_up = cfg.pulse_ramp_up if cfg.pulse_ramp_up is not None \
-        else 0.5 * cfg.pulse_duration
-    ramp_down = cfg.pulse_ramp_down if cfg.pulse_ramp_down is not None \
-        else 0.5 * cfg.pulse_duration
-    return design_pulse(cfg.pulse_duration, ramp_up, ramp_down,
-                        cfg.pulse_sharpness, cfg.secular_frequency,
-                        cfg.target_phase)
-
-
 def build_scenario(cfg: ScenarioConfig):
     """Materialize (space, couplings, schedule, initial state, engine)."""
     chain = IonChainConfig.equidistant(cfg.mode_count, cfg.spacing,
@@ -168,7 +158,9 @@ def build_scenario(cfg: ScenarioConfig):
     space = FockSpace(cfg.mode_count, cfg.per_mode_cutoff)
     initial = basis_state(space, cfg.initial_occupations)
     total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
-    pulse = _long_pulse(cfg) if cfg.pulse_model == "shaped" else None
+    pulse = (design_pulse(cfg.pulse_duration, cfg.pulse_ramp_up, cfg.pulse_ramp_down,
+                          cfg.pulse_sharpness, cfg.secular_frequency, cfg.target_phase)
+             if cfg.pulse_model == "shaped" else None)
     spec = DDSpec(mode_count=cfg.mode_count, total_time=total,
                   repetitions=cfg.repetitions, protected_set=cfg.protected_set,
                   truncation_distance=cfg.truncation_distance,
@@ -274,9 +266,9 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     if not full:
         header.append("residual")
         cells.append("%r")
-        drop = sorted(set(range(space.dimension)).difference(keep))
+        drop = np.setdiff1d(np.arange(space.dimension), keep)
         # row by row: a sum over axis 1 may add in another order
-        live.append([row.sum() for row in result.populations[:, drop]])
+        live.append([row[drop].sum() for row in result.populations])
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     template = ",".join(cells) + "\n"
@@ -511,15 +503,15 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def from_micro(text: str) -> float:
+def from_micro(text: str, exponent: int = -6) -> float:
     """A value written in micrometres or microseconds, in metres or seconds.
 
-    The decimal text is scaled by 10^-6 exactly and rounded once, so
-    ``43.8`` gives the float of ``43.8e-6``; ``float(text) * 1e-6`` rounds
-    twice and gives 4.3799999999999994e-05.
+    The decimal text is scaled by 10^exponent (6 for MHz) exactly and rounded
+    once, so ``43.8`` gives the float of ``43.8e-6``; ``float(text) * 1e-6``
+    rounds twice and gives 4.3799999999999994e-05.
     """
     try:
-        return float(Decimal(text).scaleb(-6))
+        return float(Decimal(text).scaleb(exponent))
     except InvalidOperation as exc:
         raise ValueError(f"not a number: {text!r}") from exc
 

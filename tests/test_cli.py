@@ -1,9 +1,13 @@
 """Command line surface, exercised through the click test runner."""
 
+import math
+
 import pytest
 from click.testing import CliRunner
 
+from phonondd import cli
 from phonondd.cli import main
+from phonondd.model import DEFAULT_SECULAR_FREQUENCY
 
 CHEAP_CFG = """
 scenario.name = demo
@@ -141,3 +145,31 @@ class TestPulseDesign:
         res = runner.invoke(main, ["pulse", "design", "--tp-us", "0.2",
                                    "--sigma", "0.5"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tp-us", "-1", "total_duration must be positive"),
+        ("--tud-us", "0", "ramp times must be positive"),
+        ("--sigma", "-2", "sharpness must be positive"),
+        ("--target-phase", "0", "target_phase must be positive"),
+    ])
+    def test_bad_value_exits_with_error(self, runner, flag, value, message):
+        options = {"--tp-us": "4", flag: value}
+        res = runner.invoke(main, ["pulse", "design",
+                                   *(word for pair in options.items() for word in pair)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.output
+
+    def test_units_scale_exactly(self, runner, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return design(*args)
+
+        design = cli.design_pulse
+        monkeypatch.setattr(cli, "design_pulse", spy)
+        res = runner.invoke(main, ["pulse", "design", "--tp-us", "3.3",
+                                   "--tud-us", "1.5"])
+        assert res.exit_code == 0, res.output
+        assert calls == [(3.3e-6, 1.5e-6, 1.5e-6, 6.0, DEFAULT_SECULAR_FREQUENCY,
+                          math.pi)]

@@ -2,6 +2,9 @@
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,8 +322,9 @@ def test_package_never_imports_scipy_linalg():
 
     Nor does it import ``scipy.sparse``: every operator the engine applies
     is built by digit arithmetic on the occupation numbers of a number
-    sector, so the package keeps one layout of the Fock basis.  The tests'
-    own oracles may still use SciPy.
+    sector, so the package keeps one layout of the Fock basis.  Nor any
+    other part of SciPy: importing ``scipy.integrate`` alone took 0.44 s of
+    every cold start.  The tests' own oracles may still use SciPy.
     """
     package = Path(__file__).resolve().parents[1] / "src" / "phonondd"
     modules = sorted(package.rglob("*.py"))
@@ -335,7 +339,17 @@ def test_package_never_imports_scipy_linalg():
                                          for alias in node.names]
             else:
                 continue
-            if any(n == banned or n.startswith(banned + ".") for n in names
-                   for banned in ("scipy.linalg", "scipy.sparse")):
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
+
+
+def test_cli_import_loads_no_scipy():
+    """Catches SciPy pulled in through any module, not only a direct import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, phonondd.cli;"
+         " print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

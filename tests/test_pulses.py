@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import erf
 
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY
 from phonondd.pulses import (
@@ -116,6 +119,40 @@ class TestPhaseRoot:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             solve_strength(8.8 * T0, 4.4 * T0, 4.4 * T0, target_phase=0.0)
+
+
+def quad_phase(tp, tu, td, depth, sharpness=6.0):
+    """Phase excess by adaptive quadrature on SciPy's erf.
+
+    epsabs and epsrel keep the result accurate to ~1e-11 rad without
+    pushing the quadrature into roundoff territory.
+    """
+    def integrand(t):
+        u1 = (t / tu - 0.5) * sharpness
+        u2 = ((t - (tp - td)) / td - 0.5) * sharpness
+        b = 1.0 - 0.5 * depth * (erf(u1) - erf(u2))
+        return 1.0 / (b * b) - 1.0
+
+    pts = sorted({p for p in (tu, tp - td, 0.5 * tp) if 0.0 < p < tp})
+    val, _ = quad(integrand, 0.0, tp, points=pts, limit=300,
+                  epsabs=1e-18, epsrel=1e-12)
+    return DEFAULT_SECULAR_FREQUENCY * val
+
+
+@pytest.mark.parametrize("tp,tu,td", [
+    (8.8, 4.4, 4.4), (2.2, 1.0, 1.0), (1.1, 0.5, 0.5),
+    (4.0, 1.5, 2.5),  # unequal ramps
+    (2.0, 1.4, 1.2),  # overlapping ramps, T_u + T_d > T_P
+])
+def test_fixed_rule_matches_adaptive_quadrature(tp, tu, td):
+    """The Gauss-Legendre phase and its Newton depth against quad and brentq."""
+    tp, tu, td = tp * T0, tu * T0, td * T0
+    depth = brentq(lambda k: quad_phase(tp, tu, td, k) - math.pi,
+                   1e-6, 0.999999, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    assert abs(solve_strength(tp, tu, td) - depth) <= 1e-12 * depth
+    for k in (0.5 * depth, depth, 0.9):
+        params = BFunctionParams(tp, tu, td, depth=k)
+        assert abs(phase_excess(params) - quad_phase(tp, tu, td, k)) <= 1e-11
 
 
 class TestDesignedPulse:
