@@ -176,6 +176,14 @@ class FockSpace:
             return "".join(str(n) for n in occ)
         return "-".join(str(n) for n in occ)
 
+    def labels(self) -> list[str]:
+        """``label(i)`` of every basis index, built from the occupation digits."""
+        digits = [str(n) for n in range(self.per_mode_cutoff + 1)]
+        columns = [[digits[n] for n in self.mode_occupations(q).tolist()]
+                   for q in reversed(range(self.mode_count))]
+        sep = "" if self.per_mode_cutoff <= 9 else "-"
+        return [sep.join(occ) for occ in zip(*columns)]
+
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation of one mode for every basis index, as an int array."""
         if not 0 <= mode < self.mode_count:

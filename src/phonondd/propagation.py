@@ -302,7 +302,9 @@ class SchedulePropagator:
         self.secular_frequency = secular_frequency
         self._numbers = [space.mode_occupations(q).astype(float)
                          for q in range(space.mode_count)]
+        self._total = sum(self._numbers).astype(int)
         self._sectors = _number_sectors(space)
+        self._parities: dict[frozenset[int], np.ndarray] = {}
         self._boundary = space.boundary_mask()
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._maps: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = {}
@@ -312,29 +314,32 @@ class SchedulePropagator:
     def _occupied(self, amps: np.ndarray):
         """(indices, amplitudes, eigenvalues, eigenvectors) of each nonzero sector.
 
-        The hopping block of a sector is real symmetric, so its
-        eigenvectors are real.
+        The sectors are read in one pass from the total phonon number at
+        the nonzero amplitudes.  The hopping block of a sector is real
+        symmetric, so its eigenvectors are real.
         """
-        for n, idx in enumerate(self._sectors):
-            block = amps[idx]
-            if not block.any():
-                continue
+        for n in np.unique(self._total[np.flatnonzero(amps)]).tolist():
+            idx = self._sectors[n]
             if n not in self._eigensystems:
                 self._eigensystems[n] = np.linalg.eigh(
                     _hopping_block(self.space, idx, self.couplings.kappa))
-            yield idx, block, *self._eigensystems[n]
+            yield idx, amps[idx], *self._eigensystems[n]
 
-    # free evolution through the sector eigensystems, sampled at offsets dts
-    def _free_states(self, amps: np.ndarray, dts: np.ndarray) -> np.ndarray:
-        out = np.zeros((amps.size, dts.size), dtype=complex)
+    def _free_states(self, amps: np.ndarray, dts: np.ndarray):
+        """Free evolution through the sector eigensystems, sampled at offsets dts.
+
+        Yields (indices, states) per occupied sector, one state column per
+        offset; the other sectors hold no amplitude and stay zero.
+        """
         for idx, block, vals, vecs in self._occupied(amps):
             coeff = vecs.T @ block
-            out[idx] = vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
-        return out
+            yield idx, vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
 
     def _parity(self, modes: frozenset[int]) -> np.ndarray:
-        total = sum(self._numbers[q] for q in modes)
-        return np.exp(-1j * math.pi * total)
+        """The ideal pulse on ``modes``: the exact real sign (-1)^(sum of their n)."""
+        if modes not in self._parities:
+            self._parities[modes] = (-1.0) ** sum(self._numbers[q] for q in modes)
+        return self._parities[modes]
 
     def _map(self, modes: frozenset[int], pulse: ShapedPulse) -> HeisenbergMap:
         """The window map, by Magnus steps doubled from FIRST_STEPS.
@@ -469,10 +474,10 @@ class SchedulePropagator:
         with r_i = sum_j Y_ji a_j^dag; raising never leaves the cube and
         comes back, so the cube columns need only cube rows.
         """
-        occupied = [n for n, idx in enumerate(self._sectors) if amps[idx].any()]
+        top = self._total[np.flatnonzero(amps)].max(initial=-1)
         out = np.zeros_like(amps)
         gamma = np.ones((1, 1), dtype=complex)
-        for n, idx in enumerate(self._sectors[:max(occupied, default=-1) + 1]):
+        for n, idx in enumerate(self._sectors[:top + 1]):
             if n:
                 first, scale, weight, flat = self._levels()[n - 1]
                 coeffs = y[:, first] * scale
@@ -565,8 +570,9 @@ class SchedulePropagator:
         # unique: a schedule that takes no time has one grid point
         times = np.unique(np.linspace(0.0, wall, self.config.record_samples))
         inside = times[:-1]  # the last row holds the final state
-        # amplitude magnitudes, squared in place once at the end
-        pops = np.empty((times.size, self.space.dimension))
+        # amplitude magnitudes, squared in place once at the end; a free
+        # step writes only its occupied sectors, the rest stay zero
+        pops = np.zeros((times.size, self.space.dimension))
         amps = initial.amplitudes.copy()
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         leakage = float(np.sum(np.abs(amps[self._boundary]) ** 2))
@@ -582,9 +588,12 @@ class SchedulePropagator:
             k = np.searchsorted(inside, t + duration)
             inner = inside[start:k]
             if kind == "free":
-                if inner.size:
-                    np.abs(self._free_states(amps, inner - t).T, out=pops[start:k])
-                amps = self._free_states(amps, np.array([duration]))[:, 0]
+                after = np.zeros_like(amps)
+                dts = np.append(inner - t, duration)  # samples, then the end
+                for idx, states in self._free_states(amps, dts):
+                    pops[start:k, idx] = np.abs(states[:, :-1].T)
+                    after[idx] = states[:, -1]
+                amps = after
                 checked = [amps]
             else:
                 amps, sampled = self._window(amps, t, modes, schedule.shaped_pulse,

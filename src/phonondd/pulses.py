@@ -123,8 +123,12 @@ def omega_squared(t, params: BFunctionParams,
                   secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
     """Instantaneous squared trap frequency that realizes the scale factor."""
     b, _, bdd = scale_factor_derivatives(t, params)
-    w0sq = secular_frequency ** 2
-    return (w0sq / b ** 3 - bdd) / b
+    return _frequency_squared(b, bdd, secular_frequency)
+
+
+def _frequency_squared(b, bdd, secular_frequency: float):
+    """w^2 = (w0^2 / b^3 - b'') / b from the scale factor and its curvature."""
+    return (secular_frequency ** 2 / b ** 3 - bdd) / b
 
 
 def _dip_on_nodes(params: BFunctionParams):
@@ -262,10 +266,10 @@ def sample_pulse(pulse: ShapedPulse, sample_interval: float = 1e-9) -> PulseWave
         raise ValueError("sample_interval must be positive")
     n = max(2, int(round(pulse.duration / sample_interval)) + 1)
     t = np.linspace(0.0, pulse.duration, n)
-    b, _, _ = scale_factor_derivatives(t, pulse.params)
+    b, _, bdd = scale_factor_derivatives(t, pulse.params)
     if np.any(b <= 0.0):
         raise PulseInvalidError("scale factor is not positive over the pulse")
-    wsq = omega_squared(t, pulse.params, pulse.secular_frequency)
+    wsq = _frequency_squared(b, bdd, pulse.secular_frequency)
     if np.any(wsq < 0.0):
         raise PulseInvalidError("squared trap frequency goes negative")
     return PulseWaveform(times=t, scale=b, omega=np.sqrt(wsq),

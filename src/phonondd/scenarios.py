@@ -40,7 +40,7 @@ from .propagation import (
     beam_splitter_reference,
 )
 from .pulses import design_pulse
-from .sequences import PULSE_MODELS, DDSpec, synthesize
+from .sequences import PULSE_MODELS, DDSpec, feasibility_bounds, synthesize
 
 POPULATION_COLUMN_THRESHOLD = 1e-4
 LEAKAGE_LIMIT = 1e-6
@@ -127,6 +127,21 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
+        for key in ("spacing", "total_time", "pulse_duration", "ion_mass",
+                    "secular_frequency"):
+            if getattr(self, key) is not None and not getattr(self, key) > 0:
+                raise ScenarioError(f"{self.name}: {key} must be positive")
+        if self.pulse_model == "shaped" and self.window_placement == "carve":
+            bound = feasibility_bounds(
+                self.total_time if self.total_time is not None else self.hop_time(),
+                self.pulse_duration, mode_count=self.mode_count,
+                protected_set=self.protected_set,
+                truncation_distance=self.truncation_distance).repetition_bound
+            if bound is not None and self.repetitions >= bound:
+                raise ScenarioError(
+                    f"{self.name}: {self.repetitions} repetitions reach the"
+                    f" repetition bound {bound}: a carved pulse window no longer"
+                    " fits in the shortest segment of the schedule")
 
     def hop_time(self) -> float:
         """Nearest neighbor 50:50 exchange time, the default cycle length."""
@@ -218,13 +233,13 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
     return record, result
 
 
-def _hom_labels(cfg: ScenarioConfig, space: FockSpace) -> list[str]:
+def _hom_outputs(cfg: ScenarioConfig, space: FockSpace) -> list[int]:
     """Beam splitter output states reached by moving one quantum in the pair."""
     if cfg.beam_splitter_pair is None:
         return []
     j, k = cfg.beam_splitter_pair
     occ = list(reversed(cfg.initial_occupations))  # label order -> mode order
-    labels = []
+    outputs = []
     for src, dst in ((j, k), (k, j)):
         moved = occ.copy()
         if moved[src] == 0:
@@ -232,8 +247,8 @@ def _hom_labels(cfg: ScenarioConfig, space: FockSpace) -> list[str]:
         moved[src] -= 1
         moved[dst] += 1
         if max(moved) <= space.per_mode_cutoff:
-            labels.append(space.label(space.index(tuple(reversed(moved)))))
-    return labels
+            outputs.append(space.index(tuple(reversed(moved))))
+    return outputs
 
 
 def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
@@ -246,20 +261,19 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     ``residual`` column so each row still sums to the squared state norm.
     """
     space = result.space
-    labels = [space.label(i) for i in range(space.dimension)]
     if full:
         keep = list(range(space.dimension))
     else:
-        forced = {space.index(cfg.initial_occupations)}
-        forced.update(labels.index(lab) for lab in _hom_labels(cfg, space))
+        forced = {space.index(cfg.initial_occupations), *_hom_outputs(cfg, space)}
         peaks = result.populations.max(axis=0)
         keep = [i for i in range(space.dimension)
                 if peaks[i] > POPULATION_COLUMN_THRESHOLD or i in forced]
     kept = result.populations if full else result.populations[:, keep]
-    # a column equal on every row (mostly an empty number sector) is
-    # formatted once into the row template; %r of a float is its repr
-    const = kept.min(axis=0) == kept.max(axis=0)
+    labels = space.labels()
     header = ["t_us"] + [labels[i] for i in keep]
+    # a column equal on every row (mostly an empty number sector) is
+    # formatted once into the row text; "%r" marks a live cell
+    const = kept.min(axis=0) == kept.max(axis=0)
     cells = ["%r"] + [repr(v) if c else "%r"
                       for v, c in zip(kept[0].tolist(), const.tolist())]
     live = [result.times * 1e6, kept[:, ~const]]
@@ -269,11 +283,16 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
         drop = np.setdiff1d(np.arange(space.dimension), keep)
         # row by row: a sum over axis 1 may add in another order
         live.append([row[drop].sum() for row in result.populations])
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    template = ",".join(cells) + "\n"
-    out.writelines(template % tuple(row) for row in np.column_stack(live).tolist())
-    return out.getvalue()
+    # each row interleaves the literal text between live cells with the
+    # repr of those cells, so no format string is parsed per row
+    chunks = (",".join(cells) + "\n").split("%r")
+    parts = [""] * (2 * len(chunks) - 1)
+    parts[::2] = chunks
+    lines = [",".join(header) + "\n"]
+    for row in np.column_stack(live).tolist():
+        parts[1::2] = map(repr, row)
+        lines.append("".join(parts))
+    return "".join(lines)
 
 
 def scenario_catalog() -> list[ScenarioConfig]:

@@ -363,7 +363,8 @@ class FeasibilityBounds:
     ``eta_bound`` the largest usable truncation distance (both powers of
     two, reached inclusively); ``repetition_bound`` is the first repetition
     count that no longer fits, so valid counts stay strictly below it.  A
-    zero bound means nothing fits.
+    zero bound means nothing fits, and None that no mode count was given
+    or the schedule has no pulse.
     """
 
     mode_bound: int
@@ -373,27 +374,35 @@ class FeasibilityBounds:
 
 def feasibility_bounds(total_time: float, pulse_duration: float,
                        repetitions: int = 1,
-                       mode_count: int | None = None) -> FeasibilityBounds:
+                       mode_count: int | None = None,
+                       protected_set: Iterable[int] = (),
+                       truncation_distance: int | None = None) -> FeasibilityBounds:
     """How large a schedule fits when each pulse burns ``pulse_duration``.
 
     The shortest segment of a depth-d cycle at n_r repetitions is
     T / (2^d n_r) and must exceed the pulse, so 2^d < T / (T_P n_r); the
     bounds below restate that for the mode count, the truncation distance,
-    and (given a mode count) the repetition count.
+    and (given a mode count) the repetition count.  The repetition bound
+    takes d from the plan :func:`synthesize` picks for the mode count,
+    protected set and truncation distance, and admits a segment that the
+    pulse fills exactly, as a carved window may.
     """
     if total_time <= 0 or pulse_duration <= 0:
         raise ValueError("times must be positive")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    rep_bound: int | None = None
+    if mode_count is not None:
+        spec = DDSpec(mode_count, total_time, protected_set=frozenset(protected_set),
+                      truncation_distance=truncation_distance)
+        levels, _ = _truncated_plan(spec) or _grouping_plan(spec)
+        if levels:
+            limit = total_time / (2 ** len(levels) * pulse_duration)
+            rep_bound = math.floor(limit) + 1 if limit >= 1.0 else 0
     ratio = total_time / (pulse_duration * repetitions)
     if ratio <= 1.0:
-        return FeasibilityBounds(0, 0, 0 if mode_count is not None else None)
+        return FeasibilityBounds(0, 0, rep_bound)
     exponent = math.floor(math.log2(ratio))
     mode_bound = 2 ** exponent
     eta_bound = 2 ** (exponent - 1) if exponent >= 1 else 0
-    rep_bound: int | None = None
-    if mode_count is not None:
-        nbp = 2 ** math.ceil(math.log2(mode_count)) if mode_count > 1 else 1
-        limit = total_time / (nbp * pulse_duration)
-        rep_bound = math.ceil(limit) if limit > 1.0 else 0
     return FeasibilityBounds(mode_bound, eta_bound, rep_bound)

@@ -65,6 +65,17 @@ class TestRun:
         assert res.exit_code == 2, res.output
         assert f"error: bad value for {bad.split(' = ')[0]}" in res.output
 
+    def test_repetitions_past_the_bound_exit_with_error(self, runner, tmp_path):
+        # 4 us windows carved from a two-segment cycle of 525 us fit below
+        # 66 repetitions; the config is rejected before any pulse design
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(CHEAP_CFG + "pulse.model = shaped\npulse.total_us = 4.0\n"
+                       "schedule.repetitions = 200\n")
+        res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "200 repetitions reach the repetition bound 66" in res.output
+        assert not (tmp_path / "demo_populations.csv").exists()
+
     @pytest.mark.parametrize("extra,message", [
         ("chain.truncation = 0", "truncation_distance must be at least 1"),
         ("chain.truncation = 1\nschedule.protected = 0",

@@ -142,6 +142,12 @@ class TestFockSpace:
         assert space.label(space.index((1, 0, 2))) == "1-0-2"
         assert space.label(space.index((10, 0, 10))) == "10-0-10"
 
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [9, 10])
+    def test_digit_built_labels_match_label(self, modes, cutoff):
+        space = FockSpace(modes, cutoff)
+        assert space.labels() == [space.label(i) for i in range(space.dimension)]
+
     def test_boundary_mask(self):
         space = FockSpace(2, 3)
         mask = space.boundary_mask()

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import scipy.linalg
 from phonondd.model import (
     DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
+    HBAR,
     CouplingMatrix,
     FockSpace,
     IonChainConfig,
@@ -30,10 +32,12 @@ from phonondd.propagation import (
     error_overlap,
 )
 from phonondd.pulses import design_pulse
+from phonondd.scenarios import build_scenario, get_scenario
 from phonondd.sequences import DDSpec, Evolve, PhaseShift, PulseSchedule, synthesize
 
 from dense_oracle import (
     StaircaseDrive,
+    apply_ideal_phase,
     evolve_constant,
     evolve_shaped,
     frame_rotation,
@@ -117,7 +121,8 @@ class TestIdealPhase:
             schedule = PulseSchedule(events=(PhaseShift(frozenset(modes)),),
                                      mode_count=2, total_time=HOP_TIME)
             res = SchedulePropagator(space, cm).run(schedule, state)
-            assert res.final_state.amplitudes[i] == pytest.approx(sign)
+            # an exact real sign: no imaginary residue, no last-bit shift
+            assert res.final_state.amplitudes[i] == sign
 
     def test_zero_duration_schedule_records_state_after_pulse(self):
         # a lone pulse takes no time, so the initial state and the final
@@ -129,11 +134,12 @@ class TestIdealPhase:
         schedule = PulseSchedule(events=(PhaseShift(frozenset({0})),),
                                  mode_count=2, total_time=HOP_TIME)
         res = SchedulePropagator(space, cm).run(schedule, state)
-        before = np.abs(state.amplitudes) ** 2
         after = np.abs(res.final_state.amplitudes) ** 2
-        # the pulse moves some populations in their last bit, which tells
-        # the two states apart
-        assert not np.array_equal(before, after)
+        # the pulse is the exact sign (-1)^n_0, so the populations stay
+        # as they were to the last bit
+        flipped = state.amplitudes * (-1.0) ** space.mode_occupations(0)
+        assert np.array_equal(res.final_state.amplitudes, flipped)
+        assert np.array_equal(np.abs(state.amplitudes) ** 2, after)
         assert res.times.tolist() == [0.0]
         assert np.array_equal(res.populations, after[None, :])
 
@@ -225,6 +231,49 @@ class TestScheduleRuns:
         initial = basis_state(space, (2, 1))
         res = SchedulePropagator(space, cm).run(schedule, initial, initial)
         assert res.error_E == pytest.approx(res.error_EB, abs=1e-15)
+
+    def test_ideal_run_records_only_the_occupied_sector(self):
+        # fig3 starts in |2,1,0> and its parity phases keep N = 3: free
+        # steps write the ten columns of that sector, every other column
+        # stays exactly zero, and each row matches the full-space oracle
+        cfg = replace(get_scenario("fig3"), record_samples=64)
+        space, couplings, schedule, initial, engine = build_scenario(cfg)
+        res = engine.run(schedule, initial)
+        total = sum(space.mode_occupations(q) for q in range(space.mode_count))
+        assert np.count_nonzero(total == 3) == 10
+        assert np.all(res.populations[:, total != 3] == 0.0)
+        vals, vecs = np.linalg.eigh(hopping_hamiltonian(space, couplings).toarray()
+                                    / HBAR)
+
+        def oracle(t_end):
+            state, t = initial, 0.0
+            for ev in schedule.events:
+                if isinstance(ev, PhaseShift):
+                    state = apply_ideal_phase(state, ev.modes)
+                    continue
+                dt = min(ev.duration, t_end - t)
+                state = PhononState(space, vecs @ (np.exp(-1j * vals * dt)
+                                                   * (vecs.conj().T @ state.amplitudes)))
+                if t + ev.duration > t_end:
+                    break
+                t += ev.duration
+            return np.abs(state.amplitudes) ** 2
+
+        expected = np.array([oracle(t) for t in res.times])
+        np.testing.assert_allclose(res.populations, expected, rtol=0, atol=1e-12)
+
+    def test_two_samples_record_both_endpoints(self):
+        # two grid points leave no free step an inner sample; the rows
+        # still hold the initial and the final state
+        cfg = replace(get_scenario("fig3"), record_samples=2)
+        space, couplings, schedule, initial, engine = build_scenario(cfg)
+        res = engine.run(schedule, initial)
+        assert res.times[0] == 0.0
+        assert res.times[1] == pytest.approx(schedule.total_evolve_time, rel=1e-12)
+        assert np.array_equal(res.populations[0], np.abs(initial.amplitudes) ** 2)
+        assert np.array_equal(res.populations[1],
+                              np.abs(res.final_state.amplitudes) ** 2)
+        assert res.populations[1].max() < 1.0  # the state has moved
 
     def test_shaped_carve_needs_room(self):
         # pulses are carved out of the preceding segment, which must fit

@@ -193,6 +193,16 @@ class TestWaveforms:
         assert np.all(wf.scale > 0)
         assert np.all(wf.omega > 0)
 
+    @pytest.mark.parametrize("which", ["long", "short"])
+    def test_sampled_drive_is_omega_squared_bit_for_bit(self, which, long_pulse,
+                                                        short_pulse):
+        # sample_pulse forms w^2 from the (b, b'') of its positivity check
+        pulse = long_pulse if which == "long" else short_pulse
+        wf = sample_pulse(pulse)
+        w0 = pulse.secular_frequency
+        assert np.array_equal(wf.omega_sq_excess,
+                              omega_squared(wf.times, pulse.params, w0) - w0 ** 2)
+
     def test_voltage_round_trips(self, long_pulse):
         trap = TrapParams()
         wf = sample_pulse(long_pulse, sample_interval=2e-9)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from phonondd.model import FockSpace, basis_state
-from phonondd.propagation import SimulationResult
+from phonondd.propagation import PropagationError, SimulationResult
 from phonondd.scenarios import (
     POPULATION_COLUMN_THRESHOLD,
     ScenarioConfig,
     ScenarioError,
-    _hom_labels,
+    _hom_outputs,
     build_scenario,
     emit_report,
     execute_scenario,
@@ -27,6 +27,7 @@ from phonondd.scenarios import (
     scenario_catalog,
     sweep,
 )
+from phonondd.sequences import DDSpec, feasibility_bounds, synthesize
 
 from convergence import convergence_check
 
@@ -149,7 +150,7 @@ def cell_by_cell_populations_csv(result, cfg, full):
         drop = []
     else:
         forced = {space.index(cfg.initial_occupations)}
-        forced.update(labels.index(lab) for lab in _hom_labels(cfg, space))
+        forced.update(_hom_outputs(cfg, space))
         peaks = result.populations.max(axis=0)
         keep = [i for i in range(space.dimension)
                 if peaks[i] > POPULATION_COLUMN_THRESHOLD or i in forced]
@@ -256,6 +257,115 @@ def test_populations_csv_matches_cell_by_cell(case, full):
     result, cfg = case
     assert populations_csv(result, cfg, full=full) == \
         cell_by_cell_populations_csv(result, cfg, full)
+
+
+def table_result(columns, cutoff=2, modes=2, occupations=(1, 0), pair=None):
+    """(result, cfg) whose populations are ``columns``, one per basis state."""
+    space = FockSpace(modes, cutoff)
+    populations = np.array(columns, dtype=float).T
+    cfg = ScenarioConfig("table", modes, 43.8e-6, cutoff, occupations,
+                         beam_splitter_pair=pair)
+    result = SimulationResult(
+        times=np.linspace(0.0, 1e-4, populations.shape[0]), populations=populations,
+        space=space, final_state=basis_state(space, occupations),
+        norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)
+    return result, cfg
+
+
+def ramp(rows, scale=1.0):
+    return (scale * np.linspace(0.0, 1.0, rows) ** 2).tolist()
+
+
+class TestChunkWriterEdges:
+    """Rows the chunk writer builds from literal text alone or around it."""
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_every_data_column_constant(self, full):
+        columns = [[v] * 6 for v in (0.25, 0.0, 1e-05, 0.5, 0.0, 0.25, 0.0, 0.0, 0.0)]
+        result, cfg = table_result(columns)
+        text = populations_csv(result, cfg, full=full)
+        assert text == cell_by_cell_populations_csv(result, cfg, full)
+        # only t_us (and the residual of a filtered table) is live
+        assert len(set(line.split(",", 1)[1]
+                       for line in text.splitlines()[1:])) == 1
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_first_and_last_data_column_live(self, full):
+        columns = [[0.0] * 5 for _ in range(9)]
+        columns[0], columns[8] = ramp(5, 0.5), ramp(5, 1.0 / 3.0)
+        columns[4] = [0.25] * 5
+        result, cfg = table_result(columns)
+        assert populations_csv(result, cfg, full=full) == \
+            cell_by_cell_populations_csv(result, cfg, full)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_single_row(self, full):
+        columns = [[v] for v in (0.5, 0.0, 1e-05, 0.25, 0.0, 0.0, 0.2, 0.0, 0.04999)]
+        result, cfg = table_result(columns)
+        text = populations_csv(result, cfg, full=full)
+        assert text == cell_by_cell_populations_csv(result, cfg, full)
+        assert text.count("\n") == 2
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_dash_joined_labels(self, full):
+        space = FockSpace(3, 10)
+        columns = [[0.0] * 7 for _ in range(space.dimension)]
+        columns[space.index((1, 1, 1))] = ramp(7)[::-1]
+        columns[space.index((1, 2, 0))] = ramp(7, 0.5)
+        columns[space.index((3, 0, 0))] = [2e-5] * 7
+        result, cfg = table_result(columns, cutoff=10, modes=3,
+                                   occupations=(1, 1, 1), pair=(0, 1))
+        text = populations_csv(result, cfg, full=full)
+        assert text == cell_by_cell_populations_csv(result, cfg, full)
+        header = text.splitlines()[0].split(",")
+        assert {"1-1-1", "1-2-0", "1-0-2"} <= set(header)
+        assert ("3-0-0" in header) == full
+
+
+class TestRepetitionBound:
+    @pytest.mark.parametrize("name,segment_pulses", [
+        ("fig1a", None), ("fig4b", None), ("fig6b", None), ("fig4b", 3)])
+    def test_parse_rejects_what_the_carved_steps_reject(self, name, segment_pulses):
+        # fig6b's protected pair is one grouping slot, so its three modes
+        # run a two-segment cycle; with segments of exactly 3 pulses, the
+        # window fills each segment of the third repetition exactly
+        cfg = get_scenario(name)
+        if segment_pulses is not None:
+            cfg = replace(cfg, total_time=4 * segment_pulses * cfg.pulse_duration)
+        total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
+        bound = feasibility_bounds(total, cfg.pulse_duration, mode_count=cfg.mode_count,
+                                   protected_set=cfg.protected_set).repetition_bound
+        _, _, schedule, _, engine = build_scenario(cfg)
+        fits = []
+        for n in range(1, bound + 3):
+            try:
+                engine._steps(synthesize(DDSpec(
+                    cfg.mode_count, total, repetitions=n,
+                    protected_set=cfg.protected_set,
+                    level_role_swap=cfg.level_role_swap, pulse_model="shaped",
+                    shaped_pulse=schedule.shaped_pulse)))
+                fits.append(True)
+            except PropagationError as exc:
+                assert "does not fit" in str(exc)
+                fits.append(False)
+            try:
+                replace(cfg, repetitions=n)
+                parsed = True
+            except ScenarioError as exc:
+                assert f"repetition bound {bound}" in str(exc)
+                parsed = False
+            assert parsed == fits[-1], n
+        assert fits == [True] * (bound - 1) + [False] * 3
+
+    def test_message_names_the_bound(self):
+        with pytest.raises(ScenarioError,
+                           match="fig4b: 200 repetitions reach the repetition bound 33"):
+            replace(get_scenario("fig4b"), repetitions=200)
+
+    def test_inserted_windows_are_not_bounded(self):
+        # an inserted window stretches the timeline instead of eating a segment
+        cfg = replace(get_scenario("fig4b"), window_placement="insert", repetitions=200)
+        assert cfg.repetitions == 200
 
 
 class TestSweep:
@@ -397,6 +507,10 @@ output.samples = 64
         ("initial_occupations", (-1, 0)),
         ("protected_set", frozenset({2})),
         ("repetitions", 0),
+        ("spacing", 0.0),
+        ("spacing", -43.8e-6),
+        ("total_time", 0.0),
+        ("pulse_duration", float("nan")),
     ])
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):
