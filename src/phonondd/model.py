@@ -169,15 +169,12 @@ class FockSpace:
             index //= base
         return tuple(reversed(out))
 
-    def label(self, index: int) -> str:
-        """Compact text label, digits high mode first ('210' for n2=2,n1=1,n0=0)."""
-        occ = self.occupations(index)
-        if self.per_mode_cutoff <= 9:
-            return "".join(str(n) for n in occ)
-        return "-".join(str(n) for n in occ)
-
     def labels(self) -> list[str]:
-        """``label(i)`` of every basis index, built from the occupation digits."""
+        """Compact text label of every basis index, digits high mode first.
+
+        '210' is n2=2, n1=1, n0=0; past n_max = 9 the digits are joined by
+        '-'.  Built from the occupation digits of the whole basis at once.
+        """
         digits = [str(n) for n in range(self.per_mode_cutoff + 1)]
         columns = [[digits[n] for n in self.mode_occupations(q).tolist()]
                    for q in reversed(range(self.mode_count))]

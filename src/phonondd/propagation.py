@@ -17,12 +17,17 @@ with g_j(t) the squared frequency excess over 4 w0.  Every term is
 quadratic in the ladder operators, so the window is a Gaussian unitary U
 fixed by two M x M matrices: U^dag a U = A a + B a^dag.  The engine finds
 (A, B) once per pulsed-mode set and pulse, for a window that starts at
-time 0, by sixth-order Magnus steps in the lab frame: there the generator
-of [A; conj B] is a constant plus the drive times a constant, with no
-e^{2 i w0 t} carrier to follow.  The step count doubles until two levels
-agree within 63 times the local error tolerance, and the map keeps its
-value at every step node, so a sample inside a window is one partial step
-from the node below it.  A window starting at t0 has (A, B e^{2 i w0 t0}).
+time 0, by sixth-order Magnus steps in the lab frame on the real 2M x 2M
+symplectic matrix S that propagates the mode quadratures: there its
+generator is a constant L0 plus the drive times a constant L1, with no
+e^{2 i w0 t} carrier to follow.  The Magnus exponent of every step is then
+a fixed combination of L0, L1 and eight of their commutators, built once
+per map, so a whole level of steps is one matrix product and one batched
+real exponential.  The step count doubles until (A, B) at two levels
+agree within 63 times the local error tolerance, and the map keeps S at
+every step node, so a sample inside a window is one partial step from the
+node below it; (A, B) are read from S only where they are used.  A window
+starting at t0 has (A, B e^{2 i w0 t0}).
 U acts on the Fock vector through its normal ordered form
 
     U = c exp(a^dag X a^dag / 2) Gamma(Y) exp(a Z a / 2),
@@ -166,44 +171,75 @@ def _hopping_block(space: FockSpace, idx: np.ndarray, kappa: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class WindowGenerator:
-    """Generator of the lab frame columns [A; conj B] of a window map.
+    """Generator of the real quadrature propagator S of a window map.
 
-    d/dt [A; conj B] = (L0 + f(t) L1) [A; conj B] with f = drive / (2 w0),
-    L0 = -i [[w0 + kappa/2, K], [-K, -(w0 + kappa/2)]] (K = kappa/2 with
-    full coupling, else 0) and L1 = -i [[P, P], [-P, -P]], P the projector
-    onto the pulsed modes.  In this frame only f varies within a step.
+    With T = (1 - i sigma_x)/sqrt(2) (x) 1_M, S = T U T^dag of the lab frame
+    propagator U of [A; conj B] is real: dS/dt = (L0 + f(t) L1) S, S(0) = 1,
+    f = drive / (2 w0), L0 = [[K, W], [-W, -K]] with W = w0 + kappa/2 and
+    K = kappa/2 with full coupling, else 0, and L1 = [[P, P], [-P, -P]], P
+    the projector onto the pulsed modes.  In this frame only f varies within
+    a step.  ``basis`` holds L0, L1 and the eight commutators that a
+    sixth-order Magnus step of L0 + f L1 is a fixed combination of: a2 and a3
+    are multiples of L1, [L1, L1] = 0, and L1^2 = 0 removes a ninth,
+    [L1, [L1, [L0, L1]]].
     """
 
     pulse: ShapedPulse
     frequency: float
-    constant: np.ndarray
-    modulated: np.ndarray
+    basis: np.ndarray
 
-    def propagators(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """exp(Omega) of one sixth-order Magnus step over each [start, start + length].
+    @classmethod
+    def build(cls, pulse: ShapedPulse, frequency: float, constant: np.ndarray,
+              modulated: np.ndarray) -> WindowGenerator:
+        """The generator of L0 = ``constant`` and L1 = ``modulated``."""
+        k1 = _commutator(constant, modulated)
+        k2, k3 = _commutator(constant, k1), _commutator(modulated, k1)
+        return cls(pulse, frequency, np.array(
+            [constant, modulated, k1, k2, k3, _commutator(k1, k2), _commutator(k1, k3),
+             _commutator(constant, k2), _commutator(constant, k3),
+             _commutator(modulated, k2)]))
+
+    def omega(self, lengths: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Omega of one sixth-order Magnus step per length.
+
+        Row k of ``f`` holds drive / (2 w0) at the three Gauss points of step k.
 
         Omega is the three-point Gauss-Legendre form of Blanes, Casas & Ros
-        (Phys. Rep. 470, 151, 2009); the drive at every Gauss point comes
-        from one ``pulse.drive`` call.
+        (Phys. Rep. 470, 151, 2009), a1 + a3/12 + [c1 - 20 a1 - a3, a2 + c2]/240
+        with a1 = u L0 + v L1, a2 = p L1 and a3 = q L1, expanded on ``basis``:
+        the whole stack is one (steps x 10) @ (10 x 4M^2) product.
+        """
+        u = lengths
+        f0, f1, f2 = f.T
+        v = u * f1
+        p = (math.sqrt(15.0) / 3.0) * u * (f2 - f0)
+        q = (10.0 / 3.0) * u * (f2 - 2.0 * f1 + f0)
+        w = 20.0 * v + q
+        nested = np.array([-20.0 * u * p, 2.0 * u * u * q / 3.0,
+                           2.0 * u * q * w / 60.0 - u * p * p,
+                           -u ** 3 * p * p / 60.0, -u * u * v * p * p / 60.0,
+                           u ** 3 * p / 3.0, u * u * v * p / 3.0,
+                           w * u * u * p / 60.0]) / 240.0
+        coeffs = np.column_stack([u, v + q / 12.0, nested.T])
+        n = self.basis.shape[-1]
+        return (coeffs @ self.basis.reshape(len(self.basis), -1)).reshape(-1, n, n)
+
+    def propagators(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """exp(Omega) of one Magnus step over each [start, start + length].
+
+        The drive at every Gauss point comes from one ``pulse.drive`` call.
         """
         points = starts[:, None] + lengths[:, None] * GAUSS_NODES
-        f = self.pulse.drive(points.ravel()).reshape(-1, 3, 1, 1) / (2.0 * self.frequency)
-        h = lengths[:, None, None]
-        a1 = h * (self.constant + f[:, 1] * self.modulated)
-        a2 = (math.sqrt(15.0) / 3.0) * h * (f[:, 2] - f[:, 0]) * self.modulated
-        a3 = (10.0 / 3.0) * h * (f[:, 2] - 2.0 * f[:, 1] + f[:, 0]) * self.modulated
-        c1 = _commutator(a1, a2)
-        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        omega = a1 + a3 / 12.0 + _commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
-        return _expm(omega)
+        f = self.pulse.drive(points.ravel()).reshape(-1, 3) / (2.0 * self.frequency)
+        return _expm(self.omega(lengths, f))
 
     def nodes(self, steps: int) -> np.ndarray:
-        """[A; conj B] at the nodes of ``steps`` equal Magnus steps."""
-        m = self.constant.shape[0] // 2
+        """S at the nodes of ``steps`` equal Magnus steps."""
+        n = self.basis.shape[-1]
         h = self.pulse.duration / steps
         props = self.propagators(h * np.arange(steps), np.full(steps, h))
-        out = np.empty((steps + 1, 2 * m, m), dtype=complex)
-        out[0] = np.eye(2 * m, m)
+        out = np.empty((steps + 1, n, n))
+        out[0] = np.eye(n)
         for k, prop in enumerate(props):
             out[k + 1] = prop @ out[k]
         return out
@@ -211,6 +247,13 @@ class WindowGenerator:
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
+
+
+def _columns(s: np.ndarray) -> np.ndarray:
+    """[A; conj B] = T^dag S T[:, :M] of the quadrature propagator S."""
+    m = s.shape[-1] // 2
+    half = s[:, :m] - 1j * s[:, m:]
+    return 0.5 * np.concatenate([half[:m] + 1j * half[m:], 1j * half[:m] + half[m:]])
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
@@ -239,10 +282,11 @@ def _expm(x: np.ndarray) -> np.ndarray:
 class HeisenbergMap:
     """Mode operator map a -> A a + B a^dag of a window that starts at time 0.
 
-    ``nodes`` holds the lab frame columns [A; conj B] at the ``steps`` + 1
-    nodes of the accepted Magnus level.  ``delta``, the largest change of
-    an entry of (A, B) from the level with half as many steps, certifies
-    the map: at sixth order it is about 63 times the error of the map.
+    ``nodes`` holds the quadrature propagator S at the ``steps`` + 1 nodes
+    of the accepted Magnus level; (A, B) are read from it only where used.
+    ``delta``, the largest change of an entry of (A, B) from the level with
+    half as many steps, certifies the map: at sixth order it is about 63
+    times the error of the map.
     """
 
     generator: WindowGenerator
@@ -265,11 +309,12 @@ class HeisenbergMap:
             return []
         step = self.generator.pulse.duration / self.steps
         below = np.clip(np.floor(taus / step).astype(int), 0, self.steps)
-        cols = self.generator.propagators(below * step, taus - below * step) \
+        quads = self.generator.propagators(below * step, taus - below * step) \
             @ self.nodes[below]
-        return [self._rotating(tau, col) for tau, col in zip(taus, cols)]
+        return [self._rotating(tau, quad) for tau, quad in zip(taus, quads)]
 
-    def _rotating(self, tau: float, cols: np.ndarray):
+    def _rotating(self, tau: float, s: np.ndarray):
+        cols = _columns(s)
         m = cols.shape[1]
         phase = cmath.exp(1j * self.generator.frequency * tau)
         a, b = phase * cols[:m], phase * cols[m:].conj()
@@ -358,14 +403,14 @@ class SchedulePropagator:
         pulsed = np.diag([float(q in modes) for q in range(m)])
         cross = hop if self.config.window_coupling == "full" else np.zeros((m, m))
         diagonal = w0 * np.eye(m) + hop
-        generator = WindowGenerator(
-            pulse, w0, -1j * np.block([[diagonal, cross], [-cross, -diagonal]]),
-            -1j * np.block([[pulsed, pulsed], [-pulsed, -pulsed]]))
+        generator = WindowGenerator.build(
+            pulse, w0, np.block([[cross, diagonal], [-diagonal, -cross]]),
+            np.block([[pulsed, pulsed], [-pulsed, -pulsed]]))
         tolerance = self.config.local_error_tolerance
         steps, nodes = FIRST_STEPS, generator.nodes(FIRST_STEPS)
         while True:
             finer = generator.nodes(2 * steps)
-            delta = float(np.abs(finer[-1] - nodes[-1]).max())
+            delta = float(np.abs(_columns(finer[-1]) - _columns(nodes[-1])).max())
             steps, nodes = 2 * steps, finer
             if delta / 63.0 <= tolerance:
                 break

@@ -427,7 +427,8 @@ def emit_report(records, references: dict | None = None) -> tuple[str, bool]:
 
     Returns the report text and an overall pass flag.  Scenarios without a
     stored reference get empty comparison columns and do not affect the
-    flag.
+    flag; a record that lacks the metric its reference names gets an error
+    row and fails it.
     """
     if references is None:
         references = load_reference_values()
@@ -445,6 +446,10 @@ def emit_report(records, references: dict | None = None) -> tuple[str, bool]:
             lines.append(f"{rec.scenario},error,{value!r},,,")
             continue
         value = rec.error_EB if entry["metric"] == "error_EB" else rec.error_E
+        if value is None:
+            lines.append(f"{rec.scenario},{entry['metric']},,{entry['value']!r},,error")
+            all_ok = False
+            continue
         ok = _within(value, entry["value"], entry["tolerance"])
         all_ok = all_ok and ok
         ratio = value / entry["value"]

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from phonondd import cli
 from phonondd.cli import main
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY
+from phonondd.scenarios import load_reference_values
 
 CHEAP_CFG = """
 scenario.name = demo
@@ -47,6 +48,17 @@ class TestRun:
         res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "demo_populations.csv").exists()
+
+    def test_config_named_after_a_catalog_scenario(self, runner, tmp_path):
+        # fig6b's reference is error_EB; this config has no beam splitter pair
+        cfg = tmp_path / "fig6b.cfg"
+        cfg.write_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
+                       "state.occupations = 1,1,1\npropagator.n_max = 6\n")
+        res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        reference = load_reference_values()["metrics"]["fig6b"]["value"]
+        assert res.output.splitlines()[-1] == f"fig6b,error_EB,,{reference!r},,error"
 
     def test_unknown_scenario_exits_with_error(self, runner):
         res = runner.invoke(main, ["run", "fig99"])

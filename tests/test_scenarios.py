@@ -30,6 +30,7 @@ from phonondd.scenarios import (
 from phonondd.sequences import DDSpec, feasibility_bounds, synthesize
 
 from convergence import convergence_check
+from fock_labels import label
 
 CHEAP = """
 chain.modes = 2
@@ -144,7 +145,7 @@ class TestExecution:
 def cell_by_cell_populations_csv(result, cfg, full):
     """Reference formatter: one repr(float(...)) call per cell."""
     space = result.space
-    labels = [space.label(i) for i in range(space.dimension)]
+    labels = [label(space, i) for i in range(space.dimension)]
     if full:
         keep = list(range(space.dimension))
         drop = []
@@ -429,6 +430,17 @@ class TestReport:
         text, ok = emit_report([doctored], load_reference_values())
         assert not ok
         assert text.strip().splitlines()[1].split(",")[5] == "FAIL"
+
+    def test_record_without_the_referenced_metric_fails(self):
+        # named after a catalog scenario whose reference is error_EB, but
+        # without the beam splitter pair that gives a record one
+        record, _ = execute_scenario(cheap_config(name="fig6b"))
+        assert record.error_EB is None
+        references = load_reference_values()
+        text, ok = emit_report([record], references)
+        reference = references["metrics"]["fig6b"]["value"]
+        assert text.strip().splitlines()[1] == f"fig6b,error_EB,,{reference!r},,error"
+        assert not ok
 
     def test_unreferenced_scenario_reports_blank(self):
         record, _ = execute_scenario(cheap_config())

@@ -6,7 +6,10 @@ sixth-order Magnus steps and applies P U P to Fock vectors.  These tests
 check the map against the symplectic conditions, a direct integration from
 a later start and the closed form Lewis-Riesenfeld map of a lone mode;
 its order, step doubling certificate, failure at the step ceiling and
-drive reads; and the Fock action against three independent constructions:
+drive reads; the real quadrature generators and the commutator basis
+Magnus step against the complex lab frame blocks and the nested
+commutator form; the accepted step count of every catalog map; and the
+Fock action against three independent constructions:
 the closed form single mode squeeze, the permanent formula for passive
 maps, and the dense exponential of a random quadratic generator at a
 raised, converged cutoff.
@@ -39,6 +42,7 @@ from phonondd.propagation import (
     PropagationError,
     PropagatorConfig,
     SchedulePropagator,
+    _columns,
     _expm,
 )
 from phonondd.pulses import (
@@ -47,7 +51,8 @@ from phonondd.pulses import (
     scale_factor,
     scale_factor_derivatives,
 )
-from phonondd.sequences import DDSpec, synthesize
+from phonondd.scenarios import build_scenario, scenario_catalog
+from phonondd.sequences import DDSpec, Evolve, synthesize
 
 from dense_oracle import embed, ladder_operator, phase_distance, project
 
@@ -380,7 +385,7 @@ def test_magnus_step_is_sixth_order():
     engine = SchedulePropagator(FockSpace(2, 2), build_coupling_matrix(
         IonChainConfig.equidistant(2, 30e-6)))
     generator = engine._map(frozenset({0}), design_pulse(8.8 * T0)).generator
-    ends = [generator.nodes(FIRST_STEPS * 2 ** k)[-1] for k in range(3)]
+    ends = [_columns(generator.nodes(FIRST_STEPS * 2 ** k)[-1]) for k in range(3)]
     coarse, fine = (np.abs(x - y).max() for x, y in zip(ends, ends[1:]))
     assert fine * 2 ** 5 < coarse < fine * 2 ** 7
 
@@ -392,3 +397,88 @@ def test_unreachable_tolerance_fails_at_the_step_ceiling():
                        match=f"local_error_tolerance 1.0e-17.*at {MAX_STEPS} steps"):
         engine._map(frozenset({0}), PULSE)
     assert not engine._maps
+
+
+def nested_omega(l0, l1, lengths, f):
+    """The sixth-order Magnus Omega by its nested commutators (Blanes, Casas &
+    Ros, Phys. Rep. 470, 151, 2009): the form the commutator basis expands."""
+    h = lengths[:, None, None]
+    f = f[:, :, None, None]
+    a1 = h * (l0 + f[:, 1] * l1)
+    a2 = (math.sqrt(15.0) / 3.0) * h * (f[:, 2] - f[:, 0]) * l1
+    a3 = (10.0 / 3.0) * h * (f[:, 2] - 2.0 * f[:, 1] + f[:, 0]) * l1
+
+    def commutator(x, y):
+        return x @ y - y @ x
+
+    c1 = commutator(a1, a2)
+    c2 = commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
+
+
+def complex_blocks(engine, pulsed):
+    """The lab frame generators of [A; conj B]: -i [[W, K], [-K, -W]] and
+    -i [[P, P], [-P, -P]], with W = w0 + kappa/2 and K = kappa/2 under full
+    coupling, else 0."""
+    m = engine.space.mode_count
+    hop = engine.couplings.kappa / 2.0
+    cross = hop if engine.config.window_coupling == "full" else np.zeros((m, m))
+    diagonal = engine.secular_frequency * np.eye(m) + hop
+    p = np.diag([float(q in pulsed) for q in range(m)])
+    return (-1j * np.block([[diagonal, cross], [-cross, -diagonal]]),
+            -1j * np.block([[p, p], [-p, -p]]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=engines())
+def test_real_generators_are_the_turned_complex_blocks(case):
+    engine, pulsed = case
+    basis = engine._map(pulsed, PULSE).generator.basis
+    m = engine.space.mode_count
+    eye = np.eye(m)
+    turn = np.block([[eye, -1j * eye], [-1j * eye, eye]]) / math.sqrt(2.0)
+    for real, block in zip(basis[:2], complex_blocks(engine, pulsed)):
+        assert real.dtype == float
+        expected = turn @ block @ turn.conj().T
+        assert np.abs(real - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("coupling", ["rwa", "full"])
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_basis_omega_matches_nested_commutators(modes, coupling):
+    rng = np.random.default_rng(100 * modes + len(coupling))
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 30e-6))
+    engine = SchedulePropagator(FockSpace(modes, 2), couplings,
+                                PropagatorConfig(window_coupling=coupling))
+    generator = engine._map(frozenset({modes - 1}), PULSE).generator
+    # step lengths up to twice the first level's; f = drive / (2 w0) of
+    # either sign, up to six times the largest catalog value (0.52 w0, fig1b)
+    lengths = rng.uniform(0.0, 2.0, 40) * PULSE.duration / FIRST_STEPS
+    f = rng.uniform(-3.0, 3.0, (40, 3)) * PULSE.secular_frequency
+    got = generator.omega(lengths, f)
+    expected = nested_omega(generator.basis[0], generator.basis[1], lengths, f)
+    scale = np.abs(expected).max(axis=(1, 2))
+    assert np.all(np.abs(got - expected).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+def catalog_maps():
+    """(scenario, pulse duration in T0, accepted steps) of every catalog
+    window map, one per pulsed-mode set."""
+    for cfg in scenario_catalog():
+        if cfg.pulse_model != "shaped":
+            continue
+        _, _, schedule, _, engine = build_scenario(cfg)
+        for ev in schedule.events:
+            if not isinstance(ev, Evolve):
+                heis = engine._map(ev.modes, schedule.shaped_pulse)
+                yield cfg.name, round(cfg.pulse_duration / T0, 1), heis.steps
+
+
+def test_catalog_maps_accept_their_pinned_step_counts():
+    pinned = {8.8: 800, 2.2: 400}
+    seen = {}
+    for name, duration, steps in catalog_maps():
+        assert steps == pinned[duration], (name, duration)
+        seen.setdefault(duration, set()).add(name)
+    assert seen == {8.8: {"fig1a", "fig2", "fig4b", "fig5b", "fig6b", "fig7b"},
+                    2.2: {"fig1b"}}
