@@ -71,7 +71,7 @@ def run(scenario: str, out: str | None, full_populations: bool) -> None:
                f" leakage={record.boundary_leakage:.2e}"
                f" wall={record.wall_time:.1f}s")
     references = load_reference_values()["metrics"]
-    if cfg.name in references:
+    if cfg.name in references and cfg == get_scenario(cfg.name):
         text, ok = emit_report([record])
         click.echo(text.splitlines()[1])
         sys.exit(0 if ok else 1)

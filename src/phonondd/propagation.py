@@ -1,11 +1,13 @@
 """Executes pulse schedules on phonon states in the interaction picture.
 
-Free segments evolve under the number conserving hopping Hamiltonian,
-which is constant in the frame rotating at the secular frequency, so the
-engine works in sectors of fixed total phonon number N: each sector
-evolves through the eigendecomposition of its own block, computed the
-first time a state occupies it, and a sector holding no amplitude stays
-exactly zero.  Ideal pulses are instantaneous parity phases.
+The engine has two layers.  :class:`ModeMaps` needs no Fock space, only
+the coupling matrix: it lowers a schedule into (kind, duration, modes)
+steps, free segments, parity phases (ideal pulses) and windows (shaped
+pulses), and finds the M x M mode map of each window.  By default a window
+replaces the trailing portion of its preceding free segment, so the wall
+clock of the schedule is unchanged; the alternative placement inserts the
+window and stretches the timeline.  :class:`SchedulePropagator` binds
+those maps to one truncated Fock space and runs the steps on a state.
 
 A shaped pulse opens a window in which the trap drive of the pulsed modes
 acts without the rotating wave reduction,
@@ -15,11 +17,11 @@ acts without the rotating wave reduction,
 
 with g_j(t) the squared frequency excess over 4 w0.  Every term is
 quadratic in the ladder operators, so the window is a Gaussian unitary U
-fixed by two M x M matrices: U^dag a U = A a + B a^dag.  The engine finds
-(A, B) once per pulsed-mode set and pulse, for a window that starts at
-time 0, by sixth-order Magnus steps in the lab frame on the real 2M x 2M
-symplectic matrix S that propagates the mode quadratures: there its
-generator is a constant L0 plus the drive times a constant L1, with no
+fixed by two M x M matrices: U^dag a U = A a + B a^dag.  The mode layer
+finds (A, B) once per pulsed-mode set and pulse, for a window that starts
+at time 0, by sixth-order Magnus steps in the lab frame on the real
+2M x 2M symplectic matrix S that propagates the mode quadratures: there
+its generator is a constant L0 plus the drive times a constant L1, with no
 e^{2 i w0 t} carrier to follow.  The Magnus exponent of every step is then
 a fixed combination of L0, L1 and eight of their commutators, built once
 per map, so a whole level of steps is one matrix product and one batched
@@ -27,7 +29,16 @@ real exponential.  The step count doubles until (A, B) at two levels
 agree within 63 times the local error tolerance, and the map keeps S at
 every step node, so a sample inside a window is one partial step from the
 node below it; (A, B) are read from S only where they are used.  A window
-starting at t0 has (A, B e^{2 i w0 t0}).
+starting at t0 has (A, B e^{2 i w0 t0}).  The counter rotating part of the
+Coulomb coupling, which creates and destroys pairs, can optionally be kept
+during windows.
+
+Free segments evolve under the number conserving hopping Hamiltonian,
+which is constant in the frame rotating at the secular frequency, so the
+Fock layer works in sectors of fixed total phonon number N: each sector
+evolves through the eigendecomposition of its own block, computed the
+first time a state occupies it, and a sector holding no amplitude stays
+exactly zero.  Ideal pulses are instantaneous parity phases.  A window's
 U acts on the Fock vector through its normal ordered form
 
     U = c exp(a^dag X a^dag / 2) Gamma(Y) exp(a Z a / 2),
@@ -40,17 +51,9 @@ lowering factor keeps the cutoff cube closed, raising never returns to
 it, and Gamma is built column by column from raised columns of lower N, so
 the engine applies the exact projection P U P onto the cube: the squeezing
 transient inside a window is never truncated, and the population U pushes
-past the cutoff is lost from the norm.  The counter rotating part of the
-Coulomb coupling, which creates and destroys pairs, can optionally be kept
-during windows.
-
-A run first lowers the schedule into (kind, duration, modes) steps: free
-segments, parity phases (ideal pulses) and windows (shaped pulses).  By
-default a window replaces the trailing portion of its preceding free
-segment, so the wall clock of the schedule is unchanged; the alternative
-placement inserts the window and stretches the timeline.  One loop then
-runs the steps, sampling the populations on record_samples evenly spaced
-points from the start of the schedule to its end.
+past the cutoff is lost from the norm.  One loop runs the steps, sampling
+the populations on record_samples evenly spaced points from the start of
+the schedule to its end.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,34 +91,6 @@ LOG = logging.getLogger(__name__)
 
 class PropagationError(Exception):
     """Raised when a schedule cannot be executed as specified."""
-
-
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """Numerical knobs for schedule execution.
-
-    ``local_error_tolerance`` bounds the error estimate of each window map,
-    its step doubling difference over 63.  ``record_samples`` is the number
-    of population samples, spaced evenly from the start of the schedule to
-    its end; the default 2 records the endpoints only.
-    """
-
-    local_error_tolerance: float = 1e-12
-    record_samples: int = 2
-    window_placement: str = "carve"
-    window_coupling: str = "rwa"
-
-    def __post_init__(self) -> None:
-        if self.local_error_tolerance <= 0:
-            raise ValueError("local_error_tolerance must be positive")
-        if self.record_samples < 2:
-            raise ValueError("record_samples must be at least 2")
-        if self.window_placement not in WINDOW_PLACEMENTS:
-            raise ValueError("window_placement must be one of"
-                             f" {', '.join(WINDOW_PLACEMENTS)}")
-        if self.window_coupling not in WINDOW_COUPLINGS:
-            raise ValueError("window_coupling must be one of"
-                             f" {', '.join(WINDOW_COUPLINGS)}")
 
 
 @dataclass
@@ -321,30 +296,143 @@ class HeisenbergMap:
         return a, b, 1.0 / math.sqrt(abs(np.linalg.det(a)))
 
 
-class SchedulePropagator:
-    """Engine bound to one Fock space and coupling matrix.
+@dataclass(frozen=True, eq=False)
+class ModeMaps:
+    """Schedule steps and window maps of one chain, with no Fock space.
 
-    Splits the basis into sectors of fixed total phonon number and caches,
-    for each sector a state reaches, the eigensystem of its hopping block,
-    and for each pulsed-mode set and pulse, the Heisenberg map of its
-    window; then replays any schedule on that chain.  Every operator it
-    applies comes from the base-(n_max + 1) occupation digits of the basis
-    index: the hopping block of each sector, the gather tables of the pair
-    lowering and raising, built once, and the raising levels of Gamma(Y).
-    No call writes to a stored table.  Eigensystems come from
-    ``numpy.linalg.eigh``, so every dense call runs on numpy's OpenBLAS and
-    LAPACK: SciPy's second OpenBLAS pool slowed the numpy calls after it.
+    Caches the Heisenberg map of each (pulsed-mode set, pulse) window.
+    ``local_error_tolerance`` bounds the error estimate of each map, its
+    step doubling difference over 63.
     """
 
-    def __init__(self, space: FockSpace, couplings: CouplingMatrix,
-                 config: PropagatorConfig | None = None,
-                 secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
-        if couplings.mode_count != space.mode_count:
+    couplings: CouplingMatrix
+    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
+    window_placement: str = "carve"
+    window_coupling: str = "rwa"
+    local_error_tolerance: float = 1e-12
+    _cache: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.local_error_tolerance <= 0:
+            raise ValueError("local_error_tolerance must be positive")
+        if self.window_placement not in WINDOW_PLACEMENTS:
+            raise ValueError("window_placement must be one of"
+                             f" {', '.join(WINDOW_PLACEMENTS)}")
+        if self.window_coupling not in WINDOW_COUPLINGS:
+            raise ValueError("window_coupling must be one of"
+                             f" {', '.join(WINDOW_COUPLINGS)}")
+
+    def steps(self, schedule: PulseSchedule
+              ) -> tuple[list[tuple[str, float, frozenset[int] | None]], float]:
+        """The schedule as (kind, duration, modes) steps, and its wall time.
+
+        A kind is "free", "parity" (an ideal pulse) or "window" (a shaped
+        pulse).  A carved window takes the trailing pulse duration of the
+        free step before it; an inserted one adds its duration to the wall.
+        """
+        shaped = schedule.pulse_model == "shaped"
+        pulse = schedule.shaped_pulse
+        if shaped and pulse is None:
+            raise PropagationError("shaped schedule carries no pulse")
+        carve = self.window_placement == "carve"
+        steps: list[tuple[str, float, frozenset[int] | None]] = []
+        windows = 0
+        for ev in schedule.events:
+            if isinstance(ev, Evolve):
+                steps.append(("free", ev.duration, None))
+            elif not shaped:
+                steps.append(("parity", 0.0, ev.modes))
+            else:
+                if carve:
+                    if not steps or steps[-1][0] != "free":
+                        raise PropagationError(
+                            "pulse event has no preceding segment to carve")
+                    _, duration, _ = steps.pop()
+                    lead = duration - pulse.duration
+                    if lead < -1e-12 * duration:
+                        raise PropagationError(
+                            "pulse window does not fit inside its segment")
+                    if lead > 0:
+                        steps.append(("free", lead, None))
+                steps.append(("window", pulse.duration, ev.modes))
+                windows += 1
+        wall = schedule.total_evolve_time
+        if windows and not carve:
+            wall += windows * pulse.duration
+        return steps, wall
+
+    def window_map(self, modes: frozenset[int], pulse: ShapedPulse) -> HeisenbergMap:
+        """The window map, by Magnus steps doubled from FIRST_STEPS.
+
+        A level is accepted once its change from the level below, delta,
+        is at most 63 times ``local_error_tolerance``; past MAX_STEPS it
+        raises :class:`PropagationError`.
+        """
+        key = (modes, pulse)
+        if key in self._cache:
+            return self._cache[key]
+        started = time.perf_counter()
+        m = self.couplings.mode_count
+        w0 = self.secular_frequency
+        hop = self.couplings.kappa / 2.0
+        pulsed = np.diag([float(q in modes) for q in range(m)])
+        cross = hop if self.window_coupling == "full" else np.zeros((m, m))
+        diagonal = w0 * np.eye(m) + hop
+        generator = WindowGenerator.build(
+            pulse, w0, np.block([[cross, diagonal], [-diagonal, -cross]]),
+            np.block([[pulsed, pulsed], [-pulsed, -pulsed]]))
+        tolerance = self.local_error_tolerance
+        steps, nodes = FIRST_STEPS, generator.nodes(FIRST_STEPS)
+        while True:
+            finer = generator.nodes(2 * steps)
+            delta = float(np.abs(_columns(finer[-1]) - _columns(nodes[-1])).max())
+            steps, nodes = 2 * steps, finer
+            if delta / 63.0 <= tolerance:
+                break
+            if steps >= MAX_STEPS:
+                raise PropagationError(
+                    f"window map of modes {sorted(modes)} missed"
+                    f" local_error_tolerance {tolerance:.1e}: doubling"
+                    f" difference {delta:.2e} at {steps} steps")
+        self._cache[key] = HeisenbergMap(generator, nodes, steps, delta)
+        LOG.debug("window map modes=%s steps=%d delta=%.2e time=%.3fs",
+                  sorted(modes), steps, delta, time.perf_counter() - started)
+        return self._cache[key]
+
+    def window(self, start: float, modes: frozenset[int], pulse: ShapedPulse,
+               t_eval: Sequence[float] = ()) -> list[tuple]:
+        """(A, B e^{2 i w0 start}, |det A|^{-1/2}) of a window from ``start``.
+
+        The map at the window end comes first, then the maps at ``t_eval``,
+        which must lie strictly inside the window.
+        """
+        heis = self.window_map(modes, pulse)
+        gauge = cmath.exp(2j * self.secular_frequency * start)
+        inner = heis.at(np.asarray(t_eval, dtype=float) - start)
+        return [(a, b * gauge, norm) for a, b, norm in [heis.end()] + inner]
+
+
+class SchedulePropagator:
+    """Engine bound to one Fock space and the mode maps of one chain.
+
+    Splits the basis into sectors of fixed total phonon number and caches,
+    for each sector a state reaches, the eigensystem of its hopping block;
+    then replays any schedule on that chain, with the steps and window maps
+    of ``maps``.  Every operator it applies comes from the base-(n_max + 1)
+    occupation digits of the basis index: the hopping block of each sector,
+    the gather tables of the pair lowering and raising, built once, and the
+    raising levels of Gamma(Y).  No call writes to a stored table.
+    Eigensystems come from ``numpy.linalg.eigh``, so every dense call runs
+    on numpy's OpenBLAS and LAPACK: SciPy's second OpenBLAS pool slowed the
+    numpy calls after it.
+    """
+
+    def __init__(self, space: FockSpace, maps: ModeMaps):
+        if maps.couplings.mode_count != space.mode_count:
             raise ValueError("coupling matrix does not match the Fock space")
         self.space = space
-        self.couplings = couplings
-        self.config = config or PropagatorConfig()
-        self.secular_frequency = secular_frequency
+        self.maps = maps
         self._numbers = [space.mode_occupations(q).astype(float)
                          for q in range(space.mode_count)]
         self._total = sum(self._numbers).astype(int)
@@ -352,7 +440,6 @@ class SchedulePropagator:
         self._parities: dict[frozenset[int], np.ndarray] = {}
         self._boundary = space.boundary_mask()
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._maps: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = {}
         self._pair_tables: tuple | None = None
         self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
 
@@ -367,7 +454,7 @@ class SchedulePropagator:
             idx = self._sectors[n]
             if n not in self._eigensystems:
                 self._eigensystems[n] = np.linalg.eigh(
-                    _hopping_block(self.space, idx, self.couplings.kappa))
+                    _hopping_block(self.space, idx, self.maps.couplings.kappa))
             yield idx, amps[idx], *self._eigensystems[n]
 
     def _free_states(self, amps: np.ndarray, dts: np.ndarray):
@@ -385,44 +472,6 @@ class SchedulePropagator:
         if modes not in self._parities:
             self._parities[modes] = (-1.0) ** sum(self._numbers[q] for q in modes)
         return self._parities[modes]
-
-    def _map(self, modes: frozenset[int], pulse: ShapedPulse) -> HeisenbergMap:
-        """The window map, by Magnus steps doubled from FIRST_STEPS.
-
-        A level is accepted once its change from the level below, delta,
-        is at most 63 times ``local_error_tolerance``; past MAX_STEPS it
-        raises :class:`PropagationError`.
-        """
-        key = (modes, pulse)
-        if key in self._maps:
-            return self._maps[key]
-        started = time.perf_counter()
-        m = self.space.mode_count
-        w0 = self.secular_frequency
-        hop = self.couplings.kappa / 2.0
-        pulsed = np.diag([float(q in modes) for q in range(m)])
-        cross = hop if self.config.window_coupling == "full" else np.zeros((m, m))
-        diagonal = w0 * np.eye(m) + hop
-        generator = WindowGenerator.build(
-            pulse, w0, np.block([[cross, diagonal], [-diagonal, -cross]]),
-            np.block([[pulsed, pulsed], [-pulsed, -pulsed]]))
-        tolerance = self.config.local_error_tolerance
-        steps, nodes = FIRST_STEPS, generator.nodes(FIRST_STEPS)
-        while True:
-            finer = generator.nodes(2 * steps)
-            delta = float(np.abs(_columns(finer[-1]) - _columns(nodes[-1])).max())
-            steps, nodes = 2 * steps, finer
-            if delta / 63.0 <= tolerance:
-                break
-            if steps >= MAX_STEPS:
-                raise PropagationError(
-                    f"window map of modes {sorted(modes)} missed"
-                    f" local_error_tolerance {tolerance:.1e}: doubling"
-                    f" difference {delta:.2e} at {steps} steps")
-        self._maps[key] = HeisenbergMap(generator, nodes, steps, delta)
-        LOG.debug("window map modes=%s steps=%d delta=%.2e time=%.3fs",
-                  sorted(modes), steps, delta, time.perf_counter() - started)
-        return self._maps[key]
 
     def _pairs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Gather tables of the pair lowerings a_i a_j and raisings (i <= j).
@@ -536,84 +585,34 @@ class SchedulePropagator:
             out[idx] = gamma @ amps[idx]
         return out
 
-    def _apply(self, amps: np.ndarray, heis: tuple[np.ndarray, np.ndarray, complex],
-               gauge: complex) -> np.ndarray:
-        """P U P amps for the map (A, B gauge), normal ordered."""
+    def _apply(self, amps: np.ndarray,
+               heis: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
+        """P U P amps for the map (A, B, |det A|^{-1/2}), normal ordered."""
         a, b, norm = heis
-        b = b * gauge
         y = np.linalg.inv(a.conj().T)
         lowered = self._pair_series(amps, -b.conj().T @ y, raising=False)
         passive = self._passive(lowered, y)
         return norm * self._pair_series(passive, y @ b.T, raising=True)
 
-    def _window(self, amps: np.ndarray, start: float, modes: frozenset[int],
-                pulse: ShapedPulse,
-                t_eval: Sequence[float] = ()) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Apply one shaped window starting at absolute time ``start``.
-
-        Returns the final amplitudes and the states at ``t_eval``, which
-        must lie strictly inside the window.
-        """
-        heis = self._map(modes, pulse)
-        gauge = cmath.exp(2j * self.secular_frequency * start)
-        final = self._apply(amps, heis.end(), gauge)
-        inner = heis.at(np.asarray(t_eval, dtype=float) - start)
-        return final, [self._apply(amps, sample, gauge) for sample in inner]
-
-    def _steps(self, schedule: PulseSchedule
-               ) -> tuple[list[tuple[str, float, frozenset[int] | None]], float]:
-        """The schedule as (kind, duration, modes) steps, and its wall time.
-
-        A kind is "free", "parity" (an ideal pulse) or "window" (a shaped
-        pulse).  A carved window takes the trailing pulse duration of the
-        free step before it; an inserted one adds its duration to the wall.
-        """
-        shaped = schedule.pulse_model == "shaped"
-        pulse = schedule.shaped_pulse
-        if shaped and pulse is None:
-            raise PropagationError("shaped schedule carries no pulse")
-        carve = self.config.window_placement == "carve"
-        steps: list[tuple[str, float, frozenset[int] | None]] = []
-        windows = 0
-        for ev in schedule.events:
-            if isinstance(ev, Evolve):
-                steps.append(("free", ev.duration, None))
-            elif not shaped:
-                steps.append(("parity", 0.0, ev.modes))
-            else:
-                if carve:
-                    if not steps or steps[-1][0] != "free":
-                        raise PropagationError(
-                            "pulse event has no preceding segment to carve")
-                    _, duration, _ = steps.pop()
-                    lead = duration - pulse.duration
-                    if lead < -1e-12 * duration:
-                        raise PropagationError(
-                            "pulse window does not fit inside its segment")
-                    if lead > 0:
-                        steps.append(("free", lead, None))
-                steps.append(("window", pulse.duration, ev.modes))
-                windows += 1
-        wall = schedule.total_evolve_time
-        if windows and not carve:
-            wall += windows * pulse.duration
-        return steps, wall
-
     def run(self, schedule: PulseSchedule, initial: PhononState,
-            reference: PhononState | None = None) -> SimulationResult:
+            reference: PhononState | None = None,
+            record_samples: int = 2) -> SimulationResult:
         """Execute the schedule and collect the error metrics.
 
         ``error_E`` is one minus the overlap magnitude with the initial
         state; ``error_EB`` the same against ``reference`` when given.
+        The default ``record_samples`` of 2 records the endpoints only.
         Norm drift and cutoff leakage are checked at the end of every
         segment and window and at every sample recorded inside a window.
         """
+        if record_samples < 2:
+            raise ValueError("record_samples must be at least 2")
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
         started = time.perf_counter()
-        steps, wall = self._steps(schedule)
+        steps, wall = self.maps.steps(schedule)
         # unique: a schedule that takes no time has one grid point
-        times = np.unique(np.linspace(0.0, wall, self.config.record_samples))
+        times = np.unique(np.linspace(0.0, wall, record_samples))
         inside = times[:-1]  # the last row holds the final state
         # amplitude magnitudes, squared in place once at the end; a free
         # step writes only its occupied sectors, the rest stay zero
@@ -641,8 +640,10 @@ class SchedulePropagator:
                 amps = after
                 checked = [amps]
             else:
-                amps, sampled = self._window(amps, t, modes, schedule.shaped_pulse,
-                                             inner)
+                end, *inner_maps = self.maps.window(t, modes, schedule.shaped_pulse,
+                                                    inner)
+                sampled = [self._apply(amps, heis) for heis in inner_maps]
+                amps = self._apply(amps, end)
                 if sampled:
                     np.abs(sampled, out=pops[start:k])
                 checked = sampled + [amps]
@@ -666,7 +667,7 @@ class SchedulePropagator:
 
 def error_overlap(initial: PhononState, final: PhononState) -> float:
     """1 - |<initial|final>|, insensitive to global phase."""
-    if initial.space.dimension != final.space.dimension:
+    if initial.space != final.space:
         raise ValueError("states live in different spaces")
     return 1.0 - abs(np.vdot(initial.amplitudes, final.amplitudes))
 

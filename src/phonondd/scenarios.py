@@ -34,7 +34,7 @@ from .model import (
 from .propagation import (
     WINDOW_COUPLINGS,
     WINDOW_PLACEMENTS,
-    PropagatorConfig,
+    ModeMaps,
     SchedulePropagator,
     SimulationResult,
     beam_splitter_reference,
@@ -127,8 +127,9 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
-        for key in ("spacing", "total_time", "pulse_duration", "ion_mass",
-                    "secular_frequency"):
+        for key in ("spacing", "total_time", "pulse_duration", "pulse_ramp_up",
+                    "pulse_ramp_down", "pulse_sharpness", "target_phase", "ion_mass",
+                    "secular_frequency", "local_error_tolerance"):
             if getattr(self, key) is not None and not getattr(self, key) > 0:
                 raise ScenarioError(f"{self.name}: {key} must be positive")
         if self.pulse_model == "shaped" and self.window_placement == "carve":
@@ -182,13 +183,9 @@ def build_scenario(cfg: ScenarioConfig):
                   level_role_swap=cfg.level_role_swap,
                   pulse_model=cfg.pulse_model, shaped_pulse=pulse)
     schedule = synthesize(spec)
-    prop_cfg = PropagatorConfig(
-        local_error_tolerance=cfg.local_error_tolerance,
-        record_samples=cfg.record_samples,
-        window_placement=cfg.window_placement,
-        window_coupling=cfg.window_coupling,
-    )
-    engine = SchedulePropagator(space, couplings, prop_cfg, cfg.secular_frequency)
+    maps = ModeMaps(couplings, cfg.secular_frequency, cfg.window_placement,
+                    cfg.window_coupling, cfg.local_error_tolerance)
+    engine = SchedulePropagator(space, maps)
     return space, couplings, schedule, initial, engine
 
 
@@ -199,7 +196,7 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
         reference = None
         if cfg.beam_splitter_pair is not None:
             reference = beam_splitter_reference(initial, cfg.beam_splitter_pair)
-        result = engine.run(schedule, initial, reference)
+        result = engine.run(schedule, initial, reference, cfg.record_samples)
     except ScenarioError:
         raise
     except Exception as exc:

@@ -29,15 +29,16 @@ from phonondd.model import (
     FockSpace,
     PhononState,
 )
-from phonondd.propagation import PropagationError, PropagatorConfig
+from phonondd.propagation import PropagationError
 from phonondd.sequences import Evolve, PhaseShift, PulseSchedule
 
 #: Matrices act on a :class:`FockSpace`; sparse and dense are both accepted.
 OperatorMatrix = Union[np.ndarray, sp.spmatrix]
 
-# DOP853 settings of the window ODE besides the configured relative
-# tolerance: absolute tolerance, and the step cap as a fraction of the half
-# period of the secular rotation, the fastest scale of the window dynamics
+# DOP853 settings of the window ODE: relative and absolute tolerance, and
+# the step cap as a fraction of the half period of the secular rotation,
+# the fastest scale of the window dynamics
+RTOL = 1e-12
 ATOL = 1e-14
 STEP_CAP_FRACTION = 1.0 / 20.0
 
@@ -132,7 +133,6 @@ class StaircaseDrive:
 
 def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
                   background: OperatorMatrix | None = None,
-                  config: PropagatorConfig | None = None,
                   secular_frequency: float | None = None,
                   start_time: float = 0.0,
                   pair_creation: OperatorMatrix | None = None) -> PhononState:
@@ -146,7 +146,6 @@ def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
     two quanta, in joules; it rotates at e^{+2 i w0 t} and its adjoint at
     e^{-2 i w0 t}.
     """
-    config = config or PropagatorConfig()
     space = state.space
     if secular_frequency is None:
         secular_frequency = getattr(pulse, "secular_frequency",
@@ -191,7 +190,7 @@ def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
     amps = state.amplitudes.copy()
     for lo, hi in zip(stops[:-1], stops[1:]):
         sol = solve_ivp(rhs, (lo, hi), amps, method="DOP853",
-                        rtol=config.local_error_tolerance, atol=ATOL,
+                        rtol=RTOL, atol=ATOL,
                         max_step=(math.pi / w0) * STEP_CAP_FRACTION)
         if not sol.success:
             raise PropagationError(f"window integration failed: {sol.message}")
@@ -277,24 +276,24 @@ def phase_distance(got: np.ndarray, expected: np.ndarray) -> float:
 
 
 def dense_run(schedule: PulseSchedule, initial: PhononState,
-              couplings: CouplingMatrix, config: PropagatorConfig | None = None,
+              couplings: CouplingMatrix, window_placement: str = "carve",
+              window_coupling: str = "rwa",
               secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
               window_cutoff: int | None = None) -> PhononState:
     """Final state of a schedule, propagated over the full Fock space.
 
     Free segments go through :func:`evolve_constant`, ideal pulses through
     :func:`apply_ideal_phase` and shaped windows through
-    :func:`evolve_shaped`, placed as ``config.window_placement`` says.
+    :func:`evolve_shaped`, placed as ``window_placement`` says.
     With ``window_cutoff`` each window runs in a space of that cutoff and
     is projected back, so it approaches P U P as the cutoff grows.
     """
-    config = config or PropagatorConfig()
     space = initial.space
     wide = FockSpace(space.mode_count, window_cutoff or space.per_mode_cutoff)
     hop = hopping_hamiltonian(space, couplings)
     wide_hop = hopping_hamiltonian(wide, couplings)
     pairs = (pair_creation_hamiltonian(wide, couplings)
-             if config.window_coupling == "full" else None)
+             if window_coupling == "full" else None)
     shaped = schedule.pulse_model == "shaped"
     pulse = schedule.shaped_pulse
     events = schedule.events
@@ -302,14 +301,14 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
     for i, ev in enumerate(events):
         if isinstance(ev, Evolve):
             duration = ev.duration
-            if (shaped and config.window_placement == "carve"
+            if (shaped and window_placement == "carve"
                     and i + 1 < len(events) and isinstance(events[i + 1], PhaseShift)):
                 duration = max(duration - pulse.duration, 0.0)
             state = evolve_constant(state, hop, duration)
             t += duration
         elif shaped:
             state = project(evolve_shaped(embed(state, wide), pulse, ev.modes,
-                                          background=wide_hop, config=config,
+                                          background=wide_hop,
                                           secular_frequency=secular_frequency,
                                           start_time=t, pair_creation=pairs), space)
             t += pulse.duration

@@ -23,7 +23,7 @@ from phonondd.model import (
     build_coupling_matrix,
     coupling_rate,
 )
-from phonondd.propagation import SchedulePropagator
+from phonondd.propagation import ModeMaps, SchedulePropagator
 from phonondd.pulses import (
     TrapParams,
     dc_waveform,
@@ -123,7 +123,8 @@ def test_two_mode_ideal_cancellation_exact():
     space = FockSpace(2, 8)
     cm = build_coupling_matrix(IonChainConfig.equidistant(2, WIDE))
     schedule = synthesize(DDSpec(2, hop_window(WIDE)))
-    res = SchedulePropagator(space, cm).run(schedule, basis_state(space, (2, 1)))
+    res = SchedulePropagator(space, ModeMaps(cm)).run(schedule,
+                                                  basis_state(space, (2, 1)))
     assert res.error_E < 1e-12, f"error = {res.error_E:.3e}"
 
 

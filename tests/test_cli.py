@@ -8,7 +8,6 @@ from click.testing import CliRunner
 from phonondd import cli
 from phonondd.cli import main
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY
-from phonondd.scenarios import load_reference_values
 
 CHEAP_CFG = """
 scenario.name = demo
@@ -50,15 +49,28 @@ class TestRun:
         assert (tmp_path / "demo_populations.csv").exists()
 
     def test_config_named_after_a_catalog_scenario(self, runner, tmp_path):
-        # fig6b's reference is error_EB; this config has no beam splitter pair
+        # fig6b's reference is a shaped beam splitter error_EB; this ideal
+        # config without a pair is another experiment, so it runs ungraded
         cfg = tmp_path / "fig6b.cfg"
         cfg.write_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
                        "state.occupations = 1,1,1\npropagator.n_max = 6\n")
         res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
-        assert res.exit_code == 1, res.output
-        assert isinstance(res.exception, SystemExit)
-        reference = load_reference_values()["metrics"]["fig6b"]["value"]
-        assert res.output.splitlines()[-1] == f"fig6b,error_EB,,{reference!r},,error"
+        assert res.exit_code == 0, res.output
+        [line] = res.output.splitlines()
+        assert line.startswith("fig6b: error=")
+        assert (tmp_path / "fig6b_result.csv").exists()
+
+    def test_config_equal_to_its_catalog_entry_is_graded(self, runner, tmp_path):
+        cfg = tmp_path / "fig3.cfg"
+        cfg.write_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
+                       "state.occupations = 2,1,0\npropagator.n_max = 8\n"
+                       "pulse.model = ideal\nschedule.role_swap = false,false\n")
+        from_file = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
+        assert from_file.exit_code == 0, from_file.output
+        catalog = runner.invoke(main, ["run", "fig3", "--out", str(tmp_path)])
+        graded = catalog.output.splitlines()[-1]
+        assert graded.startswith("fig3,error_E,") and graded.endswith(",pass")
+        assert from_file.output.splitlines()[-1] == graded
 
     def test_unknown_scenario_exits_with_error(self, runner):
         res = runner.invoke(main, ["run", "fig99"])

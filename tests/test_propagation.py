@@ -25,8 +25,8 @@ from phonondd.model import (
     coupling_rate,
 )
 from phonondd.propagation import (
+    ModeMaps,
     PropagationError,
-    PropagatorConfig,
     SchedulePropagator,
     beam_splitter_reference,
     error_overlap,
@@ -120,7 +120,7 @@ class TestIdealPhase:
             # mode 0 holds one quantum, mode 1 two, so only mode 0 flips
             schedule = PulseSchedule(events=(PhaseShift(frozenset(modes)),),
                                      mode_count=2, total_time=HOP_TIME)
-            res = SchedulePropagator(space, cm).run(schedule, state)
+            res = SchedulePropagator(space, ModeMaps(cm)).run(schedule, state)
             # an exact real sign: no imaginary residue, no last-bit shift
             assert res.final_state.amplitudes[i] == sign
 
@@ -133,7 +133,7 @@ class TestIdealPhase:
         state = PhononState(space, amps / np.linalg.norm(amps))
         schedule = PulseSchedule(events=(PhaseShift(frozenset({0})),),
                                  mode_count=2, total_time=HOP_TIME)
-        res = SchedulePropagator(space, cm).run(schedule, state)
+        res = SchedulePropagator(space, ModeMaps(cm)).run(schedule, state)
         after = np.abs(res.final_state.amplitudes) ** 2
         # the pulse is the exact sign (-1)^n_0, so the populations stay
         # as they were to the last bit
@@ -152,7 +152,7 @@ class TestIdealPhase:
         pulse = PhaseShift(frozenset({1}))
         schedule = PulseSchedule(events=(pulse, Evolve(t), pulse),
                                  mode_count=2, total_time=t)
-        left = SchedulePropagator(space, cm).run(schedule, state).final_state
+        left = SchedulePropagator(space, ModeMaps(cm)).run(schedule, state).final_state
         h_neg = hopping_hamiltonian(space, CouplingMatrix(-cm.kappa))
         right = evolve_constant(state, h_neg, t)
         assert np.max(np.abs(left.amplitudes - right.amplitudes)) < 1e-12
@@ -209,16 +209,16 @@ class TestScheduleRuns:
     def test_two_mode_ideal_cancellation_exact(self):
         space, cm = two_mode_setup(8)
         schedule = synthesize(DDSpec(2, HOP_TIME))
-        res = SchedulePropagator(space, cm).run(schedule, basis_state(space, (2, 1)))
+        res = SchedulePropagator(space, ModeMaps(cm)).run(schedule,
+                                                          basis_state(space, (2, 1)))
         assert res.error_E < 1e-12
         assert res.norm_drift <= 1e-10
 
     def test_population_rows_normalized(self):
         space, cm = two_mode_setup(6)
         schedule = synthesize(DDSpec(2, HOP_TIME))
-        cfg = PropagatorConfig(record_samples=65)
-        res = SchedulePropagator(space, cm, cfg).run(schedule,
-                                                     basis_state(space, (2, 1)))
+        res = SchedulePropagator(space, ModeMaps(cm)).run(
+            schedule, basis_state(space, (2, 1)), record_samples=65)
         sums = res.populations.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
         assert np.all(np.diff(res.times) > 0)
@@ -229,7 +229,7 @@ class TestScheduleRuns:
         space, cm = two_mode_setup(6)
         schedule = synthesize(DDSpec(2, HOP_TIME))
         initial = basis_state(space, (2, 1))
-        res = SchedulePropagator(space, cm).run(schedule, initial, initial)
+        res = SchedulePropagator(space, ModeMaps(cm)).run(schedule, initial, initial)
         assert res.error_E == pytest.approx(res.error_EB, abs=1e-15)
 
     def test_ideal_run_records_only_the_occupied_sector(self):
@@ -238,7 +238,7 @@ class TestScheduleRuns:
         # stays exactly zero, and each row matches the full-space oracle
         cfg = replace(get_scenario("fig3"), record_samples=64)
         space, couplings, schedule, initial, engine = build_scenario(cfg)
-        res = engine.run(schedule, initial)
+        res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         total = sum(space.mode_occupations(q) for q in range(space.mode_count))
         assert np.count_nonzero(total == 3) == 10
         assert np.all(res.populations[:, total != 3] == 0.0)
@@ -267,13 +267,37 @@ class TestScheduleRuns:
         # still hold the initial and the final state
         cfg = replace(get_scenario("fig3"), record_samples=2)
         space, couplings, schedule, initial, engine = build_scenario(cfg)
-        res = engine.run(schedule, initial)
+        res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         assert res.times[0] == 0.0
         assert res.times[1] == pytest.approx(schedule.total_evolve_time, rel=1e-12)
         assert np.array_equal(res.populations[0], np.abs(initial.amplitudes) ** 2)
         assert np.array_equal(res.populations[1],
                               np.abs(res.final_state.amplitudes) ** 2)
         assert res.populations[1].max() < 1.0  # the state has moved
+
+    def test_rejects_too_few_samples_and_foreign_states(self):
+        space, cm = two_mode_setup(4)
+        engine = SchedulePropagator(space, ModeMaps(cm))
+        schedule = synthesize(DDSpec(2, HOP_TIME))
+        initial = basis_state(space, (1, 0))
+        # FockSpace(2, 4) and FockSpace(1, 24) both have 25 states
+        foreign = basis_state(FockSpace(1, 24), (1,))
+        with pytest.raises(ValueError, match="record_samples must be at least 2"):
+            engine.run(schedule, initial, record_samples=1)
+        with pytest.raises(ValueError, match="initial state"):
+            engine.run(schedule, foreign)
+        with pytest.raises(ValueError, match="different spaces"):
+            engine.run(schedule, initial, foreign)
+
+    @pytest.mark.parametrize("option,message", [
+        (dict(local_error_tolerance=0.0), "local_error_tolerance must be positive"),
+        (dict(window_placement="middle"), "window_placement must be one of"),
+        (dict(window_coupling="none"), "window_coupling must be one of"),
+    ])
+    def test_mode_maps_reject_bad_values(self, option, message):
+        _, cm = two_mode_setup(4)
+        with pytest.raises(ValueError, match=message):
+            ModeMaps(cm, **option)
 
     def test_shaped_carve_needs_room(self):
         # pulses are carved out of the preceding segment, which must fit
@@ -282,7 +306,8 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, 2 * T0, pulse_model="shaped",
                                      shaped_pulse=pulse))
         with pytest.raises(PropagationError):
-            SchedulePropagator(space, cm).run(schedule, basis_state(space, (1, 0)))
+            SchedulePropagator(space, ModeMaps(cm)).run(schedule,
+                                                        basis_state(space, (1, 0)))
 
     def test_leading_pulse_rejected_on_carve(self):
         space, cm = two_mode_setup(4)
@@ -291,7 +316,8 @@ class TestScheduleRuns:
                             mode_count=2, total_time=HOP_TIME,
                             pulse_model="shaped", shaped_pulse=pulse)
         with pytest.raises(PropagationError):
-            SchedulePropagator(space, cm).run(bad, basis_state(space, (1, 0)))
+            SchedulePropagator(space, ModeMaps(cm)).run(bad,
+                                                        basis_state(space, (1, 0)))
 
     def test_insert_placement_runs_and_differs(self):
         space, cm = two_mode_setup(8)
@@ -299,10 +325,10 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, HOP_TIME, pulse_model="shaped",
                                      shaped_pulse=pulse))
         initial = basis_state(space, (2, 1))
-        carve = SchedulePropagator(space, cm, PropagatorConfig(
-            window_placement="carve")).run(schedule, initial)
-        insert = SchedulePropagator(space, cm, PropagatorConfig(
-            window_placement="insert")).run(schedule, initial)
+        carve = SchedulePropagator(space, ModeMaps(
+            cm, window_placement="carve")).run(schedule, initial)
+        insert = SchedulePropagator(space, ModeMaps(
+            cm, window_placement="insert")).run(schedule, initial)
         assert carve.error_E < 1e-3
         assert insert.error_E < 1e-3
         assert carve.error_E != insert.error_E
@@ -313,10 +339,10 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, HOP_TIME, pulse_model="shaped",
                                      shaped_pulse=pulse))
         initial = basis_state(space, (2, 1))
-        rwa = SchedulePropagator(space, cm, PropagatorConfig(
-            window_coupling="rwa")).run(schedule, initial)
-        full = SchedulePropagator(space, cm, PropagatorConfig(
-            window_coupling="full")).run(schedule, initial)
+        rwa = SchedulePropagator(space, ModeMaps(
+            cm, window_coupling="rwa")).run(schedule, initial)
+        full = SchedulePropagator(space, ModeMaps(
+            cm, window_coupling="full")).run(schedule, initial)
         assert full.error_E == pytest.approx(rwa.error_E, rel=1.0)
         assert full.error_E != rwa.error_E
 
@@ -346,6 +372,13 @@ class TestReferences:
         b = basis_state(space, (1,))
         assert error_overlap(a, a) == pytest.approx(0.0, abs=1e-15)
         assert error_overlap(a, b) == pytest.approx(1.0)
+
+    def test_error_overlap_rejects_states_of_another_space(self):
+        # both spaces hold 81 states; the same index is another Fock state
+        a = basis_state(FockSpace(2, 8), (0, 0))
+        b = basis_state(FockSpace(4, 2), (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="different spaces"):
+            error_overlap(a, b)
 
     def test_number_expectation_total(self):
         space = FockSpace(2, 4)

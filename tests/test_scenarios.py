@@ -340,7 +340,7 @@ class TestRepetitionBound:
         fits = []
         for n in range(1, bound + 3):
             try:
-                engine._steps(synthesize(DDSpec(
+                engine.maps.steps(synthesize(DDSpec(
                     cfg.mode_count, total, repetitions=n,
                     protected_set=cfg.protected_set,
                     level_role_swap=cfg.level_role_swap, pulse_model="shaped",
@@ -527,6 +527,18 @@ output.samples = 64
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):
             replace(cheap_config(), **{field: value})
+
+    @pytest.mark.parametrize("line,field", [
+        ("propagator.tolerance = 0", "local_error_tolerance"),
+        ("pulse.sharpness = 0", "pulse_sharpness"),
+        ("pulse.ramp_up_us = 0", "pulse_ramp_up"),
+        ("pulse.ramp_down_us = -1", "pulse_ramp_down"),
+        ("pulse.target_phase = -1", "target_phase"),
+    ])
+    def test_non_positive_pulse_and_tolerance_rejected_at_parse(self, line, field):
+        with pytest.raises(ScenarioError, match=f"{field} must be positive"):
+            parse_config_text(CHEAP + "pulse.model = shaped\npulse.total_us = 4.0\n"
+                              + line + "\n")
 
     @pytest.mark.parametrize("extra,message", [
         ("chain.truncation = 0\n", "truncation_distance must be at least 1, not 0"),

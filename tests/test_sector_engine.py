@@ -26,7 +26,7 @@ from phonondd.model import (
     build_coupling_matrix,
 )
 from phonondd.propagation import (
-    PropagatorConfig,
+    ModeMaps,
     SchedulePropagator,
     _hopping_block,
     _number_sectors,
@@ -117,20 +117,20 @@ def test_sector_engine_matches_dense_oracle(pulse_model, placement, coupling,
     windows = sum(isinstance(ev, PhaseShift) for ev in schedule.events)
     wall = total + (windows * pulse.duration
                     if shaped and placement == "insert" else 0.0)
-    config = PropagatorConfig(
-        record_samples=2 if samples is None else samples + 1,
-        window_placement=placement, window_coupling=coupling)
-    result = SchedulePropagator(space, couplings, config).run(schedule, initial)
+    maps = ModeMaps(couplings, window_placement=placement, window_coupling=coupling)
+    result = SchedulePropagator(space, maps).run(
+        schedule, initial, record_samples=2 if samples is None else samples + 1)
     spans = window_spans(schedule, placement) if shaped else []
     if shaped:
         n_max = space.per_mode_cutoff
-        expected = dense_run(schedule, initial, couplings, config,
+        expected = dense_run(schedule, initial, couplings, placement, coupling,
                              window_cutoff=n_max + raised).amplitudes
-        check = dense_run(schedule, initial, couplings, config,
+        check = dense_run(schedule, initial, couplings, placement, coupling,
                           window_cutoff=n_max + raised_check).amplitudes
         assert np.linalg.norm(expected - check) <= 0.5 * AGREEMENT
     else:
-        expected = dense_run(schedule, initial, couplings, config).amplitudes
+        expected = dense_run(schedule, initial, couplings, placement,
+                             coupling).amplitudes
     assert phase_distance(result.final_state.amplitudes, expected) <= AGREEMENT
     # free evolution keeps the norm and each window drops the population it
     # pushes past the cutoff, so rows sum to 1 up to the first window, never

@@ -8,8 +8,9 @@ a later start and the closed form Lewis-Riesenfeld map of a lone mode;
 its order, step doubling certificate, failure at the step ceiling and
 drive reads; the real quadrature generators and the commutator basis
 Magnus step against the complex lab frame blocks and the nested
-commutator form; the accepted step count of every catalog map; and the
-Fock action against three independent constructions:
+commutator form; the accepted step count of every catalog map; the map
+of a 32-mode chain, built with no Fock space; and the Fock action against
+three independent constructions:
 the closed form single mode squeeze, the permanent formula for passive
 maps, and the dense exponential of a random quadratic generator at a
 raised, converged cutoff.
@@ -19,6 +20,7 @@ import cmath
 import itertools
 import logging
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +41,8 @@ from phonondd.model import (
 from phonondd.propagation import (
     FIRST_STEPS,
     MAX_STEPS,
+    ModeMaps,
     PropagationError,
-    PropagatorConfig,
     SchedulePropagator,
     _columns,
     _expm,
@@ -67,17 +69,16 @@ STEP_CAP = (math.pi / PULSE.secular_frequency) / 20.0
 
 @st.composite
 def engines(draw):
-    """(engine, pulsed modes) on a random chain with M <= 3."""
+    """(mode maps, pulsed modes) on a random chain with M <= 3."""
     modes = draw(st.integers(1, 3))
     gaps = draw(st.lists(st.floats(25e-6, 60e-6), min_size=modes - 1,
                          max_size=modes - 1))
     positions = tuple(np.concatenate([[0.0], np.cumsum(gaps)]).tolist())
     couplings = build_coupling_matrix(IonChainConfig(modes, positions))
     coupling = draw(st.sampled_from(["rwa", "full"]))
-    engine = SchedulePropagator(FockSpace(modes, 2), couplings,
-                                PropagatorConfig(window_coupling=coupling))
+    maps = ModeMaps(couplings, window_coupling=coupling)
     pulsed = draw(st.sets(st.integers(0, modes - 1), min_size=1))
-    return engine, frozenset(pulsed)
+    return maps, frozenset(pulsed)
 
 
 def symplectic_residuals(a, b):
@@ -90,18 +91,18 @@ def symplectic_residuals(a, b):
 @given(case=engines(), fractions=st.lists(st.floats(0.0, 1.0), min_size=3,
                                           max_size=3))
 def test_map_stays_symplectic(case, fractions):
-    engine, pulsed = case
-    heis = engine._map(pulsed, PULSE)
+    maps, pulsed = case
+    heis = maps.window_map(pulsed, PULSE)
     for a, b, _ in [heis.end()] + heis.at([f * PULSE.duration for f in fractions]):
         assert max(symplectic_residuals(a, b)) <= TIGHT
 
 
-def direct_map(engine, pulsed, start):
+def direct_map(maps, pulsed, start):
     """(A, B) integrated from absolute time ``start`` with absolute phases."""
-    m, w0 = engine.space.mode_count, engine.secular_frequency
-    kappa = engine.couplings.kappa / 2.0
+    m, w0 = maps.couplings.mode_count, maps.secular_frequency
+    kappa = maps.couplings.kappa / 2.0
     mask = np.array([q in pulsed for q in range(m)], dtype=float)
-    full = engine.config.window_coupling == "full"
+    full = maps.window_coupling == "full"
 
     def rhs(t, y):
         a, b = y[:m * m].reshape(m, m), y[m * m:].reshape(m, m)
@@ -121,11 +122,11 @@ def direct_map(engine, pulsed, start):
 @settings(max_examples=4, deadline=None)
 @given(case=engines(), start_us=st.floats(0.0, 100.0))
 def test_gauge_identity_against_direct_integration(case, start_us):
-    engine, pulsed = case
+    maps, pulsed = case
     start = start_us * 1e-6
-    a, b, _ = engine._map(pulsed, PULSE).end()
-    a_direct, b_direct = direct_map(engine, pulsed, start)
-    gauge = cmath.exp(2j * engine.secular_frequency * start)
+    a, b, _ = maps.window_map(pulsed, PULSE).end()
+    a_direct, b_direct = direct_map(maps, pulsed, start)
+    gauge = cmath.exp(2j * maps.secular_frequency * start)
     assert np.linalg.norm(a - a_direct) <= TIGHT
     assert np.linalg.norm(b * gauge - b_direct) <= TIGHT
 
@@ -161,8 +162,8 @@ def closed_form_map(pulse, tau):
                                    design_pulse(2.2 * T0, 1.0 * T0, 1.0 * T0)],
                          ids=["8.8T0", "2.2T0"])
 def test_lone_mode_map_matches_lewis_riesenfeld(pulse):
-    engine = SchedulePropagator(FockSpace(1, 2), CouplingMatrix(np.zeros((1, 1))))
-    heis = engine._map(frozenset({0}), pulse)
+    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))))
+    heis = maps.window_map(frozenset({0}), pulse)
     taus = [f * pulse.duration for f in (0.13, 0.5, 0.71, 0.94)]
     for tau, (a, b, _) in zip(taus + [pulse.duration], heis.at(taus) + [heis.end()]):
         a_exact, b_exact = closed_form_map(pulse, tau)
@@ -173,7 +174,7 @@ def test_lone_mode_map_matches_lewis_riesenfeld(pulse):
 def fock_matrix(engine, heis):
     """Columns P U P |n> for every basis state n of the engine's space."""
     dim = engine.space.dimension
-    return np.column_stack([engine._apply(np.eye(dim, dtype=complex)[:, n], heis, 1.0)
+    return np.column_stack([engine._apply(np.eye(dim, dtype=complex)[:, n], heis)
                             for n in range(dim)])
 
 
@@ -194,7 +195,8 @@ def squeeze_element(m, n, r, theta):
 
 @pytest.mark.parametrize("r,theta", [(0.34, 0.0), (0.8, 1.3), (1.5, -2.0)])
 def test_single_mode_squeeze_matches_closed_form(r, theta):
-    engine = SchedulePropagator(FockSpace(1, 12), CouplingMatrix(np.zeros((1, 1))))
+    engine = SchedulePropagator(FockSpace(1, 12),
+                                ModeMaps(CouplingMatrix(np.zeros((1, 1)))))
     a = np.array([[math.cosh(r)]], dtype=complex)
     b = np.array([[-cmath.exp(1j * theta) * math.sinh(r)]])
     got = fock_matrix(engine, (a, b, 1.0 / math.sqrt(math.cosh(r))))
@@ -216,7 +218,7 @@ def test_passive_map_matches_permanents(modes, seed):
     k = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     a = scipy.linalg.expm(-1j * (k + k.conj().T))
     space = FockSpace(modes, 2)
-    engine = SchedulePropagator(space, CouplingMatrix(np.zeros((modes, modes))))
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
     norm = 1.0 / cmath.sqrt(np.linalg.det(a.conj()))
     got = fock_matrix(engine, (a, np.zeros_like(a), norm))
     for col, row in itertools.product(range(space.dimension), repeat=2):
@@ -271,10 +273,10 @@ def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
     h, pair, heis = random_quadratic(rng, modes, strength)
 
     space = FockSpace(modes, n_max)
-    engine = SchedulePropagator(space, CouplingMatrix(np.zeros((modes, modes))))
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state = PhononState(space, amps / np.linalg.norm(amps))
-    got = engine._apply(state.amplitudes, heis, 1.0)
+    got = engine._apply(state.amplitudes, heis)
 
     def reference(cutoff):
         wide = FockSpace(modes, cutoff)
@@ -297,7 +299,7 @@ def test_reused_pair_operators_match_a_fresh_engine():
     modes = 3
     space = FockSpace(modes, 3)
     couplings = CouplingMatrix(np.zeros((modes, modes)))
-    engine = SchedulePropagator(space, couplings)
+    engine = SchedulePropagator(space, ModeMaps(couplings))
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     amps /= np.linalg.norm(amps)
 
@@ -308,12 +310,13 @@ def test_reused_pair_operators_match_a_fresh_engine():
     calls = []
     for raising_first in (True, False, True):
         gauge = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        calls.append(("_apply", (amps, random_quadratic(rng, modes, 0.3)[2], gauge)))
+        a, b, norm = random_quadratic(rng, modes, 0.3)[2]
+        calls.append(("_apply", (amps, (a, b * gauge, norm))))
         calls.append(("_pair_series", (amps, coeffs(), raising_first)))
         calls.append(("_pair_series", (amps, coeffs(), not raising_first)))
     for name, args in calls:
         got = getattr(engine, name)(*args)
-        fresh = getattr(SchedulePropagator(space, couplings), name)(*args)
+        fresh = getattr(SchedulePropagator(space, ModeMaps(couplings)), name)(*args)
         assert np.abs(got - amps).max() > 1e-3  # the call did something
         np.testing.assert_array_equal(got, fresh)
 
@@ -323,15 +326,16 @@ def test_each_pulse_gets_its_own_map():
     couplings = build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6))
     initial = basis_state(space, (2, 1))
     other = design_pulse(2.2 * T0, ramp_up=1.0 * T0, ramp_down=1.0 * T0)
-    engine = SchedulePropagator(space, couplings)
+    maps = ModeMaps(couplings)
+    engine = SchedulePropagator(space, maps)
     runs = []
     for pulse in (PULSE, other):
         schedule = synthesize(DDSpec(2, 50e-6, pulse_model="shaped", shaped_pulse=pulse))
         shared = engine.run(schedule, initial).final_state.amplitudes
-        fresh = SchedulePropagator(space, couplings).run(schedule, initial)
+        fresh = SchedulePropagator(space, ModeMaps(couplings)).run(schedule, initial)
         np.testing.assert_array_equal(shared, fresh.final_state.amplitudes)
         runs.append(shared)
-    assert {pulse for _, pulse in engine._maps} == {PULSE, other}
+    assert {pulse for _, pulse in maps._cache} == {PULSE, other}
     assert np.linalg.norm(runs[0] - runs[1]) > 1e-6
 
 
@@ -348,25 +352,22 @@ class CountingPulse(ShapedPulse):
 
 def test_map_reads_the_drive_once_per_level_and_window():
     pulse = CountingPulse(PULSE.params)
-    engine = SchedulePropagator(FockSpace(2, 2), build_coupling_matrix(
-        IonChainConfig.equidistant(2, 30e-6)))
-    heis = engine._map(frozenset({0}), pulse)
+    maps = ModeMaps(build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6)))
+    heis = maps.window_map(frozenset({0}), pulse)
     levels = round(math.log2(heis.steps / FIRST_STEPS)) + 1
     assert heis.steps == FIRST_STEPS * 2 ** (levels - 1)
     assert len(pulse.calls) <= levels
-    amps = np.eye(engine.space.dimension, dtype=complex)[:, 1]
     for inner in ([], [0.1 * PULSE.duration], np.linspace(0.05, 0.95, 7) * PULSE.duration):
         before = len(pulse.calls)
-        engine._window(amps, 3e-6, frozenset({0}), pulse, [3e-6 + t for t in inner])
+        maps.window(3e-6, frozenset({0}), pulse, [3e-6 + t for t in inner])
         assert len(pulse.calls) - before <= min(len(inner), 1)
 
 
 def test_map_records_its_certificate(caplog):
     tolerance = 1e-12
-    engine = SchedulePropagator(FockSpace(1, 2), CouplingMatrix(np.zeros((1, 1))),
-                                PropagatorConfig(local_error_tolerance=tolerance))
+    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))), local_error_tolerance=tolerance)
     with caplog.at_level(logging.DEBUG, logger="phonondd"):
-        heis = engine._map(frozenset({0}), PULSE)
+        heis = maps.window_map(frozenset({0}), PULSE)
     assert FIRST_STEPS < heis.steps <= MAX_STEPS
     assert 0.0 < heis.delta <= 63.0 * tolerance
     [line] = [r.getMessage() for r in caplog.records if "window map" in r.getMessage()]
@@ -382,21 +383,19 @@ def test_batched_exponential_matches_scipy(scale):
 
 
 def test_magnus_step_is_sixth_order():
-    engine = SchedulePropagator(FockSpace(2, 2), build_coupling_matrix(
-        IonChainConfig.equidistant(2, 30e-6)))
-    generator = engine._map(frozenset({0}), design_pulse(8.8 * T0)).generator
+    maps = ModeMaps(build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6)))
+    generator = maps.window_map(frozenset({0}), design_pulse(8.8 * T0)).generator
     ends = [_columns(generator.nodes(FIRST_STEPS * 2 ** k)[-1]) for k in range(3)]
     coarse, fine = (np.abs(x - y).max() for x, y in zip(ends, ends[1:]))
     assert fine * 2 ** 5 < coarse < fine * 2 ** 7
 
 
 def test_unreachable_tolerance_fails_at_the_step_ceiling():
-    engine = SchedulePropagator(FockSpace(1, 2), CouplingMatrix(np.zeros((1, 1))),
-                                PropagatorConfig(local_error_tolerance=1e-17))
+    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))), local_error_tolerance=1e-17)
     with pytest.raises(PropagationError,
                        match=f"local_error_tolerance 1.0e-17.*at {MAX_STEPS} steps"):
-        engine._map(frozenset({0}), PULSE)
-    assert not engine._maps
+        maps.window_map(frozenset({0}), PULSE)
+    assert not maps._cache
 
 
 def nested_omega(l0, l1, lengths, f):
@@ -416,14 +415,14 @@ def nested_omega(l0, l1, lengths, f):
     return a1 + a3 / 12.0 + commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
 
 
-def complex_blocks(engine, pulsed):
+def complex_blocks(maps, pulsed):
     """The lab frame generators of [A; conj B]: -i [[W, K], [-K, -W]] and
     -i [[P, P], [-P, -P]], with W = w0 + kappa/2 and K = kappa/2 under full
     coupling, else 0."""
-    m = engine.space.mode_count
-    hop = engine.couplings.kappa / 2.0
-    cross = hop if engine.config.window_coupling == "full" else np.zeros((m, m))
-    diagonal = engine.secular_frequency * np.eye(m) + hop
+    m = maps.couplings.mode_count
+    hop = maps.couplings.kappa / 2.0
+    cross = hop if maps.window_coupling == "full" else np.zeros((m, m))
+    diagonal = maps.secular_frequency * np.eye(m) + hop
     p = np.diag([float(q in pulsed) for q in range(m)])
     return (-1j * np.block([[diagonal, cross], [-cross, -diagonal]]),
             -1j * np.block([[p, p], [-p, -p]]))
@@ -432,12 +431,12 @@ def complex_blocks(engine, pulsed):
 @settings(max_examples=10, deadline=None)
 @given(case=engines())
 def test_real_generators_are_the_turned_complex_blocks(case):
-    engine, pulsed = case
-    basis = engine._map(pulsed, PULSE).generator.basis
-    m = engine.space.mode_count
+    maps, pulsed = case
+    basis = maps.window_map(pulsed, PULSE).generator.basis
+    m = maps.couplings.mode_count
     eye = np.eye(m)
     turn = np.block([[eye, -1j * eye], [-1j * eye, eye]]) / math.sqrt(2.0)
-    for real, block in zip(basis[:2], complex_blocks(engine, pulsed)):
+    for real, block in zip(basis[:2], complex_blocks(maps, pulsed)):
         assert real.dtype == float
         expected = turn @ block @ turn.conj().T
         assert np.abs(real - expected).max() <= 1e-15 * np.abs(expected).max()
@@ -448,9 +447,8 @@ def test_real_generators_are_the_turned_complex_blocks(case):
 def test_basis_omega_matches_nested_commutators(modes, coupling):
     rng = np.random.default_rng(100 * modes + len(coupling))
     couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 30e-6))
-    engine = SchedulePropagator(FockSpace(modes, 2), couplings,
-                                PropagatorConfig(window_coupling=coupling))
-    generator = engine._map(frozenset({modes - 1}), PULSE).generator
+    maps = ModeMaps(couplings, window_coupling=coupling)
+    generator = maps.window_map(frozenset({modes - 1}), PULSE).generator
     # step lengths up to twice the first level's; f = drive / (2 w0) of
     # either sign, up to six times the largest catalog value (0.52 w0, fig1b)
     lengths = rng.uniform(0.0, 2.0, 40) * PULSE.duration / FIRST_STEPS
@@ -470,7 +468,7 @@ def catalog_maps():
         _, _, schedule, _, engine = build_scenario(cfg)
         for ev in schedule.events:
             if not isinstance(ev, Evolve):
-                heis = engine._map(ev.modes, schedule.shaped_pulse)
+                heis = engine.maps.window_map(ev.modes, schedule.shaped_pulse)
                 yield cfg.name, round(cfg.pulse_duration / T0, 1), heis.steps
 
 
@@ -482,3 +480,22 @@ def test_catalog_maps_accept_their_pinned_step_counts():
         seen.setdefault(duration, set()).add(name)
     assert seen == {8.8: {"fig1a", "fig2", "fig4b", "fig5b", "fig6b", "fig7b"},
                     2.2: {"fig1b"}}
+
+
+def test_long_chain_map_needs_no_fock_space():
+    """The map of the mid-chain mode of a 32-mode chain comes from the
+    couplings alone.  The Fock cube at n_max = 1 has 2^32 states, 32 GiB
+    for one real vector; the map's traced peak is set by ``_expm`` on the
+    800-step level, which holds about ten (800, 64, 64) stacks of 26 MB at
+    once (249 MB measured)."""
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(32, 43.8e-6))
+    tracemalloc.start()
+    try:
+        heis = ModeMaps(couplings).window_map(frozenset({16}), design_pulse(8.8 * T0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert heis.steps == 800
+    assert peak < 320e6
+    a, b, _ = heis.end()
+    assert max(symplectic_residuals(a, b)) <= TIGHT
