@@ -51,9 +51,12 @@ lowering factor keeps the cutoff cube closed, raising never returns to
 it, and Gamma is built column by column from raised columns of lower N, so
 the engine applies the exact projection P U P onto the cube: the squeezing
 transient inside a window is never truncated, and the population U pushes
-past the cutoff is lost from the norm.  One loop runs the steps, sampling
-the populations on record_samples evenly spaced points from the start of
-the schedule to its end.
+past the cutoff is lost from the norm.  Each window end then zeroes the
+top sectors of joint weight at most eps^2 |psi|^2 (eps of float64), the
+tails down to 1e-84 the raising series leaves; as P U P is a contraction
+and the other steps are unitary, K trims move the state by at most K eps.
+One loop runs the steps, sampling the populations on record_samples
+evenly spaced points from the start of the schedule to its end.
 """
 
 from __future__ import annotations
@@ -105,8 +108,9 @@ class SimulationResult:
 
     ``norm_drift`` is the largest deviation of the state norm from one.
     On shaped runs it includes, exactly, the population each window has
-    pushed past the cutoff, since windows apply the projection P U P;
-    ``boundary_leakage`` is the largest population seen on the cutoff.
+    pushed past the cutoff, since windows apply the projection P U P; it
+    and ``boundary_leakage``, the largest population seen on the cutoff,
+    are read before the trim at each window end.
     """
 
     times: np.ndarray
@@ -236,17 +240,23 @@ def _expm(x: np.ndarray) -> np.ndarray:
 
     The stack is scaled by 2^-s to a 1-norm of at most 0.95, where the
     approximant is exact to double precision (Higham, SIAM J. Matrix Anal.
-    Appl. 26, 1179, 2005), and squared s times.
+    Appl. 26, 1179, 2005), and squared s times.  The sums of the even and
+    odd powers grow in place, lowest power first, and each power is freed
+    once added, so a level holds about seven stacks at most.
     """
     norm = float(np.abs(x).sum(axis=-2).max(initial=0.0))
     squarings = max(0, math.ceil(math.log2(norm / 0.95))) if norm else 0
     x = x / 2.0 ** squarings
     x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
     eye = np.eye(x.shape[-1])
-    even = PADE[0] * eye + PADE[2] * x2 + PADE[4] * x4 + PADE[6] * x6
-    odd = x @ (PADE[1] * eye + PADE[3] * x2 + PADE[5] * x4 + PADE[7] * x6)
+    even, odd = PADE[0] * eye + PADE[2] * x2, PADE[1] * eye + PADE[3] * x2
+    power = x2
+    for c_even, c_odd in ((PADE[4], PADE[5]), (PADE[6], PADE[7])):
+        power = power @ x2  # x^4, then x^6
+        even += c_even * power
+        odd += c_odd * power
+    del power, x2
+    odd = x @ odd
     out = np.linalg.solve(even - odd, even + odd)
     for _ in range(squarings):
         out = out @ out
@@ -594,6 +604,15 @@ class SchedulePropagator:
         passive = self._passive(lowered, y)
         return norm * self._pair_series(passive, y @ b.T, raising=True)
 
+    def _trim(self, amps: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """(amps, top sector kept, weight dropped) after zeroing the highest
+        sectors of joint weight at most eps^2 |amps|^2, eps of float64."""
+        weights = np.bincount(self._total, weights=np.abs(amps) ** 2)
+        tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)  # weight from N up
+        floor = np.finfo(float).eps ** 2 * tail[0]
+        top = int(np.flatnonzero(tail > floor).max(initial=-1))
+        return np.where(self._total > top, 0.0, amps), top, float(tail[top + 1])
+
     def run(self, schedule: PulseSchedule, initial: PhononState,
             reference: PhononState | None = None,
             record_samples: int = 2) -> SimulationResult:
@@ -621,6 +640,7 @@ class SchedulePropagator:
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         leakage = float(np.sum(np.abs(amps[self._boundary]) ** 2))
         k, t = 0, 0.0  # first grid point not yet recorded, and the clock
+        applies, top, trimmed = 0, -1, 0.0  # window applies, and trims at their ends
 
         for kind, duration, modes in steps:
             if kind == "parity":
@@ -642,16 +662,19 @@ class SchedulePropagator:
             else:
                 end, *inner_maps = self.maps.window(t, modes, schedule.shaped_pulse,
                                                     inner)
-                sampled = [self._apply(amps, heis) for heis in inner_maps]
-                amps = self._apply(amps, end)
-                if sampled:
-                    np.abs(sampled, out=pops[start:k])
-                checked = sampled + [amps]
+                checked = [self._apply(amps, heis) for heis in inner_maps + [end]]
+                if inner_maps:
+                    np.abs(checked[:-1], out=pops[start:k])
+                amps, kept, dropped = self._trim(checked[-1])
+                applies += len(checked)
+                top, trimmed = max(top, kept), trimmed + dropped
             for vec in checked:
                 norm_drift = max(norm_drift, abs(np.linalg.norm(vec) - 1.0))
                 leakage = max(leakage, float(np.sum(np.abs(vec[self._boundary]) ** 2)))
             t += duration
 
+        LOG.debug("run window_applies=%d top_kept_sector=%d trimmed_weight=%.2e",
+                  applies, top, trimmed)
         pops[k:] = np.abs(amps)
         pops **= 2
         times[-1] = t

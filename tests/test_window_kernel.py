@@ -13,7 +13,10 @@ of a 32-mode chain, built with no Fock space; and the Fock action against
 three independent constructions:
 the closed form single mode squeeze, the permanent formula for passive
 maps, and the dense exponential of a random quadratic generator at a
-raised, converged cutoff.
+raised, converged cutoff.  The trim of sub-round-off sectors at each
+window end is checked against the bound it rests on: the apply is a
+contraction, a trim drops at most eps of the norm, and a run moves by at
+most eps per window end.
 """
 
 import cmath
@@ -41,6 +44,7 @@ from phonondd.model import (
 from phonondd.propagation import (
     FIRST_STEPS,
     MAX_STEPS,
+    PADE,
     ModeMaps,
     PropagationError,
     SchedulePropagator,
@@ -321,6 +325,101 @@ def test_reused_pair_operators_match_a_fresh_engine():
         np.testing.assert_array_equal(got, fresh)
 
 
+# a window apply may exceed the norm of its input by this relative
+# round-off at most, fixed before any run
+CONTRACTION_SLACK = 1e-12
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("modes,n_max", [(3, 6), (2, 10)])
+def test_window_apply_is_a_contraction(modes, n_max, strength):
+    """P U P never grows a norm: U is unitary and P an orthogonal projector.
+    The trim at each window end rests on this, since no later window can
+    then enlarge the norm a trim drops."""
+    rng = np.random.default_rng(100 * modes + n_max + int(10 * strength))
+    space = FockSpace(modes, n_max)
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
+    for _ in range(5):
+        heis = random_quadratic(rng, modes, strength)[2]
+        vec = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        out = np.linalg.norm(engine._apply(vec, heis))
+        assert out <= np.linalg.norm(vec) * (1.0 + CONTRACTION_SLACK)
+
+
+def sector_totals(space):
+    return sum(space.mode_occupations(q) for q in range(space.mode_count))
+
+
+def test_trim_drops_exactly_the_tail_below_round_off():
+    space = FockSpace(3, 8)
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((3, 3)))))
+    rng = np.random.default_rng(21)
+    total = sector_totals(space)
+    amps = np.zeros(space.dimension, dtype=complex)
+    for n, weight in {3: 1.0, 11: 1e-20, 21: 1e-40}.items():
+        idx = np.flatnonzero(total == n)
+        block = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+        amps[idx] = math.sqrt(weight) * block / np.linalg.norm(block)
+    # the sectors from 12 up hold 1e-40 <= eps^2 |amps|^2 = 4.9e-32, those
+    # from 11 up 1e-20 more
+    trimmed, top, dropped = engine._trim(amps)
+    assert top == 11
+    assert not trimmed[total > 11].any()
+    np.testing.assert_array_equal(trimmed[total <= 11], amps[total <= 11])
+    assert np.linalg.norm(amps - trimmed) <= EPS * np.linalg.norm(amps)
+    assert dropped == pytest.approx(1e-40)
+
+
+def test_trim_keeps_a_state_without_a_sub_round_off_tail():
+    space = FockSpace(3, 4)
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((3, 3)))))
+    rng = np.random.default_rng(22)
+    dense = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    for amps, top in ((basis_state(space, (2, 1, 0)).amplitudes, 3), (dense, 12)):
+        trimmed, kept, dropped = engine._trim(amps)
+        np.testing.assert_array_equal(trimmed, amps)
+        assert (kept, dropped) == (top, 0.0)
+
+
+def shaped_run():
+    """(engine, schedule, initial state, window count) of a two-mode run
+    whose windows raise sub-round-off tails up to the top of the cube."""
+    space = FockSpace(2, 10)
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6))
+    schedule = synthesize(DDSpec(2, 50e-6, repetitions=2, pulse_model="shaped",
+                                 shaped_pulse=PULSE))
+    engine = SchedulePropagator(space, ModeMaps(couplings))
+    windows = sum(kind == "window" for kind, _, _ in engine.maps.steps(schedule)[0])
+    return engine, schedule, basis_state(space, (2, 1)), windows
+
+
+def test_trim_moves_a_run_by_at_most_eps_per_window_end(monkeypatch):
+    """Each trim drops a norm of at most eps |psi| <= eps, and every later
+    step is unitary or a contraction, so after K window ends the state is
+    within K eps of the untrimmed run."""
+    engine, schedule, initial, windows = shaped_run()
+    trimmed = engine.run(schedule, initial).final_state.amplitudes
+    monkeypatch.setattr(SchedulePropagator, "_trim",
+                        lambda self, amps: (amps, -1, 0.0))
+    full = engine.run(schedule, initial).final_state.amplitudes
+    total = sector_totals(initial.space)
+    assert full[total > 12].any() and not trimmed[total > 12].any()
+    assert np.linalg.norm(trimmed - full) <= windows * EPS
+
+
+def test_run_logs_its_window_applies_and_trims(caplog):
+    engine, schedule, initial, windows = shaped_run()
+    with caplog.at_level(logging.DEBUG, logger="phonondd"):
+        engine.run(schedule, initial, record_samples=2)
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("run ")]
+    fields = dict(item.split("=") for item in line.split()[1:])
+    assert int(fields["window_applies"]) == windows  # no sample inside a window
+    assert 3 <= int(fields["top_kept_sector"]) <= 12
+    assert 0.0 < float(fields["trimmed_weight"]) <= windows * EPS ** 2
+
+
 def test_each_pulse_gets_its_own_map():
     space = FockSpace(2, 6)
     couplings = build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6))
@@ -380,6 +479,39 @@ def test_batched_exponential_matches_scipy(scale):
     x = scale * (rng.normal(size=(50, 6, 6)) + 1j * rng.normal(size=(50, 6, 6))) / 6
     expected = np.array([scipy.linalg.expm(m) for m in x])
     assert np.abs(_expm(x) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def textbook_expm(x):
+    """``_expm`` with every power kept and each Pade sum one expression."""
+    norm = float(np.abs(x).sum(axis=-2).max(initial=0.0))
+    squarings = max(0, math.ceil(math.log2(norm / 0.95))) if norm else 0
+    x = x / 2.0 ** squarings
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    eye = np.eye(x.shape[-1])
+    even = PADE[0] * eye + PADE[2] * x2 + PADE[4] * x4 + PADE[6] * x6
+    odd = x @ (PADE[1] * eye + PADE[3] * x2 + PADE[5] * x4 + PADE[7] * x6)
+    out = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def test_in_place_pade_sums_match_the_textbook_sums_on_catalog_levels(monkeypatch):
+    """The in-place sums add the same terms in the same order, so every
+    level of every catalog map is bit for bit what the textbook form gives."""
+    levels = set()
+
+    def checked(x):
+        got = _expm(x)
+        assert np.array_equal(got, textbook_expm(x))
+        levels.add(len(x))
+        return got
+
+    monkeypatch.setattr("phonondd.propagation._expm", checked)
+    assert {steps for *_, steps in catalog_maps()} == {400, 800}
+    assert levels == {200, 400, 800}
 
 
 def test_magnus_step_is_sixth_order():
@@ -482,12 +614,25 @@ def test_catalog_maps_accept_their_pinned_step_counts():
                     2.2: {"fig1b"}}
 
 
+def test_catalog_final_states_keep_no_sub_round_off_tail(scenario_cache):
+    """The highest number sector each shaped catalog run ends in.  Without
+    the trim at window ends the raising series fills sectors up to 23-29,
+    and every later window builds Gamma(Y) on all of them."""
+    pinned = {"fig1b": 9}
+    for cfg in scenario_catalog():
+        if cfg.pulse_model != "shaped":
+            continue
+        final = scenario_cache.result(cfg.name).final_state
+        top = sector_totals(final.space)[np.flatnonzero(final.amplitudes)].max()
+        assert top <= pinned.get(cfg.name, 7), cfg.name
+
+
 def test_long_chain_map_needs_no_fock_space():
     """The map of the mid-chain mode of a 32-mode chain comes from the
     couplings alone.  The Fock cube at n_max = 1 has 2^32 states, 32 GiB
     for one real vector; the map's traced peak is set by ``_expm`` on the
-    800-step level, which holds about ten (800, 64, 64) stacks of 26 MB at
-    once (249 MB measured)."""
+    800-step level, which holds about seven (800, 64, 64) stacks of 26 MB
+    at once (172 MB measured)."""
     couplings = build_coupling_matrix(IonChainConfig.equidistant(32, 43.8e-6))
     tracemalloc.start()
     try:
@@ -496,6 +641,6 @@ def test_long_chain_map_needs_no_fock_space():
     finally:
         tracemalloc.stop()
     assert heis.steps == 800
-    assert peak < 320e6
+    assert peak < 230e6
     a, b, _ = heis.end()
     assert max(symplectic_residuals(a, b)) <= TIGHT
