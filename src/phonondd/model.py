@@ -129,8 +129,7 @@ class FockSpace:
     Basis states are labeled by occupation tuples written high mode first,
     (n_{M-1}, ..., n_1, n_0), matching the ket notation used in outputs.
     The dense index is sum_j n_j (n_max + 1)^j, i.e. mode 0 is the least
-    significant digit.  ``index`` and ``occupations`` are exact inverses on
-    the full range.
+    significant digit; ``mode_occupations`` reads the digits back.
     """
 
     mode_count: int
@@ -157,17 +156,6 @@ class FockSpace:
                 raise ValueError(f"occupation {n} outside [0, {self.per_mode_cutoff}]")
             idx += n * base ** j
         return idx
-
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple (n_{M-1},...,n_0) of a dense index."""
-        if not 0 <= index < self.dimension:
-            raise IndexError("basis index out of range")
-        base = self.per_mode_cutoff + 1
-        out = []
-        for _ in range(self.mode_count):
-            out.append(index % base)
-            index //= base
-        return tuple(reversed(out))
 
     def labels(self) -> list[str]:
         """Compact text label of every basis index, digits high mode first.

@@ -35,10 +35,13 @@ during windows.
 
 Free segments evolve under the number conserving hopping Hamiltonian,
 which is constant in the frame rotating at the secular frequency, so the
-Fock layer works in sectors of fixed total phonon number N: each sector
-evolves through the eigendecomposition of its own block, computed the
-first time a state occupies it, and a sector holding no amplitude stays
-exactly zero.  Ideal pulses are instantaneous parity phases.  A window's
+Fock layer works in sectors of fixed total phonon number N.  It holds a
+state in sector order, the basis sorted by N, so each sector is one
+contiguous slice; only ``run`` meets the Fock order of :class:`FockSpace`,
+at its start and its end.  Each sector evolves through the
+eigendecomposition of its own block, computed the first time a state
+occupies it, and a sector holding no amplitude stays exactly zero.  Ideal
+pulses are instantaneous parity phases.  A window's
 U acts on the Fock vector through its normal ordered form
 
     U = c exp(a^dag X a^dag / 2) Gamma(Y) exp(a Z a / 2),
@@ -49,12 +52,22 @@ The engine takes c = |det A|^{-1/2}: the phase of c is global to the
 state, and every output is a population or an overlap magnitude.  The
 lowering factor keeps the cutoff cube closed, raising never returns to
 it, and Gamma is built column by column from raised columns of lower N, so
-the engine applies the exact projection P U P onto the cube: the squeezing
-transient inside a window is never truncated, and the population U pushes
-past the cutoff is lost from the norm.  Each window end then zeroes the
-top sectors of joint weight at most eps^2 |psi|^2 (eps of float64), the
-tails down to 1e-84 the raising series leaves; as P U P is a contraction
-and the other steps are unitary, K trims move the state by at most K eps.
+the engine applies the projection P U P onto the cube: the squeezing
+transient inside a window is not truncated by the cutoff, and the
+population U pushes past the cutoff is lost from the norm.  Term k of a
+pair series reaches only the occupied sectors shifted by 2k, so only that
+band is gathered.  The lowering runs until the band leaves the cube and is
+exact.  The raising factor, applied last, stops after the first term k
+with |c| |t_k| r / (1 - r) below eps |psi| (eps of float64, psi the input
+of the window): with g = n_max sum_ij |sym X_ij| / 2, which bounds
+|P a^dag X a^dag P| / 2, term k + i is at most |t_k| g^i k! / (k + i)!, so
+for r = g / (k + 1) < 1 that bounds all the terms left out.  Only the last
+factor may stop early, since an error in the lowering would pass through
+Gamma(Y) and the raising, neither a contraction.  Each window end then
+zeroes the top sectors of joint weight at most eps^2 |psi|^2, one slice of
+the vector.  P U P is a contraction and the other steps are unitary, so K
+window ends move the state by at most K eps through the stops and K eps
+through the trims.
 One loop runs the steps, sampling the populations on record_samples
 evenly spaced points from the start of the schedule to its end.
 """
@@ -88,6 +101,8 @@ GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 PADE = [math.factorial(14 - j) * math.factorial(7)
         / (math.factorial(14) * math.factorial(j) * math.factorial(7 - j))
         for j in range(8)]
+
+EPS = np.finfo(float).eps  # sets the window-end trim and the raising stop
 
 LOG = logging.getLogger(__name__)
 
@@ -426,16 +441,19 @@ class ModeMaps:
 class SchedulePropagator:
     """Engine bound to one Fock space and the mode maps of one chain.
 
-    Splits the basis into sectors of fixed total phonon number and caches,
-    for each sector a state reaches, the eigensystem of its hopping block;
-    then replays any schedule on that chain, with the steps and window maps
-    of ``maps``.  Every operator it applies comes from the base-(n_max + 1)
-    occupation digits of the basis index: the hopping block of each sector,
-    the gather tables of the pair lowering and raising, built once, and the
-    raising levels of Gamma(Y).  No call writes to a stored table.
-    Eigensystems come from ``numpy.linalg.eigh``, so every dense call runs
-    on numpy's OpenBLAS and LAPACK: SciPy's second OpenBLAS pool slowed the
-    numpy calls after it.
+    Holds a state in sector order: the basis sorted by total phonon number
+    N, Fock index ascending within a sector, so sector N is the slice
+    offsets[N]:offsets[N + 1].  ``run`` converts from and to the Fock order
+    of :class:`FockSpace` at its two ends.  Caches, for each sector a state
+    reaches, the eigensystem of its hopping block; then replays any
+    schedule on that chain, with the steps and window maps of ``maps``.
+    Every operator it applies comes from the base-(n_max + 1) occupation
+    digits of the basis index: the hopping block of each sector, the gather
+    tables of the pair lowering and raising, built once, and the raising
+    levels of Gamma(Y).  No call writes to a stored table.  Eigensystems
+    come from ``numpy.linalg.eigh``, so every dense call runs on numpy's
+    OpenBLAS and LAPACK: SciPy's second OpenBLAS pool slowed the numpy
+    calls after it.
     """
 
     def __init__(self, space: FockSpace, maps: ModeMaps):
@@ -443,39 +461,55 @@ class SchedulePropagator:
             raise ValueError("coupling matrix does not match the Fock space")
         self.space = space
         self.maps = maps
-        self._numbers = [space.mode_occupations(q).astype(float)
-                         for q in range(space.mode_count)]
-        self._total = sum(self._numbers).astype(int)
-        self._sectors = _number_sectors(space)
+        sectors = _number_sectors(space)
+        # the Fock index at each sector-order position, and its inverse
+        self._fock = np.concatenate(sectors)
+        self._position = np.empty_like(self._fock)
+        self._position[self._fock] = np.arange(space.dimension)
+        self._offsets = np.cumsum([0] + [idx.size for idx in sectors])
+        self._numbers = np.array([space.mode_occupations(q)[self._fock]
+                                  for q in range(space.mode_count)], dtype=float)
+        self._total = self._numbers.sum(axis=0).astype(int)
         self._parities: dict[frozenset[int], np.ndarray] = {}
-        self._boundary = space.boundary_mask()
+        self._boundary = space.boundary_mask()[self._fock]
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pair_tables: tuple | None = None
         self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
 
+    def _rows(self, n: int) -> slice:
+        """Sector n of a sector-ordered vector."""
+        return slice(self._offsets[n], self._offsets[n + 1])
+
+    def _band(self, amps: np.ndarray) -> tuple[int, int]:
+        """The lowest and highest sector holding amplitude; (0, -1) if none."""
+        nonzero = np.flatnonzero(amps)
+        if not nonzero.size:
+            return 0, -1
+        return int(self._total[nonzero[0]]), int(self._total[nonzero[-1]])
+
     def _occupied(self, amps: np.ndarray):
-        """(indices, amplitudes, eigenvalues, eigenvectors) of each nonzero sector.
+        """(rows, amplitudes, eigenvalues, eigenvectors) of each nonzero sector.
 
         The sectors are read in one pass from the total phonon number at
         the nonzero amplitudes.  The hopping block of a sector is real
         symmetric, so its eigenvectors are real.
         """
         for n in np.unique(self._total[np.flatnonzero(amps)]).tolist():
-            idx = self._sectors[n]
+            rows = self._rows(n)
             if n not in self._eigensystems:
-                self._eigensystems[n] = np.linalg.eigh(
-                    _hopping_block(self.space, idx, self.maps.couplings.kappa))
-            yield idx, amps[idx], *self._eigensystems[n]
+                self._eigensystems[n] = np.linalg.eigh(_hopping_block(
+                    self.space, self._fock[rows], self.maps.couplings.kappa))
+            yield rows, amps[rows], *self._eigensystems[n]
 
     def _free_states(self, amps: np.ndarray, dts: np.ndarray):
         """Free evolution through the sector eigensystems, sampled at offsets dts.
 
-        Yields (indices, states) per occupied sector, one state column per
+        Yields (rows, states) per occupied sector, one state column per
         offset; the other sectors hold no amplitude and stay zero.
         """
-        for idx, block, vals, vecs in self._occupied(amps):
+        for rows, block, vals, vecs in self._occupied(amps):
             coeff = vecs.T @ block
-            yield idx, vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
+            yield rows, vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
 
     def _parity(self, modes: frozenset[int]) -> np.ndarray:
         """The ideal pulse on ``modes``: the exact real sign (-1)^(sum of their n)."""
@@ -487,18 +521,17 @@ class SchedulePropagator:
         """Gather tables of the pair lowerings a_i a_j and raisings (i <= j).
 
         Entry 0 is lowering and entry 1 raising, each (flat index of (i, j)
-        in an M x M matrix per pair, source index and weight per pair and
-        basis index n).  Lowering feeds n from n + e_i + e_j with weight
+        in an M x M matrix per pair, source position and weight per pair
+        and position n).  Lowering feeds n from n + e_i + e_j with weight
         sqrt((n_i + 1)(n_j + 1 + d_ij)), raising from n - e_i - e_j with
         weight sqrt(n_i (n_j - d_ij)); the weights carry the 1/2 of i = j,
-        and where the source leaves the cube the index is 0 and the weight
-        0 removes the term.
+        and where the source leaves the cube the position is 0 and the
+        weight 0 removes the term.
         """
         if self._pair_tables is None:
             space = self.space
             m, cutoff = space.mode_count, space.per_mode_cutoff
-            occ = np.array(self._numbers)
-            index = np.arange(space.dimension)
+            occ = self._numbers
             pairs = list(itertools.combinations_with_replacement(range(m), 2))
             flat = np.array([i * m + j for i, j in pairs])
             tables = []
@@ -509,38 +542,57 @@ class SchedulePropagator:
                     shift = (cutoff + 1) ** i + (cutoff + 1) ** j
                     if raising:
                         weight = occ[i] * (occ[j] - same)
-                        inside, source = weight > 0, index - shift
+                        inside, source = weight > 0, self._fock - shift
                     else:
                         weight = (occ[i] + 1) * (occ[j] + 1 + same)
                         inside = (occ[i] + 1 + same <= cutoff) & (occ[j] < cutoff)
-                        source = index + shift
-                    sources.append(np.where(inside, source, 0))
+                        source = self._fock + shift
+                    # Fock index 0, the vacuum, sits at position 0
+                    sources.append(self._position[np.where(inside, source, 0)])
                     weights.append(np.where(inside, (1.0 - 0.5 * same)
                                             * np.sqrt(weight), 0.0))
                 tables.append((flat, np.array(sources), np.array(weights)))
             self._pair_tables = tuple(tables)
         return self._pair_tables
 
-    def _pair_series(self, amps: np.ndarray, coeffs: np.ndarray,
-                     raising: bool) -> np.ndarray:
-        """exp(1/2 a^dag C a^dag) or exp(1/2 a C a) applied to ``amps``.
+    def _pair_series(self, amps: np.ndarray, coeffs: np.ndarray, raising: bool,
+                     floor: float) -> tuple[np.ndarray, int, float]:
+        """(exp(1/2 a^dag C a^dag) or exp(1/2 a C a) amps, terms taken, tail bound).
 
-        Each term is one gather of the previous term through the pair
-        tables, scaled by sym(C)[i, j] per pair and summed over the pairs.
-        Both generators are nilpotent on the cube, so the series ends
-        exactly once a term vanishes.
+        Term k is one gather of term k - 1 through the pair tables, scaled
+        by sym(C)[i, j] per pair and summed over the pairs, on the band of
+        sectors it can reach: those of ``amps`` shifted by 2k, up for
+        raising and down for lowering.  The series is exact once the band
+        leaves the cube.  It stops after term k instead once the bound
+        |t_k| r / (1 - r) on all later terms falls below ``floor``, with
+        r = g / (k + 1) < 1 and g = n_max sum_ij |sym(C)_ij| / 2 >= the norm
+        of the pair operator on the cube (see the module docstring).  A
+        floor of 0 never stops it early.
         """
         flat, sources, weights = self._pairs()[int(raising)]
-        scaled = weights * np.take(0.5 * (coeffs + coeffs.T), flat)[:, None]
+        sym = 0.5 * (coeffs + coeffs.T)
+        scaled = weights * np.take(sym, flat)[:, None]
+        gain = 0.5 * self.space.per_mode_cutoff * np.abs(sym).sum()
+        shift, top = (2 if raising else -2), self._offsets.size - 2
+        lo, hi = self._band(amps)
         out, term = amps.copy(), amps
         for k in itertools.count(1):
-            gathered = term[sources]
-            gathered *= scaled
-            term = gathered.sum(axis=0)
-            term /= k
-            if not term.any():
-                return out
-            out += term
+            lo, hi = max(lo + shift, 0), min(hi + shift, top)
+            if lo > hi:
+                return out, k - 1, 0.0
+            rows = slice(self._offsets[lo], self._offsets[hi + 1])
+            gathered = np.take(term, sources[:, rows])
+            gathered *= scaled[:, rows]
+            band = gathered.sum(axis=0)
+            band /= k
+            term = np.zeros(amps.size, dtype=complex)
+            term[rows] = band
+            out[rows] += band
+            ratio = gain / (k + 1)
+            if floor and ratio < 1.0:
+                tail = math.sqrt(np.vdot(band, band).real) * ratio / (1.0 - ratio)
+                if tail < floor:
+                    return out, k, tail
 
     def _levels(self) -> list[tuple[np.ndarray, ...]]:
         """Per sector N >= 1: how each of its states is raised from sector N-1.
@@ -554,21 +606,21 @@ class SchedulePropagator:
         if self._raise_levels is None:
             space = self.space
             m, base = space.mode_count, space.per_mode_cutoff + 1
-            occ = np.array(self._numbers)
-            pos = np.empty(space.dimension, dtype=int)
-            for idx in self._sectors:
-                pos[idx] = np.arange(idx.size)
+            off = self._offsets
+            # the position of each Fock index within its sector
+            pos = (np.arange(space.dimension) - off[self._total])[self._position]
             self._raise_levels = []
-            for lower, upper in zip(self._sectors, self._sectors[1:]):
-                first = np.argmax(occ[:, upper] > 0, axis=0)
+            for n in range(1, off.size - 1):
+                occ = self._numbers[:, self._rows(n)]
+                upper = self._fock[self._rows(n)]
+                first = np.argmax(occ > 0, axis=0)
                 parent = pos[upper - base ** first]
-                rows = np.array([np.where(occ[j, upper] > 0,
-                                          pos[upper - base ** j], 0)
+                rows = np.array([np.where(occ[j] > 0, pos[upper - base ** j], 0)
                                  for j in range(m)])
-                flat = rows[:, :, None] * lower.size + parent[None, None, :]
+                flat = rows[:, :, None] * (off[n] - off[n - 1]) + parent[None, None, :]
                 self._raise_levels.append(
-                    (first, 1.0 / np.sqrt(occ[first, upper]),
-                     np.sqrt(occ[:, upper]), flat))
+                    (first, 1.0 / np.sqrt(occ[first, np.arange(upper.size)]),
+                     np.sqrt(occ), flat))
         return self._raise_levels
 
     def _passive(self, amps: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -576,42 +628,48 @@ class SchedulePropagator:
 
         Column n of sector N is Gamma|n> = r_i Gamma|n - e_i> / sqrt(n_i)
         with r_i = sum_j Y_ji a_j^dag; raising never leaves the cube and
-        comes back, so the cube columns need only cube rows.
+        comes back, so the cube columns need only cube rows.  The block of
+        each sector up to the highest occupied one is one gather over all
+        modes from the block below it.
         """
-        top = self._total[np.flatnonzero(amps)].max(initial=-1)
+        lo, hi = self._band(amps)
         out = np.zeros_like(amps)
         gamma = np.ones((1, 1), dtype=complex)
-        for n, idx in enumerate(self._sectors[:top + 1]):
+        for n in range(hi + 1):
             if n:
                 first, scale, weight, flat = self._levels()[n - 1]
-                coeffs = y[:, first] * scale
-                lower, gamma = gamma, np.zeros((idx.size, idx.size), dtype=complex)
-                # one mode at a time keeps each temporary at one sector block
-                for j, rows in enumerate(flat):
-                    term = np.take(lower, rows)
-                    term *= weight[j][:, None]
-                    term *= coeffs[j]
-                    gamma += term
-            out[idx] = gamma @ amps[idx]
+                terms = np.take(gamma, flat)
+                terms *= weight[:, :, None]
+                terms *= (y[:, first] * scale)[:, None, :]
+                gamma = terms.sum(axis=0)
+            if n >= lo:
+                rows = self._rows(n)
+                out[rows] = gamma @ amps[rows]
         return out
 
-    def _apply(self, amps: np.ndarray,
-               heis: tuple[np.ndarray, np.ndarray, float]) -> np.ndarray:
-        """P U P amps for the map (A, B, |det A|^{-1/2}), normal ordered."""
+    def _apply(self, amps: np.ndarray, heis: tuple[np.ndarray, np.ndarray, float]
+               ) -> tuple[np.ndarray, int, float]:
+        """(P U P amps, raising terms taken, bound on the raising terms left
+        out, at most eps |amps|) for the map (A, B, |det A|^{-1/2}), normal
+        ordered; only the raising, applied last, stops early."""
         a, b, norm = heis
         y = np.linalg.inv(a.conj().T)
-        lowered = self._pair_series(amps, -b.conj().T @ y, raising=False)
+        lowered, _, _ = self._pair_series(amps, -b.conj().T @ y, False, 0.0)
         passive = self._passive(lowered, y)
-        return norm * self._pair_series(passive, y @ b.T, raising=True)
+        raised, terms, tail = self._pair_series(
+            passive, y @ b.T, True, EPS * float(np.linalg.norm(amps)) / norm)
+        return norm * raised, terms, norm * tail
 
     def _trim(self, amps: np.ndarray) -> tuple[np.ndarray, int, float]:
         """(amps, top sector kept, weight dropped) after zeroing the highest
         sectors of joint weight at most eps^2 |amps|^2, eps of float64."""
         weights = np.bincount(self._total, weights=np.abs(amps) ** 2)
         tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)  # weight from N up
-        floor = np.finfo(float).eps ** 2 * tail[0]
+        floor = EPS ** 2 * tail[0]
         top = int(np.flatnonzero(tail > floor).max(initial=-1))
-        return np.where(self._total > top, 0.0, amps), top, float(tail[top + 1])
+        trimmed = amps.copy()
+        trimmed[self._offsets[top + 1]:] = 0.0
+        return trimmed, top, float(tail[top + 1])
 
     def run(self, schedule: PulseSchedule, initial: PhononState,
             reference: PhononState | None = None,
@@ -636,11 +694,12 @@ class SchedulePropagator:
         # amplitude magnitudes, squared in place once at the end; a free
         # step writes only its occupied sectors, the rest stay zero
         pops = np.zeros((times.size, self.space.dimension))
-        amps = initial.amplitudes.copy()
+        amps = initial.amplitudes[self._fock]
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         leakage = float(np.sum(np.abs(amps[self._boundary]) ** 2))
         k, t = 0, 0.0  # first grid point not yet recorded, and the clock
         applies, top, trimmed = 0, -1, 0.0  # window applies, and trims at their ends
+        raised, bound = 0, 0.0  # raising terms taken, and their tail bounds
 
         for kind, duration, modes in steps:
             if kind == "parity":
@@ -648,37 +707,40 @@ class SchedulePropagator:
                 continue
             # grid points up to t hold the state after every event at t
             start = np.searchsorted(inside, t, side="right")
-            pops[k:start] = np.abs(amps)
+            pops[k:start] = np.abs(amps)[self._position]
             k = np.searchsorted(inside, t + duration)
             inner = inside[start:k]
             if kind == "free":
                 after = np.zeros_like(amps)
                 dts = np.append(inner - t, duration)  # samples, then the end
-                for idx, states in self._free_states(amps, dts):
-                    pops[start:k, idx] = np.abs(states[:, :-1].T)
-                    after[idx] = states[:, -1]
+                for rows, states in self._free_states(amps, dts):
+                    pops[start:k, self._fock[rows]] = np.abs(states[:, :-1].T)
+                    after[rows] = states[:, -1]
                 amps = after
                 checked = [amps]
             else:
                 end, *inner_maps = self.maps.window(t, modes, schedule.shaped_pulse,
                                                     inner)
-                checked = [self._apply(amps, heis) for heis in inner_maps + [end]]
+                checked, terms, tails = zip(*(self._apply(amps, heis)
+                                              for heis in inner_maps + [end]))
                 if inner_maps:
-                    np.abs(checked[:-1], out=pops[start:k])
+                    pops[start:k, self._fock] = np.abs(checked[:-1])
                 amps, kept, dropped = self._trim(checked[-1])
                 applies += len(checked)
+                raised, bound = raised + sum(terms), bound + sum(tails)
                 top, trimmed = max(top, kept), trimmed + dropped
             for vec in checked:
                 norm_drift = max(norm_drift, abs(np.linalg.norm(vec) - 1.0))
                 leakage = max(leakage, float(np.sum(np.abs(vec[self._boundary]) ** 2)))
             t += duration
 
-        LOG.debug("run window_applies=%d top_kept_sector=%d trimmed_weight=%.2e",
-                  applies, top, trimmed)
-        pops[k:] = np.abs(amps)
+        LOG.debug("run window_applies=%d top_kept_sector=%d trimmed_weight=%.2e"
+                  " raise_terms=%d raise_bound=%.2e",
+                  applies, top, trimmed, raised, bound)
+        pops[k:] = np.abs(amps)[self._position]
         pops **= 2
         times[-1] = t
-        final = PhononState(self.space, amps)
+        final = PhononState(self.space, amps[self._position])
         err = error_overlap(initial, final)
         err_b = error_overlap(reference, final) if reference is not None else None
         return SimulationResult(times=times, populations=pops, space=self.space,

@@ -42,6 +42,7 @@ from phonondd.sequences import (
 
 from dense_oracle import evolve_shaped, hopping_hamiltonian, modulation_hamiltonian
 from convergence import convergence_check
+from fock_labels import occupations
 from pulse_checks import ermakov_residual, plateau_excursion
 from schedule_text import schedule_from_text, schedule_to_text
 from trap_inverse import dc_to_omega_sq, rf_to_omega_sq
@@ -278,7 +279,7 @@ def test_property_fock_index_bijection():
     for modes, cutoff in ((3, 10), (2, 14)):
         space = FockSpace(modes, cutoff)
         for i in range(space.dimension):
-            assert space.index(space.occupations(i)) == i
+            assert space.index(occupations(space, i)) == i
 
 
 def test_property_hamiltonian_hermiticity():

@@ -10,13 +10,16 @@ drive reads; the real quadrature generators and the commutator basis
 Magnus step against the complex lab frame blocks and the nested
 commutator form; the accepted step count of every catalog map; the map
 of a 32-mode chain, built with no Fock space; and the Fock action against
-three independent constructions:
-the closed form single mode squeeze, the permanent formula for passive
-maps, and the dense exponential of a random quadratic generator at a
-raised, converged cutoff.  The trim of sub-round-off sectors at each
-window end is checked against the bound it rests on: the apply is a
-contraction, a trim drops at most eps of the norm, and a run moves by at
-most eps per window end.
+four independent constructions: the closed form single mode squeeze, the
+permanent formula for passive maps, the dense exponential of a random
+quadratic generator at a raised, converged cutoff, and the Miatto-Quesada
+recurrence for its matrix elements in extended precision.  Each pair
+series, run to its end, matches the dense exponential of its pair
+operator.  The trim of sub-round-off sectors at each window end and the
+early stop of the raising series are checked against the bounds they rest
+on: the apply is a contraction, a trim drops at most eps of the norm, a
+stop leaves out at most its tail bound, and a run moves by at most eps per
+window end through the trims and 3 eps through the stops.
 """
 
 import cmath
@@ -57,10 +60,11 @@ from phonondd.pulses import (
     scale_factor,
     scale_factor_derivatives,
 )
-from phonondd.scenarios import build_scenario, scenario_catalog
+from phonondd.scenarios import build_scenario, get_scenario, scenario_catalog
 from phonondd.sequences import DDSpec, Evolve, synthesize
 
 from dense_oracle import embed, ladder_operator, phase_distance, project
+from fock_labels import occupations
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
@@ -175,10 +179,16 @@ def test_lone_mode_map_matches_lewis_riesenfeld(pulse):
         assert abs(b[0, 0] - b_exact) <= 1e-11
 
 
+def apply_fock(engine, amps, heis):
+    """``engine._apply`` on a Fock-ordered vector, returned in Fock order: the
+    engine holds a state in sector order."""
+    return engine._apply(amps[engine._fock], heis)[0][engine._position]
+
+
 def fock_matrix(engine, heis):
     """Columns P U P |n> for every basis state n of the engine's space."""
     dim = engine.space.dimension
-    return np.column_stack([engine._apply(np.eye(dim, dtype=complex)[:, n], heis)
+    return np.column_stack([apply_fock(engine, np.eye(dim, dtype=complex)[:, n], heis)
                             for n in range(dim)])
 
 
@@ -226,8 +236,8 @@ def test_passive_map_matches_permanents(modes, seed):
     norm = 1.0 / cmath.sqrt(np.linalg.det(a.conj()))
     got = fock_matrix(engine, (a, np.zeros_like(a), norm))
     for col, row in itertools.product(range(space.dimension), repeat=2):
-        n = space.occupations(col)[::-1]  # mode order
-        m = space.occupations(row)[::-1]
+        n = occupations(space, col)[::-1]  # mode order
+        m = occupations(space, row)[::-1]
         if sum(m) != sum(n):
             assert got[row, col] == 0.0
             continue
@@ -280,7 +290,7 @@ def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
     engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     state = PhononState(space, amps / np.linalg.norm(amps))
-    got = engine._apply(state.amplitudes, heis)
+    got = apply_fock(engine, state.amplitudes, heis)
 
     def reference(cutoff):
         wide = FockSpace(modes, cutoff)
@@ -291,6 +301,108 @@ def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
     lower, upper = (reference(c) for c in cutoffs)
     assert np.linalg.norm(upper - lower) <= TIGHT
     assert phase_distance(got, upper) <= TIGHT
+
+
+def hermite_grid(r, c, shape):
+    """G[k] over the box ``shape`` of 2M indices, in extended precision, by
+    G[k + 1_0] = sum_j R_0j sqrt(k_j) G[k - 1_j] / sqrt(k_0 + 1); the slice
+    k_0 = 0 is the same grid of the other indices, from G[0] = c."""
+    if not shape:
+        return np.array(c, dtype=np.clongdouble)
+    rest = hermite_grid(r[1:, 1:], c, shape[1:])
+    grid = np.zeros(shape, dtype=np.clongdouble)
+    grid[0] = rest
+    for k in range(shape[0] - 1):
+        acc = r[0, 0] * np.sqrt(np.longdouble(k)) * grid[k - 1] if k else 0.0
+        for j, size in enumerate(shape[1:]):
+            # sqrt(k_j) G[k, k_rest - 1_j]: the slice shifted one up along axis j
+            lowered = np.zeros_like(rest)
+            lowered[(slice(None),) * j + (slice(1, None),)] = \
+                grid[k][(slice(None),) * j + (slice(None, -1),)]
+            root = np.sqrt(np.arange(size, dtype=np.longdouble))
+            acc = acc + r[0, j + 1] * root.reshape((-1,) + (1,) * (len(shape) - 2 - j)) \
+                * lowered
+        grid[k + 1] = acc / np.sqrt(np.longdouble(k + 1))
+    return grid
+
+
+def recurrence_columns(heis, space, top):
+    """(Fock index n, column <m|U|n> over the cube) for every n of the sectors
+    up to ``top``, by the recurrence of Miatto & Quesada (Quantum 4, 366,
+    2020).  With z = (conj alpha, beta), <alpha|U|beta> is, up to the
+    coherent state norms, c exp(z^T R z / 2) with R = [[X, Y], [Y^T, Z]]; the
+    coefficients G[m, n] = <m|U|n> of its Taylor series obey the recurrence
+    of ``hermite_grid``.  It shares only (X, Y, Z) and c with the engine."""
+    a, b, c = heis
+    m, size = space.mode_count, space.per_mode_cutoff + 1
+    y = np.linalg.inv(a.conj().T)
+    x, z = y @ b.T, -b.conj().T @ y
+    r = np.block([[0.5 * (x + x.T), y], [y.T, 0.5 * (z + z.T)]]).astype(np.clongdouble)
+    edge = min(top, space.per_mode_cutoff) + 1
+    grid = hermite_grid(r, c, (size,) * m + (edge,) * m)  # axes m_0.., n_0..
+    for n in itertools.product(range(edge), repeat=m):
+        if sum(n) <= top:
+            column = grid[(Ellipsis,) + n].transpose(tuple(reversed(range(m))))
+            yield space.index(n[::-1]), column.ravel()
+
+
+# bound on |_apply(psi) - P U P psi| / |psi| against the recurrence, fixed
+# before any run: eps for the raising stop, the rest summation round-off
+ORACLE_TOL = 8 * np.finfo(float).eps
+
+
+def check_against_recurrence(engine, heis, top=3):
+    """Every column of the sectors up to ``top``, the sectors the catalog
+    runs start in, within ORACLE_TOL."""
+    checked = 0
+    for n, expected in recurrence_columns(heis, engine.space, top):
+        got = apply_fock(engine, np.eye(engine.space.dimension, dtype=complex)[n], heis)
+        assert float(np.sqrt(np.sum(np.abs(got - expected) ** 2))) <= ORACLE_TOL, n
+        checked += 1
+    assert checked == math.comb(top + engine.space.mode_count, top)
+
+
+@pytest.mark.parametrize("strength", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("modes,n_max", [(3, 6), (2, 10)])
+def test_apply_matches_the_fock_recurrence(modes, n_max, strength):
+    rng = np.random.default_rng(1000 * modes + n_max + int(100 * strength))
+    engine = SchedulePropagator(FockSpace(modes, n_max),
+                                ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
+    check_against_recurrence(engine, random_quadratic(rng, modes, strength)[2])
+
+
+def test_apply_matches_the_fock_recurrence_on_a_catalog_window_end():
+    _, _, schedule, _, engine = build_scenario(get_scenario("fig5b"))
+    steps = engine.maps.steps(schedule)[0]
+    first = next(i for i, (kind, _, _) in enumerate(steps) if kind == "window")
+    start = sum(duration for _, duration, _ in steps[:first])
+    end = engine.maps.window(start, steps[first][2], schedule.shaped_pulse)[0]
+    check_against_recurrence(engine, end)
+
+
+def pair_generator(space, coeffs, raising):
+    """(a^dag C a^dag) / 2 or (a C a) / 2 on the cube, as a dense matrix."""
+    lower = [ladder_operator(space, q).toarray() for q in range(space.mode_count)]
+    ops = [op.conj().T for op in lower] if raising else lower
+    return 0.5 * sum(coeffs[i, j] * ops[i] @ ops[j]
+                     for i, j in itertools.product(range(space.mode_count), repeat=2))
+
+
+@pytest.mark.parametrize("raising", [False, True])
+@pytest.mark.parametrize("modes,n_max", [(3, 4), (2, 8)])
+def test_unstopped_pair_series_match_dense_exponentials(modes, n_max, raising):
+    """Each series gathers only the sectors its term can reach; with a floor
+    of 0 it runs until the band leaves the cube and is the exact exponential
+    of the nilpotent pair operator."""
+    rng = np.random.default_rng(10 * modes + n_max + raising)
+    space = FockSpace(modes, n_max)
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
+    coeffs = 0.3 * (rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes)))
+    amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    expected = scipy.linalg.expm(pair_generator(space, coeffs, raising)) @ amps
+    got = engine._pair_series(amps[engine._fock], coeffs, raising, 0.0)[0]
+    assert np.linalg.norm(got[engine._position] - expected) \
+        <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_reused_pair_operators_match_a_fresh_engine():
@@ -316,11 +428,11 @@ def test_reused_pair_operators_match_a_fresh_engine():
         gauge = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         a, b, norm = random_quadratic(rng, modes, 0.3)[2]
         calls.append(("_apply", (amps, (a, b * gauge, norm))))
-        calls.append(("_pair_series", (amps, coeffs(), raising_first)))
-        calls.append(("_pair_series", (amps, coeffs(), not raising_first)))
+        calls.append(("_pair_series", (amps, coeffs(), raising_first, EPS)))
+        calls.append(("_pair_series", (amps, coeffs(), not raising_first, 0.0)))
     for name, args in calls:
-        got = getattr(engine, name)(*args)
-        fresh = getattr(SchedulePropagator(space, ModeMaps(couplings)), name)(*args)
+        got = getattr(engine, name)(*args)[0]
+        fresh = getattr(SchedulePropagator(space, ModeMaps(couplings)), name)(*args)[0]
         assert np.abs(got - amps).max() > 1e-3  # the call did something
         np.testing.assert_array_equal(got, fresh)
 
@@ -343,7 +455,7 @@ def test_window_apply_is_a_contraction(modes, n_max, strength):
     for _ in range(5):
         heis = random_quadratic(rng, modes, strength)[2]
         vec = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
-        out = np.linalg.norm(engine._apply(vec, heis))
+        out = np.linalg.norm(engine._apply(vec, heis)[0])
         assert out <= np.linalg.norm(vec) * (1.0 + CONTRACTION_SLACK)
 
 
@@ -363,7 +475,8 @@ def test_trim_drops_exactly_the_tail_below_round_off():
         amps[idx] = math.sqrt(weight) * block / np.linalg.norm(block)
     # the sectors from 12 up hold 1e-40 <= eps^2 |amps|^2 = 4.9e-32, those
     # from 11 up 1e-20 more
-    trimmed, top, dropped = engine._trim(amps)
+    trimmed, top, dropped = engine._trim(amps[engine._fock])
+    trimmed = trimmed[engine._position]
     assert top == 11
     assert not trimmed[total > 11].any()
     np.testing.assert_array_equal(trimmed[total <= 11], amps[total <= 11])
@@ -377,7 +490,8 @@ def test_trim_keeps_a_state_without_a_sub_round_off_tail():
     rng = np.random.default_rng(22)
     dense = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     for amps, top in ((basis_state(space, (2, 1, 0)).amplitudes, 3), (dense, 12)):
-        trimmed, kept, dropped = engine._trim(amps)
+        trimmed, kept, dropped = engine._trim(amps[engine._fock])
+        trimmed = trimmed[engine._position]
         np.testing.assert_array_equal(trimmed, amps)
         assert (kept, dropped) == (top, 0.0)
 
@@ -408,16 +522,72 @@ def test_trim_moves_a_run_by_at_most_eps_per_window_end(monkeypatch):
     assert np.linalg.norm(trimmed - full) <= windows * EPS
 
 
-def test_run_logs_its_window_applies_and_trims(caplog):
+@pytest.mark.parametrize("floor", [1e-8, EPS])
+@pytest.mark.parametrize("modes,n_max,sector", [(3, 10, 3), (3, 10, 7), (2, 10, 3)])
+def test_raising_stop_leaves_out_at_most_its_bound(modes, n_max, sector, floor):
+    """The raising series stopped at ``floor`` against the same call run to
+    the top of the cube.  The input fills one sector, so the terms left out
+    land in sectors the stopped sum never wrote, and the difference is their
+    computed sum: within the tail bound, which is below the floor, up to a
+    relative round-off of 1e-12 on the bound."""
+    rng = np.random.default_rng(100 * modes + n_max + sector)
+    space = FockSpace(modes, n_max)
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
+    rows = engine._rows(sector)
+    for strength in (1e-4, 1e-3):  # the first fig5b window end has |X_ij| <= 1.4e-6
+        amps = np.zeros(space.dimension, dtype=complex)
+        block = rng.normal(size=rows.stop - rows.start) \
+            + 1j * rng.normal(size=rows.stop - rows.start)
+        amps[rows] = block / np.linalg.norm(block)
+        coeffs = strength * (rng.normal(size=(modes, modes))
+                             + 1j * rng.normal(size=(modes, modes)))
+        stopped, terms, tail = engine._pair_series(amps, coeffs, True, floor)
+        full, all_terms, _ = engine._pair_series(amps, coeffs, True, 0.0)
+        assert terms < all_terms and 0.0 < tail < floor
+        assert np.linalg.norm(full - stopped) <= tail * (1.0 + 1e-12)
+
+
+def unstopped(monkeypatch):
+    """Run every raising series to the top of the cube."""
+    series = SchedulePropagator._pair_series
+    monkeypatch.setattr(SchedulePropagator, "_pair_series",
+                        lambda self, amps, coeffs, raising, floor:
+                        series(self, amps, coeffs, raising, 0.0))
+
+
+def test_raising_stop_moves_a_run_by_at_most_three_eps_per_window_end(monkeypatch):
+    """The stop moves each window apply by at most eps |psi| <= eps, and
+    each of the two trims that follow drops at most eps more; every later
+    step is unitary or a contraction, so after K window ends the state is
+    within 3 K eps of the run whose raising series go to the top of the
+    cube."""
     engine, schedule, initial, windows = shaped_run()
+    stopped = engine.run(schedule, initial).final_state.amplitudes
+    unstopped(monkeypatch)
+    full = engine.run(schedule, initial).final_state.amplitudes
+    assert np.linalg.norm(stopped - full) <= 3 * windows * EPS
+
+
+def run_fields(caplog, engine, schedule, initial):
+    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="phonondd"):
         engine.run(schedule, initial, record_samples=2)
     [line] = [r.getMessage() for r in caplog.records
               if r.getMessage().startswith("run ")]
-    fields = dict(item.split("=") for item in line.split()[1:])
+    return dict(item.split("=") for item in line.split()[1:])
+
+
+def test_run_logs_its_window_applies_and_trims(caplog, monkeypatch):
+    engine, schedule, initial, windows = shaped_run()
+    fields = run_fields(caplog, engine, schedule, initial)
     assert int(fields["window_applies"]) == windows  # no sample inside a window
     assert 3 <= int(fields["top_kept_sector"]) <= 12
     assert 0.0 < float(fields["trimmed_weight"]) <= windows * EPS ** 2
+    assert 0.0 < float(fields["raise_bound"]) <= windows * EPS
+    unstopped(monkeypatch)
+    full = run_fields(caplog, engine, schedule, initial)
+    assert float(full["raise_bound"]) == 0.0
+    assert int(fields["raise_terms"]) < int(full["raise_terms"])
 
 
 def test_each_pulse_gets_its_own_map():
