@@ -8,8 +8,8 @@ exchanges vibrational quanta between modes at the hopping rate
 
 which falls off with the cube of the distance.  This module builds those
 rates, the truncated multimode Fock space with its base-(n_max + 1)
-occupation-digit index, and Fock states on it.  The propagator builds
-every operator it needs from those digits, one number sector at a time.
+occupation-digit index, and Fock states on it.  The propagator reads
+those digits once, into a table of the states one quantum up and down.
 """
 
 from __future__ import annotations
@@ -176,13 +176,6 @@ class FockSpace:
         base = self.per_mode_cutoff + 1
         idx = np.arange(self.dimension)
         return (idx // base ** mode) % base
-
-    def boundary_mask(self) -> np.ndarray:
-        """True where any mode sits at the cutoff; population here means truncation error."""
-        mask = np.zeros(self.dimension, dtype=bool)
-        for j in range(self.mode_count):
-            mask |= self.mode_occupations(j) == self.per_mode_cutoff
-        return mask
 
 
 @dataclass

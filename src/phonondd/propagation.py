@@ -38,11 +38,16 @@ which is constant in the frame rotating at the secular frequency, so the
 Fock layer works in sectors of fixed total phonon number N.  It holds a
 state in sector order, the basis sorted by N, so each sector is one
 contiguous slice; only ``run`` meets the Fock order of :class:`FockSpace`,
-at its start and its end.  Each sector evolves through the
-eigendecomposition of its own block, computed the first time a state
+at its start and its end.  Every operator moves quanta one at a time, so
+all are read from one table, the ladder: down[j, p] and up[j, p], the
+positions of n - e_j and n + e_j for the state n at position p, -1 off
+the cube.  A hop k -> j is up[j, down[k, p]], the pair tables are
+up[i, up[j]] and down[i, down[j]], Gamma(Y) below is raised through
+down, and the cutoff is where some up is -1.  Each sector evolves through
+the eigendecomposition of its own block, computed the first time a state
 occupies it, and a sector holding no amplitude stays exactly zero.  Ideal
-pulses are instantaneous parity phases.  A window's
-U acts on the Fock vector through its normal ordered form
+pulses are instantaneous parity phases.  A window's U acts on the Fock
+vector through its normal ordered form
 
     U = c exp(a^dag X a^dag / 2) Gamma(Y) exp(a Z a / 2),
     Y = (A^dag)^{-1},  X = Y B^T,  Z = -B^dag Y,  |c| = |det A|^{-1/2},
@@ -137,30 +142,6 @@ class SimulationResult:
     wall_time: float
     error_E: float | None = None
     error_EB: float | None = None
-
-
-def _number_sectors(space: FockSpace) -> list[np.ndarray]:
-    """Basis indices grouped by total phonon number; entry N holds sector N."""
-    total = sum(space.mode_occupations(q) for q in range(space.mode_count))
-    return [np.flatnonzero(total == n)
-            for n in range(space.mode_count * space.per_mode_cutoff + 1)]
-
-
-def _hopping_block(space: FockSpace, idx: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """sum_jk (kappa_jk / 2) a_j^dag a_k on the number sector of basis indices idx.
-
-    The hop k -> j takes state s, with occupation digits n, to
-    s + base^j - base^k with weight sqrt((n_j + 1) n_k); it stays in the
-    sector, so its position there is found by search in the sorted idx.
-    """
-    base = space.per_mode_cutoff + 1
-    occ = idx // base ** np.arange(space.mode_count)[:, None] % base
-    block = np.zeros((idx.size, idx.size))
-    for j, k in zip(*np.nonzero(kappa)):
-        src = np.flatnonzero((occ[k] > 0) & (occ[j] < space.per_mode_cutoff))
-        dst = np.searchsorted(idx, idx[src] + base ** j - base ** k)
-        block[dst, src] = 0.5 * kappa[j, k] * np.sqrt((occ[j, src] + 1) * occ[k, src])
-    return block
 
 
 @dataclass(frozen=True)
@@ -447,13 +428,13 @@ class SchedulePropagator:
     of :class:`FockSpace` at its two ends.  Caches, for each sector a state
     reaches, the eigensystem of its hopping block; then replays any
     schedule on that chain, with the steps and window maps of ``maps``.
-    Every operator it applies comes from the base-(n_max + 1) occupation
-    digits of the basis index: the hopping block of each sector, the gather
-    tables of the pair lowering and raising, built once, and the raising
-    levels of Gamma(Y).  No call writes to a stored table.  Eigensystems
-    come from ``numpy.linalg.eigh``, so every dense call runs on numpy's
-    OpenBLAS and LAPACK: SciPy's second OpenBLAS pool slowed the numpy
-    calls after it.
+    The ladder ``_down``/``_up`` (M x dimension), built once from the
+    base-(n_max + 1) digits of the Fock index, holds the positions of
+    n - e_j and n + e_j, -1 off the cube; the sector hopping blocks, the
+    pair tables, the levels of Gamma(Y) and the cutoff mask are read from
+    it.  No call writes to a stored table.  Eigensystems come from
+    ``numpy.linalg.eigh``, so every dense call runs on numpy's OpenBLAS and
+    LAPACK: SciPy's second OpenBLAS pool slowed the numpy calls after it.
     """
 
     def __init__(self, space: FockSpace, maps: ModeMaps):
@@ -461,17 +442,27 @@ class SchedulePropagator:
             raise ValueError("coupling matrix does not match the Fock space")
         self.space = space
         self.maps = maps
-        sectors = _number_sectors(space)
+        m, cutoff = space.mode_count, space.per_mode_cutoff
+        digits = np.array([space.mode_occupations(q) for q in range(m)])
+        total = digits.sum(axis=0)
+        sectors = [np.flatnonzero(total == n) for n in range(m * cutoff + 1)]
         # the Fock index at each sector-order position, and its inverse
         self._fock = np.concatenate(sectors)
         self._position = np.empty_like(self._fock)
         self._position[self._fock] = np.arange(space.dimension)
         self._offsets = np.cumsum([0] + [idx.size for idx in sectors])
-        self._numbers = np.array([space.mode_occupations(q)[self._fock]
-                                  for q in range(space.mode_count)], dtype=float)
-        self._total = self._numbers.sum(axis=0).astype(int)
+        self._numbers = digits[:, self._fock].astype(float)
+        self._total = total[self._fock]
+        # the ladder: positions of n - e_j and of n + e_j, -1 off the cube
+        occupied = self._numbers > 0
+        steps = (cutoff + 1) ** np.arange(m)[:, None]
+        lowered = np.where(occupied, self._fock - steps, 0)
+        self._down = np.where(occupied, self._position[lowered], -1)
+        self._up = np.full_like(self._down, -1)
+        modes, positions = np.nonzero(occupied)
+        self._up[modes, self._down[modes, positions]] = positions
+        self._boundary = (self._up < 0).any(axis=0)
         self._parities: dict[frozenset[int], np.ndarray] = {}
-        self._boundary = space.boundary_mask()[self._fock]
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pair_tables: tuple | None = None
         self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
@@ -497,9 +488,26 @@ class SchedulePropagator:
         for n in np.unique(self._total[np.flatnonzero(amps)]).tolist():
             rows = self._rows(n)
             if n not in self._eigensystems:
-                self._eigensystems[n] = np.linalg.eigh(_hopping_block(
-                    self.space, self._fock[rows], self.maps.couplings.kappa))
+                self._eigensystems[n] = np.linalg.eigh(self._hopping_block(n))
             yield rows, amps[rows], *self._eigensystems[n]
+
+    def _hopping_block(self, n: int) -> np.ndarray:
+        """sum_jk (kappa_jk / 2) a_j^dag a_k on number sector n.
+
+        The hop k -> j takes position p to up[j, down[k, p]] with weight
+        sqrt((n_j + 1) n_k); a down of -1 picks the last position, the
+        corner of the cube, whose every up is -1.
+        """
+        rows = self._rows(n)
+        occ = self._numbers[:, rows]
+        kappa = self.maps.couplings.kappa
+        block = np.zeros((occ.shape[1], occ.shape[1]))
+        for j, k in zip(*np.nonzero(kappa)):
+            dst = self._up[j][self._down[k, rows]]
+            src = np.flatnonzero(dst >= 0)
+            block[dst[src] - rows.start, src] = \
+                0.5 * kappa[j, k] * np.sqrt((occ[j, src] + 1) * occ[k, src])
+        return block
 
     def _free_states(self, amps: np.ndarray, dts: np.ndarray):
         """Free evolution through the sector eigensystems, sampled at offsets dts.
@@ -529,9 +537,8 @@ class SchedulePropagator:
         weight 0 removes the term.
         """
         if self._pair_tables is None:
-            space = self.space
-            m, cutoff = space.mode_count, space.per_mode_cutoff
-            occ = self._numbers
+            m = self.space.mode_count
+            occ, up, down = self._numbers, self._up, self._down
             pairs = list(itertools.combinations_with_replacement(range(m), 2))
             flat = np.array([i * m + j for i, j in pairs])
             tables = []
@@ -539,16 +546,15 @@ class SchedulePropagator:
                 sources, weights = [], []
                 for i, j in pairs:
                     same = float(i == j)
-                    shift = (cutoff + 1) ** i + (cutoff + 1) ** j
                     if raising:
                         weight = occ[i] * (occ[j] - same)
-                        inside, source = weight > 0, self._fock - shift
+                        source = np.where(down[j] >= 0, down[i][down[j]], -1)
                     else:
                         weight = (occ[i] + 1) * (occ[j] + 1 + same)
-                        inside = (occ[i] + 1 + same <= cutoff) & (occ[j] < cutoff)
-                        source = self._fock + shift
-                    # Fock index 0, the vacuum, sits at position 0
-                    sources.append(self._position[np.where(inside, source, 0)])
+                        source = up[i][up[j]]
+                    inside = source >= 0
+                    # position 0, the vacuum, stands in off the cube
+                    sources.append(np.where(inside, source, 0))
                     weights.append(np.where(inside, (1.0 - 0.5 * same)
                                             * np.sqrt(weight), 0.0))
                 tables.append((flat, np.array(sources), np.array(weights)))
@@ -604,23 +610,19 @@ class SchedulePropagator:
         is 0 and the weight sqrt(n_j) removes the term.
         """
         if self._raise_levels is None:
-            space = self.space
-            m, base = space.mode_count, space.per_mode_cutoff + 1
             off = self._offsets
-            # the position of each Fock index within its sector
-            pos = (np.arange(space.dimension) - off[self._total])[self._position]
             self._raise_levels = []
             for n in range(1, off.size - 1):
                 occ = self._numbers[:, self._rows(n)]
-                upper = self._fock[self._rows(n)]
+                below = self._down[:, self._rows(n)]
+                cols = np.arange(occ.shape[1])
                 first = np.argmax(occ > 0, axis=0)
-                parent = pos[upper - base ** first]
-                rows = np.array([np.where(occ[j] > 0, pos[upper - base ** j], 0)
-                                 for j in range(m)])
+                # the position of n - e_j within sector N-1
+                rows = np.where(below >= 0, below - off[n - 1], 0)
+                parent = rows[first, cols]
                 flat = rows[:, :, None] * (off[n] - off[n - 1]) + parent[None, None, :]
                 self._raise_levels.append(
-                    (first, 1.0 / np.sqrt(occ[first, np.arange(upper.size)]),
-                     np.sqrt(occ), flat))
+                    (first, 1.0 / np.sqrt(occ[first, cols]), np.sqrt(occ), flat))
         return self._raise_levels
 
     def _passive(self, amps: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -761,9 +763,10 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
                             angle: float = math.pi / 4.0) -> PhononState:
     """Exact 50:50 target: exp(-i angle (a_j^dag a_k + a_k^dag a_j)) |state>.
 
-    The mixer is the hopping operator with kappa = 2 on the pair alone.  It
-    conserves the total phonon number, so it is diagonalized one sector at
-    a time, over the sectors the state occupies.
+    The mixer is the hopping operator with kappa = 2 on the pair alone, so
+    the target is free evolution for a time ``angle`` on an engine with that
+    coupling: its sector blocks hop quanta along the engine's ladder and
+    its one free kernel evolves the sectors the state occupies.
     """
     j, k = pair
     m = state.space.mode_count
@@ -771,10 +774,9 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
         raise ValueError("pair must name two distinct modes")
     mixer = np.zeros((m, m))
     mixer[j, k] = mixer[k, j] = 2.0
+    engine = SchedulePropagator(state.space, ModeMaps(CouplingMatrix(mixer)))
     amps = np.zeros_like(state.amplitudes)
-    for idx in _number_sectors(state.space):
-        block = state.amplitudes[idx]
-        if block.any():
-            vals, vecs = np.linalg.eigh(_hopping_block(state.space, idx, mixer))
-            amps[idx] = vecs @ (np.exp(-1j * angle * vals) * (vecs.T @ block))
-    return PhononState(state.space, amps)
+    for rows, states in engine._free_states(state.amplitudes[engine._fock],
+                                            np.array([angle])):
+        amps[rows] = states[:, 0]
+    return PhononState(state.space, amps[engine._position])

@@ -97,12 +97,6 @@ def _ramp_coords(t, params: BFunctionParams):
     return u1, u2
 
 
-def scale_factor(t, params: BFunctionParams):
-    """b(t); accepts scalars or arrays."""
-    u1, u2 = _ramp_coords(np.asarray(t, dtype=float), params)
-    return 1.0 - 0.5 * params.depth * (erf(u1) - erf(u2))
-
-
 def scale_factor_derivatives(t, params: BFunctionParams):
     """Return (b, b', b'') evaluated analytically."""
     t = np.asarray(t, dtype=float)

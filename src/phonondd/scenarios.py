@@ -98,6 +98,13 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"{self.name}: {key} must be one of {', '.join(allowed)},"
                     f" not {getattr(self, key)!r}")
+        for key in ("spacing", "per_mode_cutoff", "total_time", "pulse_duration",
+                    "pulse_ramp_up", "pulse_ramp_down", "pulse_sharpness",
+                    "target_phase", "ion_mass", "secular_frequency",
+                    "local_error_tolerance"):
+            value = getattr(self, key)
+            if value is not None and not (0 < value < math.inf):
+                raise ScenarioError(f"{self.name}: {key} must be positive and finite")
         if len(self.initial_occupations) != self.mode_count:
             raise ScenarioError(f"{self.name}: initial state names "
                                 f"{len(self.initial_occupations)} modes, chain has "
@@ -127,11 +134,6 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
-        for key in ("spacing", "total_time", "pulse_duration", "pulse_ramp_up",
-                    "pulse_ramp_down", "pulse_sharpness", "target_phase", "ion_mass",
-                    "secular_frequency", "local_error_tolerance"):
-            if getattr(self, key) is not None and not getattr(self, key) > 0:
-                raise ScenarioError(f"{self.name}: {key} must be positive")
         if self.pulse_model == "shaped" and self.window_placement == "carve":
             bound = feasibility_bounds(
                 self.total_time if self.total_time is not None else self.hop_time(),
@@ -208,15 +210,15 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
             " raise per_mode_cutoff")
     params = (
         ("modes", str(cfg.mode_count)),
-        ("spacing_um", repr(cfg.spacing * 1e6)),
+        ("spacing_um", to_micro(cfg.spacing)),
         ("n_max", str(cfg.per_mode_cutoff)),
         ("repetitions", str(cfg.repetitions)),
         ("model", cfg.pulse_model),
         ("placement", cfg.window_placement),
         ("coupling", cfg.window_coupling),
-        ("total_time_us", repr((cfg.total_time if cfg.total_time is not None
-                                else cfg.hop_time()) * 1e6)),
-        ("pulse_us", repr(cfg.pulse_duration * 1e6)
+        ("total_time_us", to_micro(cfg.total_time if cfg.total_time is not None
+                                   else cfg.hop_time())),
+        ("pulse_us", to_micro(cfg.pulse_duration)
          if cfg.pulse_duration is not None else ""),
         ("initial", "".join(str(n) for n in cfg.initial_occupations)),
     )
@@ -535,6 +537,12 @@ def from_micro(text: str, exponent: int = -6) -> float:
         return float(Decimal(text).scaleb(exponent))
     except InvalidOperation as exc:
         raise ValueError(f"not a number: {text!r}") from exc
+
+
+def to_micro(value: float) -> str:
+    """The exact inverse of :func:`from_micro`: the float's repr scaled by
+    10^6 as a decimal, so 43.8e-6 prints as ``43.8``, not 43.800000000000004."""
+    return format(Decimal(repr(value)).scaleb(6), "f")
 
 
 def _flag(word: str) -> bool:

@@ -4,7 +4,22 @@ import math
 
 import numpy as np
 
-from phonondd.pulses import ShapedPulse, omega_squared, scale_factor
+from phonondd.pulses import BFunctionParams, ShapedPulse, omega_squared
+
+erf = np.vectorize(math.erf, otypes=[float])
+
+
+def scale_factor(t, params: BFunctionParams):
+    """The dip b(t) = 1 - (k/2) (erf(u1) - erf(u2)); accepts scalars or arrays.
+
+    u1 = (t/T_u - 1/2) s and u2 = ((t - (T_P - T_d))/T_d - 1/2) s, as in the
+    module docstring of ``phonondd.pulses``.
+    """
+    t = np.asarray(t, dtype=float)
+    s = params.sharpness
+    u1 = (t / params.ramp_up - 0.5) * s
+    u2 = ((t - (params.total_duration - params.ramp_down)) / params.ramp_down - 0.5) * s
+    return 1.0 - 0.5 * params.depth * (erf(u1) - erf(u2))
 
 
 def plateau_excursion(pulse: ShapedPulse, samples: int = 2001) -> float:

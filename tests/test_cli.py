@@ -148,6 +148,20 @@ class TestSweep:
         assert [c[0] for c in cells] == ["fig3_n_max=1", "fig3_n_max=8"]
         assert "the cutoff" in cells[0][5] and cells[0][1] == ""
         assert cells[1][5] == "" and float(cells[1][1]) > 0.0
+        # values that are not finite and positive fail when the variant is built
+        for scenario, axis, values, bad, message in [
+                ("fig3", "n_max", "0,8", "0", "per_mode_cutoff must be positive"),
+                ("fig3", "d", "inf,43.8", "inf", "spacing must be positive"),
+                ("fig1b", "d", "inf", "inf", "spacing must be positive")]:
+            res = runner.invoke(main, ["sweep", scenario, "--axis", axis,
+                                       "--values", values, "--out", str(tmp_path)])
+            assert res.exit_code == 2, res.output
+            rows = (tmp_path / f"{scenario}_sweep_{axis}.csv").read_text()
+            cells = {c[0]: c for c in (row.split(",") for row in rows.splitlines()[1:])}
+            rejected = cells.pop(f"{scenario}_{axis}={bad}")
+            assert message in rejected[5] and rejected[1] == ""
+            assert len(cells) == values.count(",")
+            assert all(c[5] == "" and float(c[1]) > 0.0 for c in cells.values())
 
 
 class TestReport:

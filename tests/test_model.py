@@ -18,6 +18,7 @@ from phonondd.model import (
     build_coupling_matrix,
     coupling_rate,
 )
+from phonondd.propagation import ModeMaps, SchedulePropagator
 
 from dense_oracle import hopping_hamiltonian, ladder_operator, modulation_hamiltonian
 from fock_labels import label, occupations
@@ -150,8 +151,10 @@ class TestFockSpace:
         assert space.labels() == [label(space, i) for i in range(space.dimension)]
 
     def test_boundary_mask(self):
+        # the engine's cutoff mask, read back into Fock order
         space = FockSpace(2, 3)
-        mask = space.boundary_mask()
+        engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((2, 2)))))
+        mask = engine._boundary[engine._position]
         for i in range(space.dimension):
             occ = occupations(space, i)
             assert mask[i] == (max(occ) == 3)

@@ -23,14 +23,13 @@ from phonondd.pulses import (
     phase_excess,
     rf_waveform,
     sample_pulse,
-    scale_factor,
     scale_factor_derivatives,
     solve_strength,
     stability_parameters,
     waveform_table,
 )
 
-from pulse_checks import ermakov_residual, plateau_excursion
+from pulse_checks import ermakov_residual, plateau_excursion, scale_factor
 from trap_inverse import dc_to_omega_sq, rf_to_omega_sq, static_voltages
 
 T0 = 1.0 / 2.2e6  # one secular period

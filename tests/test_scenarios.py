@@ -18,6 +18,7 @@ from phonondd.scenarios import (
     build_scenario,
     emit_report,
     execute_scenario,
+    from_micro,
     get_scenario,
     load_reference_values,
     output_directory,
@@ -96,6 +97,18 @@ class TestExecution:
         assert params["n_max"] == "4"
         assert params["model"] == "ideal"
         assert result.populations.shape == (48, 25)
+
+    def test_record_parameters_are_exact_micro_units(self, scenario_cache):
+        # each is the shortest decimal of the float, scaled exactly by 10^6
+        params = dict(scenario_cache.record("fig3").parameters)
+        assert params["spacing_um"] == "43.8"
+        assert from_micro(params["total_time_us"]) == get_scenario("fig3").hop_time()
+        assert params["pulse_us"] == ""
+        cfg = cheap_config(extra="schedule.total_time_us = 100.1\n"
+                                 "pulse.total_us = 4.4\n")
+        params = dict(execute_scenario(cfg)[0].parameters)
+        assert [params[key] for key in ("spacing_um", "total_time_us", "pulse_us")] \
+            == ["43.8", "100.1", "4.4"]
 
     def test_beam_splitter_pair_engages_reference(self):
         extra = "schedule.protected = 0,1\noutput.beam_splitter_pair = 0,1\n"
@@ -523,6 +536,9 @@ output.samples = 64
         ("spacing", -43.8e-6),
         ("total_time", 0.0),
         ("pulse_duration", float("nan")),
+        ("spacing", float("inf")),
+        ("total_time", float("inf")),
+        ("per_mode_cutoff", 0),
     ])
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):
@@ -534,6 +550,9 @@ output.samples = 64
         ("pulse.ramp_up_us = 0", "pulse_ramp_up"),
         ("pulse.ramp_down_us = -1", "pulse_ramp_down"),
         ("pulse.target_phase = -1", "target_phase"),
+        ("pulse.sharpness = inf", "pulse_sharpness"),
+        ("propagator.tolerance = inf", "local_error_tolerance"),
+        ("schedule.total_time_us = inf", "total_time"),
     ])
     def test_non_positive_pulse_and_tolerance_rejected_at_parse(self, line, field):
         with pytest.raises(ScenarioError, match=f"{field} must be positive"):

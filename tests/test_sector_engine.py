@@ -13,6 +13,8 @@ therefore run an 8.8 T0 pulse (r = 0.05) on n_max <= 3, where 12 quanta
 suffice (at most 4,096 states).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,13 +25,12 @@ from phonondd.model import (
     FockSpace,
     IonChainConfig,
     PhononState,
+    basis_state,
     build_coupling_matrix,
 )
 from phonondd.propagation import (
     ModeMaps,
     SchedulePropagator,
-    _hopping_block,
-    _number_sectors,
     beam_splitter_reference,
 )
 from phonondd.pulses import design_pulse
@@ -167,10 +168,99 @@ def test_sector_hopping_blocks_match_the_kron_build(modes, cutoff):
     space = FockSpace(modes, cutoff)
     couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 43.8e-6))
     full = hopping_hamiltonian(space, couplings).toarray() / HBAR
+    engine = SchedulePropagator(space, ModeMaps(couplings))
     stored = 0
-    for idx in _number_sectors(space):
-        block = _hopping_block(space, idx, couplings.kappa)
+    for n in range(engine._offsets.size - 1):
+        idx = engine._fock[engine._rows(n)]
+        block = engine._hopping_block(n)
         np.testing.assert_allclose(block, full[np.ix_(idx, idx)], rtol=1e-14, atol=0)
         stored += np.count_nonzero(block)
     # the sector blocks hold every hopping element of the full space
     assert stored == np.count_nonzero(full)
+
+
+def fock_shift_pairs(engine):
+    """The pair gather tables built from shifts of the Fock index."""
+    space = engine.space
+    m, cutoff = space.mode_count, space.per_mode_cutoff
+    occ = engine._numbers
+    pairs = list(itertools.combinations_with_replacement(range(m), 2))
+    flat = np.array([i * m + j for i, j in pairs])
+    tables = []
+    for raising in (False, True):
+        sources, weights = [], []
+        for i, j in pairs:
+            same = float(i == j)
+            shift = (cutoff + 1) ** i + (cutoff + 1) ** j
+            if raising:
+                weight = occ[i] * (occ[j] - same)
+                inside, source = weight > 0, engine._fock - shift
+            else:
+                weight = (occ[i] + 1) * (occ[j] + 1 + same)
+                inside = (occ[i] + 1 + same <= cutoff) & (occ[j] < cutoff)
+                source = engine._fock + shift
+            sources.append(engine._position[np.where(inside, source, 0)])
+            weights.append(np.where(inside, (1.0 - 0.5 * same) * np.sqrt(weight), 0.0))
+        tables.append((flat, np.array(sources), np.array(weights)))
+    return tables
+
+
+def fock_shift_levels(engine):
+    """The raising levels of Gamma(Y) built from shifts of the Fock index."""
+    space = engine.space
+    m, base = space.mode_count, space.per_mode_cutoff + 1
+    off = engine._offsets
+    pos = (np.arange(space.dimension) - off[engine._total])[engine._position]
+    levels = []
+    for n in range(1, off.size - 1):
+        occ = engine._numbers[:, engine._rows(n)]
+        upper = engine._fock[engine._rows(n)]
+        first = np.argmax(occ > 0, axis=0)
+        parent = pos[upper - base ** first]
+        rows = np.array([np.where(occ[j] > 0, pos[upper - base ** j], 0)
+                         for j in range(m)])
+        flat = rows[:, :, None] * (off[n] - off[n - 1]) + parent[None, None, :]
+        levels.append((first, 1.0 / np.sqrt(occ[first, np.arange(upper.size)]),
+                       np.sqrt(occ), flat))
+    return levels
+
+
+@pytest.mark.parametrize("modes,cutoff", [(1, 3), (2, 5), (3, 4), (3, 10)])
+def test_ladder_moves_one_quantum(modes, cutoff):
+    space = FockSpace(modes, cutoff)
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 43.8e-6))
+    engine = SchedulePropagator(space, ModeMaps(couplings))
+    down, up = engine._down, engine._up
+    digits = np.array([space.mode_occupations(q) for q in range(modes)])[:, engine._fock]
+    assert down.shape == up.shape == (modes, space.dimension)
+    for j in range(modes):
+        has, room = down[j] >= 0, up[j] >= 0
+        # -1 exactly where the state is off the cube
+        np.testing.assert_array_equal(has, digits[j] > 0)
+        np.testing.assert_array_equal(room, digits[j] < cutoff)
+        # up and down invert each other
+        np.testing.assert_array_equal(up[j, down[j, has]], np.flatnonzero(has))
+        np.testing.assert_array_equal(down[j, up[j, room]], np.flatnonzero(room))
+        lowered = digits[:, has].copy()
+        lowered[j] -= 1
+        np.testing.assert_array_equal(digits[:, down[j, has]], lowered)
+    np.testing.assert_array_equal(engine._boundary, (digits == cutoff).any(axis=0))
+    # the tables read from the ladder equal the Fock shift construction
+    for got, expected in [(engine._pairs(), fock_shift_pairs(engine)),
+                          (engine._levels(), fock_shift_levels(engine))]:
+        assert len(got) == len(expected)
+        for a, b in zip(itertools.chain(*got), itertools.chain(*expected)):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0, 5), (-1, 0)])
+def test_beam_splitter_reference_rejects_a_bad_pair(pair):
+    state = basis_state(FockSpace(3, 2), (0, 1, 1))
+    with pytest.raises(ValueError, match="pair must name two distinct modes"):
+        beam_splitter_reference(state, pair)
+
+
+def test_engine_rejects_couplings_of_another_mode_count():
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(3, 43.8e-6))
+    with pytest.raises(ValueError, match="coupling matrix does not match the Fock space"):
+        SchedulePropagator(FockSpace(2, 3), ModeMaps(couplings))

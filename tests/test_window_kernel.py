@@ -57,7 +57,6 @@ from phonondd.propagation import (
 from phonondd.pulses import (
     ShapedPulse,
     design_pulse,
-    scale_factor,
     scale_factor_derivatives,
 )
 from phonondd.scenarios import build_scenario, get_scenario, scenario_catalog
@@ -65,6 +64,7 @@ from phonondd.sequences import DDSpec, Evolve, synthesize
 
 from dense_oracle import embed, ladder_operator, phase_distance, project
 from fock_labels import occupations
+from pulse_checks import scale_factor
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
