@@ -77,12 +77,23 @@ class IonChainConfig:
 
 
 def coupling_rate(spacing: float, ion_mass: float, secular_frequency: float) -> float:
-    """Phonon hopping rate (rad/s) between two modes a distance ``spacing`` apart."""
+    """Phonon hopping rate (rad/s) between two modes a distance ``spacing`` apart.
+
+    Raises ValueError unless the rate is a finite positive float: a spacing
+    whose cube overflows or underflows has none.
+    """
     if spacing <= 0 or ion_mass <= 0 or secular_frequency <= 0:
         raise ValueError("coupling_rate arguments must be positive")
     e = ELEMENTARY_CHARGE
-    return e * e / (4.0 * math.pi * VACUUM_PERMITTIVITY
-                    * spacing ** 3 * ion_mass * secular_frequency)
+    try:
+        rate = e * e / (4.0 * math.pi * VACUUM_PERMITTIVITY
+                        * spacing ** 3 * ion_mass * secular_frequency)
+    except ArithmeticError:  # spacing ** 3 overflows, or the product is 0
+        rate = math.nan
+    if not 0 < rate < math.inf:
+        raise ValueError(f"spacing {spacing!r} m gives no finite positive"
+                         " hopping rate")
+    return rate
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 The engine has two layers.  :class:`ModeMaps` needs no Fock space, only
 the coupling matrix: it lowers a schedule into (kind, duration, modes)
 steps, free segments, parity phases (ideal pulses) and windows (shaped
-pulses), and finds the M x M mode map of each window.  By default a window
-replaces the trailing portion of its preceding free segment, so the wall
-clock of the schedule is unchanged; the alternative placement inserts the
-window and stretches the timeline.  :class:`SchedulePropagator` binds
-those maps to one truncated Fock space and runs the steps on a state.
+pulses), and finds the M x M mode map of each window.  A window replaces
+the trailing portion of its preceding free segment, as the feasibility
+bounds of :mod:`phonondd.sequences` assume, so the wall clock of the
+schedule is its evolve time.  :class:`SchedulePropagator` binds those
+maps to one truncated Fock space and runs the steps on a state.
 
 A shaped pulse opens a window in which the trap drive of the pulsed modes
 acts without the rotating wave reduction,
@@ -94,7 +94,6 @@ from .pulses import ShapedPulse
 from .sequences import Evolve, PulseSchedule
 
 
-WINDOW_PLACEMENTS = ("carve", "insert")
 WINDOW_COUPLINGS = ("rwa", "full")
 # Magnus step counts of a window map: the first doubling level (0.28 rad
 # of w0 t per step on an 8.8 T0 window) and the ceiling of the doubling
@@ -313,7 +312,6 @@ class ModeMaps:
 
     couplings: CouplingMatrix
     secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
-    window_placement: str = "carve"
     window_coupling: str = "rwa"
     local_error_tolerance: float = 1e-12
     _cache: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = field(
@@ -322,51 +320,41 @@ class ModeMaps:
     def __post_init__(self) -> None:
         if self.local_error_tolerance <= 0:
             raise ValueError("local_error_tolerance must be positive")
-        if self.window_placement not in WINDOW_PLACEMENTS:
-            raise ValueError("window_placement must be one of"
-                             f" {', '.join(WINDOW_PLACEMENTS)}")
         if self.window_coupling not in WINDOW_COUPLINGS:
             raise ValueError("window_coupling must be one of"
                              f" {', '.join(WINDOW_COUPLINGS)}")
 
     def steps(self, schedule: PulseSchedule
-              ) -> tuple[list[tuple[str, float, frozenset[int] | None]], float]:
-        """The schedule as (kind, duration, modes) steps, and its wall time.
+              ) -> list[tuple[str, float, frozenset[int] | None]]:
+        """The schedule as (kind, duration, modes) steps.
 
         A kind is "free", "parity" (an ideal pulse) or "window" (a shaped
-        pulse).  A carved window takes the trailing pulse duration of the
-        free step before it; an inserted one adds its duration to the wall.
+        pulse).  A window takes the trailing pulse duration of the free
+        step before it, so the steps last ``schedule.total_evolve_time``.
         """
         shaped = schedule.pulse_model == "shaped"
         pulse = schedule.shaped_pulse
         if shaped and pulse is None:
             raise PropagationError("shaped schedule carries no pulse")
-        carve = self.window_placement == "carve"
         steps: list[tuple[str, float, frozenset[int] | None]] = []
-        windows = 0
         for ev in schedule.events:
             if isinstance(ev, Evolve):
                 steps.append(("free", ev.duration, None))
             elif not shaped:
                 steps.append(("parity", 0.0, ev.modes))
             else:
-                if carve:
-                    if not steps or steps[-1][0] != "free":
-                        raise PropagationError(
-                            "pulse event has no preceding segment to carve")
-                    _, duration, _ = steps.pop()
-                    lead = duration - pulse.duration
-                    if lead < -1e-12 * duration:
-                        raise PropagationError(
-                            "pulse window does not fit inside its segment")
-                    if lead > 0:
-                        steps.append(("free", lead, None))
+                if not steps or steps[-1][0] != "free":
+                    raise PropagationError(
+                        "pulse event has no preceding segment to carve")
+                _, duration, _ = steps.pop()
+                lead = duration - pulse.duration
+                if lead < -1e-12 * duration:
+                    raise PropagationError(
+                        "pulse window does not fit inside its segment")
+                if lead > 0:
+                    steps.append(("free", lead, None))
                 steps.append(("window", pulse.duration, ev.modes))
-                windows += 1
-        wall = schedule.total_evolve_time
-        if windows and not carve:
-            wall += windows * pulse.duration
-        return steps, wall
+        return steps
 
     def window_map(self, modes: frozenset[int], pulse: ShapedPulse) -> HeisenbergMap:
         """The window map, by Magnus steps doubled from FIRST_STEPS.
@@ -689,9 +677,10 @@ class SchedulePropagator:
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
         started = time.perf_counter()
-        steps, wall = self.maps.steps(schedule)
+        steps = self.maps.steps(schedule)
         # unique: a schedule that takes no time has one grid point
-        times = np.unique(np.linspace(0.0, wall, record_samples))
+        times = np.unique(np.linspace(0.0, schedule.total_evolve_time,
+                                      record_samples))
         inside = times[:-1]  # the last row holds the final state
         # amplitude magnitudes, squared in place once at the end; a free
         # step writes only its occupied sectors, the rest stay zero

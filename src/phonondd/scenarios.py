@@ -33,14 +33,19 @@ from .model import (
 )
 from .propagation import (
     WINDOW_COUPLINGS,
-    WINDOW_PLACEMENTS,
     ModeMaps,
     SchedulePropagator,
     SimulationResult,
     beam_splitter_reference,
 )
 from .pulses import design_pulse
-from .sequences import PULSE_MODELS, DDSpec, feasibility_bounds, synthesize
+from .sequences import (
+    PULSE_MODELS,
+    DDSpec,
+    feasibility_bounds,
+    synthesize,
+    target_sets,
+)
 
 POPULATION_COLUMN_THRESHOLD = 1e-4
 LEAKAGE_LIMIT = 1e-6
@@ -52,7 +57,6 @@ SECULAR_PERIOD = 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY
 # allowed values of the ScenarioConfig fields that name a model choice
 CHOICES = {
     "pulse_model": PULSE_MODELS,
-    "window_placement": WINDOW_PLACEMENTS,
     "window_coupling": WINDOW_COUPLINGS,
 }
 
@@ -83,7 +87,6 @@ class ScenarioConfig:
     target_phase: float = math.pi
     secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
     ion_mass: float = DEFAULT_ION_MASS
-    window_placement: str = "carve"
     window_coupling: str = "rwa"
     local_error_tolerance: float = 1e-12
     record_samples: int = DEFAULT_RECORD_SAMPLES
@@ -134,10 +137,22 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
-        if self.pulse_model == "shaped" and self.window_placement == "carve":
+        try:
+            cycle = self.total_time if self.total_time is not None else self.hop_time()
+        except ValueError as exc:
+            raise ScenarioError(f"{self.name}: {exc}") from exc
+        if not 0 < cycle < math.inf:
+            raise ScenarioError(f"{self.name}: spacing {self.spacing!r} m gives a"
+                                f" hop time of {cycle!r} s")
+        try:  # the role swap against the levels and the protected set
+            target_sets(DDSpec(self.mode_count, cycle, protected_set=self.protected_set,
+                               truncation_distance=self.truncation_distance,
+                               level_role_swap=self.level_role_swap))
+        except ValueError as exc:
+            raise ScenarioError(f"{self.name}: {exc}") from exc
+        if self.pulse_model == "shaped":
             bound = feasibility_bounds(
-                self.total_time if self.total_time is not None else self.hop_time(),
-                self.pulse_duration, mode_count=self.mode_count,
+                cycle, self.pulse_duration, mode_count=self.mode_count,
                 protected_set=self.protected_set,
                 truncation_distance=self.truncation_distance).repetition_bound
             if bound is not None and self.repetitions >= bound:
@@ -185,8 +200,8 @@ def build_scenario(cfg: ScenarioConfig):
                   level_role_swap=cfg.level_role_swap,
                   pulse_model=cfg.pulse_model, shaped_pulse=pulse)
     schedule = synthesize(spec)
-    maps = ModeMaps(couplings, cfg.secular_frequency, cfg.window_placement,
-                    cfg.window_coupling, cfg.local_error_tolerance)
+    maps = ModeMaps(couplings, cfg.secular_frequency, cfg.window_coupling,
+                    cfg.local_error_tolerance)
     engine = SchedulePropagator(space, maps)
     return space, couplings, schedule, initial, engine
 
@@ -214,7 +229,6 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
         ("n_max", str(cfg.per_mode_cutoff)),
         ("repetitions", str(cfg.repetitions)),
         ("model", cfg.pulse_model),
-        ("placement", cfg.window_placement),
         ("coupling", cfg.window_coupling),
         ("total_time_us", to_micro(cfg.total_time if cfg.total_time is not None
                                    else cfg.hop_time())),
@@ -467,8 +481,8 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     schedule.protected, schedule.role_swap, schedule.total_time_us;
     pulse.model, pulse.total_us, pulse.ramp_up_us, pulse.ramp_down_us,
     pulse.sharpness, pulse.target_phase; propagator.n_max,
-    propagator.placement, propagator.coupling, propagator.tolerance;
-    output.samples, output.beam_splitter_pair.
+    propagator.coupling, propagator.tolerance; output.samples,
+    output.beam_splitter_pair.
     """
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -507,7 +521,6 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
         "pulse.ramp_down_us": ("pulse_ramp_down", from_micro),
         "pulse.sharpness": ("pulse_sharpness", float),
         "pulse.target_phase": ("target_phase", float),
-        "propagator.placement": ("window_placement", str),
         "propagator.coupling": ("window_coupling", str),
         "propagator.tolerance": ("local_error_tolerance", float),
         "output.samples": ("record_samples", int),

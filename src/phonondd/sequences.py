@@ -256,24 +256,36 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
                    repetitions=base.repetitions * repetitions)
 
 
+def target_sets(spec: DDSpec) -> list[frozenset[int]]:
+    """Pulsed mode set per level of the plan of ``spec``; none if no levels.
+
+    Uses the truncated-reach levels when they are shorter than the plain
+    grouping.  Raises ValueError when ``spec.level_role_swap`` has the
+    wrong length or would pulse the protected set.
+    """
+    levels, roles = _truncated_plan(spec) or _grouping_plan(spec)
+    if not levels:
+        return []
+    sets = _target_sets(levels, spec.level_role_swap
+                        if spec.level_role_swap is not None else roles)
+    if any(s & spec.protected_set for s in sets):
+        raise ValueError("role swap pattern would pulse the protected set")
+    return sets
+
+
 def synthesize(spec: DDSpec) -> PulseSchedule:
     """The decoupling schedule of ``spec``, repeated ``spec.repetitions`` times.
 
-    Uses the truncated-reach levels when they are shorter than the plain
-    grouping; with nothing to decouple the schedule is one free segment
-    and carries a warning.
+    Pulses the :func:`target_sets` of ``spec``; with nothing to decouple
+    the schedule is one free segment and carries a warning.
     """
-    levels, roles = _truncated_plan(spec) or _grouping_plan(spec)
+    sets = target_sets(spec)
     events: tuple[ScheduleEvent, ...] = (Evolve(spec.total_time),)
     warning = None
-    if not levels:
+    if not sets:
         warning = ("every mode protected, nothing to cancel" if spec.protected_set
                    else "single mode, nothing to decouple")
     else:
-        sets = _target_sets(levels, spec.level_role_swap
-                            if spec.level_role_swap is not None else roles)
-        if any(s & spec.protected_set for s in sets):
-            raise ValueError("role swap pattern would pulse the protected set")
         events = _assemble(sets, spec.total_time)
     base = PulseSchedule(events=events, mode_count=spec.mode_count,
                          total_time=spec.total_time, pulse_model=spec.pulse_model,

@@ -276,15 +276,15 @@ def phase_distance(got: np.ndarray, expected: np.ndarray) -> float:
 
 
 def dense_run(schedule: PulseSchedule, initial: PhononState,
-              couplings: CouplingMatrix, window_placement: str = "carve",
-              window_coupling: str = "rwa",
+              couplings: CouplingMatrix, window_coupling: str = "rwa",
               secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
               window_cutoff: int | None = None) -> PhononState:
     """Final state of a schedule, propagated over the full Fock space.
 
     Free segments go through :func:`evolve_constant`, ideal pulses through
     :func:`apply_ideal_phase` and shaped windows through
-    :func:`evolve_shaped`, placed as ``window_placement`` says.
+    :func:`evolve_shaped`, each window carved from the tail of the
+    segment before it.
     With ``window_cutoff`` each window runs in a space of that cutoff and
     is projected back, so it approaches P U P as the cutoff grows.
     """
@@ -301,8 +301,8 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
     for i, ev in enumerate(events):
         if isinstance(ev, Evolve):
             duration = ev.duration
-            if (shaped and window_placement == "carve"
-                    and i + 1 < len(events) and isinstance(events[i + 1], PhaseShift)):
+            if (shaped and i + 1 < len(events)
+                    and isinstance(events[i + 1], PhaseShift)):
                 duration = max(duration - pulse.duration, 0.0)
             state = evolve_constant(state, hop, duration)
             t += duration

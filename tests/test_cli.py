@@ -113,6 +113,28 @@ class TestRun:
         assert message in res.output
         assert not (tmp_path / "demo_populations.csv").exists()
 
+    @pytest.mark.parametrize("edits,message", [
+        ([("spacing_um = 43.8", "spacing_um = 1e-300")],
+         "spacing 1e-306 m gives no finite positive hopping rate"),
+        ([("modes = 2", "modes = 3"),
+          ("occupations = 1,0", "occupations = 1,0,0\nschedule.role_swap = true")],
+         "level_role_swap needs 2 flags, got 1"),
+    ])
+    def test_config_rejected_at_parse_exits_with_error(self, runner, tmp_path,
+                                                       monkeypatch, edits, message):
+        def unreachable(cfg):
+            raise AssertionError("a rejected config reached execute_scenario")
+
+        monkeypatch.setattr(cli, "execute_scenario", unreachable)
+        text = CHEAP_CFG
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(text)
+        res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert f"error: demo: {message}" in res.output
+
     def test_full_populations_flag(self, runner, tmp_path):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(CHEAP_CFG)
@@ -152,7 +174,12 @@ class TestSweep:
         for scenario, axis, values, bad, message in [
                 ("fig3", "n_max", "0,8", "0", "per_mode_cutoff must be positive"),
                 ("fig3", "d", "inf,43.8", "inf", "spacing must be positive"),
-                ("fig1b", "d", "inf", "inf", "spacing must be positive")]:
+                ("fig1b", "d", "inf", "inf", "spacing must be positive"),
+                # finite spacings whose hop rate is 0 or not a float
+                ("fig1b", "d", "1e-300,43.8", "1e-306", "spacing 1e-306 m gives no"),
+                ("fig3", "d", "1e-300,43.8", "1e-306", "spacing 1e-306 m gives no"),
+                ("fig3", "d", "1e300,43.8", "1e+294", "spacing 1e+294 m gives no"),
+                ("fig3", "d", "1e106,43.8", "1e+100", "a hop time of inf")]:
             res = runner.invoke(main, ["sweep", scenario, "--axis", axis,
                                        "--values", values, "--out", str(tmp_path)])
             assert res.exit_code == 2, res.output

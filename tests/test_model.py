@@ -77,6 +77,12 @@ class TestCouplingRate:
         with pytest.raises(ValueError):
             coupling_rate(27.6e-6, DEFAULT_ION_MASS, 0.0)
 
+    @pytest.mark.parametrize("spacing", [1e-306, 1e-106, 1e294])
+    def test_rejects_a_spacing_without_a_float_rate(self, spacing):
+        # the cube underflows to 0 (a division by zero), or overflows
+        with pytest.raises(ValueError, match="no finite positive hopping rate"):
+            coupling_rate(spacing, DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY)
+
 
 class TestChainAndCouplings:
     def test_equidistant_positions(self):

@@ -291,7 +291,6 @@ class TestScheduleRuns:
 
     @pytest.mark.parametrize("option,message", [
         (dict(local_error_tolerance=0.0), "local_error_tolerance must be positive"),
-        (dict(window_placement="middle"), "window_placement must be one of"),
         (dict(window_coupling="none"), "window_coupling must be one of"),
     ])
     def test_mode_maps_reject_bad_values(self, option, message):
@@ -318,20 +317,6 @@ class TestScheduleRuns:
         with pytest.raises(PropagationError):
             SchedulePropagator(space, ModeMaps(cm)).run(bad,
                                                         basis_state(space, (1, 0)))
-
-    def test_insert_placement_runs_and_differs(self):
-        space, cm = two_mode_setup(8)
-        pulse = design_pulse(8.8 * T0)
-        schedule = synthesize(DDSpec(2, HOP_TIME, pulse_model="shaped",
-                                     shaped_pulse=pulse))
-        initial = basis_state(space, (2, 1))
-        carve = SchedulePropagator(space, ModeMaps(
-            cm, window_placement="carve")).run(schedule, initial)
-        insert = SchedulePropagator(space, ModeMaps(
-            cm, window_placement="insert")).run(schedule, initial)
-        assert carve.error_E < 1e-3
-        assert insert.error_E < 1e-3
-        assert carve.error_E != insert.error_E
 
     def test_full_window_coupling_close_to_rwa(self):
         space, cm = two_mode_setup(8)

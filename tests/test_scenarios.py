@@ -376,11 +376,6 @@ class TestRepetitionBound:
                            match="fig4b: 200 repetitions reach the repetition bound 33"):
             replace(get_scenario("fig4b"), repetitions=200)
 
-    def test_inserted_windows_are_not_bounded(self):
-        # an inserted window stretches the timeline instead of eating a segment
-        cfg = replace(get_scenario("fig4b"), window_placement="insert", repetitions=200)
-        assert cfg.repetitions == 200
-
 
 class TestSweep:
     def test_repetition_axis(self):
@@ -483,7 +478,6 @@ pulse.ramp_down_us = 2.0
 pulse.sharpness = 5.0
 pulse.target_phase = 3.141592653589793
 propagator.n_max = 6
-propagator.placement = insert
 propagator.coupling = full
 propagator.tolerance = 1e-10
 output.samples = 64
@@ -498,7 +492,6 @@ output.samples = 64
         assert cfg.pulse_duration == pytest.approx(4e-6, rel=1e-12)
         assert cfg.pulse_sharpness == 5.0
         assert cfg.per_mode_cutoff == 6
-        assert cfg.window_placement == "insert"
         assert cfg.window_coupling == "full"
         assert cfg.local_error_tolerance == 1e-10
         assert cfg.record_samples == 64
@@ -510,13 +503,25 @@ output.samples = 64
                                  "state.occupations = 0,1\n")
         assert bare.per_mode_cutoff == 10
         assert bare.pulse_model == "ideal"
-        assert bare.window_placement == "carve"
 
     def test_protected_and_roles(self):
-        cfg = parse_config_text(CHEAP + "schedule.protected = 0\n"
-                                        "schedule.role_swap = false,true\n")
+        # three modes, one protected: three grouping slots, so two levels
+        cfg = parse_config_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
+                                "state.occupations = 1,0,0\n"
+                                "schedule.protected = 0\n"
+                                "schedule.role_swap = false,true\n")
         assert cfg.protected_set == frozenset({0})
         assert cfg.level_role_swap == (False, True)
+
+    @pytest.mark.parametrize("extra,message", [
+        ("schedule.role_swap = true\n", "level_role_swap needs 2 flags, got 1"),
+        ("schedule.protected = 0\nschedule.role_swap = true,false\n",
+         "role swap pattern would pulse the protected set"),
+    ])
+    def test_bad_role_swap_rejected_at_parse(self, extra, message):
+        with pytest.raises(ScenarioError, match=f"demo: {message}"):
+            parse_config_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
+                              "state.occupations = 1,0,0\n" + extra, name="demo")
 
     def test_role_swap_rejects_other_words(self):
         cfg = parse_config_text(CHEAP + "schedule.role_swap = TRUE\n")
@@ -539,6 +544,10 @@ output.samples = 64
         ("spacing", float("inf")),
         ("total_time", float("inf")),
         ("per_mode_cutoff", 0),
+        # finite positive spacings with no float hop rate, or a hop time of inf
+        ("spacing", 1e-306),
+        ("spacing", 1e294),
+        ("spacing", 1e100),
     ])
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):
@@ -589,8 +598,9 @@ output.samples = 64
                 assert getattr(parsed, field).hex() == value.hex(), field
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown"):
-            parse_config_text(CHEAP + "chain.temperature = 300\n")
+        for line in ("chain.temperature = 300", "propagator.placement = carve"):
+            with pytest.raises(ScenarioError, match="unknown config key"):
+                parse_config_text(CHEAP + line + "\n")
 
     def test_missing_required_key(self):
         with pytest.raises(ScenarioError):
@@ -602,7 +612,6 @@ output.samples = 64
 
     @pytest.mark.parametrize("key,field,allowed", [
         ("pulse.model", "pulse_model", "ideal, shaped"),
-        ("propagator.placement", "window_placement", "carve, insert"),
         ("propagator.coupling", "window_coupling", "rwa, full"),
     ])
     def test_unknown_model_choice_rejected_at_parse(self, key, field, allowed):

@@ -34,7 +34,7 @@ from phonondd.propagation import (
     beam_splitter_reference,
 )
 from phonondd.pulses import design_pulse
-from phonondd.sequences import DDSpec, Evolve, PhaseShift, synthesize
+from phonondd.sequences import DDSpec, Evolve, synthesize
 
 from dense_oracle import dense_run, hopping_hamiltonian, ladder_operator, phase_distance
 
@@ -77,27 +77,22 @@ def chains(draw, shaped=False):
     return space, couplings, draw(superpositions(space))
 
 
-def window_spans(schedule, placement):
+def window_spans(schedule):
     """(start, end) of each shaped window on the clock of the run."""
     spans, t = [], 0.0
     duration = schedule.shaped_pulse.duration
     for ev in schedule.events:
         if isinstance(ev, Evolve):
             t += ev.duration
-        elif placement == "carve":
-            spans.append((t - duration, t))
         else:
-            spans.append((t, t + duration))
-            t += duration
+            spans.append((t - duration, t))
     return spans
 
 
-@pytest.mark.parametrize("pulse_model,placement,coupling", [
-    ("ideal", "carve", "rwa"),
-    ("shaped", "carve", "rwa"),
-    ("shaped", "carve", "full"),
-    ("shaped", "insert", "rwa"),
-    ("shaped", "insert", "full"),
+@pytest.mark.parametrize("pulse_model,coupling", [
+    ("ideal", "rwa"),
+    ("shaped", "rwa"),
+    ("shaped", "full"),
 ])
 # no shrink phase: each shrink step reruns 0.2-0.6 s oracle windows, so a
 # failing example is reported as first found rather than minimized; the
@@ -107,31 +102,27 @@ def window_spans(schedule, placement):
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data(), total_us=st.floats(20.0, 100.0),
        samples=st.sampled_from([None, 7]))
-def test_sector_engine_matches_dense_oracle(pulse_model, placement, coupling,
-                                            data, total_us, samples):
+def test_sector_engine_matches_dense_oracle(pulse_model, coupling, data, total_us,
+                                            samples):
     shaped = pulse_model == "shaped"
     space, couplings, initial = data.draw(chains(shaped))
     pulse, _, raised, raised_check = SHAPED[space.mode_count]
     total = total_us * 1e-6
     schedule = synthesize(DDSpec(space.mode_count, total, pulse_model=pulse_model,
                                  shaped_pulse=pulse if shaped else None))
-    windows = sum(isinstance(ev, PhaseShift) for ev in schedule.events)
-    wall = total + (windows * pulse.duration
-                    if shaped and placement == "insert" else 0.0)
-    maps = ModeMaps(couplings, window_placement=placement, window_coupling=coupling)
+    maps = ModeMaps(couplings, window_coupling=coupling)
     result = SchedulePropagator(space, maps).run(
         schedule, initial, record_samples=2 if samples is None else samples + 1)
-    spans = window_spans(schedule, placement) if shaped else []
+    spans = window_spans(schedule) if shaped else []
     if shaped:
         n_max = space.per_mode_cutoff
-        expected = dense_run(schedule, initial, couplings, placement, coupling,
+        expected = dense_run(schedule, initial, couplings, coupling,
                              window_cutoff=n_max + raised).amplitudes
-        check = dense_run(schedule, initial, couplings, placement, coupling,
+        check = dense_run(schedule, initial, couplings, coupling,
                           window_cutoff=n_max + raised_check).amplitudes
         assert np.linalg.norm(expected - check) <= 0.5 * AGREEMENT
     else:
-        expected = dense_run(schedule, initial, couplings, placement,
-                             coupling).amplitudes
+        expected = dense_run(schedule, initial, couplings, coupling).amplitudes
     assert phase_distance(result.final_state.amplitudes, expected) <= AGREEMENT
     # free evolution keeps the norm and each window drops the population it
     # pushes past the cutoff, so rows sum to 1 up to the first window, never
@@ -142,7 +133,7 @@ def test_sector_engine_matches_dense_oracle(pulse_model, placement, coupling,
     inside = np.zeros(times.size, dtype=bool)
     for lo, hi in spans:
         inside |= (lo < times) & (times < hi)
-    first = spans[0][0] if spans else wall
+    first = spans[0][0] if spans else total
     np.testing.assert_allclose(sums[times <= first], 1.0, rtol=0, atol=AGREEMENT)
     assert np.all(np.diff(sums[~inside]) <= AGREEMENT)
     before = np.maximum.accumulate(np.where(inside, 0, np.arange(times.size)))

@@ -373,7 +373,7 @@ def test_apply_matches_the_fock_recurrence(modes, n_max, strength):
 
 def test_apply_matches_the_fock_recurrence_on_a_catalog_window_end():
     _, _, schedule, _, engine = build_scenario(get_scenario("fig5b"))
-    steps = engine.maps.steps(schedule)[0]
+    steps = engine.maps.steps(schedule)
     first = next(i for i, (kind, _, _) in enumerate(steps) if kind == "window")
     start = sum(duration for _, duration, _ in steps[:first])
     end = engine.maps.window(start, steps[first][2], schedule.shaped_pulse)[0]
@@ -504,7 +504,7 @@ def shaped_run():
     schedule = synthesize(DDSpec(2, 50e-6, repetitions=2, pulse_model="shaped",
                                  shaped_pulse=PULSE))
     engine = SchedulePropagator(space, ModeMaps(couplings))
-    windows = sum(kind == "window" for kind, _, _ in engine.maps.steps(schedule)[0])
+    windows = sum(kind == "window" for kind, _, _ in engine.maps.steps(schedule))
     return engine, schedule, basis_state(space, (2, 1)), windows
 
 
