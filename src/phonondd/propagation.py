@@ -24,11 +24,14 @@ at time 0, by sixth-order Magnus steps in the lab frame on the real
 its generator is a constant L0 plus the drive times a constant L1, with no
 e^{2 i w0 t} carrier to follow.  The Magnus exponent of every step is then
 a fixed combination of L0, L1 and eight of their commutators, built once
-per map, so a whole level of steps is one matrix product and one batched
-real exponential.  The step count doubles until (A, B) at two levels
-agree within 63 times the local error tolerance, and the map keeps S at
-every step node, so a sample inside a window is one partial step from the
-node below it; (A, B) are read from S only where they are used.  A window
+per map.  A level of steps reads the drive once and is built in slices of
+at most 96 KiB, each one matrix product for the exponents, a scaled Taylor
+exponential and a prefix product blocked about sqrt(n) ways: batched
+matrix products only, with no solve and no loop per step.  The step count
+doubles until (A, B) at two levels agree within 63 times the local error
+tolerance, and the map keeps S at every step node, so a sample inside a
+window is one partial step from the node below it; (A, B) are read from S
+only where they are used.  A window
 starting at t0 has (A, B e^{2 i w0 t0}).  The counter rotating part of the
 Coulomb coupling, which creates and destroys pairs, can optionally be kept
 during windows.
@@ -101,10 +104,13 @@ FIRST_STEPS = 200
 MAX_STEPS = 12_800
 # Gauss-Legendre nodes of a Magnus step, as fractions of its length
 GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
-# coefficients of the [7/7] Pade approximant of exp, lowest power first
-PADE = [math.factorial(14 - j) * math.factorial(7)
-        / (math.factorial(14) * math.factorial(j) * math.factorial(7 - j))
-        for j in range(8)]
+# coefficients of the degree-12 Taylor polynomial of exp, and the 1-norm
+# a stack is scaled to before it: the terms left out sum to about 2.4e-18
+TAYLOR = [1.0 / math.factorial(k) for k in range(13)]
+TAYLOR_NORM = 0.25
+# bytes of one slice of step propagators: below glibc's 128 KiB mmap
+# threshold, so a slice's temporaries are reused heap blocks
+SLICE_BYTES = 96 * 1024
 
 EPS = np.finfo(float).eps  # sets the window-end trim and the raising stop
 
@@ -198,25 +204,58 @@ class WindowGenerator:
         n = self.basis.shape[-1]
         return (coeffs @ self.basis.reshape(len(self.basis), -1)).reshape(-1, n, n)
 
-    def propagators(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """exp(Omega) of one Magnus step over each [start, start + length].
-
-        The drive at every Gauss point comes from one ``pulse.drive`` call.
-        """
+    def drive(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """drive / (2 w0) at the three Gauss points of each [start, start +
+        length], one row per step, from one ``pulse.drive`` call."""
         points = starts[:, None] + lengths[:, None] * GAUSS_NODES
-        f = self.pulse.drive(points.ravel()).reshape(-1, 3) / (2.0 * self.frequency)
-        return _expm(self.omega(lengths, f))
+        return self.pulse.drive(points.ravel()).reshape(-1, 3) / (2.0 * self.frequency)
+
+    def propagators(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """exp(Omega) of one Magnus step over each [start, start + length]."""
+        return _expm(self.omega(lengths, self.drive(starts, lengths)))
 
     def nodes(self, steps: int) -> np.ndarray:
-        """S at the nodes of ``steps`` equal Magnus steps."""
+        """S at the nodes of ``steps`` equal Magnus steps.
+
+        One drive call covers the level.  The step propagators are built and
+        accumulated one slice of at most SLICE_BYTES at a time, each slice
+        by :func:`_scan` from the last node of the slice before.
+        """
         n = self.basis.shape[-1]
         h = self.pulse.duration / steps
-        props = self.propagators(h * np.arange(steps), np.full(steps, h))
+        f = self.drive(h * np.arange(steps), np.full(steps, h))
+        size = max(1, SLICE_BYTES // (8 * n * n))
         out = np.empty((steps + 1, n, n))
         out[0] = np.eye(n)
-        for k, prop in enumerate(props):
-            out[k + 1] = prop @ out[k]
+        for lo in range(0, steps, size):
+            hi = min(lo + size, steps)
+            props = _expm(self.omega(np.full(hi - lo, h), f[lo:hi]))
+            out[lo + 1:hi + 1] = _scan(props, out[lo])
         return out
+
+
+def _scan(props: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """props[k] @ ... @ props[0] @ start for every k, by batched products.
+
+    The stack is cut into about sqrt(len) blocks of equal width, the last
+    padded with identities.  The prefix products within every block are
+    taken at once, one batched product per position; then each block is
+    multiplied onto the last node of the block before, one batched product
+    per block.  Both loops run about sqrt(len) times.
+    """
+    count, n = props.shape[:2]
+    width = math.isqrt(count - 1) + 1
+    blocks = -(-count // width)
+    grid = np.empty((blocks, width, n, n))
+    flat = grid.reshape(-1, n, n)
+    flat[:count] = props
+    flat[count:] = np.eye(n)
+    for i in range(1, width):
+        grid[:, i] = grid[:, i] @ grid[:, i - 1]
+    for block in grid:
+        block[:] = block @ start
+        start = block[-1]
+    return flat[:count]
 
 
 def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,28 +270,28 @@ def _columns(s: np.ndarray) -> np.ndarray:
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a stack, by the [7/7] Pade approximant.
+    """exp of each matrix of a stack, by matrix products alone.
 
-    The stack is scaled by 2^-s to a 1-norm of at most 0.95, where the
-    approximant is exact to double precision (Higham, SIAM J. Matrix Anal.
-    Appl. 26, 1179, 2005), and squared s times.  The sums of the even and
-    odd powers grow in place, lowest power first, and each power is freed
-    once added, so a level holds about seven stacks at most.
+    The stack is scaled by 2^-s to a 1-norm of at most TAYLOR_NORM, where
+    the terms that the degree-12 Taylor polynomial leaves out sum to about
+    0.25^13 / 13! = 2.4e-18, below eps / 2, and squared s times.  The
+    polynomial is summed in powers of x^4 with cubic coefficients (Paterson
+    & Stockmeyer, SIAM J. Comput. 2, 60, 1973): five products, no solve.
     """
     norm = float(np.abs(x).sum(axis=-2).max(initial=0.0))
-    squarings = max(0, math.ceil(math.log2(norm / 0.95))) if norm else 0
+    squarings = max(0, math.ceil(math.log2(norm / TAYLOR_NORM))) if norm else 0
     x = x / 2.0 ** squarings
     x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
     eye = np.eye(x.shape[-1])
-    even, odd = PADE[0] * eye + PADE[2] * x2, PADE[1] * eye + PADE[3] * x2
-    power = x2
-    for c_even, c_odd in ((PADE[4], PADE[5]), (PADE[6], PADE[7])):
-        power = power @ x2  # x^4, then x^6
-        even += c_even * power
-        odd += c_odd * power
-    del power, x2
-    odd = x @ odd
-    out = np.linalg.solve(even - odd, even + odd)
+    out = TAYLOR[12] * x4
+    for k in (8, 4, 0):
+        out += TAYLOR[k] * eye
+        for j, power in enumerate((x, x2, x3), start=k + 1):
+            out += TAYLOR[j] * power
+        if k:
+            out = x4 @ out
     for _ in range(squarings):
         out = out @ out
     return out
@@ -318,8 +357,8 @@ class ModeMaps:
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.local_error_tolerance <= 0:
-            raise ValueError("local_error_tolerance must be positive")
+        if not 0 < self.local_error_tolerance < math.inf:
+            raise ValueError("local_error_tolerance must be positive and finite")
         if self.window_coupling not in WINDOW_COUPLINGS:
             raise ValueError("window_coupling must be one of"
                              f" {', '.join(WINDOW_COUPLINGS)}")

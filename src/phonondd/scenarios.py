@@ -137,10 +137,16 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
+        # every run needs a finite positive rate from the nearest to the
+        # farthest coupled pair, also when total_time sets the cycle
+        reach = min(self.mode_count - 1, self.truncation_distance or self.mode_count)
         try:
-            cycle = self.total_time if self.total_time is not None else self.hop_time()
+            hop = self.hop_time()
+            if reach > 1:
+                coupling_rate(reach * self.spacing, self.ion_mass, self.secular_frequency)
         except ValueError as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
+        cycle = self.total_time if self.total_time is not None else hop
         if not 0 < cycle < math.inf:
             raise ScenarioError(f"{self.name}: spacing {self.spacing!r} m gives a"
                                 f" hop time of {cycle!r} s")

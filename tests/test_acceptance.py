@@ -183,10 +183,10 @@ def test_two_mode_shaped_wide_spacing(scenario_cache):
         "give the same error to all printed digits; the error grows about "
         "as (kappa T_P)^2 (d = 27.6 / 34.8 / 43.8 / 55.2 um gives 1.68e-5 / "
         "4.52e-6 / 1.18e-6 / 3.00e-7, T_P = 4.4 / 8.8 / 17.6 T0 gives "
-        "3.00e-7 / 1.18e-6 / 4.57e-6); insert placement gives 1.25e-6 and "
-        "full window coupling 1.07e-6. The quotes fit no single law in "
-        "kappa T_P: fig1b's 4x shorter pulse lowers fig1a's 1.0e-5 by "
-        "4.5x, while fig2's 4x weaker kappa lowers it by 455x.")
+        "3.00e-7 / 1.18e-6 / 4.57e-6); full window coupling gives 1.07e-6. "
+        "The quotes fit no single law in kappa T_P: fig1b's 4x shorter "
+        "pulse lowers fig1a's 1.0e-5 by 4.5x, while fig2's 4x weaker kappa "
+        "lowers it by 455x.")
 
 
 def test_three_mode_shaped_single_repetition(scenario_cache):

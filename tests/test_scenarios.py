@@ -1,6 +1,7 @@
 """Scenario catalog, CSV emission, sweeps, report comparisons, config files."""
 
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal
 
@@ -552,6 +553,23 @@ output.samples = 64
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):
             replace(cheap_config(), **{field: value})
+
+    @pytest.mark.parametrize("modes,spacing_um,distance", [
+        (2, "1e-300", 1e-306),
+        # the neighbour rate is finite, the rate of modes 0 and 2 is not
+        (3, "3.1e108", 6.2e102),
+    ])
+    def test_spacing_without_a_hop_rate_rejected_with_a_set_cycle(self, modes, spacing_um,
+                                                                  distance):
+        """A set total_time needs no hop time, but the couplings of the run
+        still need a finite positive rate for every coupled pair."""
+        text = (CHEAP.replace("43.8", spacing_um)
+                .replace("modes = 2", f"modes = {modes}")
+                .replace("1,0", ",".join(["1"] + ["0"] * (modes - 1)))
+                + "schedule.total_time_us = 100\n")
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"spacing {distance!r} m gives no finite")):
+            parse_config_text(text)
 
     @pytest.mark.parametrize("line,field", [
         ("propagator.tolerance = 0", "local_error_tolerance"),

@@ -47,7 +47,6 @@ from phonondd.model import (
 from phonondd.propagation import (
     FIRST_STEPS,
     MAX_STEPS,
-    PADE,
     ModeMaps,
     PropagationError,
     SchedulePropagator,
@@ -651,37 +650,89 @@ def test_batched_exponential_matches_scipy(scale):
     assert np.abs(_expm(x) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def textbook_expm(x):
-    """``_expm`` with every power kept and each Pade sum one expression."""
-    norm = float(np.abs(x).sum(axis=-2).max(initial=0.0))
-    squarings = max(0, math.ceil(math.log2(norm / 0.95))) if norm else 0
-    x = x / 2.0 ** squarings
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    eye = np.eye(x.shape[-1])
-    even = PADE[0] * eye + PADE[2] * x2 + PADE[4] * x4 + PADE[6] * x6
-    odd = x @ (PADE[1] * eye + PADE[3] * x2 + PADE[5] * x4 + PADE[7] * x6)
-    out = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        out = out @ out
-    return out
+def sequential_nodes(generator, steps):
+    """S at every node by one product per step, on the exponentials of the
+    whole level at once: the loop that the blocked scan replaces."""
+    h = generator.pulse.duration / steps
+    props = generator.propagators(h * np.arange(steps), np.full(steps, h))
+    nodes, bound = [np.eye(len(props[0]))], [np.eye(len(props[0]))]
+    for prop in props:
+        nodes.append(prop @ nodes[-1])
+        bound.append(np.abs(prop) @ bound[-1])
+    return np.array(nodes), np.array(bound)
 
 
-def test_in_place_pade_sums_match_the_textbook_sums_on_catalog_levels(monkeypatch):
-    """The in-place sums add the same terms in the same order, so every
-    level of every catalog map is bit for bit what the textbook form gives."""
+def assert_nodes_match_sequential(generator, steps):
+    """Node k is a product of k step propagators of size n.  Either order
+    of the products rounds it by at most k n eps |P_k|...|P_1| entrywise,
+    and the exponentials of a slice and of the whole level differ by a few
+    eps each, so the two agree within 4 k n eps max |P_k|...|P_1|."""
+    got = generator.nodes(steps)
+    expected, absolute = sequential_nodes(generator, steps)
+    k = np.arange(steps + 1)
+    n = got.shape[-1]
+    allowed = 4.0 * k * n * np.finfo(float).eps * absolute.max(axis=(1, 2))
+    assert np.all(np.abs(got - expected).max(axis=(1, 2)) <= allowed)
+
+
+def unique_catalog_maps():
+    """Every distinct catalog window map, once."""
+    return list({id(heis): heis for *_, heis in catalog_maps()}.values())
+
+
+def test_blocked_nodes_match_the_sequential_product_on_catalog_levels():
     levels = set()
-
-    def checked(x):
-        got = _expm(x)
-        assert np.array_equal(got, textbook_expm(x))
-        levels.add(len(x))
-        return got
-
-    monkeypatch.setattr("phonondd.propagation._expm", checked)
-    assert {steps for *_, steps in catalog_maps()} == {400, 800}
+    for heis in unique_catalog_maps():
+        level = FIRST_STEPS
+        while level <= heis.steps:
+            assert_nodes_match_sequential(heis.generator, level)
+            levels.add(level)
+            level *= 2
     assert levels == {200, 400, 800}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 997])
+def test_blocked_nodes_match_the_sequential_product_off_the_block_size(steps):
+    """997 steps of a three-mode map: two full slices of 341 and one of 315,
+    whose blocks of 18 leave the last one 9 short."""
+    maps = ModeMaps(build_coupling_matrix(IonChainConfig.equidistant(3, 30e-6)))
+    generator = maps.window_map(frozenset({1, 2}), PULSE).generator
+    assert generator.basis.shape[-1] == 6
+    assert_nodes_match_sequential(generator, steps)
+
+
+def test_exponential_matches_scipy_on_catalog_levels(monkeypatch):
+    """The Taylor exponential of every stack a catalog map builds, against
+    scipy.linalg.expm matrix by matrix: within 16 eps of the largest entry
+    of each exponential."""
+    stacks = []
+
+    def recorded(x):
+        stacks.append(x.copy())
+        return _expm(x)
+
+    monkeypatch.setattr("phonondd.propagation._expm", recorded)
+    maps = unique_catalog_maps()
+    assert {heis.steps for heis in maps} == {400, 800}
+    # every step of every level: 200 + ... + steps
+    assert sum(map(len, stacks)) == sum(2 * heis.steps - FIRST_STEPS for heis in maps)
+    eps = np.finfo(float).eps
+    for x in stacks:
+        expected = np.array([scipy.linalg.expm(m) for m in x])
+        error = np.abs(_expm(x) - expected).max(axis=(1, 2))
+        assert np.all(error <= 16.0 * eps * np.abs(expected).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("norm", [0.25, 0.9, 3.0])
+def test_exponential_matches_closed_forms_around_the_scaling_norm(norm):
+    """A rotation and a diagonal generator of 1-norm ``norm``, against cos,
+    sin and exp: within 16 eps of the largest entry.  Unscaled, the
+    degree-12 polynomial would leave out 0.9^13 / 13! = 4e-11 at 0.9."""
+    c, s = math.cos(norm), math.sin(norm)
+    x = norm * np.array([[[0.0, 1.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    expected = np.array([[[c, s], [-s, c]], np.diag([math.exp(norm), math.exp(-norm)])])
+    error = np.abs(_expm(x) - expected).max(axis=(1, 2))
+    assert np.all(error <= 16.0 * np.finfo(float).eps * np.abs(expected).max(axis=(1, 2)))
 
 
 def test_magnus_step_is_sixth_order():
@@ -762,8 +813,8 @@ def test_basis_omega_matches_nested_commutators(modes, coupling):
 
 
 def catalog_maps():
-    """(scenario, pulse duration in T0, accepted steps) of every catalog
-    window map, one per pulsed-mode set."""
+    """(scenario, pulse duration in T0, map) of every catalog window map,
+    one per pulsed-mode set."""
     for cfg in scenario_catalog():
         if cfg.pulse_model != "shaped":
             continue
@@ -771,14 +822,14 @@ def catalog_maps():
         for ev in schedule.events:
             if not isinstance(ev, Evolve):
                 heis = engine.maps.window_map(ev.modes, schedule.shaped_pulse)
-                yield cfg.name, round(cfg.pulse_duration / T0, 1), heis.steps
+                yield cfg.name, round(cfg.pulse_duration / T0, 1), heis
 
 
 def test_catalog_maps_accept_their_pinned_step_counts():
     pinned = {8.8: 800, 2.2: 400}
     seen = {}
-    for name, duration, steps in catalog_maps():
-        assert steps == pinned[duration], (name, duration)
+    for name, duration, heis in catalog_maps():
+        assert heis.steps == pinned[duration], (name, duration)
         seen.setdefault(duration, set()).add(name)
     assert seen == {8.8: {"fig1a", "fig2", "fig4b", "fig5b", "fig6b", "fig7b"},
                     2.2: {"fig1b"}}
@@ -800,9 +851,10 @@ def test_catalog_final_states_keep_no_sub_round_off_tail(scenario_cache):
 def test_long_chain_map_needs_no_fock_space():
     """The map of the mid-chain mode of a 32-mode chain comes from the
     couplings alone.  The Fock cube at n_max = 1 has 2^32 states, 32 GiB
-    for one real vector; the map's traced peak is set by ``_expm`` on the
-    800-step level, which holds about seven (800, 64, 64) stacks of 26 MB
-    at once (172 MB measured)."""
+    for one real vector.  The map's traced peak is set by the nodes of the
+    last two levels, (801, 64, 64) and (401, 64, 64) stacks of 26 MB and
+    13 MB held at once: the step propagators are built in slices of at most
+    96 KiB (40.5 MB measured)."""
     couplings = build_coupling_matrix(IonChainConfig.equidistant(32, 43.8e-6))
     tracemalloc.start()
     try:
@@ -811,6 +863,6 @@ def test_long_chain_map_needs_no_fock_space():
     finally:
         tracemalloc.stop()
     assert heis.steps == 800
-    assert peak < 230e6
+    assert peak < 55e6
     a, b, _ = heis.end()
     assert max(symplectic_residuals(a, b)) <= TIGHT
