@@ -32,6 +32,7 @@ from .model import (
     coupling_rate,
 )
 from .propagation import (
+    SLICE_BYTES,
     WINDOW_COUPLINGS,
     ModeMaps,
     SchedulePropagator,
@@ -281,12 +282,11 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     """
     space = result.space
     if full:
-        keep = list(range(space.dimension))
+        keep = np.arange(space.dimension)
     else:
-        forced = {space.index(cfg.initial_occupations), *_hom_outputs(cfg, space)}
-        peaks = result.populations.max(axis=0)
-        keep = [i for i in range(space.dimension)
-                if peaks[i] > POPULATION_COLUMN_THRESHOLD or i in forced]
+        chosen = result.populations.max(axis=0) > POPULATION_COLUMN_THRESHOLD
+        chosen[[space.index(cfg.initial_occupations), *_hom_outputs(cfg, space)]] = True
+        keep = np.flatnonzero(chosen)
     kept = result.populations if full else result.populations[:, keep]
     labels = space.labels()
     header = ["t_us"] + [labels[i] for i in keep]
@@ -299,9 +299,14 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     if not full:
         header.append("residual")
         cells.append("%r")
-        drop = np.setdiff1d(np.arange(space.dimension), keep)
-        # row by row: a sum over axis 1 may add in another order
-        live.append([row[drop].sum() for row in result.populations])
+        # a sum over axis 1 adds each row in the same order as the sum of
+        # that row alone; blocks of rows of at most SLICE_BYTES keep the
+        # copy of the dropped columns off the peak memory
+        drop = np.flatnonzero(~chosen)
+        rows = max(1, SLICE_BYTES // (8 * max(1, drop.size)))
+        pops = result.populations
+        live.append(np.concatenate([np.take(pops[i:i + rows], drop, axis=1).sum(axis=1)
+                                    for i in range(0, len(pops), rows)]))
     # each row interleaves the literal text between live cells with the
     # repr of those cells, so no format string is parsed per row
     chunks = (",".join(cells) + "\n").split("%r")

@@ -214,6 +214,21 @@ class TestPopulationsCsv:
         assert len(cols) == 1 + result.space.dimension
         assert "residual" not in cols
 
+    @pytest.mark.parametrize("name", ["fig1a", "fig4b"])
+    def test_residual_column_matches_the_row_loop(self, scenario_cache, name):
+        """The residual column, one sum over axis 1, bit for bit against the
+        sum of each row's dropped populations taken alone, on a two-mode and
+        a three-mode run."""
+        cfg = get_scenario(name)
+        _, result = scenario_cache(name)
+        lines = populations_csv(result, cfg).splitlines()
+        header = set(lines[0].split(","))
+        drop = [i for i, label in enumerate(result.space.labels())
+                if label not in header]
+        assert drop
+        expected = [repr(float(row[drop].sum())) for row in result.populations]
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == expected
+
     @pytest.mark.parametrize("name,full", [("fig1b", False), ("fig7a", True),
                                            ("fig6b", True), ("fig5b", False)])
     def test_rows_match_cell_by_cell_formatting(self, scenario_cache, name, full):

@@ -15,7 +15,9 @@ permanent formula for passive maps, the dense exponential of a random
 quadratic generator at a raised, converged cutoff, and the Miatto-Quesada
 recurrence for its matrix elements in extended precision.  Each pair
 series, run to its end, matches the dense exponential of its pair
-operator.  The trim of sub-round-off sectors at each window end and the
+operator.  A window's maps applied as one batch match each map applied
+alone, bit for bit, on a catalog window whose rows stop at different
+terms and on a batch wider than one row chunk.  The trim of sub-round-off sectors at each window end and the
 early stop of the raising series are checked against the bounds they rest
 on: the apply is a contraction, a trim drops at most eps of the norm, a
 stop leaves out at most its tail bound, and a run moves by at most eps per
@@ -48,6 +50,7 @@ from phonondd.propagation import (
     FIRST_STEPS,
     MAX_STEPS,
     ModeMaps,
+    SLICE_BYTES,
     PropagationError,
     SchedulePropagator,
     _columns,
@@ -100,7 +103,8 @@ def symplectic_residuals(a, b):
 def test_map_stays_symplectic(case, fractions):
     maps, pulsed = case
     heis = maps.window_map(pulsed, PULSE)
-    for a, b, _ in [heis.end()] + heis.at([f * PULSE.duration for f in fractions]):
+    a_s, b_s, _ = heis.at([f * PULSE.duration for f in fractions])
+    for a, b in zip(a_s, b_s):
         assert max(symplectic_residuals(a, b)) <= TIGHT
 
 
@@ -131,7 +135,7 @@ def direct_map(maps, pulsed, start):
 def test_gauge_identity_against_direct_integration(case, start_us):
     maps, pulsed = case
     start = start_us * 1e-6
-    a, b, _ = maps.window_map(pulsed, PULSE).end()
+    a, b = (x[0] for x in maps.window_map(pulsed, PULSE).end()[:2])
     a_direct, b_direct = direct_map(maps, pulsed, start)
     gauge = cmath.exp(2j * maps.secular_frequency * start)
     assert np.linalg.norm(a - a_direct) <= TIGHT
@@ -172,16 +176,21 @@ def test_lone_mode_map_matches_lewis_riesenfeld(pulse):
     maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))))
     heis = maps.window_map(frozenset({0}), pulse)
     taus = [f * pulse.duration for f in (0.13, 0.5, 0.71, 0.94)]
-    for tau, (a, b, _) in zip(taus + [pulse.duration], heis.at(taus) + [heis.end()]):
+    for tau, a, b in zip(taus + [pulse.duration], *heis.at(taus)[:2]):
         a_exact, b_exact = closed_form_map(pulse, tau)
         assert abs(a[0, 0] - a_exact) <= 1e-11
         assert abs(b[0, 0] - b_exact) <= 1e-11
 
 
+def stack(heis):
+    """The map (A, B, |det A|^{-1/2}) as stacks of one."""
+    return tuple(np.array([x]) for x in heis)
+
+
 def apply_fock(engine, amps, heis):
-    """``engine._apply`` on a Fock-ordered vector, returned in Fock order: the
-    engine holds a state in sector order."""
-    return engine._apply(amps[engine._fock], heis)[0][engine._position]
+    """``engine._apply`` of one map on a Fock-ordered vector, returned in Fock
+    order: the engine holds a state in sector order."""
+    return engine._apply(amps[engine._fock], stack(heis))[0][0][engine._position]
 
 
 def fock_matrix(engine, heis):
@@ -375,8 +384,9 @@ def test_apply_matches_the_fock_recurrence_on_a_catalog_window_end():
     steps = engine.maps.steps(schedule)
     first = next(i for i, (kind, _, _) in enumerate(steps) if kind == "window")
     start = sum(duration for _, duration, _ in steps[:first])
-    end = engine.maps.window(start, steps[first][2], schedule.shaped_pulse)[0]
-    check_against_recurrence(engine, end)
+    # a window with no sample inside is a batch of one
+    (a,), (b,), (norm,) = engine.maps.window(start, steps[first][2], schedule.shaped_pulse)
+    check_against_recurrence(engine, (a, b, norm))
 
 
 def pair_generator(space, coeffs, raising):
@@ -399,7 +409,8 @@ def test_unstopped_pair_series_match_dense_exponentials(modes, n_max, raising):
     coeffs = 0.3 * (rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes)))
     amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
     expected = scipy.linalg.expm(pair_generator(space, coeffs, raising)) @ amps
-    got = engine._pair_series(amps[engine._fock], coeffs, raising, 0.0)[0]
+    got = engine._pair_series(amps[engine._fock][None], coeffs[None], raising,
+                              np.zeros(1))[0][0]
     assert np.linalg.norm(got[engine._position] - expected) \
         <= 1e-12 * np.linalg.norm(expected)
 
@@ -426,12 +437,14 @@ def test_reused_pair_operators_match_a_fresh_engine():
     for raising_first in (True, False, True):
         gauge = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         a, b, norm = random_quadratic(rng, modes, 0.3)[2]
-        calls.append(("_apply", (amps, (a, b * gauge, norm))))
-        calls.append(("_pair_series", (amps, coeffs(), raising_first, EPS)))
-        calls.append(("_pair_series", (amps, coeffs(), not raising_first, 0.0)))
+        calls.append(("_apply", (amps, stack((a, b * gauge, norm)))))
+        calls.append(("_pair_series", (amps[None], coeffs()[None], raising_first,
+                                       np.array([EPS]))))
+        calls.append(("_pair_series", (amps[None], coeffs()[None], not raising_first,
+                                       np.zeros(1))))
     for name, args in calls:
-        got = getattr(engine, name)(*args)[0]
-        fresh = getattr(SchedulePropagator(space, ModeMaps(couplings)), name)(*args)[0]
+        got = getattr(engine, name)(*args)[0][0]
+        fresh = getattr(SchedulePropagator(space, ModeMaps(couplings)), name)(*args)[0][0]
         assert np.abs(got - amps).max() > 1e-3  # the call did something
         np.testing.assert_array_equal(got, fresh)
 
@@ -454,8 +467,70 @@ def test_window_apply_is_a_contraction(modes, n_max, strength):
     for _ in range(5):
         heis = random_quadratic(rng, modes, strength)[2]
         vec = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
-        out = np.linalg.norm(engine._apply(vec, heis)[0])
+        out = np.linalg.norm(engine._apply(vec, stack(heis))[0][0])
         assert out <= np.linalg.norm(vec) * (1.0 + CONTRACTION_SLACK)
+
+
+def assert_rows_are_single_applies(engine, amps, maps):
+    """Apply the stacks ``maps`` to ``amps`` at once and each map alone, as a
+    batch of one.  Every gather, product and sum of a row reads that row
+    only, and a row leaves the raising after its own stopping term, so the
+    bound is equality: each row, its raising terms and its tail bound bit
+    for bit.  Returns the raising terms of the rows."""
+    outs, terms, tails = engine._apply(amps, maps)
+    assert outs.shape == (len(maps[2]), amps.size)
+    for row in range(len(maps[2])):
+        (out,), (term,), (tail,) = engine._apply(amps, tuple(x[row:row + 1] for x in maps))
+        np.testing.assert_array_equal(outs[row], out)
+        assert (terms[row], tails[row]) == (term, tail)
+    return terms
+
+
+def first_sampled_window(monkeypatch, name):
+    """(engine, state, map stacks) at the first window of the catalog run
+    ``name`` that records samples inside it."""
+    cfg = get_scenario(name)
+    _, _, schedule, initial, engine = build_scenario(cfg)
+    calls = []
+    apply = SchedulePropagator._apply
+
+    def record(self, amps, maps):
+        calls.append((amps, maps))
+        return apply(self, amps, maps)
+
+    monkeypatch.setattr(SchedulePropagator, "_apply", record)
+    engine.run(schedule, initial, record_samples=cfg.record_samples)
+    monkeypatch.undo()
+    amps, maps = next(call for call in calls if len(call[1][2]) > 1)
+    return engine, amps, maps
+
+
+def test_catalog_window_rows_match_their_single_applies(monkeypatch):
+    """A fig5b window: its samples inside and its end, on the state that
+    enters it.  The end map stops its raising after fewer terms than the
+    samples in mid-window, so rows leave the batch at different terms."""
+    engine, amps, maps = first_sampled_window(monkeypatch, "fig5b")
+    terms = assert_rows_are_single_applies(engine, amps, maps)
+    assert len(set(terms.tolist())) > 1
+    assert terms[-1] < terms.max()
+
+
+def test_batch_wider_than_a_chunk_matches_its_single_applies():
+    """60 random maps of strengths 0.01 to 1 on a dense two-mode state at
+    n_max = 10.  A chunk of the top Gamma(Y) level, sector 10 of 11 states,
+    holds SLICE_BYTES // (16 * 2 * 11^2) = 25 rows, and one of the first
+    raising term, 118 positions of 3 pairs, 17 rows; the batch spans several
+    of each."""
+    rng = np.random.default_rng(30)
+    space = FockSpace(2, 10)
+    engine = SchedulePropagator(space, ModeMaps(CouplingMatrix(np.zeros((2, 2)))))
+    maps = [random_quadratic(rng, 2, strength)[2]
+            for strength in np.geomspace(0.01, 1.0, 60)]
+    stacks = tuple(np.array(column) for column in zip(*maps))
+    assert len(maps) > 2 * (SLICE_BYTES // (16 * 2 * 11 ** 2))
+    vec = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+    terms = assert_rows_are_single_applies(engine, vec / np.linalg.norm(vec), stacks)
+    assert len(set(terms.tolist())) > 1
 
 
 def sector_totals(space):
@@ -540,8 +615,10 @@ def test_raising_stop_leaves_out_at_most_its_bound(modes, n_max, sector, floor):
         amps[rows] = block / np.linalg.norm(block)
         coeffs = strength * (rng.normal(size=(modes, modes))
                              + 1j * rng.normal(size=(modes, modes)))
-        stopped, terms, tail = engine._pair_series(amps, coeffs, True, floor)
-        full, all_terms, _ = engine._pair_series(amps, coeffs, True, 0.0)
+        (stopped,), (terms,), (tail,) = engine._pair_series(
+            amps[None], coeffs[None], True, np.array([floor]))
+        (full,), (all_terms,), _ = engine._pair_series(amps[None], coeffs[None], True,
+                                                       np.zeros(1))
         assert terms < all_terms and 0.0 < tail < floor
         assert np.linalg.norm(full - stopped) <= tail * (1.0 + 1e-12)
 
@@ -550,8 +627,8 @@ def unstopped(monkeypatch):
     """Run every raising series to the top of the cube."""
     series = SchedulePropagator._pair_series
     monkeypatch.setattr(SchedulePropagator, "_pair_series",
-                        lambda self, amps, coeffs, raising, floor:
-                        series(self, amps, coeffs, raising, 0.0))
+                        lambda self, amps, coeffs, raising, floors:
+                        series(self, amps, coeffs, raising, np.zeros_like(floors)))
 
 
 def test_raising_stop_moves_a_run_by_at_most_three_eps_per_window_end(monkeypatch):
@@ -567,10 +644,10 @@ def test_raising_stop_moves_a_run_by_at_most_three_eps_per_window_end(monkeypatc
     assert np.linalg.norm(stopped - full) <= 3 * windows * EPS
 
 
-def run_fields(caplog, engine, schedule, initial):
+def run_fields(caplog, engine, schedule, initial, record_samples=2):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="phonondd"):
-        engine.run(schedule, initial, record_samples=2)
+        engine.run(schedule, initial, record_samples=record_samples)
     [line] = [r.getMessage() for r in caplog.records
               if r.getMessage().startswith("run ")]
     return dict(item.split("=") for item in line.split()[1:])
@@ -587,6 +664,22 @@ def test_run_logs_its_window_applies_and_trims(caplog, monkeypatch):
     full = run_fields(caplog, engine, schedule, initial)
     assert float(full["raise_bound"]) == 0.0
     assert int(fields["raise_terms"]) < int(full["raise_terms"])
+
+
+def test_run_counts_each_map_of_a_window_as_an_apply(caplog):
+    """A window applies its end map and one map per sample recorded strictly
+    inside it, all in one batch; the log counts every map."""
+    engine, schedule, initial, windows = shaped_run()
+    samples = 101
+    inside = np.linspace(0.0, schedule.total_evolve_time, samples)[:-1]
+    t, within = 0.0, 0
+    for kind, duration, _ in engine.maps.steps(schedule):
+        if kind == "window":
+            within += int(np.sum((inside > t) & (inside < t + duration)))
+        t += duration
+    assert within > 0
+    fields = run_fields(caplog, engine, schedule, initial, samples)
+    assert int(fields["window_applies"]) == windows + within
 
 
 def test_each_pulse_gets_its_own_map():
@@ -864,5 +957,5 @@ def test_long_chain_map_needs_no_fock_space():
         tracemalloc.stop()
     assert heis.steps == 800
     assert peak < 55e6
-    a, b, _ = heis.end()
+    (a,), (b,), _ = heis.end()
     assert max(symplectic_residuals(a, b)) <= TIGHT
