@@ -84,7 +84,8 @@ batch after its own stopping term, so each map takes the terms it would
 take alone.  No row reads another, so on the same band of sectors a row
 of a batch is bit for bit the apply of its map alone.
 One loop runs the steps, sampling the populations on record_samples
-evenly spaced points from the start of the schedule to its end.
+evenly spaced points from the start of the schedule to its end, on the
+number sectors the run can reach.
 """
 
 from __future__ import annotations
@@ -138,6 +139,10 @@ class SimulationResult:
     holds the float populations of the state at ``times[k]``, after every
     event at that time.  The last row holds the final state, at the time
     the steps end on, which can differ from the grid end in the last bit.
+    Column i of ``populations`` is the basis state ``columns[i]``:
+    ``columns`` holds, in ascending Fock order, the states of every number
+    sector the run can reach, and every other state has population
+    exactly zero throughout.
 
     ``norm_drift`` is the largest deviation of the state norm from one.
     On shaped runs it includes, exactly, the population each window has
@@ -148,6 +153,7 @@ class SimulationResult:
 
     times: np.ndarray
     populations: np.ndarray
+    columns: np.ndarray
     space: FockSpace
     final_state: PhononState
     norm_drift: float
@@ -760,6 +766,12 @@ class SchedulePropagator:
         The default ``record_samples`` of 2 records the endpoints only.
         Norm drift and cutoff leakage are checked at the end of every
         segment and window and at every sample recorded inside a window.
+
+        Free steps and parity pulses keep the total phonon number N and a
+        window moves it in steps of 2, so the run reaches only the sectors
+        of the initial state and, if the schedule has windows, every
+        sector of the same parity; populations are recorded on those
+        sectors alone, in ``SimulationResult.columns``.
         """
         if record_samples < 2:
             raise ValueError("record_samples must be at least 2")
@@ -771,10 +783,23 @@ class SchedulePropagator:
         times = np.unique(np.linspace(0.0, schedule.total_evolve_time,
                                       record_samples))
         inside = times[:-1]  # the last row holds the final state
+        amps = initial.amplitudes[self._fock]
+        # the sectors the run can reach, see above
+        reach = np.zeros(self._offsets.size - 1, dtype=bool)
+        start_sectors = self._total[np.flatnonzero(amps)]
+        if any(kind == "window" for kind, _, _ in steps):
+            reach[np.isin(np.arange(reach.size) % 2, start_sectors % 2)] = True
+        else:
+            reach[start_sectors] = True
+        # the recorded Fock indices, their positions, and the record
+        # column of each position
+        columns = np.flatnonzero(reach[self._total[self._position]])
+        sel = self._position[columns]
+        column = np.full(self.space.dimension, -1)
+        column[sel] = np.arange(columns.size)
         # amplitude magnitudes, squared in place once at the end; a free
         # step writes only its occupied sectors, the rest stay zero
-        pops = np.zeros((times.size, self.space.dimension))
-        amps = initial.amplitudes[self._fock]
+        pops = np.zeros((times.size, columns.size))
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         boundary = np.flatnonzero(self._boundary)
         leakage = float(np.sum(np.abs(amps[boundary]) ** 2))
@@ -788,21 +813,21 @@ class SchedulePropagator:
                 continue
             # grid points up to t hold the state after every event at t
             start = np.searchsorted(inside, t, side="right")
-            pops[k:start] = np.abs(amps)[self._position]
+            pops[k:start] = np.abs(amps[sel])
             k = np.searchsorted(inside, t + duration)
             inner = inside[start:k]
             if kind == "free":
                 after = np.zeros_like(amps)
                 dts = np.append(inner - t, duration)  # samples, then the end
                 for rows, states in self._free_states(amps, dts):
-                    pops[start:k, self._fock[rows]] = np.abs(states[:, :-1].T)
+                    pops[start:k, column[rows]] = np.abs(states[:, :-1].T)
                     after[rows] = states[:, -1]
                 amps = after
                 checked = amps[None]
             else:
                 maps = self.maps.window(t, modes, schedule.shaped_pulse, inner)
                 checked, terms, tails = self._apply(amps, maps)
-                pops[start:k, self._fock] = np.abs(checked[:-1])
+                pops[start:k] = np.abs(checked[:-1, sel])
                 amps, kept, dropped = self._trim(checked[-1])
                 applies += len(checked)
                 raised, bound = raised + int(terms.sum()), bound + float(tails.sum())
@@ -815,14 +840,15 @@ class SchedulePropagator:
         LOG.debug("run window_applies=%d top_kept_sector=%d trimmed_weight=%.2e"
                   " raise_terms=%d raise_bound=%.2e",
                   applies, top, trimmed, raised, bound)
-        pops[k:] = np.abs(amps)[self._position]
+        pops[k:] = np.abs(amps[sel])
         pops **= 2
         times[-1] = t
         final = PhononState(self.space, amps[self._position])
         err = error_overlap(initial, final)
         err_b = error_overlap(reference, final) if reference is not None else None
-        return SimulationResult(times=times, populations=pops, space=self.space,
-                                final_state=final, norm_drift=norm_drift,
+        return SimulationResult(times=times, populations=pops, columns=columns,
+                                space=self.space, final_state=final,
+                                norm_drift=norm_drift,
                                 boundary_leakage=leakage,
                                 wall_time=time.perf_counter() - started,
                                 error_E=err, error_EB=err_b)

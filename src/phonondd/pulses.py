@@ -80,12 +80,15 @@ class BFunctionParams:
     depth: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.total_duration <= 0:
-            raise ValueError("total_duration must be positive")
-        if self.ramp_up <= 0 or self.ramp_down <= 0:
-            raise ValueError("ramp times must be positive")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
+        if not 0 < self.total_duration < math.inf:
+            raise ValueError("total_duration must be positive and finite")
+        for name in ("ramp_up", "ramp_down"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError("ramp times must be positive and finite"
+                                 f" ({name} = {value!r})")
+        if not 0 < self.sharpness < math.inf:
+            raise ValueError("sharpness must be positive and finite")
         if not 0.0 <= self.depth < 1.0:
             raise ValueError("depth must lie in [0, 1)")
 
@@ -159,8 +162,10 @@ def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
     from the deep end of the bracket falls onto the unique root.  Raises
     :class:`PulseInfeasibleError` when even a depth of one is not enough.
     """
-    if target_phase <= 0:
-        raise ValueError("target_phase must be positive")
+    if not 0 < target_phase < math.inf:
+        raise ValueError("target_phase must be positive and finite")
+    if not 0 < secular_frequency < math.inf:
+        raise ValueError("secular_frequency must be positive and finite")
     g, w = _dip_on_nodes(BFunctionParams(total_duration, ramp_up, ramp_down, sharpness))
     w = secular_frequency * w
 
@@ -261,10 +266,10 @@ def sample_pulse(pulse: ShapedPulse, sample_interval: float = 1e-9) -> PulseWave
     n = max(2, int(round(pulse.duration / sample_interval)) + 1)
     t = np.linspace(0.0, pulse.duration, n)
     b, _, bdd = scale_factor_derivatives(t, pulse.params)
-    if np.any(b <= 0.0):
+    if not np.all(b > 0.0):  # NaN fails too
         raise PulseInvalidError("scale factor is not positive over the pulse")
     wsq = _frequency_squared(b, bdd, pulse.secular_frequency)
-    if np.any(wsq < 0.0):
+    if not np.all(wsq >= 0.0):
         raise PulseInvalidError("squared trap frequency goes negative")
     return PulseWaveform(times=t, scale=b, omega=np.sqrt(wsq),
                          omega_sq_excess=wsq - pulse.secular_frequency ** 2)

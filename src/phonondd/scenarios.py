@@ -279,44 +279,60 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     threshold are kept as columns, together with the initial state and the
     beam splitter outputs; everything dropped is accumulated in a trailing
     ``residual`` column so each row still sums to the squared state norm.
+    A state off the record, ``result.columns``, is zero on every row.
     """
-    space = result.space
+    space, pops = result.space, result.populations
+    # the record column of each basis state, -1 off the record
+    slot = np.full(space.dimension, -1)
+    slot[result.columns] = np.arange(result.columns.size)
     if full:
         keep = np.arange(space.dimension)
     else:
-        chosen = result.populations.max(axis=0) > POPULATION_COLUMN_THRESHOLD
+        chosen = np.zeros(space.dimension, dtype=bool)
+        chosen[result.columns] = pops.max(axis=0) > POPULATION_COLUMN_THRESHOLD
         chosen[[space.index(cfg.initial_occupations), *_hom_outputs(cfg, space)]] = True
         keep = np.flatnonzero(chosen)
-    kept = result.populations if full else result.populations[:, keep]
+    recorded = slot[keep]
+    kept = pops if full else pops[:, recorded[recorded >= 0]]
     labels = space.labels()
     header = ["t_us"] + [labels[i] for i in keep]
-    # a column equal on every row (mostly an empty number sector) is
-    # formatted once into the row text; "%r" marks a live cell
+    # a column equal on every row (mostly an empty number sector, always a
+    # state off the record) is formatted once into the row text; "%r"
+    # marks a live cell
     const = kept.min(axis=0) == kept.max(axis=0)
-    cells = ["%r"] + [repr(v) if c else "%r"
-                      for v, c in zip(kept[0].tolist(), const.tolist())]
-    live = [result.times * 1e6, kept[:, ~const]]
+    fixed = iter([repr(v) if c else "%r"
+                  for v, c in zip(kept[0].tolist(), const.tolist())])
+    cells = ["%r"] + [next(fixed) if s >= 0 else repr(0.0) for s in recorded.tolist()]
+    live = [result.times * 1e6] + [kept[:, j] for j in np.flatnonzero(~const)]
     if not full:
         header.append("residual")
         cells.append("%r")
-        # a sum over axis 1 adds each row in the same order as the sum of
-        # that row alone; blocks of rows of at most SLICE_BYTES keep the
-        # copy of the dropped columns off the peak memory
-        drop = np.flatnonzero(~chosen)
-        rows = max(1, SLICE_BYTES // (8 * max(1, drop.size)))
-        pops = result.populations
-        live.append(np.concatenate([np.take(pops[i:i + rows], drop, axis=1).sum(axis=1)
-                                    for i in range(0, len(pops), rows)]))
-    # each row interleaves the literal text between live cells with the
-    # repr of those cells, so no format string is parsed per row
+        # the dropped columns, gathered from a copy of a block of rows
+        # whose column 0 is zero, so a state off the record reads 0.0 in
+        # its place, and summed over axis 1: each row sum adds the same
+        # terms in the same order as the sum of that row's dropped
+        # populations alone.  The block and the gather each hold at most
+        # SLICE_BYTES, so they stay off the peak memory
+        index = slot[~chosen] + 1
+        rows = max(1, SLICE_BYTES // (8 * max(index.size, pops.shape[1] + 1)))
+        block = np.zeros((rows, pops.shape[1] + 1))
+        sums = []
+        for i in range(0, len(pops), rows):
+            chunk = pops[i:i + rows]
+            block[:len(chunk), 1:] = chunk
+            sums.append(np.take(block[:len(chunk)], index, axis=1).sum(axis=1))
+        live.append(np.concatenate(sums))
+    # one text of all rows: the literal text between live cells repeats
+    # on every row, and the repr of each live column is written into its
+    # places with one slice, so no format string is parsed per row
     chunks = (",".join(cells) + "\n").split("%r")
-    parts = [""] * (2 * len(chunks) - 1)
-    parts[::2] = chunks
-    lines = [",".join(header) + "\n"]
-    for row in np.column_stack(live).tolist():
-        parts[1::2] = map(repr, row)
-        lines.append("".join(parts))
-    return "".join(lines)
+    width = 2 * len(chunks) - 1
+    row = [""] * width
+    row[::2] = chunks
+    parts = [",".join(header) + "\n"] + row * len(pops)
+    for j, values in enumerate(live):
+        parts[2 + 2 * j::width] = map(repr, values.tolist())
+    return "".join(parts)
 
 
 def scenario_catalog() -> list[ScenarioConfig]:

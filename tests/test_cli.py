@@ -227,6 +227,13 @@ class TestPulseDesign:
         ("--tud-us", "0", "ramp times must be positive"),
         ("--sigma", "-2", "sharpness must be positive"),
         ("--target-phase", "0", "target_phase must be positive"),
+        # non-finite values fail on the field, not in the Newton solve
+        ("--sigma", "inf", "sharpness must be positive and finite"),
+        ("--sigma", "nan", "sharpness must be positive and finite"),
+        ("--target-phase", "nan", "target_phase must be positive and finite"),
+        ("--tud-us", "nan", "ramp times must be positive and finite (ramp_up = nan)"),
+        ("--tp-us", "nan", "total_duration must be positive and finite"),
+        ("--omega0-mhz", "nan", "secular_frequency must be positive and finite"),
     ])
     def test_bad_value_exits_with_error(self, runner, flag, value, message):
         options = {"--tp-us": "4", flag: value}

@@ -44,6 +44,7 @@ from dense_oracle import (
     hopping_hamiltonian,
     lab_frame_oscillator,
 )
+from population_record import dense_populations
 
 W0 = DEFAULT_SECULAR_FREQUENCY
 T0 = 1.0 / 2.2e6
@@ -241,7 +242,10 @@ class TestScheduleRuns:
         res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         total = sum(space.mode_occupations(q) for q in range(space.mode_count))
         assert np.count_nonzero(total == 3) == 10
-        assert np.all(res.populations[:, total != 3] == 0.0)
+        np.testing.assert_array_equal(res.columns, np.flatnonzero(total == 3))
+        assert not res.final_state.amplitudes[total != 3].any()
+        dense = dense_populations(res)
+        assert np.all(dense[:, total != 3] == 0.0)
         vals, vecs = np.linalg.eigh(hopping_hamiltonian(space, couplings).toarray()
                                     / HBAR)
 
@@ -260,7 +264,7 @@ class TestScheduleRuns:
             return np.abs(state.amplitudes) ** 2
 
         expected = np.array([oracle(t) for t in res.times])
-        np.testing.assert_allclose(res.populations, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
 
     def test_two_samples_record_both_endpoints(self):
         # two grid points leave no free step an inner sample; the rows
@@ -270,10 +274,10 @@ class TestScheduleRuns:
         res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         assert res.times[0] == 0.0
         assert res.times[1] == pytest.approx(schedule.total_evolve_time, rel=1e-12)
-        assert np.array_equal(res.populations[0], np.abs(initial.amplitudes) ** 2)
-        assert np.array_equal(res.populations[1],
-                              np.abs(res.final_state.amplitudes) ** 2)
-        assert res.populations[1].max() < 1.0  # the state has moved
+        dense = dense_populations(res)
+        assert np.array_equal(dense[0], np.abs(initial.amplitudes) ** 2)
+        assert np.array_equal(dense[1], np.abs(res.final_state.amplitudes) ** 2)
+        assert dense[1].max() < 1.0  # the state has moved
 
     def test_rejects_too_few_samples_and_foreign_states(self):
         space, cm = two_mode_setup(4)
@@ -333,6 +337,56 @@ class TestScheduleRuns:
             cm, window_coupling="full")).run(schedule, initial)
         assert full.error_E == pytest.approx(rwa.error_E, rel=1.0)
         assert full.error_E != rwa.error_E
+
+
+class TestRecord:
+    """The record holds the number sectors a run can reach: those of the
+    initial state, and with windows every sector of their parity (fig3's
+    one sector is checked in ``TestScheduleRuns``).  Column sets are
+    compared exactly, and a recorded row against the final state bit for
+    bit."""
+
+    @staticmethod
+    def totals(space):
+        return sum(space.mode_occupations(q) for q in range(space.mode_count))
+
+    def test_shaped_run_records_the_initial_parity(self, scenario_cache):
+        # fig5b starts in |2,1,0>, N = 3: the odd sectors of the 1,331 states
+        result = scenario_cache.result("fig5b")
+        total = self.totals(result.space)
+        assert result.columns.size == 665
+        np.testing.assert_array_equal(result.columns, np.flatnonzero(total % 2 == 1))
+        assert not result.final_state.amplitudes[total % 2 == 0].any()
+
+    def test_mixed_parity_state_through_a_window_records_every_state(self):
+        cfg = replace(get_scenario("fig4b"), record_samples=2)
+        space, _, schedule, _, engine = build_scenario(cfg)
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
+        initial = PhononState(space, amps / np.linalg.norm(amps))
+        res = engine.run(schedule, initial, record_samples=2)
+        assert space.dimension == 1331
+        np.testing.assert_array_equal(res.columns, np.arange(space.dimension))
+        assert np.array_equal(res.populations[-1],
+                              np.abs(res.final_state.amplitudes) ** 2)
+
+    def test_ideal_run_from_two_sectors_records_both(self):
+        cfg = replace(get_scenario("fig3"), record_samples=16)
+        space, _, schedule, _, engine = build_scenario(cfg)
+        amps = np.zeros(space.dimension, dtype=complex)
+        amps[space.index((2, 1, 0))] = 0.8
+        amps[space.index((0, 1, 0))] = 0.6j
+        # hopping keeps each sector's weight: 0.36 in sector 1 to 1e-12
+        res = engine.run(schedule, PhononState(space, amps), record_samples=16)
+        total = self.totals(space)
+        # sector 1 holds 3 states and sector 3 holds 10
+        np.testing.assert_array_equal(res.columns,
+                                      np.flatnonzero((total == 1) | (total == 3)))
+        assert res.columns.size == 13
+        dense = dense_populations(res)
+        assert np.array_equal(dense[-1], np.abs(res.final_state.amplitudes) ** 2)
+        np.testing.assert_allclose(dense[:, total == 1].sum(axis=1), 0.36,
+                                   rtol=0, atol=1e-12)
 
 
 class TestReferences:

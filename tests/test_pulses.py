@@ -3,6 +3,7 @@
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from phonondd.model import DEFAULT_SECULAR_FREQUENCY
 from phonondd.pulses import (
     BFunctionParams,
     PulseInfeasibleError,
+    PulseInvalidError,
     TrapParams,
     TrapStabilityError,
     check_stability,
@@ -86,6 +88,26 @@ class TestScaleFactor:
         with pytest.raises(ValueError):
             BFunctionParams(4e-6, 1e-6, 1e-6, sharpness=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field,message", [
+        ("total_duration", "total_duration must be positive and finite"),
+        ("ramp_up", r"ramp times must be positive and finite \(ramp_up = "),
+        ("ramp_down", r"ramp times must be positive and finite \(ramp_down = "),
+        ("sharpness", "sharpness must be positive and finite"),
+    ])
+    def test_params_reject_non_finite(self, field, message, value):
+        fields = dict(total_duration=4e-6, ramp_up=2e-6, ramp_down=2e-6, sharpness=6.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            BFunctionParams(**fields)
+
+    def test_sampling_rejects_a_nan_frequency(self, long_pulse):
+        # every comparison with NaN is false, so the checks ask for the
+        # physical region rather than test for leaving it
+        pulse = replace(long_pulse, secular_frequency=math.nan)
+        with pytest.raises(PulseInvalidError, match="squared trap frequency"):
+            sample_pulse(pulse)
+
 
 class TestPhaseRoot:
     def test_phase_strictly_increasing_in_depth(self):
@@ -118,6 +140,12 @@ class TestPhaseRoot:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             solve_strength(8.8 * T0, 4.4 * T0, 4.4 * T0, target_phase=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["target_phase", "secular_frequency"])
+    def test_rejects_non_finite_phase_and_frequency(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            solve_strength(8.8 * T0, 4.4 * T0, 4.4 * T0, **{field: value})
 
 
 def quad_phase(tp, tu, td, depth, sharpness=6.0):

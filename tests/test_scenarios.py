@@ -33,6 +33,7 @@ from phonondd.sequences import DDSpec, feasibility_bounds, synthesize
 
 from convergence import convergence_check
 from fock_labels import label
+from population_record import dense_populations
 
 CHEAP = """
 chain.modes = 2
@@ -97,7 +98,7 @@ class TestExecution:
         assert params["modes"] == "2"
         assert params["n_max"] == "4"
         assert params["model"] == "ideal"
-        assert result.populations.shape == (48, 25)
+        assert dense_populations(result).shape == (48, 25)
 
     def test_record_parameters_are_exact_micro_units(self, scenario_cache):
         # each is the shortest decimal of the float, scaled exactly by 10^6
@@ -147,7 +148,8 @@ class TestExecution:
         cfg = replace(get_scenario(name), record_samples=samples)
         _, result = execute_scenario(cfg)
         assert len(result.times) == samples
-        assert result.populations.shape == (samples, result.space.dimension)
+        assert result.populations.shape == (samples, result.columns.size)
+        assert dense_populations(result).shape == (samples, result.space.dimension)
         assert np.all(np.diff(result.times) > 0)
 
     def test_convergence_check_cheap(self):
@@ -157,8 +159,10 @@ class TestExecution:
 
 
 def cell_by_cell_populations_csv(result, cfg, full):
-    """Reference formatter: one repr(float(...)) call per cell."""
+    """Reference formatter: one repr(float(...)) call per cell of the
+    record scattered into the cube."""
     space = result.space
+    populations = dense_populations(result)
     labels = [label(space, i) for i in range(space.dimension)]
     if full:
         keep = list(range(space.dimension))
@@ -166,14 +170,14 @@ def cell_by_cell_populations_csv(result, cfg, full):
     else:
         forced = {space.index(cfg.initial_occupations)}
         forced.update(_hom_outputs(cfg, space))
-        peaks = result.populations.max(axis=0)
+        peaks = populations.max(axis=0)
         keep = [i for i in range(space.dimension)
                 if peaks[i] > POPULATION_COLUMN_THRESHOLD or i in forced]
         drop = [i for i in range(space.dimension) if i not in set(keep)]
     header = ["t_us"] + [labels[i] for i in keep] + ([] if full else ["residual"])
     lines = [",".join(header)]
     for row_i, t in enumerate(result.times):
-        row = result.populations[row_i]
+        row = populations[row_i]
         cells = [repr(float(t * 1e6))] + [repr(float(row[i])) for i in keep]
         if not full:
             cells.append(repr(float(row[drop].sum()) if drop else 0.0))
@@ -226,11 +230,13 @@ class TestPopulationsCsv:
         drop = [i for i, label in enumerate(result.space.labels())
                 if label not in header]
         assert drop
-        expected = [repr(float(row[drop].sum())) for row in result.populations]
+        expected = [repr(float(row[drop].sum())) for row in dense_populations(result)]
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] == expected
 
     @pytest.mark.parametrize("name,full", [("fig1b", False), ("fig7a", True),
-                                           ("fig6b", True), ("fig5b", False)])
+                                           ("fig6b", True), ("fig5b", False),
+                                           ("fig3", False), ("fig3", True),
+                                           ("fig4b", False), ("fig4b", True)])
     def test_rows_match_cell_by_cell_formatting(self, scenario_cache, name, full):
         cfg = get_scenario(name)
         _, result = scenario_cache(name)
@@ -245,7 +251,8 @@ CELL_VALUES = [0.0, 1e-05, 5e-324, 1e+16, 1e-4, 2e-4, 0.25, 1.0 / 3.0]
 
 @st.composite
 def synthetic_results(draw):
-    """(result, cfg) with columns that are zero, constant or varying."""
+    """(result, cfg) with columns that are zero, constant or varying, on a
+    record of every basis state or of a drawn subset."""
     modes = draw(st.integers(1, 3))
     cutoff = draw(st.integers(1, 3))
     space = FockSpace(modes, cutoff)
@@ -271,9 +278,13 @@ def synthetic_results(draw):
     pair = (0, 1) if modes > 1 and draw(st.booleans()) else None
     cfg = ScenarioConfig("synthetic", modes, 43.8e-6, cutoff, occupations,
                          beam_splitter_pair=pair)
+    record = draw(st.just(list(range(space.dimension)))
+                  | st.lists(st.integers(0, space.dimension - 1),
+                             unique=True).map(sorted))
     result = SimulationResult(
-        times=np.array(times), populations=np.column_stack(columns),
-        space=space, final_state=basis_state(space, occupations),
+        times=np.array(times), populations=np.column_stack(columns)[:, record],
+        columns=np.array(record, dtype=int), space=space,
+        final_state=basis_state(space, occupations),
         norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)
     return result, cfg
 
@@ -290,14 +301,16 @@ def test_populations_csv_matches_cell_by_cell(case, full):
 
 
 def table_result(columns, cutoff=2, modes=2, occupations=(1, 0), pair=None):
-    """(result, cfg) whose populations are ``columns``, one per basis state."""
+    """(result, cfg) whose populations are ``columns``, one per basis state,
+    all on the record."""
     space = FockSpace(modes, cutoff)
     populations = np.array(columns, dtype=float).T
     cfg = ScenarioConfig("table", modes, 43.8e-6, cutoff, occupations,
                          beam_splitter_pair=pair)
     result = SimulationResult(
         times=np.linspace(0.0, 1e-4, populations.shape[0]), populations=populations,
-        space=space, final_state=basis_state(space, occupations),
+        columns=np.arange(space.dimension), space=space,
+        final_state=basis_state(space, occupations),
         norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)
     return result, cfg
 

@@ -29,6 +29,7 @@ from phonondd.model import (
     build_coupling_matrix,
 )
 from phonondd.propagation import (
+    WINDOW_COUPLINGS,
     ModeMaps,
     SchedulePropagator,
     beam_splitter_reference,
@@ -37,6 +38,7 @@ from phonondd.pulses import design_pulse
 from phonondd.sequences import DDSpec, Evolve, synthesize
 
 from dense_oracle import dense_run, hopping_hamiltonian, ladder_operator, phase_distance
+from population_record import dense_populations
 
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
@@ -140,6 +142,32 @@ def test_sector_engine_matches_dense_oracle(pulse_model, coupling, data, total_u
     assert np.all(sums <= sums[before] + AGREEMENT)
     kept = np.vdot(expected, expected).real
     assert sums[-1] == pytest.approx(kept, abs=AGREEMENT)
+
+
+@pytest.mark.parametrize("coupling", WINDOW_COUPLINGS)
+def test_shaped_record_keeps_one_parity_and_matches_the_oracle(coupling):
+    """A shaped run from odd sectors records the odd sectors alone.
+
+    Scattered into the cube, its last row is within AGREEMENT of the
+    oracle's final populations, and the engine's final state is exactly
+    zero off the record.
+    """
+    space = FockSpace(2, 4)
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(2, 43.8e-6))
+    amps = np.zeros(space.dimension, dtype=complex)
+    amps[space.index((2, 1))] = 0.8
+    amps[space.index((0, 1))] = 0.6j
+    initial = PhononState(space, amps)
+    schedule = synthesize(DDSpec(2, 40e-6, pulse_model="shaped", shaped_pulse=PULSE))
+    result = SchedulePropagator(space, ModeMaps(couplings, window_coupling=coupling)
+                                ).run(schedule, initial, record_samples=9)
+    odd = sum(space.mode_occupations(q) for q in range(2)) % 2 == 1
+    np.testing.assert_array_equal(result.columns, np.flatnonzero(odd))
+    assert not result.final_state.amplitudes[~odd].any()
+    expected = dense_run(schedule, initial, couplings, coupling,
+                         window_cutoff=space.per_mode_cutoff + SHAPED[2][2]).amplitudes
+    np.testing.assert_allclose(dense_populations(result)[-1], np.abs(expected) ** 2,
+                               rtol=0, atol=AGREEMENT)
 
 
 @settings(max_examples=10, deadline=None)

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from phonondd.model import (
@@ -270,8 +270,10 @@ def quadratic_generator(space, h, pair):
 
 
 # squeezing strength, n_max and (lower, upper) raised cutoffs per mode
-# count: the three-mode reference has to converge within 10^3 states
-RAISED = {1: (0.1, 2, (16, 20)), 2: (0.1, 2, (18, 22)), 3: (0.01, 1, (7, 9))}
+# count: the three-mode reference has to converge within 10^3 states.  At
+# one mode, cutoffs (16, 20) leave a gap of 4.9e-10 on seed 40391; at
+# (24, 28) it is 2.2e-15
+RAISED = {1: (0.1, 2, (24, 28)), 2: (0.1, 2, (18, 22)), 3: (0.01, 1, (7, 9))}
 
 
 def random_quadratic(rng, modes, strength):
@@ -289,6 +291,7 @@ def random_quadratic(rng, modes, strength):
 
 @settings(max_examples=6, deadline=None)
 @given(modes=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(modes=1, seed=40391)
 def test_random_generator_matches_dense_expm_at_raised_cutoff(modes, seed):
     rng = np.random.default_rng(seed)
     strength, n_max, cutoffs = RAISED[modes]
