@@ -124,7 +124,10 @@ def catalog() -> None:
 def report(scenarios: str | None, out: str | None) -> None:
     """Run scenarios and compare against the stored reference values."""
     names = ([s.strip() for s in scenarios.split(",") if s.strip()]
-             if scenarios else [cfg.name for cfg in scenario_catalog()])
+             if scenarios is not None else [cfg.name for cfg in scenario_catalog()])
+    if not names:
+        click.echo("error: no scenarios selected", err=True)
+        sys.exit(2)
     records = []
     try:
         for name in names:

@@ -30,6 +30,13 @@ DEFAULT_ION_MASS = 40.0 * ATOMIC_MASS_UNIT          # 40Ca+
 DEFAULT_SECULAR_FREQUENCY = 2.0 * math.pi * 2.2e6   # rad/s
 
 
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first argument not in (0, inf)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, not {value!r}")
+
+
 @dataclass(frozen=True)
 class IonChainConfig:
     """Geometry and single-ion parameters of the chain.
@@ -51,10 +58,12 @@ class IonChainConfig:
             raise ValueError("mode_count must be >= 1")
         if len(self.positions) != self.mode_count:
             raise ValueError("positions length must equal mode_count")
+        if not all(map(math.isfinite, self.positions)):
+            raise ValueError("positions must be finite")
         if any(b - a <= 0 for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
-        if self.ion_mass <= 0 or self.secular_frequency <= 0:
-            raise ValueError("ion_mass and secular_frequency must be positive")
+        check_positive(ion_mass=self.ion_mass,
+                        secular_frequency=self.secular_frequency)
         if self.truncation_distance is not None and self.truncation_distance < 1:
             raise ValueError("truncation_distance must be >= 1 or None")
 
@@ -64,8 +73,7 @@ class IonChainConfig:
                     secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
                     truncation_distance: int | None = None) -> "IonChainConfig":
         """Chain with uniform spacing, the layout used by every built-in scenario."""
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
+        check_positive(spacing=spacing)
         return cls(mode_count=mode_count,
                    positions=tuple(j * spacing for j in range(mode_count)),
                    ion_mass=ion_mass,
@@ -82,8 +90,8 @@ def coupling_rate(spacing: float, ion_mass: float, secular_frequency: float) -> 
     Raises ValueError unless the rate is a finite positive float: a spacing
     whose cube overflows or underflows has none.
     """
-    if spacing <= 0 or ion_mass <= 0 or secular_frequency <= 0:
-        raise ValueError("coupling_rate arguments must be positive")
+    check_positive(spacing=spacing, ion_mass=ion_mass,
+                    secular_frequency=secular_frequency)
     e = ELEMENTARY_CHARGE
     try:
         rate = e * e / (4.0 * math.pi * VACUUM_PERMITTIVITY

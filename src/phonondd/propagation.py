@@ -329,10 +329,6 @@ class HeisenbergMap:
     steps: int
     delta: float
 
-    def end(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, B, |det A|^{-1/2}) at the end of the window, as stacks of one."""
-        return self.at(())
-
     def at(self, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A, B, |det A|^{-1/2}) stacks at each offset in ``taus``, then at
         the window end.
@@ -391,15 +387,12 @@ class ModeMaps:
         pulse).  A window takes the trailing pulse duration of the free
         step before it, so the steps last ``schedule.total_evolve_time``.
         """
-        shaped = schedule.pulse_model == "shaped"
         pulse = schedule.shaped_pulse
-        if shaped and pulse is None:
-            raise PropagationError("shaped schedule carries no pulse")
         steps: list[tuple[str, float, frozenset[int] | None]] = []
         for ev in schedule.events:
             if isinstance(ev, Evolve):
                 steps.append(("free", ev.duration, None))
-            elif not shaped:
+            elif pulse is None:
                 steps.append(("parity", 0.0, ev.modes))
             else:
                 if not steps or steps[-1][0] != "free":

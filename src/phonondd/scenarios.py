@@ -41,7 +41,6 @@ from .propagation import (
 )
 from .pulses import design_pulse
 from .sequences import (
-    PULSE_MODELS,
     DDSpec,
     feasibility_bounds,
     synthesize,
@@ -57,7 +56,7 @@ SECULAR_PERIOD = 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY
 
 # allowed values of the ScenarioConfig fields that name a model choice
 CHOICES = {
-    "pulse_model": PULSE_MODELS,
+    "pulse_model": ("ideal", "shaped"),
     "window_coupling": WINDOW_COUPLINGS,
 }
 
@@ -68,7 +67,11 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete, immutable description of one experiment run."""
+    """Complete, immutable description of one experiment run.
+
+    The chain is 40Ca+ at the default secular frequency of
+    :mod:`phonondd.model`.  The pulse fields are set on a shaped run only.
+    """
 
     name: str
     mode_count: int
@@ -86,8 +89,6 @@ class ScenarioConfig:
     pulse_ramp_down: float | None = None
     pulse_sharpness: float = 6.0
     target_phase: float = math.pi
-    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
-    ion_mass: float = DEFAULT_ION_MASS
     window_coupling: str = "rwa"
     local_error_tolerance: float = 1e-12
     record_samples: int = DEFAULT_RECORD_SAMPLES
@@ -104,8 +105,7 @@ class ScenarioConfig:
                     f" not {getattr(self, key)!r}")
         for key in ("spacing", "per_mode_cutoff", "total_time", "pulse_duration",
                     "pulse_ramp_up", "pulse_ramp_down", "pulse_sharpness",
-                    "target_phase", "ion_mass", "secular_frequency",
-                    "local_error_tolerance"):
+                    "target_phase", "local_error_tolerance"):
             value = getattr(self, key)
             if value is not None and not (0 < value < math.inf):
                 raise ScenarioError(f"{self.name}: {key} must be positive and finite")
@@ -136,6 +136,10 @@ class ScenarioConfig:
                                 f" not {pair}")
         if self.pulse_model == "shaped" and self.pulse_duration is None:
             raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
+        for key in ("pulse_duration", "pulse_ramp_up", "pulse_ramp_down"):
+            if self.pulse_model == "ideal" and getattr(self, key) is not None:
+                raise ScenarioError(f"{self.name}: {key} is set, but an ideal"
+                                    " pulse_model has no pulse")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
         # every run needs a finite positive rate from the nearest to the
@@ -144,7 +148,8 @@ class ScenarioConfig:
         try:
             hop = self.hop_time()
             if reach > 1:
-                coupling_rate(reach * self.spacing, self.ion_mass, self.secular_frequency)
+                coupling_rate(reach * self.spacing, DEFAULT_ION_MASS,
+                              DEFAULT_SECULAR_FREQUENCY)
         except ValueError as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
         cycle = self.total_time if self.total_time is not None else hop
@@ -170,7 +175,7 @@ class ScenarioConfig:
 
     def hop_time(self) -> float:
         """Nearest neighbor 50:50 exchange time, the default cycle length."""
-        kappa = coupling_rate(self.spacing, self.ion_mass, self.secular_frequency)
+        kappa = coupling_rate(self.spacing, DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY)
         return math.pi / (2.0 * kappa)
 
 
@@ -191,24 +196,21 @@ class ResultRecord:
 def build_scenario(cfg: ScenarioConfig):
     """Materialize (space, couplings, schedule, initial state, engine)."""
     chain = IonChainConfig.equidistant(cfg.mode_count, cfg.spacing,
-                                       ion_mass=cfg.ion_mass,
-                                       secular_frequency=cfg.secular_frequency,
                                        truncation_distance=cfg.truncation_distance)
     couplings = build_coupling_matrix(chain)
     space = FockSpace(cfg.mode_count, cfg.per_mode_cutoff)
     initial = basis_state(space, cfg.initial_occupations)
     total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
     pulse = (design_pulse(cfg.pulse_duration, cfg.pulse_ramp_up, cfg.pulse_ramp_down,
-                          cfg.pulse_sharpness, cfg.secular_frequency, cfg.target_phase)
+                          cfg.pulse_sharpness, target_phase=cfg.target_phase)
              if cfg.pulse_model == "shaped" else None)
     spec = DDSpec(mode_count=cfg.mode_count, total_time=total,
                   repetitions=cfg.repetitions, protected_set=cfg.protected_set,
                   truncation_distance=cfg.truncation_distance,
-                  level_role_swap=cfg.level_role_swap,
-                  pulse_model=cfg.pulse_model, shaped_pulse=pulse)
+                  level_role_swap=cfg.level_role_swap, shaped_pulse=pulse)
     schedule = synthesize(spec)
-    maps = ModeMaps(couplings, cfg.secular_frequency, cfg.window_coupling,
-                    cfg.local_error_tolerance)
+    maps = ModeMaps(couplings, window_coupling=cfg.window_coupling,
+                    local_error_tolerance=cfg.local_error_tolerance)
     engine = SchedulePropagator(space, maps)
     return space, couplings, schedule, initial, engine
 
@@ -502,14 +504,9 @@ def emit_report(records, references: dict | None = None) -> tuple[str, bool]:
 def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     """Parse the flat ``section.key = value`` scenario format.
 
-    Recognized keys: scenario.name; chain.modes, chain.spacing_um,
-    chain.truncation; state.occupations (comma separated, highest mode
-    first, matching the basis labels); schedule.repetitions,
-    schedule.protected, schedule.role_swap, schedule.total_time_us;
-    pulse.model, pulse.total_us, pulse.ramp_up_us, pulse.ramp_down_us,
-    pulse.sharpness, pulse.target_phase; propagator.n_max,
-    propagator.coupling, propagator.tolerance; output.samples,
-    output.beam_splitter_pair.
+    The keys are those of :data:`CONFIG_KEYS`, one per settable field;
+    state.occupations is comma separated, highest mode first, matching the
+    basis labels.
     """
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -528,37 +525,11 @@ def parse_config_text(text: str, name: str = "custom") -> ScenarioConfig:
     for key in ("chain.modes", "chain.spacing_um", "state.occupations"):
         if key not in entries:
             raise ScenarioError(f"config is missing required key {key!r}")
-    converters = {
-        "scenario.name": ("name", str),
-        "chain.modes": ("mode_count", int),
-        "chain.spacing_um": ("spacing", from_micro),
-        "state.occupations": ("initial_occupations", lambda v: tuple(
-            int(x) for x in v.split(","))),
-        "propagator.n_max": ("per_mode_cutoff", int),
-        "chain.truncation": ("truncation_distance", int),
-        "schedule.repetitions": ("repetitions", int),
-        "schedule.protected": ("protected_set", lambda v: frozenset(
-            int(x) for x in v.split(",") if x != "")),
-        "schedule.role_swap": ("level_role_swap", lambda v: tuple(
-            _flag(x) for x in v.split(","))),
-        "schedule.total_time_us": ("total_time", from_micro),
-        "pulse.model": ("pulse_model", str),
-        "pulse.total_us": ("pulse_duration", from_micro),
-        "pulse.ramp_up_us": ("pulse_ramp_up", from_micro),
-        "pulse.ramp_down_us": ("pulse_ramp_down", from_micro),
-        "pulse.sharpness": ("pulse_sharpness", float),
-        "pulse.target_phase": ("target_phase", float),
-        "propagator.coupling": ("window_coupling", str),
-        "propagator.tolerance": ("local_error_tolerance", float),
-        "output.samples": ("record_samples", int),
-        "output.beam_splitter_pair": ("beam_splitter_pair", lambda v: tuple(
-            int(x) for x in v.split(","))),
-    }
     kwargs: dict = {"name": name, "per_mode_cutoff": 10}
     for key, value in entries.items():
-        if key not in converters:
+        if key not in CONFIG_KEYS:
             raise ScenarioError(f"unknown config key {key!r}")
-        target, conv = converters[key]
+        target, conv = CONFIG_KEYS[key]
         try:
             kwargs[target] = conv(value)
         except ValueError as exc:
@@ -591,6 +562,35 @@ def _flag(word: str) -> bool:
     if word not in ("true", "false"):
         raise ValueError(word)
     return word == "true"
+
+
+# config key -> (ScenarioConfig field, converter from the value text)
+CONFIG_KEYS = {
+    "scenario.name": ("name", str),
+    "chain.modes": ("mode_count", int),
+    "chain.spacing_um": ("spacing", from_micro),
+    "state.occupations": ("initial_occupations", lambda v: tuple(
+        int(x) for x in v.split(","))),
+    "propagator.n_max": ("per_mode_cutoff", int),
+    "chain.truncation": ("truncation_distance", int),
+    "schedule.repetitions": ("repetitions", int),
+    "schedule.protected": ("protected_set", lambda v: frozenset(
+        int(x) for x in v.split(",") if x != "")),
+    "schedule.role_swap": ("level_role_swap", lambda v: tuple(
+        _flag(x) for x in v.split(","))),
+    "schedule.total_time_us": ("total_time", from_micro),
+    "pulse.model": ("pulse_model", str),
+    "pulse.total_us": ("pulse_duration", from_micro),
+    "pulse.ramp_up_us": ("pulse_ramp_up", from_micro),
+    "pulse.ramp_down_us": ("pulse_ramp_down", from_micro),
+    "pulse.sharpness": ("pulse_sharpness", float),
+    "pulse.target_phase": ("target_phase", float),
+    "propagator.coupling": ("window_coupling", str),
+    "propagator.tolerance": ("local_error_tolerance", float),
+    "output.samples": ("record_samples", int),
+    "output.beam_splitter_pair": ("beam_splitter_pair", lambda v: tuple(
+        int(x) for x in v.split(","))),
+}
 
 
 def parse_config_file(path: str | Path) -> ScenarioConfig:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence, Union
 
-from .model import CouplingMatrix
+from .model import CouplingMatrix, check_positive
 from .pulses import ShapedPulse
 
 
@@ -34,8 +34,7 @@ class Evolve:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("Evolve duration must be positive")
+        check_positive(duration=self.duration)
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,6 @@ class PhaseShift:
 ScheduleEvent = Union[Evolve, PhaseShift]
 
 
-PULSE_MODELS = ("ideal", "shaped")
-
-
 @dataclass(frozen=True)
 class DDSpec:
     """What to decouple: mode count, cycle time, and scheme options.
@@ -66,7 +62,9 @@ class DDSpec:
     swapped-second-level ordering, which cancels markedly better, and the
     plain roles otherwise.  ``total_time`` is the full evolve time of the
     schedule; with ``repetitions`` = n_r the cycle is compressed n_r-fold
-    and repeated, keeping the total unchanged.
+    and repeated, keeping the total unchanged.  The schedule is shaped,
+    each phase shift a window of ``shaped_pulse``, exactly when a pulse is
+    given; without one every phase shift is ideal.
     """
 
     mode_count: int
@@ -75,15 +73,13 @@ class DDSpec:
     protected_set: frozenset[int] = frozenset()
     truncation_distance: int | None = None
     level_role_swap: tuple[bool, ...] | None = None
-    pulse_model: str = "ideal"
     shaped_pulse: ShapedPulse | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protected_set", frozenset(self.protected_set))
         if self.mode_count < 1:
             raise ValueError("mode_count must be >= 1")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        check_positive(total_time=self.total_time)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if any(not 0 <= q < self.mode_count for q in self.protected_set):
@@ -92,32 +88,31 @@ class DDSpec:
             raise ValueError("truncation_distance must be >= 1")
         if self.protected_set and self.truncation_distance is not None:
             raise ValueError("protected_set and truncation_distance cannot be combined")
-        if self.pulse_model not in PULSE_MODELS:
-            raise ValueError(f"pulse_model must be one of {', '.join(PULSE_MODELS)}")
-        if self.pulse_model == "shaped" and self.shaped_pulse is None:
-            raise ValueError("shaped pulse_model needs a shaped_pulse")
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Ordered event timeline produced by the synthesizer."""
+    """Ordered event timeline produced by the synthesizer.
+
+    Each phase shift is a window of ``shaped_pulse`` when the schedule
+    carries one, and ideal otherwise.
+    """
 
     events: tuple[ScheduleEvent, ...]
     mode_count: int
-    total_time: float
-    repetitions: int = 1
-    pulse_model: str = "ideal"
     shaped_pulse: ShapedPulse | None = None
-    warning: str | None = None
 
     def __post_init__(self) -> None:
-        if self.pulse_model not in PULSE_MODELS:
-            raise ValueError(f"pulse_model must be one of {', '.join(PULSE_MODELS)}")
         for ev in self.events:
             if (isinstance(ev, PhaseShift)
                     and not ev.modes <= set(range(self.mode_count))):
                 raise ValueError(f"pulse on modes {sorted(ev.modes)} of a"
                                  f" {self.mode_count}-mode schedule")
+
+    @property
+    def pulse_model(self) -> str:
+        """The pulse model: "shaped" when there is a pulse, else "ideal"."""
+        return "ideal" if self.shaped_pulse is None else "shaped"
 
     @property
     def total_evolve_time(self) -> float:
@@ -252,8 +247,7 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
         return base
     cycle = tuple(Evolve(ev.duration / repetitions) if isinstance(ev, Evolve) else ev
                   for ev in base.events)
-    return replace(base, events=cycle * repetitions,
-                   repetitions=base.repetitions * repetitions)
+    return replace(base, events=cycle * repetitions)
 
 
 def target_sets(spec: DDSpec) -> list[frozenset[int]]:
@@ -277,19 +271,13 @@ def synthesize(spec: DDSpec) -> PulseSchedule:
     """The decoupling schedule of ``spec``, repeated ``spec.repetitions`` times.
 
     Pulses the :func:`target_sets` of ``spec``; with nothing to decouple
-    the schedule is one free segment and carries a warning.
+    (a single mode, or every mode protected) the schedule is one free
+    segment.
     """
     sets = target_sets(spec)
-    events: tuple[ScheduleEvent, ...] = (Evolve(spec.total_time),)
-    warning = None
-    if not sets:
-        warning = ("every mode protected, nothing to cancel" if spec.protected_set
-                   else "single mode, nothing to decouple")
-    else:
-        events = _assemble(sets, spec.total_time)
+    events = _assemble(sets, spec.total_time) if sets else (Evolve(spec.total_time),)
     base = PulseSchedule(events=events, mode_count=spec.mode_count,
-                         total_time=spec.total_time, pulse_model=spec.pulse_model,
-                         shaped_pulse=spec.shaped_pulse, warning=warning)
+                         shaped_pulse=spec.shaped_pulse)
     return repeat_schedule(base, spec.repetitions)
 
 
@@ -399,17 +387,16 @@ def feasibility_bounds(total_time: float, pulse_duration: float,
     protected set and truncation distance, and admits a segment that the
     pulse fills exactly, as a carved window may.
     """
-    if total_time <= 0 or pulse_duration <= 0:
-        raise ValueError("times must be positive")
+    check_positive(total_time=total_time, pulse_duration=pulse_duration)
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rep_bound: int | None = None
     if mode_count is not None:
         spec = DDSpec(mode_count, total_time, protected_set=frozenset(protected_set),
                       truncation_distance=truncation_distance)
-        levels, _ = _truncated_plan(spec) or _grouping_plan(spec)
-        if levels:
-            limit = total_time / (2 ** len(levels) * pulse_duration)
+        depth = len(target_sets(spec))
+        if depth:
+            limit = total_time / (2 ** depth * pulse_duration)
             rep_bound = math.floor(limit) + 1 if limit >= 1.0 else 0
     ratio = total_time / (pulse_duration * repetitions)
     if ratio <= 1.0:

@@ -294,8 +294,8 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
     wide_hop = hopping_hamiltonian(wide, couplings)
     pairs = (pair_creation_hamiltonian(wide, couplings)
              if window_coupling == "full" else None)
-    shaped = schedule.pulse_model == "shaped"
     pulse = schedule.shaped_pulse
+    shaped = pulse is not None
     events = schedule.events
     state, t = initial, 0.0
     for i, ev in enumerate(events):

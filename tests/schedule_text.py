@@ -1,7 +1,8 @@
 """Line-oriented text form of a pulse schedule, for round-trip checks.
 
-Floats are written with repr, so parsing gives back the same schedule;
-a shaped schedule's pulse is not part of the text.
+Floats are written with repr, so parsing gives back the same events; a
+shaped schedule's pulse is not part of the text, so the parsed schedule
+is ideal.
 """
 
 from phonondd.sequences import Evolve, PhaseShift, PulseSchedule, ScheduleEvent
@@ -9,12 +10,7 @@ from phonondd.sequences import Evolve, PhaseShift, PulseSchedule, ScheduleEvent
 
 def schedule_to_text(schedule: PulseSchedule) -> str:
     """Line-oriented serialization; floats use repr so parsing is exact."""
-    lines = [f"# schedule modes={schedule.mode_count}"
-             f" total_time={schedule.total_time!r}"
-             f" repetitions={schedule.repetitions}"
-             f" model={schedule.pulse_model}"]
-    if schedule.warning is not None:
-        lines.append(f"# warning {schedule.warning}")
+    lines = [f"# schedule modes={schedule.mode_count}"]
     for ev in schedule.events:
         if isinstance(ev, Evolve):
             lines.append(f"EVOLVE {ev.duration!r}")
@@ -26,7 +22,6 @@ def schedule_to_text(schedule: PulseSchedule) -> str:
 def schedule_from_text(text: str) -> PulseSchedule:
     """Inverse of :func:`schedule_to_text` (shaped pulses reattach separately)."""
     header: dict[str, str] = {}
-    warning = None
     events: list[ScheduleEvent] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -38,8 +33,6 @@ def schedule_from_text(text: str) -> PulseSchedule:
                 for item in body.split()[1:]:
                     key, _, value = item.partition("=")
                     header[key] = value
-            elif body.startswith("warning "):
-                warning = body[len("warning "):]
             continue
         keyword, _, rest = line.partition(" ")
         if keyword == "EVOLVE":
@@ -48,11 +41,6 @@ def schedule_from_text(text: str) -> PulseSchedule:
             events.append(PhaseShift(frozenset(int(q) for q in rest.split(","))))
         else:
             raise ValueError(f"unknown schedule line: {line!r}")
-    if not {"modes", "total_time", "repetitions", "model"} <= header.keys():
+    if "modes" not in header:
         raise ValueError("schedule text is missing its header line")
-    return PulseSchedule(events=tuple(events),
-                         mode_count=int(header["modes"]),
-                         total_time=float(header["total_time"]),
-                         repetitions=int(header["repetitions"]),
-                         pulse_model=header["model"],
-                         warning=warning)
+    return PulseSchedule(events=tuple(events), mode_count=int(header["modes"]))

@@ -92,7 +92,7 @@ def catalog_strength(name):
     cfg = get_scenario(name)
     k = solve_strength(cfg.pulse_duration, cfg.pulse_ramp_up,
                        cfg.pulse_ramp_down, cfg.pulse_sharpness,
-                       cfg.secular_frequency, cfg.target_phase)
+                       W0, cfg.target_phase)
     geometry = ", ".join(f"{t / T0:.2f}" for t in (
         cfg.pulse_duration, cfg.pulse_ramp_up, cfg.pulse_ramp_down))
     return k, f"({geometry}) T0"

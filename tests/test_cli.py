@@ -200,6 +200,14 @@ class TestReport:
         assert "fig3" in table and "fig4a" in table
         assert "FAIL" not in table
 
+    @pytest.mark.parametrize("selection", [",", " , ", ""])
+    def test_empty_selection_runs_nothing_and_fails(self, runner, tmp_path, selection):
+        res = runner.invoke(main, ["report", "--scenarios", selection,
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "no scenarios selected" in res.output
+        assert not (tmp_path / "report.csv").exists()
+
 
 class TestPulseDesign:
     def test_prints_strength_and_phase(self, runner):

@@ -77,6 +77,18 @@ class TestCouplingRate:
         with pytest.raises(ValueError):
             coupling_rate(27.6e-6, DEFAULT_ION_MASS, 0.0)
 
+    @pytest.mark.parametrize("args,name", [
+        ((math.nan, DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY), "spacing"),
+        ((math.inf, DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY), "spacing"),
+        ((43.8e-6, math.nan, DEFAULT_SECULAR_FREQUENCY), "ion_mass"),
+        ((43.8e-6, math.inf, DEFAULT_SECULAR_FREQUENCY), "ion_mass"),
+        ((43.8e-6, DEFAULT_ION_MASS, math.nan), "secular_frequency"),
+        ((43.8e-6, DEFAULT_ION_MASS, math.inf), "secular_frequency"),
+    ])
+    def test_rejects_a_non_finite_input_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            coupling_rate(*args)
+
     @pytest.mark.parametrize("spacing", [1e-306, 1e-106, 1e294])
     def test_rejects_a_spacing_without_a_float_rate(self, spacing):
         # the cube underflows to 0 (a division by zero), or overflows
@@ -89,6 +101,22 @@ class TestChainAndCouplings:
         cfg = IonChainConfig.equidistant(4, 27.6e-6)
         diffs = np.diff(cfg.positions)
         np.testing.assert_allclose(diffs, 27.6e-6, rtol=1e-15)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0])
+    def test_equidistant_rejects_a_bad_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            IonChainConfig.equidistant(3, spacing)
+
+    @pytest.mark.parametrize("field", ["ion_mass", "secular_frequency"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_chain_rejects_a_bad_ion_parameter_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            IonChainConfig.equidistant(3, 27.6e-6, **{field: value})
+
+    @pytest.mark.parametrize("positions", [(0.0, math.nan), (0.0, math.inf)])
+    def test_chain_rejects_non_finite_positions(self, positions):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            IonChainConfig(2, positions)
 
     def test_matrix_symmetry_and_decay(self):
         cm = build_coupling_matrix(IonChainConfig.equidistant(4, 27.6e-6))

@@ -120,7 +120,7 @@ class TestIdealPhase:
         for modes, sign in (({0}, -1.0), ({1}, 1.0)):
             # mode 0 holds one quantum, mode 1 two, so only mode 0 flips
             schedule = PulseSchedule(events=(PhaseShift(frozenset(modes)),),
-                                     mode_count=2, total_time=HOP_TIME)
+                                     mode_count=2)
             res = SchedulePropagator(space, ModeMaps(cm)).run(schedule, state)
             # an exact real sign: no imaginary residue, no last-bit shift
             assert res.final_state.amplitudes[i] == sign
@@ -133,7 +133,7 @@ class TestIdealPhase:
         amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
         state = PhononState(space, amps / np.linalg.norm(amps))
         schedule = PulseSchedule(events=(PhaseShift(frozenset({0})),),
-                                 mode_count=2, total_time=HOP_TIME)
+                                 mode_count=2)
         res = SchedulePropagator(space, ModeMaps(cm)).run(schedule, state)
         after = np.abs(res.final_state.amplitudes) ** 2
         # the pulse is the exact sign (-1)^n_0, so the populations stay
@@ -152,7 +152,7 @@ class TestIdealPhase:
         t = 0.37 * HOP_TIME
         pulse = PhaseShift(frozenset({1}))
         schedule = PulseSchedule(events=(pulse, Evolve(t), pulse),
-                                 mode_count=2, total_time=t)
+                                 mode_count=2)
         left = SchedulePropagator(space, ModeMaps(cm)).run(schedule, state).final_state
         h_neg = hopping_hamiltonian(space, CouplingMatrix(-cm.kappa))
         right = evolve_constant(state, h_neg, t)
@@ -160,8 +160,7 @@ class TestIdealPhase:
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
-            PulseSchedule(events=(PhaseShift(frozenset({5})),), mode_count=2,
-                          total_time=HOP_TIME)
+            PulseSchedule(events=(PhaseShift(frozenset({5})),), mode_count=2)
 
 
 class TestShapedWindow:
@@ -309,8 +308,7 @@ class TestScheduleRuns:
         # pulses are carved out of the preceding segment, which must fit
         space, cm = two_mode_setup(4)
         pulse = design_pulse(8.8 * T0)
-        schedule = synthesize(DDSpec(2, 2 * T0, pulse_model="shaped",
-                                     shaped_pulse=pulse))
+        schedule = synthesize(DDSpec(2, 2 * T0, shaped_pulse=pulse))
         with pytest.raises(PropagationError):
             SchedulePropagator(space, ModeMaps(cm)).run(schedule,
                                                         basis_state(space, (1, 0)))
@@ -319,8 +317,7 @@ class TestScheduleRuns:
         space, cm = two_mode_setup(4)
         pulse = design_pulse(8.8 * T0)
         bad = PulseSchedule(events=(PhaseShift(frozenset({1})), Evolve(HOP_TIME)),
-                            mode_count=2, total_time=HOP_TIME,
-                            pulse_model="shaped", shaped_pulse=pulse)
+                            mode_count=2, shaped_pulse=pulse)
         with pytest.raises(PropagationError):
             SchedulePropagator(space, ModeMaps(cm)).run(bad,
                                                         basis_state(space, (1, 0)))
@@ -328,8 +325,7 @@ class TestScheduleRuns:
     def test_full_window_coupling_close_to_rwa(self):
         space, cm = two_mode_setup(8)
         pulse = design_pulse(8.8 * T0)
-        schedule = synthesize(DDSpec(2, HOP_TIME, pulse_model="shaped",
-                                     shaped_pulse=pulse))
+        schedule = synthesize(DDSpec(2, HOP_TIME, shaped_pulse=pulse))
         initial = basis_state(space, (2, 1))
         rwa = SchedulePropagator(space, ModeMaps(
             cm, window_coupling="rwa")).run(schedule, initial)

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from phonondd.model import FockSpace, basis_state
 from phonondd.propagation import PropagationError, SimulationResult
 from phonondd.scenarios import (
+    CONFIG_KEYS,
     POPULATION_COLUMN_THRESHOLD,
     ScenarioConfig,
     ScenarioError,
@@ -107,7 +108,7 @@ class TestExecution:
         assert from_micro(params["total_time_us"]) == get_scenario("fig3").hop_time()
         assert params["pulse_us"] == ""
         cfg = cheap_config(extra="schedule.total_time_us = 100.1\n"
-                                 "pulse.total_us = 4.4\n")
+                                 "pulse.model = shaped\npulse.total_us = 4.4\n")
         params = dict(execute_scenario(cfg)[0].parameters)
         assert [params[key] for key in ("spacing_um", "total_time_us", "pulse_us")] \
             == ["43.8", "100.1", "4.4"]
@@ -133,7 +134,7 @@ class TestExecution:
         space, couplings, schedule, initial, engine = build_scenario(
             cheap_config())
         assert space.dimension == 25
-        assert schedule.total_time == pytest.approx(
+        assert schedule.total_evolve_time == pytest.approx(
             cheap_config().hop_time(), rel=1e-12)
         assert couplings.mode_count == 2
         assert abs(np.linalg.norm(initial.amplitudes) - 1.0) < 1e-15
@@ -385,7 +386,7 @@ class TestRepetitionBound:
                 engine.maps.steps(synthesize(DDSpec(
                     cfg.mode_count, total, repetitions=n,
                     protected_set=cfg.protected_set,
-                    level_role_swap=cfg.level_role_swap, pulse_model="shaped",
+                    level_role_swap=cfg.level_role_swap,
                     shaped_pulse=schedule.shaped_pulse)))
                 fits.append(True)
             except PropagationError as exc:
@@ -642,6 +643,21 @@ output.samples = 64
         for field, value in values.values():
             if value is not None:
                 assert getattr(parsed, field).hex() == value.hex(), field
+
+    @pytest.mark.parametrize("line,field", [
+        ("pulse.total_us = 4.4", "pulse_duration"),
+        ("pulse.ramp_up_us = 2.2", "pulse_ramp_up"),
+        ("pulse.ramp_down_us = 2.2", "pulse_ramp_down"),
+    ])
+    def test_pulse_setting_on_an_ideal_config_rejected_at_parse(self, line, field):
+        with pytest.raises(ScenarioError,
+                           match=f"demo: {field} is set, but an ideal pulse_model"):
+            parse_config_text(CHEAP + line + "\n", name="demo")
+
+    def test_every_field_has_exactly_one_config_key(self):
+        # a field that no config can set would only ever hold its default
+        targets = sorted(target for target, _ in CONFIG_KEYS.values())
+        assert targets == sorted(f.name for f in fields(ScenarioConfig))
 
     def test_unknown_key_rejected(self):
         for line in ("chain.temperature = 300", "propagator.placement = carve"):

@@ -110,7 +110,7 @@ def test_sector_engine_matches_dense_oracle(pulse_model, coupling, data, total_u
     space, couplings, initial = data.draw(chains(shaped))
     pulse, _, raised, raised_check = SHAPED[space.mode_count]
     total = total_us * 1e-6
-    schedule = synthesize(DDSpec(space.mode_count, total, pulse_model=pulse_model,
+    schedule = synthesize(DDSpec(space.mode_count, total,
                                  shaped_pulse=pulse if shaped else None))
     maps = ModeMaps(couplings, window_coupling=coupling)
     result = SchedulePropagator(space, maps).run(
@@ -158,7 +158,7 @@ def test_shaped_record_keeps_one_parity_and_matches_the_oracle(coupling):
     amps[space.index((2, 1))] = 0.8
     amps[space.index((0, 1))] = 0.6j
     initial = PhononState(space, amps)
-    schedule = synthesize(DDSpec(2, 40e-6, pulse_model="shaped", shaped_pulse=PULSE))
+    schedule = synthesize(DDSpec(2, 40e-6, shaped_pulse=PULSE))
     result = SchedulePropagator(space, ModeMaps(couplings, window_coupling=coupling)
                                 ).run(schedule, initial, record_samples=9)
     odd = sum(space.mode_occupations(q) for q in range(2)) % 2 == 1

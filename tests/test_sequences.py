@@ -1,11 +1,13 @@
 """Schedule synthesis, signed dwell checks, serialization, feasibility."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phonondd.model import IonChainConfig, build_coupling_matrix
+from phonondd.model import DEFAULT_SECULAR_FREQUENCY, IonChainConfig, build_coupling_matrix
+from phonondd.pulses import design_pulse
 from phonondd.sequences import (
     DDSpec,
     Evolve,
@@ -22,6 +24,7 @@ from phonondd.sequences import (
 from schedule_text import schedule_from_text, schedule_to_text
 
 T = 1.0
+PULSE = design_pulse(8.8 * 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY)
 
 
 def compact(schedule):
@@ -29,7 +32,7 @@ def compact(schedule):
     out = []
     for ev in schedule.events:
         if isinstance(ev, Evolve):
-            out.append(f"E{ev.duration / schedule.total_time:g}")
+            out.append(f"E{ev.duration / schedule.total_evolve_time:g}")
         else:
             out.append("P" + "".join(str(m) for m in sorted(ev.modes)))
     return out
@@ -41,6 +44,9 @@ class TestEventValidation:
             Evolve(0.0)
         with pytest.raises(ValueError):
             Evolve(-1e-6)
+        for duration in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="duration must be positive and finite"):
+                Evolve(duration)
 
     def test_phase_shift_needs_modes(self):
         with pytest.raises(ValueError):
@@ -70,7 +76,6 @@ class TestConcatenated:
     def test_single_mode_degenerates_to_free_evolution(self):
         s = synthesize(DDSpec(1, T))
         assert compact(s) == ["E1"]
-        assert s.warning is not None
 
     def test_default_role_swap_widths(self):
         assert default_role_swap(3) == (False, True)
@@ -103,7 +108,6 @@ class TestProtected:
     def test_all_protected_is_free_evolution(self):
         s = synthesize(DDSpec(2, T, protected_set=frozenset({0, 1})))
         assert compact(s) == ["E1"]
-        assert s.warning is not None
 
     def test_protected_modes_never_pulsed(self):
         for prot in ({0}, {2}, {0, 2}, {1, 2}):
@@ -146,13 +150,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="truncation_distance"):
             DDSpec(4, T, truncation_distance=eta)
 
-    def test_schedule_rejects_unknown_pulse_model(self):
-        with pytest.raises(ValueError, match="pulse_model"):
-            PulseSchedule(events=(Evolve(T),), mode_count=2, total_time=T,
-                          pulse_model="shapd")
-        with pytest.raises(ValueError, match="pulse_model"):
-            schedule_from_text("# schedule modes=2 total_time=1.0 "
-                               "repetitions=1 model=shapd\nEVOLVE 1.0\n")
+    @pytest.mark.parametrize("total", [math.inf, math.nan, 0.0])
+    def test_total_time_must_be_finite_and_positive(self, total):
+        with pytest.raises(ValueError, match="total_time must be positive and finite"):
+            DDSpec(2, total)
+
+    def test_the_pulse_alone_makes_a_schedule_shaped(self):
+        shaped = synthesize(DDSpec(2, T, shaped_pulse=PULSE))
+        ideal = synthesize(DDSpec(2, T))
+        assert shaped.shaped_pulse is PULSE and shaped.pulse_model == "shaped"
+        assert ideal.shaped_pulse is None and ideal.pulse_model == "ideal"
+        assert shaped.events == ideal.events
+        with pytest.raises(AttributeError):
+            ideal.pulse_model = "shaped"
+        with pytest.raises(TypeError):
+            PulseSchedule(events=(Evolve(T),), mode_count=2, pulse_model="shaped")
 
 
 class TestRepetition:
@@ -160,7 +172,6 @@ class TestRepetition:
         s = synthesize(DDSpec(2, T, repetitions=2))
         assert compact(s) == ["E0.25", "P1", "E0.25", "P1",
                               "E0.25", "P1", "E0.25", "P1"]
-        assert s.repetitions == 2
 
     @pytest.mark.parametrize("n_r", [1, 2, 5, 8])
     def test_total_evolve_time_invariant(self, n_r):
@@ -204,7 +215,7 @@ class TestSignedDwell:
     def test_unbalanced_schedule_flagged(self):
         bad = PulseSchedule(events=(Evolve(0.75), PhaseShift(frozenset({1})),
                                     Evolve(0.25), PhaseShift(frozenset({1}))),
-                            mode_count=2, total_time=T)
+                            mode_count=2)
         report = signed_dwell_check(bad)
         assert not report.ok
 
@@ -235,6 +246,10 @@ class TestSerialization:
         assert back == s
         assert schedule_to_text(back) == text
 
+    def test_round_trip_of_a_shaped_schedule_drops_the_pulse(self):
+        s = synthesize(DDSpec(3, T, repetitions=2, shaped_pulse=PULSE))
+        assert schedule_from_text(schedule_to_text(s)) == replace(s, shaped_pulse=None)
+
     def test_durations_survive_exactly(self):
         s = synthesize(DDSpec(3, math.pi * 1.7e-4, repetitions=3))
         back = schedule_from_text(schedule_to_text(s))
@@ -246,14 +261,13 @@ class TestSerialization:
         s = synthesize(DDSpec(3, T, repetitions=2))
         head = schedule_to_text(s).splitlines()[0]
         assert head.startswith("# schedule ")
-        assert "modes=3" in head and "repetitions=2" in head
+        assert "modes=3" in head
 
     def test_rejects_malformed_text(self):
         with pytest.raises(ValueError):
             schedule_from_text("EVOLVE 0.5\n")
         with pytest.raises(ValueError):
-            schedule_from_text("# schedule modes=2 total_time=1.0 "
-                               "repetitions=1 model=ideal\nWAIT 1\n")
+            schedule_from_text("# schedule modes=2\nWAIT 1\n")
 
 
 class TestFeasibility:
@@ -279,3 +293,9 @@ class TestFeasibility:
             feasibility_bounds(1e-3, -1e-6)
         with pytest.raises(ValueError):
             feasibility_bounds(1e-3, 1e-6, repetitions=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="total_time must be positive and finite"):
+                feasibility_bounds(bad, 1e-6, mode_count=3)
+            with pytest.raises(ValueError,
+                               match="pulse_duration must be positive and finite"):
+                feasibility_bounds(1e-3, bad, mode_count=3)

@@ -135,7 +135,7 @@ def direct_map(maps, pulsed, start):
 def test_gauge_identity_against_direct_integration(case, start_us):
     maps, pulsed = case
     start = start_us * 1e-6
-    a, b = (x[0] for x in maps.window_map(pulsed, PULSE).end()[:2])
+    a, b = (x[0] for x in maps.window_map(pulsed, PULSE).at(())[:2])
     a_direct, b_direct = direct_map(maps, pulsed, start)
     gauge = cmath.exp(2j * maps.secular_frequency * start)
     assert np.linalg.norm(a - a_direct) <= TIGHT
@@ -578,8 +578,7 @@ def shaped_run():
     whose windows raise sub-round-off tails up to the top of the cube."""
     space = FockSpace(2, 10)
     couplings = build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6))
-    schedule = synthesize(DDSpec(2, 50e-6, repetitions=2, pulse_model="shaped",
-                                 shaped_pulse=PULSE))
+    schedule = synthesize(DDSpec(2, 50e-6, repetitions=2, shaped_pulse=PULSE))
     engine = SchedulePropagator(space, ModeMaps(couplings))
     windows = sum(kind == "window" for kind, _, _ in engine.maps.steps(schedule))
     return engine, schedule, basis_state(space, (2, 1)), windows
@@ -694,7 +693,7 @@ def test_each_pulse_gets_its_own_map():
     engine = SchedulePropagator(space, maps)
     runs = []
     for pulse in (PULSE, other):
-        schedule = synthesize(DDSpec(2, 50e-6, pulse_model="shaped", shaped_pulse=pulse))
+        schedule = synthesize(DDSpec(2, 50e-6, shaped_pulse=pulse))
         shared = engine.run(schedule, initial).final_state.amplitudes
         fresh = SchedulePropagator(space, ModeMaps(couplings)).run(schedule, initial)
         np.testing.assert_array_equal(shared, fresh.final_state.amplitudes)
@@ -960,5 +959,5 @@ def test_long_chain_map_needs_no_fock_space():
         tracemalloc.stop()
     assert heis.steps == 800
     assert peak < 55e6
-    (a,), (b,), _ = heis.end()
+    (a,), (b,), _ = heis.at(())
     assert max(symplectic_residuals(a, b)) <= TIGHT
