@@ -65,7 +65,8 @@ class IonChainConfig:
         check_positive(ion_mass=self.ion_mass,
                         secular_frequency=self.secular_frequency)
         if self.truncation_distance is not None and self.truncation_distance < 1:
-            raise ValueError("truncation_distance must be >= 1 or None")
+            raise ValueError("truncation_distance must be at least 1,"
+                             f" not {self.truncation_distance}")
 
     @classmethod
     def equidistant(cls, mode_count: int, spacing: float,

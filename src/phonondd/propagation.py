@@ -28,11 +28,11 @@ per map.  A level of steps reads the drive once and is built in slices of
 at most 96 KiB, each one matrix product for the exponents, a scaled Taylor
 exponential and a prefix product blocked about sqrt(n) ways: batched
 matrix products only, with no solve and no loop per step.  The step count
-doubles until (A, B) at two levels agree within 63 times the local error
-tolerance, and the map keeps S at every step node, so a sample inside a
-window is one partial step from the node below it; (A, B) are read from S
-only where they are used.  A window
-starting at t0 has (A, B e^{2 i w0 t0}).  The counter rotating part of the
+doubles until (A, B) at two levels agree within 63 times MAP_TOLERANCE,
+a fixed 1e-12, and the map keeps S at every step node, so a sample inside
+a window is one partial step from the node below it; (A, B) are read from
+S only where they are used.  A window starting at t0 has
+(A, B e^{2 i w0 t0}).  The counter rotating part of the
 Coulomb coupling, which creates and destroys pairs, can optionally be kept
 during windows.
 
@@ -110,6 +110,9 @@ WINDOW_COUPLINGS = ("rwa", "full")
 # of w0 t per step on an 8.8 T0 window) and the ceiling of the doubling
 FIRST_STEPS = 200
 MAX_STEPS = 12_800
+# bound on the error estimate of a window map, its doubling difference
+# over 63; the catalog maps meet it at 400-800 steps
+MAP_TOLERANCE = 1e-12
 # Gauss-Legendre nodes of a Magnus step, as fractions of its length
 GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # coefficients of the degree-12 Taylor polynomial of exp, and the 1-norm
@@ -361,23 +364,19 @@ class ModeMaps:
     """Schedule steps and window maps of one chain, with no Fock space.
 
     Caches the Heisenberg map of each (pulsed-mode set, pulse) window.
-    ``local_error_tolerance`` bounds the error estimate of each map, its
-    step doubling difference over 63.
     """
 
     couplings: CouplingMatrix
     secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
     window_coupling: str = "rwa"
-    local_error_tolerance: float = 1e-12
     _cache: dict[tuple[frozenset[int], ShapedPulse], HeisenbergMap] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.local_error_tolerance < math.inf:
-            raise ValueError("local_error_tolerance must be positive and finite")
         if self.window_coupling not in WINDOW_COUPLINGS:
             raise ValueError("window_coupling must be one of"
-                             f" {', '.join(WINDOW_COUPLINGS)}")
+                             f" {', '.join(WINDOW_COUPLINGS)},"
+                             f" not {self.window_coupling!r}")
 
     def steps(self, schedule: PulseSchedule
               ) -> list[tuple[str, float, frozenset[int] | None]]:
@@ -412,7 +411,7 @@ class ModeMaps:
         """The window map, by Magnus steps doubled from FIRST_STEPS.
 
         A level is accepted once its change from the level below, delta,
-        is at most 63 times ``local_error_tolerance``; past MAX_STEPS it
+        is at most 63 times MAP_TOLERANCE; past MAX_STEPS it
         raises :class:`PropagationError`.
         """
         key = (modes, pulse)
@@ -428,18 +427,17 @@ class ModeMaps:
         generator = WindowGenerator.build(
             pulse, w0, np.block([[cross, diagonal], [-diagonal, -cross]]),
             np.block([[pulsed, pulsed], [-pulsed, -pulsed]]))
-        tolerance = self.local_error_tolerance
         steps, nodes = FIRST_STEPS, generator.nodes(FIRST_STEPS)
         while True:
             finer = generator.nodes(2 * steps)
             delta = float(np.abs(_columns(finer[-1]) - _columns(nodes[-1])).max())
             steps, nodes = 2 * steps, finer
-            if delta / 63.0 <= tolerance:
+            if delta / 63.0 <= MAP_TOLERANCE:
                 break
             if steps >= MAX_STEPS:
                 raise PropagationError(
                     f"window map of modes {sorted(modes)} missed"
-                    f" local_error_tolerance {tolerance:.1e}: doubling"
+                    f" the map tolerance {MAP_TOLERANCE:.1e}: doubling"
                     f" difference {delta:.2e} at {steps} steps")
         self._cache[key] = HeisenbergMap(generator, nodes, steps, delta)
         LOG.debug("window map modes=%s steps=%d delta=%.2e time=%.3fs",

@@ -33,10 +33,15 @@ import numpy as np
 
 from .model import DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE
 
-erf = np.vectorize(math.erf, otypes=[float])
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 PANELS = 16
 NEWTON_STEPS = 100  # the catalog pulses take 30-36 from the deep end
+
+
+def erf(x):
+    """math.erf of every element of ``x``, an array of its shape."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 class PulseDesignError(Exception):
@@ -189,11 +194,11 @@ def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
 
 @dataclass(frozen=True)
 class ShapedPulse:
-    """A solved modulation pulse: shape parameters plus the phase it imprints."""
+    """A solved modulation pulse: its shape parameters, whose depth fixes the
+    phase it imprints."""
 
     params: BFunctionParams
     secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
-    target_phase: float = math.pi
 
     @property
     def duration(self) -> float:
@@ -236,7 +241,6 @@ def design_pulse(total_duration: float,
     pulse = ShapedPulse(
         params=BFunctionParams(total_duration, ramp_up, ramp_down, sharpness, depth),
         secular_frequency=secular_frequency,
-        target_phase=target_phase,
     )
     sample_pulse(pulse)
     return pulse

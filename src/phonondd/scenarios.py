@@ -33,7 +33,6 @@ from .model import (
 )
 from .propagation import (
     SLICE_BYTES,
-    WINDOW_COUPLINGS,
     ModeMaps,
     SchedulePropagator,
     SimulationResult,
@@ -54,11 +53,9 @@ DEFAULT_RECORD_SAMPLES = 512
 # cycle time of one bare secular oscillation, the natural pulse length unit
 SECULAR_PERIOD = 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY
 
-# allowed values of the ScenarioConfig fields that name a model choice
-CHOICES = {
-    "pulse_model": ("ideal", "shaped"),
-    "window_coupling": WINDOW_COUPLINGS,
-}
+# the pulse settings a shaped config takes when it does not set them
+PULSE_DEFAULTS = {"pulse_sharpness": 6.0, "target_phase": math.pi,
+                  "window_coupling": "rwa"}
 
 
 class ScenarioError(Exception):
@@ -70,7 +67,9 @@ class ScenarioConfig:
     """Complete, immutable description of one experiment run.
 
     The chain is 40Ca+ at the default secular frequency of
-    :mod:`phonondd.model`.  The pulse fields are set on a shaped run only.
+    :mod:`phonondd.model`.  A run is shaped exactly when it sets a pulse
+    duration; the other pulse fields, and the window coupling, are set on
+    a shaped run only.
     """
 
     name: str
@@ -78,7 +77,6 @@ class ScenarioConfig:
     spacing: float
     per_mode_cutoff: int
     initial_occupations: tuple[int, ...]
-    pulse_model: str = "ideal"
     repetitions: int = 1
     protected_set: frozenset[int] = frozenset()
     level_role_swap: tuple[bool, ...] | None = None
@@ -87,10 +85,9 @@ class ScenarioConfig:
     pulse_duration: float | None = None
     pulse_ramp_up: float | None = None
     pulse_ramp_down: float | None = None
-    pulse_sharpness: float = 6.0
-    target_phase: float = math.pi
-    window_coupling: str = "rwa"
-    local_error_tolerance: float = 1e-12
+    pulse_sharpness: float | None = None
+    target_phase: float | None = None
+    window_coupling: str | None = None
     record_samples: int = DEFAULT_RECORD_SAMPLES
     beam_splitter_pair: tuple[int, int] | None = None
 
@@ -98,14 +95,12 @@ class ScenarioConfig:
         object.__setattr__(self, "protected_set", frozenset(self.protected_set))
         object.__setattr__(self, "initial_occupations",
                            tuple(self.initial_occupations))
-        for key, allowed in CHOICES.items():
-            if getattr(self, key) not in allowed:
-                raise ScenarioError(
-                    f"{self.name}: {key} must be one of {', '.join(allowed)},"
-                    f" not {getattr(self, key)!r}")
-        for key in ("spacing", "per_mode_cutoff", "total_time", "pulse_duration",
-                    "pulse_ramp_up", "pulse_ramp_down", "pulse_sharpness",
-                    "target_phase", "local_error_tolerance"):
+        if self.pulse_duration is not None:
+            for key, value in PULSE_DEFAULTS.items():
+                if getattr(self, key) is None:
+                    object.__setattr__(self, key, value)
+        for key in ("per_mode_cutoff", "pulse_duration", "pulse_ramp_up",
+                    "pulse_ramp_down", "pulse_sharpness", "target_phase"):
             value = getattr(self, key)
             if value is not None and not (0 < value < math.inf):
                 raise ScenarioError(f"{self.name}: {key} must be positive and finite")
@@ -116,53 +111,32 @@ class ScenarioConfig:
         if any(not 0 <= n <= self.per_mode_cutoff for n in self.initial_occupations):
             raise ScenarioError(f"{self.name}: initial_occupations must lie in"
                                 f" 0..{self.per_mode_cutoff} (the cutoff)")
-        if not self.protected_set <= set(range(self.mode_count)):
-            raise ScenarioError(f"{self.name}: protected_set names a mode outside"
-                                f" 0..{self.mode_count - 1}")
-        if self.repetitions < 1:
-            raise ScenarioError(f"{self.name}: repetitions must be at least 1")
-        if self.truncation_distance is not None:
-            if self.truncation_distance < 1:
-                raise ScenarioError(f"{self.name}: truncation_distance must be at"
-                                    f" least 1, not {self.truncation_distance}")
-            if self.protected_set:
-                raise ScenarioError(f"{self.name}: truncation_distance and"
-                                    " protected_set cannot be combined")
         pair = self.beam_splitter_pair
         if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
                                  or not set(pair) <= set(range(self.mode_count))):
             raise ScenarioError(f"{self.name}: beam_splitter_pair must name two"
                                 f" distinct modes in 0..{self.mode_count - 1},"
                                 f" not {pair}")
-        if self.pulse_model == "shaped" and self.pulse_duration is None:
-            raise ScenarioError(f"{self.name}: shaped model needs a pulse duration")
-        for key in ("pulse_duration", "pulse_ramp_up", "pulse_ramp_down"):
-            if self.pulse_model == "ideal" and getattr(self, key) is not None:
-                raise ScenarioError(f"{self.name}: {key} is set, but an ideal"
-                                    " pulse_model has no pulse")
         if self.record_samples < 2:
             raise ScenarioError(f"{self.name}: record_samples must be at least 2")
-        # every run needs a finite positive rate from the nearest to the
-        # farthest coupled pair, also when total_time sets the cycle
-        reach = min(self.mode_count - 1, self.truncation_distance or self.mode_count)
-        try:
-            hop = self.hop_time()
-            if reach > 1:
-                coupling_rate(reach * self.spacing, DEFAULT_ION_MASS,
-                              DEFAULT_SECULAR_FREQUENCY)
+        try:  # the schedule, the couplings and the maps the run builds
+            cycle = self.total_time
+            if cycle is None:
+                cycle = self.hop_time()
+                if cycle == math.inf:
+                    raise ValueError(f"spacing {self.spacing!r} m gives a hop"
+                                     " time of inf s")
+            target_sets(DDSpec(self.mode_count, cycle, self.repetitions,
+                               self.protected_set, self.truncation_distance,
+                               self.level_role_swap))
+            _mode_maps(self)
         except ValueError as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
-        cycle = self.total_time if self.total_time is not None else hop
-        if not 0 < cycle < math.inf:
-            raise ScenarioError(f"{self.name}: spacing {self.spacing!r} m gives a"
-                                f" hop time of {cycle!r} s")
-        try:  # the role swap against the levels and the protected set
-            target_sets(DDSpec(self.mode_count, cycle, protected_set=self.protected_set,
-                               truncation_distance=self.truncation_distance,
-                               level_role_swap=self.level_role_swap))
-        except ValueError as exc:
-            raise ScenarioError(f"{self.name}: {exc}") from exc
-        if self.pulse_model == "shaped":
+        for key in ("pulse_ramp_up", "pulse_ramp_down", *PULSE_DEFAULTS):
+            if self.pulse_duration is None and getattr(self, key) is not None:
+                raise ScenarioError(f"{self.name}: {key} is set, but an ideal"
+                                    " pulse_model has no pulse")
+        if self.pulse_duration is not None:
             bound = feasibility_bounds(
                 cycle, self.pulse_duration, mode_count=self.mode_count,
                 protected_set=self.protected_set,
@@ -172,6 +146,11 @@ class ScenarioConfig:
                     f"{self.name}: {self.repetitions} repetitions reach the"
                     f" repetition bound {bound}: a carved pulse window no longer"
                     " fits in the shortest segment of the schedule")
+
+    @property
+    def pulse_model(self) -> str:
+        """The pulse model: "shaped" when a pulse duration is set, else "ideal"."""
+        return "ideal" if self.pulse_duration is None else "shaped"
 
     def hop_time(self) -> float:
         """Nearest neighbor 50:50 exchange time, the default cycle length."""
@@ -193,26 +172,31 @@ class ResultRecord:
     failure: str | None = None
 
 
-def build_scenario(cfg: ScenarioConfig):
-    """Materialize (space, couplings, schedule, initial state, engine)."""
+def _mode_maps(cfg: ScenarioConfig) -> ModeMaps:
+    """The chain's couplings and window maps.  An ideal run opens no
+    window, so the default coupling serves it."""
     chain = IonChainConfig.equidistant(cfg.mode_count, cfg.spacing,
                                        truncation_distance=cfg.truncation_distance)
-    couplings = build_coupling_matrix(chain)
+    return ModeMaps(build_coupling_matrix(chain), window_coupling=(
+        cfg.window_coupling or PULSE_DEFAULTS["window_coupling"]))
+
+
+def build_scenario(cfg: ScenarioConfig):
+    """Materialize (space, couplings, schedule, initial state, engine)."""
+    maps = _mode_maps(cfg)
     space = FockSpace(cfg.mode_count, cfg.per_mode_cutoff)
     initial = basis_state(space, cfg.initial_occupations)
     total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
     pulse = (design_pulse(cfg.pulse_duration, cfg.pulse_ramp_up, cfg.pulse_ramp_down,
                           cfg.pulse_sharpness, target_phase=cfg.target_phase)
-             if cfg.pulse_model == "shaped" else None)
+             if cfg.pulse_duration is not None else None)
     spec = DDSpec(mode_count=cfg.mode_count, total_time=total,
                   repetitions=cfg.repetitions, protected_set=cfg.protected_set,
                   truncation_distance=cfg.truncation_distance,
                   level_role_swap=cfg.level_role_swap, shaped_pulse=pulse)
     schedule = synthesize(spec)
-    maps = ModeMaps(couplings, window_coupling=cfg.window_coupling,
-                    local_error_tolerance=cfg.local_error_tolerance)
     engine = SchedulePropagator(space, maps)
-    return space, couplings, schedule, initial, engine
+    return space, maps.couplings, schedule, initial, engine
 
 
 def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResult]:
@@ -238,7 +222,7 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
         ("n_max", str(cfg.per_mode_cutoff)),
         ("repetitions", str(cfg.repetitions)),
         ("model", cfg.pulse_model),
-        ("coupling", cfg.window_coupling),
+        ("coupling", cfg.window_coupling or ""),
         ("total_time_us", to_micro(cfg.total_time if cfg.total_time is not None
                                    else cfg.hop_time())),
         ("pulse_us", to_micro(cfg.pulse_duration)
@@ -357,20 +341,18 @@ def scenario_catalog() -> list[ScenarioConfig]:
     ones = (1, 1, 1)
     bs = dict(protected_set=frozenset({0, 1}), beam_splitter_pair=(0, 1))
     return [
-        ScenarioConfig("fig1a", 2, near, 12, two, "shaped", **long_pulse),
-        ScenarioConfig("fig1b", 2, near, 14, two, "shaped", **short_pulse),
-        ScenarioConfig("fig2", 2, far, 12, two, "shaped", **long_pulse),
-        ScenarioConfig("fig3", 3, far, 8, three, "ideal", **plain),
-        ScenarioConfig("fig4a", 3, far, 8, three, "ideal"),
-        ScenarioConfig("fig4b", 3, far, 10, three, "shaped", **long_pulse),
-        ScenarioConfig("fig5a", 3, far, 8, three, "ideal", repetitions=5),
-        ScenarioConfig("fig5b", 3, far, 10, three, "shaped", repetitions=5,
-                       **long_pulse),
-        ScenarioConfig("fig6a", 3, far, 10, ones, "ideal", **bs),
-        ScenarioConfig("fig6b", 3, far, 10, ones, "shaped", **bs, **long_pulse),
-        ScenarioConfig("fig7a", 3, far, 10, ones, "ideal", repetitions=5, **bs),
-        ScenarioConfig("fig7b", 3, far, 10, ones, "shaped", repetitions=5,
-                       **bs, **long_pulse),
+        ScenarioConfig("fig1a", 2, near, 12, two, **long_pulse),
+        ScenarioConfig("fig1b", 2, near, 14, two, **short_pulse),
+        ScenarioConfig("fig2", 2, far, 12, two, **long_pulse),
+        ScenarioConfig("fig3", 3, far, 8, three, **plain),
+        ScenarioConfig("fig4a", 3, far, 8, three),
+        ScenarioConfig("fig4b", 3, far, 10, three, **long_pulse),
+        ScenarioConfig("fig5a", 3, far, 8, three, repetitions=5),
+        ScenarioConfig("fig5b", 3, far, 10, three, repetitions=5, **long_pulse),
+        ScenarioConfig("fig6a", 3, far, 10, ones, **bs),
+        ScenarioConfig("fig6b", 3, far, 10, ones, **bs, **long_pulse),
+        ScenarioConfig("fig7a", 3, far, 10, ones, repetitions=5, **bs),
+        ScenarioConfig("fig7b", 3, far, 10, ones, repetitions=5, **bs, **long_pulse),
     ]
 
 
@@ -579,14 +561,12 @@ CONFIG_KEYS = {
     "schedule.role_swap": ("level_role_swap", lambda v: tuple(
         _flag(x) for x in v.split(","))),
     "schedule.total_time_us": ("total_time", from_micro),
-    "pulse.model": ("pulse_model", str),
     "pulse.total_us": ("pulse_duration", from_micro),
     "pulse.ramp_up_us": ("pulse_ramp_up", from_micro),
     "pulse.ramp_down_us": ("pulse_ramp_down", from_micro),
     "pulse.sharpness": ("pulse_sharpness", float),
     "pulse.target_phase": ("target_phase", float),
     "propagator.coupling": ("window_coupling", str),
-    "propagator.tolerance": ("local_error_tolerance", float),
     "output.samples": ("record_samples", int),
     "output.beam_splitter_pair": ("beam_splitter_pair", lambda v: tuple(
         int(x) for x in v.split(","))),

@@ -85,9 +85,10 @@ class DDSpec:
         if any(not 0 <= q < self.mode_count for q in self.protected_set):
             raise ValueError("protected_set indices out of range")
         if self.truncation_distance is not None and self.truncation_distance < 1:
-            raise ValueError("truncation_distance must be >= 1")
+            raise ValueError("truncation_distance must be at least 1,"
+                             f" not {self.truncation_distance}")
         if self.protected_set and self.truncation_distance is not None:
-            raise ValueError("protected_set and truncation_distance cannot be combined")
+            raise ValueError("truncation_distance and protected_set cannot be combined")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ class TestRun:
         cfg = tmp_path / "fig3.cfg"
         cfg.write_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
                        "state.occupations = 2,1,0\npropagator.n_max = 8\n"
-                       "pulse.model = ideal\nschedule.role_swap = false,false\n")
+                       "schedule.role_swap = false,false\n")
         from_file = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
         assert from_file.exit_code == 0, from_file.output
         catalog = runner.invoke(main, ["run", "fig3", "--out", str(tmp_path)])
@@ -93,7 +93,7 @@ class TestRun:
         # 4 us windows carved from a two-segment cycle of 525 us fit below
         # 66 repetitions; the config is rejected before any pulse design
         cfg = tmp_path / "demo.cfg"
-        cfg.write_text(CHEAP_CFG + "pulse.model = shaped\npulse.total_us = 4.0\n"
+        cfg.write_text(CHEAP_CFG + "pulse.total_us = 4.0\n"
                        "schedule.repetitions = 200\n")
         res = runner.invoke(main, ["run", str(cfg), "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output

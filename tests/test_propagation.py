@@ -293,11 +293,7 @@ class TestScheduleRuns:
             engine.run(schedule, initial, foreign)
 
     @pytest.mark.parametrize("option,message", [
-        (dict(local_error_tolerance=0.0), "local_error_tolerance must be positive"),
         (dict(window_coupling="none"), "window_coupling must be one of"),
-        (dict(local_error_tolerance=-1e-12), "local_error_tolerance must be positive"),
-        (dict(local_error_tolerance=math.nan), "local_error_tolerance must be positive"),
-        (dict(local_error_tolerance=math.inf), "local_error_tolerance must be positive"),
     ])
     def test_mode_maps_reject_bad_values(self, option, message):
         _, cm = two_mode_setup(4)

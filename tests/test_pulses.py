@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erf
 
+from phonondd import pulses
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY
 from phonondd.pulses import (
     BFunctionParams,
@@ -45,6 +46,16 @@ def long_pulse():
 @pytest.fixture(scope="module")
 def short_pulse():
     return design_pulse(2.2 * T0, ramp_up=1.0 * T0, ramp_down=1.0 * T0)
+
+
+@pytest.mark.parametrize("x", [0.3, np.linspace(-4.0, 4.0, 2400),
+                               np.linspace(-3.0, 3.0, 12).reshape(3, 4), np.zeros(0)],
+                         ids=["0-d", "1-d", "2-d", "empty"])
+def test_erf_is_math_erf_per_element(x):
+    expected = np.vectorize(math.erf, otypes=[float])(x)
+    got = pulses.erf(x)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestScaleFactor:

@@ -99,6 +99,7 @@ class TestExecution:
         assert params["modes"] == "2"
         assert params["n_max"] == "4"
         assert params["model"] == "ideal"
+        assert params["coupling"] == ""  # an ideal run has no window
         assert dense_populations(result).shape == (48, 25)
 
     def test_record_parameters_are_exact_micro_units(self, scenario_cache):
@@ -108,7 +109,7 @@ class TestExecution:
         assert from_micro(params["total_time_us"]) == get_scenario("fig3").hop_time()
         assert params["pulse_us"] == ""
         cfg = cheap_config(extra="schedule.total_time_us = 100.1\n"
-                                 "pulse.model = shaped\npulse.total_us = 4.4\n")
+                                 "pulse.total_us = 4.4\n")
         params = dict(execute_scenario(cfg)[0].parameters)
         assert [params[key] for key in ("spacing_um", "total_time_us", "pulse_us")] \
             == ["43.8", "100.1", "4.4"]
@@ -501,7 +502,6 @@ chain.truncation = 1
 state.occupations = 2,1,0
 schedule.repetitions = 2
 schedule.total_time_us = 100.0
-pulse.model = shaped
 pulse.total_us = 4.0
 pulse.ramp_up_us = 2.0
 pulse.ramp_down_us = 2.0
@@ -509,7 +509,6 @@ pulse.sharpness = 5.0
 pulse.target_phase = 3.141592653589793
 propagator.n_max = 6
 propagator.coupling = full
-propagator.tolerance = 1e-10
 output.samples = 64
 """)
         assert cfg.name == "demo"
@@ -523,7 +522,6 @@ output.samples = 64
         assert cfg.pulse_sharpness == 5.0
         assert cfg.per_mode_cutoff == 6
         assert cfg.window_coupling == "full"
-        assert cfg.local_error_tolerance == 1e-10
         assert cfg.record_samples == 64
 
     def test_defaults(self):
@@ -533,6 +531,17 @@ output.samples = 64
                                  "state.occupations = 0,1\n")
         assert bare.per_mode_cutoff == 10
         assert bare.pulse_model == "ideal"
+        assert (bare.pulse_sharpness, bare.target_phase, bare.window_coupling) \
+            == (None, None, None)
+
+    def test_pulse_duration_alone_makes_a_config_shaped(self):
+        cfg = cheap_config(extra="pulse.total_us = 4.4\n")
+        assert cfg.pulse_model == "shaped"
+        assert (cfg.pulse_sharpness, cfg.target_phase, cfg.window_coupling) \
+            == (6.0, math.pi, "rwa")
+        assert replace(cfg, target_phase=3.0).target_phase == 3.0
+        with pytest.raises(ScenarioError, match="pulse_ramp_up is set"):
+            replace(cfg, pulse_duration=None, pulse_ramp_up=2.2e-6)
 
     def test_protected_and_roles(self):
         # three modes, one protected: three grouping slots, so two levels
@@ -601,19 +610,16 @@ output.samples = 64
             parse_config_text(text)
 
     @pytest.mark.parametrize("line,field", [
-        ("propagator.tolerance = 0", "local_error_tolerance"),
         ("pulse.sharpness = 0", "pulse_sharpness"),
         ("pulse.ramp_up_us = 0", "pulse_ramp_up"),
         ("pulse.ramp_down_us = -1", "pulse_ramp_down"),
         ("pulse.target_phase = -1", "target_phase"),
         ("pulse.sharpness = inf", "pulse_sharpness"),
-        ("propagator.tolerance = inf", "local_error_tolerance"),
         ("schedule.total_time_us = inf", "total_time"),
     ])
     def test_non_positive_pulse_and_tolerance_rejected_at_parse(self, line, field):
         with pytest.raises(ScenarioError, match=f"{field} must be positive"):
-            parse_config_text(CHEAP + "pulse.model = shaped\npulse.total_us = 4.0\n"
-                              + line + "\n")
+            parse_config_text(CHEAP + "pulse.total_us = 4.0\n" + line + "\n")
 
     @pytest.mark.parametrize("extra,message", [
         ("chain.truncation = 0\n", "truncation_distance must be at least 1, not 0"),
@@ -635,8 +641,7 @@ output.samples = 64
                   "pulse.ramp_up_us": ("pulse_ramp_up", cfg.pulse_ramp_up),
                   "pulse.ramp_down_us": ("pulse_ramp_down", cfg.pulse_ramp_down)}
         text = (f"chain.modes = {cfg.mode_count}\n"
-                f"state.occupations = {','.join('0' * cfg.mode_count)}\n"
-                f"pulse.model = {cfg.pulse_model}\n")
+                f"state.occupations = {','.join('0' * cfg.mode_count)}\n")
         text += "".join(f"{key} = {Decimal(repr(value)).scaleb(6)}\n"
                         for key, (_, value) in values.items() if value is not None)
         parsed = parse_config_text(text)
@@ -645,9 +650,11 @@ output.samples = 64
                 assert getattr(parsed, field).hex() == value.hex(), field
 
     @pytest.mark.parametrize("line,field", [
-        ("pulse.total_us = 4.4", "pulse_duration"),
         ("pulse.ramp_up_us = 2.2", "pulse_ramp_up"),
         ("pulse.ramp_down_us = 2.2", "pulse_ramp_down"),
+        ("pulse.sharpness = 6.0", "pulse_sharpness"),
+        ("pulse.target_phase = 3.141592653589793", "target_phase"),
+        ("propagator.coupling = rwa", "window_coupling"),
     ])
     def test_pulse_setting_on_an_ideal_config_rejected_at_parse(self, line, field):
         with pytest.raises(ScenarioError,
@@ -660,7 +667,8 @@ output.samples = 64
         assert targets == sorted(f.name for f in fields(ScenarioConfig))
 
     def test_unknown_key_rejected(self):
-        for line in ("chain.temperature = 300", "propagator.placement = carve"):
+        for line in ("chain.temperature = 300", "propagator.placement = carve",
+                     "pulse.model = shaped", "propagator.tolerance = 1e-10"):
             with pytest.raises(ScenarioError, match="unknown config key"):
                 parse_config_text(CHEAP + line + "\n")
 
@@ -673,7 +681,6 @@ output.samples = 64
             parse_config_text(CHEAP + "# again\npropagator.n_max = 6\n")
 
     @pytest.mark.parametrize("key,field,allowed", [
-        ("pulse.model", "pulse_model", "ideal, shaped"),
         ("propagator.coupling", "window_coupling", "rwa, full"),
     ])
     def test_unknown_model_choice_rejected_at_parse(self, key, field, allowed):

@@ -38,6 +38,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
+from phonondd import propagation
 from phonondd.model import (
     CouplingMatrix,
     FockSpace,
@@ -48,6 +49,7 @@ from phonondd.model import (
 )
 from phonondd.propagation import (
     FIRST_STEPS,
+    MAP_TOLERANCE,
     MAX_STEPS,
     ModeMaps,
     SLICE_BYTES,
@@ -727,12 +729,11 @@ def test_map_reads_the_drive_once_per_level_and_window():
 
 
 def test_map_records_its_certificate(caplog):
-    tolerance = 1e-12
-    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))), local_error_tolerance=tolerance)
+    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))))
     with caplog.at_level(logging.DEBUG, logger="phonondd"):
         heis = maps.window_map(frozenset({0}), PULSE)
     assert FIRST_STEPS < heis.steps <= MAX_STEPS
-    assert 0.0 < heis.delta <= 63.0 * tolerance
+    assert 0.0 < heis.delta <= 63.0 * MAP_TOLERANCE
     [line] = [r.getMessage() for r in caplog.records if "window map" in r.getMessage()]
     assert f"steps={heis.steps}" in line and "modes=[0]" in line
 
@@ -838,10 +839,11 @@ def test_magnus_step_is_sixth_order():
     assert fine * 2 ** 5 < coarse < fine * 2 ** 7
 
 
-def test_unreachable_tolerance_fails_at_the_step_ceiling():
-    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))), local_error_tolerance=1e-17)
+def test_unreachable_tolerance_fails_at_the_step_ceiling(monkeypatch):
+    monkeypatch.setattr(propagation, "MAP_TOLERANCE", 1e-17)
+    maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))))
     with pytest.raises(PropagationError,
-                       match=f"local_error_tolerance 1.0e-17.*at {MAX_STEPS} steps"):
+                       match=f"map tolerance 1.0e-17.*at {MAX_STEPS} steps"):
         maps.window_map(frozenset({0}), PULSE)
     assert not maps._cache
 
