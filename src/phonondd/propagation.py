@@ -45,10 +45,12 @@ at its start and its end.  Every operator moves quanta one at a time, so
 all are read from one table, the ladder: down[j, p] and up[j, p], the
 positions of n - e_j and n + e_j for the state n at position p, -1 off
 the cube.  A hop k -> j is up[j, down[k, p]], the pair tables are
-up[i, up[j]] and down[i, down[j]], Gamma(Y) below is raised through
-down, and the cutoff is where some up is -1.  Each sector evolves through
-the eigendecomposition of its own block, computed the first time a state
-occupies it, and a sector holding no amplitude stays exactly zero.  Ideal
+up[i, up[j]] and down[i, down[j]], and the cutoff is where some up is -1.
+Gamma(Y) below is raised through down, one level per sector, and the
+levels are built on first use, up to the top sector that a window's
+input holds.  Each sector evolves through the eigendecomposition of its
+own block, computed the first time a state occupies it, and a sector
+holding no amplitude stays exactly zero.  Ideal
 pulses are instantaneous parity phases.  A window's U, and the U of every
 sample recorded inside it, act on the Fock vector through the normal
 ordered form
@@ -470,10 +472,12 @@ class SchedulePropagator:
     The ladder ``_down``/``_up`` (M x dimension), built once from the
     base-(n_max + 1) digits of the Fock index, holds the positions of
     n - e_j and n + e_j, -1 off the cube; the sector hopping blocks, the
-    pair tables, the levels of Gamma(Y) and the cutoff mask are read from
-    it.  No call writes to a stored table.  Eigensystems come from
-    ``numpy.linalg.eigh``, so every dense call runs on numpy's OpenBLAS and
-    LAPACK: SciPy's second OpenBLAS pool slowed the numpy calls after it.
+    pair tables and the cutoff mask are read from it.  The levels of
+    Gamma(Y) are built from it on first use, up to the top sector that a
+    window's input holds, and only extended after.  No call writes to a
+    stored table.  Eigensystems come from ``numpy.linalg.eigh``, so every
+    dense call runs on numpy's OpenBLAS and LAPACK: SciPy's second OpenBLAS
+    pool slowed the numpy calls after it.
     """
 
     def __init__(self, space: FockSpace, maps: ModeMaps):
@@ -504,7 +508,7 @@ class SchedulePropagator:
         self._parities: dict[frozenset[int], np.ndarray] = {}
         self._eigensystems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pair_tables: tuple | None = None
-        self._raise_levels: list[tuple[np.ndarray, ...]] | None = None
+        self._raise_levels: list[tuple[np.ndarray, ...]] = []
 
     def _rows(self, n: int) -> slice:
         """Sector n of a sector-ordered vector."""
@@ -662,29 +666,30 @@ class SchedulePropagator:
                 if not live.size:
                     return out, terms, tails
 
-    def _levels(self) -> list[tuple[np.ndarray, ...]]:
-        """Per sector N >= 1: how each of its states is raised from sector N-1.
+    def _levels(self, top: int) -> list[tuple[np.ndarray, ...]]:
+        """Per sector N = 1 .. ``top``: how each of its states is raised from
+        sector N-1.
 
         Entry N-1 holds, for each state n of sector N, the lowest occupied
         mode i and 1/sqrt(n_i); for each mode j, sqrt(n_j); and the flat
         index into the sector N-1 matrix of the element (n - e_j, m - e_i)
         that feeds element (n, m) through a_j^dag.  Where n_j = 0 the index
-        is 0 and the weight sqrt(n_j) removes the term.
+        is 0 and the weight sqrt(n_j) removes the term.  The list is kept
+        and only extended, up to the highest ``top`` asked for, so it may
+        hold more entries than ``top``.
         """
-        if self._raise_levels is None:
-            off = self._offsets
-            self._raise_levels = []
-            for n in range(1, off.size - 1):
-                occ = self._numbers[:, self._rows(n)]
-                below = self._down[:, self._rows(n)]
-                cols = np.arange(occ.shape[1])
-                first = np.argmax(occ > 0, axis=0)
-                # the position of n - e_j within sector N-1
-                rows = np.where(below >= 0, below - off[n - 1], 0)
-                parent = rows[first, cols]
-                flat = rows[:, :, None] * (off[n] - off[n - 1]) + parent[None, None, :]
-                self._raise_levels.append(
-                    (first, 1.0 / np.sqrt(occ[first, cols]), np.sqrt(occ), flat))
+        off = self._offsets
+        for n in range(len(self._raise_levels) + 1, top + 1):
+            occ = self._numbers[:, self._rows(n)]
+            below = self._down[:, self._rows(n)]
+            cols = np.arange(occ.shape[1])
+            first = np.argmax(occ > 0, axis=0)
+            # the position of n - e_j within sector N-1
+            rows = np.where(below >= 0, below - off[n - 1], 0)
+            parent = rows[first, cols]
+            flat = rows[:, :, None] * (off[n] - off[n - 1]) + parent[None, None, :]
+            self._raise_levels.append(
+                (first, 1.0 / np.sqrt(occ[first, cols]), np.sqrt(occ), flat))
         return self._raise_levels
 
     def _passive(self, amps: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -696,15 +701,16 @@ class SchedulePropagator:
         comes back, so the cube columns need only cube rows.  The blocks of
         each sector up to the highest occupied one are one gather over all
         modes from the blocks below them, in row chunks of at most
-        SLICE_BYTES.
+        SLICE_BYTES, through the levels up to that sector.
         """
         lo, hi = self._band(amps)
+        levels = self._levels(hi)
         count = len(amps)
         out = np.zeros_like(amps)
         gamma = np.ones((count, 1, 1), dtype=complex)
         for n in range(hi + 1):
             if n:
-                first, scale, weight, flat = self._levels()[n - 1]
+                first, scale, weight, flat = levels[n - 1]
                 below = gamma.reshape(count, -1)
                 gamma = np.empty((count,) + flat.shape[1:], dtype=complex)
                 size = max(1, SLICE_BYTES // (16 * flat.size))

@@ -11,6 +11,7 @@ references and attach a pass or fail verdict per stored tolerance.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -356,11 +357,18 @@ def scenario_catalog() -> list[ScenarioConfig]:
     ]
 
 
+@functools.cache
+def _catalog_by_name() -> dict[str, ScenarioConfig]:
+    """The catalog by name, built once per process: the configs are frozen,
+    so every caller shares them."""
+    return {cfg.name: cfg for cfg in scenario_catalog()}
+
+
 def get_scenario(name: str) -> ScenarioConfig:
-    for cfg in scenario_catalog():
-        if cfg.name == name:
-            return cfg
-    raise ScenarioError(f"unknown scenario {name!r}")
+    try:
+        return _catalog_by_name()[name]
+    except KeyError:
+        raise ScenarioError(f"unknown scenario {name!r}") from None
 
 
 SWEEP_AXES = ("n_r", "d", "T_P", "n_max")

@@ -59,6 +59,25 @@ class TestCatalog:
         with pytest.raises(ScenarioError):
             get_scenario("fig99")
 
+    def test_get_scenario_builds_the_catalog_once(self, monkeypatch):
+        get_scenario("fig1a")
+        built = []
+        post_init = ScenarioConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg.name)
+            post_init(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+        assert get_scenario("fig4b") is get_scenario("fig4b")
+        assert get_scenario("fig4b").name == "fig4b"
+        with pytest.raises(ScenarioError, match="unknown scenario 'fig99'"):
+            get_scenario("fig99")
+        assert built == []
+        # the counter sees every build, and the catalog list is new per call
+        assert scenario_catalog() is not scenario_catalog()
+        assert len(built) == 24
+
     def test_catalog_shapes(self):
         cat = {cfg.name: cfg for cfg in scenario_catalog()}
         assert cat["fig1a"].mode_count == 2

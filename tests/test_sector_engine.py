@@ -264,9 +264,16 @@ def test_ladder_moves_one_quantum(modes, cutoff):
         lowered[j] -= 1
         np.testing.assert_array_equal(digits[:, down[j, has]], lowered)
     np.testing.assert_array_equal(engine._boundary, (digits == cutoff).any(axis=0))
-    # the tables read from the ladder equal the Fock shift construction
+    # the tables read from the ladder equal the Fock shift construction,
+    # with the levels built to every sector at once and in two steps
+    top = engine._offsets.size - 2
+    levels = fock_shift_levels(engine)
+    stepped = SchedulePropagator(space, ModeMaps(couplings))
+    low = list(stepped._levels(top // 2))
     for got, expected in [(engine._pairs(), fock_shift_pairs(engine)),
-                          (engine._levels(), fock_shift_levels(engine))]:
+                          (engine._levels(top), levels),
+                          (low, levels[:top // 2]),
+                          (stepped._levels(top), levels)]:
         assert len(got) == len(expected)
         for a, b in zip(itertools.chain(*got), itertools.chain(*expected)):
             np.testing.assert_array_equal(a, b)

@@ -21,7 +21,9 @@ terms and on a batch wider than one row chunk.  The trim of sub-round-off sector
 early stop of the raising series are checked against the bounds they rest
 on: the apply is a contraction, a trim drops at most eps of the norm, a
 stop leaves out at most its tail bound, and a run moves by at most eps per
-window end through the trims and 3 eps through the stops.
+window end through the trims and 3 eps through the stops.  A run builds
+the Gamma(Y) levels only up to the top sector of its window inputs, with
+the result of a run that built them all, and its traced peak shows it.
 """
 
 import cmath
@@ -63,7 +65,12 @@ from phonondd.pulses import (
     design_pulse,
     scale_factor_derivatives,
 )
-from phonondd.scenarios import build_scenario, get_scenario, scenario_catalog
+from phonondd.scenarios import (
+    build_scenario,
+    execute_scenario,
+    get_scenario,
+    scenario_catalog,
+)
 from phonondd.sequences import DDSpec, Evolve, synthesize
 
 from dense_oracle import embed, ladder_operator, phase_distance, project
@@ -943,6 +950,48 @@ def test_catalog_final_states_keep_no_sub_round_off_tail(scenario_cache):
         final = scenario_cache.result(cfg.name).final_state
         top = sector_totals(final.space)[np.flatnonzero(final.amplitudes)].max()
         assert top <= pinned.get(cfg.name, 7), cfg.name
+
+
+def test_levels_are_built_up_to_the_top_window_input():
+    """A fig4b run builds the Gamma(Y) levels of the sectors up to the
+    highest one that any window's input holds, 7 of its 30, and gives
+    bit for bit the result of an engine that built all 30 before it."""
+    cfg = get_scenario("fig4b")
+    _, _, schedule, initial, lazy = build_scenario(cfg)
+    tops = []
+    apply = lazy._apply
+
+    def traced(amps, maps):
+        tops.append(int(lazy._total[np.flatnonzero(amps)].max()))
+        return apply(amps, maps)
+
+    lazy._apply = traced
+    got = lazy.run(schedule, initial, None, cfg.record_samples)
+    assert len(lazy._raise_levels) == max(tops) == 7
+    eager = SchedulePropagator(lazy.space, lazy.maps)
+    top = eager._offsets.size - 2
+    assert len(eager._levels(top)) == top == 30
+    expected = eager.run(schedule, initial, None, cfg.record_samples)
+    assert np.array_equal(got.populations, expected.populations)
+    assert np.array_equal(got.final_state.amplitudes, expected.final_state.amplitudes)
+    for name in ("error_E", "norm_drift", "boundary_leakage"):
+        assert getattr(got, name).hex() == getattr(expected, name).hex(), name
+
+
+def test_fig4b_run_traces_no_level_tables_past_its_windows():
+    """One fig4b run, after a first that loads numpy's lazy modules, traces
+    a peak of at most 5.5 MB: 4.59 MB measured with the levels built up to
+    the top window input, 6.79 MB with all 30 built, 2.19 MB of them."""
+    bound = 5.5e6
+    cfg = get_scenario("fig4b")
+    execute_scenario(cfg)
+    tracemalloc.start()
+    try:
+        execute_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_long_chain_map_needs_no_fock_space():
