@@ -1,7 +1,7 @@
 """Command line harness: scenario runs, sweeps, reports, pulse export.
 
 Exit codes: 0 when everything passed, 1 when a stored tolerance failed,
-2 on configuration or propagation errors.  Output lands in --out, the
+2 on configuration, propagation or output errors.  Output lands in --out, the
 PHONONDD_OUT environment variable, or the working directory.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -41,6 +42,12 @@ def main() -> None:
     """Phonon hopping decoupling toolkit."""
 
 
+def _fail(error: object) -> NoReturn:
+    """Report a configuration or output error and exit with code 2."""
+    click.echo(f"error: {error}", err=True)
+    sys.exit(2)
+
+
 def _resolve(token: str):
     path = Path(token)
     if path.suffix and path.exists():
@@ -57,15 +64,14 @@ def run(scenario: str, out: str | None, full_populations: bool) -> None:
     """Run a catalog scenario or a key=value config file."""
     try:
         cfg = _resolve(scenario)
+        out_dir = output_directory(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         record, result = execute_scenario(cfg)
-    except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    out_dir = output_directory(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{cfg.name}_populations.csv").write_text(
-        populations_csv(result, cfg, full=full_populations))
-    (out_dir / f"{cfg.name}_result.csv").write_text(records_csv([record]))
+        (out_dir / f"{cfg.name}_populations.csv").write_text(
+            populations_csv(result, cfg, full=full_populations))
+        (out_dir / f"{cfg.name}_result.csv").write_text(records_csv([record]))
+    except (ScenarioError, OSError) as exc:
+        _fail(exc)
     metric = record.error_EB if record.error_EB is not None else record.error_E
     click.echo(f"{cfg.name}: error={metric:.6e} norm_drift={record.norm_drift:.2e}"
                f" leakage={record.boundary_leakage:.2e}"
@@ -93,14 +99,13 @@ def sweep(scenario: str, axis: str, values: str, out: str | None) -> None:
             parsed = [int(v) for v in raw]
         else:  # d and T_P are given in microns and microseconds
             parsed = [from_micro(v) for v in raw]
+        out_dir = output_directory(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         records = run_sweep(cfg, axis, parsed)
-    except (ScenarioError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    out_dir = output_directory(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = records_csv(records)
-    (out_dir / f"{cfg.name}_sweep_{axis}.csv").write_text(text)
+        text = records_csv(records)
+        (out_dir / f"{cfg.name}_sweep_{axis}.csv").write_text(text)
+    except (ScenarioError, ValueError, OSError) as exc:
+        _fail(exc)
     click.echo(text, nl=False)
     if any(rec.failure for rec in records):
         sys.exit(2)
@@ -126,22 +131,20 @@ def report(scenarios: str | None, out: str | None) -> None:
     names = ([s.strip() for s in scenarios.split(",") if s.strip()]
              if scenarios is not None else [cfg.name for cfg in scenario_catalog()])
     if not names:
-        click.echo("error: no scenarios selected", err=True)
-        sys.exit(2)
+        _fail("no scenarios selected")
     records = []
     try:
+        out_dir = output_directory(out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:
             record, _ = execute_scenario(get_scenario(name))
             click.echo(f"ran {name}: "
                        f"{record.error_EB if record.error_EB is not None else record.error_E:.6e}")
             records.append(record)
-    except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    text, ok = emit_report(records)
-    out_dir = output_directory(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(text)
+        text, ok = emit_report(records)
+        (out_dir / "report.csv").write_text(text)
+    except (ScenarioError, OSError) as exc:
+        _fail(exc)
     click.echo(text, nl=False)
     sys.exit(0 if ok else 1)
 
@@ -171,20 +174,18 @@ def pulse_design(tp_us: str, tud_us: str | None, sigma: float,
         ramp = from_micro(tud_us) if tud_us is not None else None
         shaped = design_pulse(from_micro(tp_us), ramp, ramp, sigma, w0, target_phase)
     except (PulseDesignError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(exc)
     click.echo(f"depth k = {shaped.params.depth:.6f}")
     click.echo(f"achieved phase = {shaped.achieved_phase():.9f} rad"
                f" (target {target_phase:.9f})")
     click.echo(f"peak excursion = {shaped.peak_excursion() / (2e3 * math.pi):.3f} kHz")
     if export:
-        trap = TrapParams()
         try:
-            text = waveform_table(shaped, trap)
-        except PulseDesignError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        Path(export).write_text(text)
+            text = waveform_table(shaped, TrapParams())
+            Path(export).parent.mkdir(parents=True, exist_ok=True)
+            Path(export).write_text(text)
+        except (PulseDesignError, OSError) as exc:
+            _fail(exc)
         click.echo(f"waveform written to {export}")
 
 

@@ -123,9 +123,6 @@ class CouplingMatrix:
     def mode_count(self) -> int:
         return self.kappa.shape[0]
 
-    def rate(self, j: int, k: int) -> float:
-        return float(self.kappa[j, k])
-
 
 def build_coupling_matrix(config: IonChainConfig) -> CouplingMatrix:
     """Hopping rates for every mode pair, honoring the truncation distance."""

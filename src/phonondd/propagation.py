@@ -529,7 +529,7 @@ class SchedulePropagator:
         the nonzero amplitudes.  The hopping block of a sector is real
         symmetric, so its eigenvectors are real.
         """
-        for n in np.unique(self._total[np.flatnonzero(amps)]).tolist():
+        for n in sorted(set(self._total[np.flatnonzero(amps)].tolist())):
             rows = self._rows(n)
             if n not in self._eigensystems:
                 self._eigensystems[n] = np.linalg.eigh(self._hopping_block(n))
@@ -776,9 +776,9 @@ class SchedulePropagator:
             raise ValueError("initial state lives in a different Fock space")
         started = time.perf_counter()
         steps = self.maps.steps(schedule)
-        # unique: a schedule that takes no time has one grid point
-        times = np.unique(np.linspace(0.0, schedule.total_evolve_time,
-                                      record_samples))
+        # distinct: a schedule that takes no time has one grid point
+        times = np.array(sorted(set(np.linspace(0.0, schedule.total_evolve_time,
+                                                record_samples).tolist())))
         inside = times[:-1]  # the last row holds the final state
         amps = initial.amplitudes[self._fock]
         # the sectors the run can reach, see above
@@ -865,6 +865,13 @@ def error_overlap(initial: PhononState, final: PhononState) -> float:
     return 1.0 - abs(np.vdot(initial.amplitudes, final.amplitudes))
 
 
+def check_beam_splitter_pair(pair: tuple[int, int], mode_count: int) -> None:
+    """Raise ValueError unless ``pair`` names two distinct modes of the chain."""
+    if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(range(mode_count)):
+        raise ValueError("beam_splitter_pair must name two distinct modes in"
+                         f" 0..{mode_count - 1}, not {pair}")
+
+
 def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
                             angle: float = math.pi / 4.0) -> PhononState:
     """Exact 50:50 target: exp(-i angle (a_j^dag a_k + a_k^dag a_j)) |state>.
@@ -874,10 +881,9 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
     coupling: its sector blocks hop quanta along the engine's ladder and
     its one free kernel evolves the sectors the state occupies.
     """
-    j, k = pair
     m = state.space.mode_count
-    if j == k or not (0 <= j < m and 0 <= k < m):
-        raise ValueError("pair must name two distinct modes")
+    check_beam_splitter_pair(pair, m)
+    j, k = pair
     mixer = np.zeros((m, m))
     mixer[j, k] = mixer[k, j] = 2.0
     engine = SchedulePropagator(state.space, ModeMaps(CouplingMatrix(mixer)))

@@ -141,9 +141,10 @@ def _dip_on_nodes(params: BFunctionParams):
     integrand to roundoff.
     """
     tp = params.total_duration
-    cuts = np.unique(np.clip([0.0, params.ramp_up, tp - params.ramp_down, 0.5 * tp, tp],
-                             0.0, tp))
-    edges = np.unique([np.linspace(a, b, PANELS + 1) for a, b in zip(cuts, cuts[1:])])
+    cuts = sorted(set(np.clip([0.0, params.ramp_up, tp - params.ramp_down, 0.5 * tp, tp],
+                              0.0, tp).tolist()))
+    edges = np.array(sorted({x for a, b in zip(cuts, cuts[1:])
+                             for x in np.linspace(a, b, PANELS + 1).tolist()}))
     half = 0.5 * np.diff(edges)[:, None]
     u1, u2 = _ramp_coords((edges[:-1, None] + half * (1.0 + GAUSS_NODES)).ravel(), params)
     return 0.5 * (erf(u1) - erf(u2)), (half * GAUSS_WEIGHTS).ravel()

@@ -38,8 +38,9 @@ from .propagation import (
     SchedulePropagator,
     SimulationResult,
     beam_splitter_reference,
+    check_beam_splitter_pair,
 )
-from .pulses import design_pulse
+from .pulses import ShapedPulse, design_pulse
 from .sequences import (
     DDSpec,
     feasibility_bounds,
@@ -112,24 +113,17 @@ class ScenarioConfig:
         if any(not 0 <= n <= self.per_mode_cutoff for n in self.initial_occupations):
             raise ScenarioError(f"{self.name}: initial_occupations must lie in"
                                 f" 0..{self.per_mode_cutoff} (the cutoff)")
-        pair = self.beam_splitter_pair
-        if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
-                                 or not set(pair) <= set(range(self.mode_count))):
-            raise ScenarioError(f"{self.name}: beam_splitter_pair must name two"
-                                f" distinct modes in 0..{self.mode_count - 1},"
-                                f" not {pair}")
-        if self.record_samples < 2:
-            raise ScenarioError(f"{self.name}: record_samples must be at least 2")
-        try:  # the schedule, the couplings and the maps the run builds
-            cycle = self.total_time
-            if cycle is None:
-                cycle = self.hop_time()
-                if cycle == math.inf:
-                    raise ValueError(f"spacing {self.spacing!r} m gives a hop"
-                                     " time of inf s")
-            target_sets(DDSpec(self.mode_count, cycle, self.repetitions,
-                               self.protected_set, self.truncation_distance,
-                               self.level_role_swap))
+        try:  # what the run would reject: pair, samples, plan, couplings, maps
+            if self.beam_splitter_pair is not None:
+                check_beam_splitter_pair(self.beam_splitter_pair, self.mode_count)
+            if self.record_samples < 2:
+                raise ValueError("record_samples must be at least 2")
+            spec = self.spec()
+            if self.pulse_duration is None:
+                target_sets(spec)
+                bound = None
+            else:
+                bound = feasibility_bounds(spec, self.pulse_duration).repetition_bound
             _mode_maps(self)
         except ValueError as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
@@ -137,16 +131,25 @@ class ScenarioConfig:
             if self.pulse_duration is None and getattr(self, key) is not None:
                 raise ScenarioError(f"{self.name}: {key} is set, but an ideal"
                                     " pulse_model has no pulse")
-        if self.pulse_duration is not None:
-            bound = feasibility_bounds(
-                cycle, self.pulse_duration, mode_count=self.mode_count,
-                protected_set=self.protected_set,
-                truncation_distance=self.truncation_distance).repetition_bound
-            if bound is not None and self.repetitions >= bound:
-                raise ScenarioError(
-                    f"{self.name}: {self.repetitions} repetitions reach the"
-                    f" repetition bound {bound}: a carved pulse window no longer"
-                    " fits in the shortest segment of the schedule")
+        if bound is not None and self.repetitions >= bound:
+            raise ScenarioError(
+                f"{self.name}: {self.repetitions} repetitions reach the"
+                f" repetition bound {bound}: a carved pulse window no longer"
+                " fits in the shortest segment of the schedule")
+
+    def spec(self, pulse: ShapedPulse | None = None) -> DDSpec:
+        """The decoupling plan of this run, shaped by ``pulse`` when given.
+
+        The cycle is ``total_time``, or the hop time when that is unset.
+        """
+        cycle = self.total_time
+        if cycle is None:
+            cycle = self.hop_time()
+            if cycle == math.inf:
+                raise ValueError(f"spacing {self.spacing!r} m gives a hop"
+                                 " time of inf s")
+        return DDSpec(self.mode_count, cycle, self.repetitions, self.protected_set,
+                      self.truncation_distance, self.level_role_swap, pulse)
 
     @property
     def pulse_model(self) -> str:
@@ -183,27 +186,21 @@ def _mode_maps(cfg: ScenarioConfig) -> ModeMaps:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Materialize (space, couplings, schedule, initial state, engine)."""
+    """Materialize (schedule, initial state, engine); the engine holds the
+    Fock space, ``engine.space``, and the couplings, ``engine.maps.couplings``."""
     maps = _mode_maps(cfg)
     space = FockSpace(cfg.mode_count, cfg.per_mode_cutoff)
     initial = basis_state(space, cfg.initial_occupations)
-    total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
     pulse = (design_pulse(cfg.pulse_duration, cfg.pulse_ramp_up, cfg.pulse_ramp_down,
                           cfg.pulse_sharpness, target_phase=cfg.target_phase)
              if cfg.pulse_duration is not None else None)
-    spec = DDSpec(mode_count=cfg.mode_count, total_time=total,
-                  repetitions=cfg.repetitions, protected_set=cfg.protected_set,
-                  truncation_distance=cfg.truncation_distance,
-                  level_role_swap=cfg.level_role_swap, shaped_pulse=pulse)
-    schedule = synthesize(spec)
-    engine = SchedulePropagator(space, maps)
-    return space, maps.couplings, schedule, initial, engine
+    return synthesize(cfg.spec(pulse)), initial, SchedulePropagator(space, maps)
 
 
 def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResult]:
     """Run one scenario and return both the record and the full timeline."""
     try:
-        space, couplings, schedule, initial, engine = build_scenario(cfg)
+        schedule, initial, engine = build_scenario(cfg)
         reference = None
         if cfg.beam_splitter_pair is not None:
             reference = beam_splitter_reference(initial, cfg.beam_splitter_pair)
@@ -224,8 +221,7 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
         ("repetitions", str(cfg.repetitions)),
         ("model", cfg.pulse_model),
         ("coupling", cfg.window_coupling or ""),
-        ("total_time_us", to_micro(cfg.total_time if cfg.total_time is not None
-                                   else cfg.hop_time())),
+        ("total_time_us", to_micro(cfg.spec().total_time)),
         ("pulse_us", to_micro(cfg.pulse_duration)
          if cfg.pulse_duration is not None else ""),
         ("initial", "".join(str(n) for n in cfg.initial_occupations)),

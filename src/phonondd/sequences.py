@@ -340,7 +340,7 @@ def signed_dwell_check(schedule: PulseSchedule,
     for pair, runs in trace.items():
         integrals[pair] = math.fsum(d * s for d, s in runs)
         j, k = pair
-        coupled = couplings is None or couplings.rate(j, k) != 0.0
+        coupled = couplings is None or couplings.kappa[j, k] != 0.0
         if j in protected and k in protected:
             if any(s != 1 for _, s in runs):
                 failures.append(f"protected pair {pair} saw a sign flip")
@@ -364,42 +364,32 @@ class FeasibilityBounds:
     ``eta_bound`` the largest usable truncation distance (both powers of
     two, reached inclusively); ``repetition_bound`` is the first repetition
     count that no longer fits, so valid counts stay strictly below it.  A
-    zero bound means nothing fits, and None that no mode count was given
-    or the schedule has no pulse.
+    zero bound means nothing fits, and a repetition bound of None that the
+    plan has no levels, so its schedule has no pulse.
     """
 
     mode_bound: int
     eta_bound: int
-    repetition_bound: int | None = None
+    repetition_bound: int | None
 
 
-def feasibility_bounds(total_time: float, pulse_duration: float,
-                       repetitions: int = 1,
-                       mode_count: int | None = None,
-                       protected_set: Iterable[int] = (),
-                       truncation_distance: int | None = None) -> FeasibilityBounds:
+def feasibility_bounds(spec: DDSpec, pulse_duration: float) -> FeasibilityBounds:
     """How large a schedule fits when each pulse burns ``pulse_duration``.
 
     The shortest segment of a depth-d cycle at n_r repetitions is
     T / (2^d n_r) and must exceed the pulse, so 2^d < T / (T_P n_r); the
-    bounds below restate that for the mode count, the truncation distance,
-    and (given a mode count) the repetition count.  The repetition bound
-    takes d from the plan :func:`synthesize` picks for the mode count,
-    protected set and truncation distance, and admits a segment that the
-    pulse fills exactly, as a carved window may.
+    bounds below restate that for the mode count, the truncation distance
+    and the repetition count of ``spec``.  The repetition bound takes d
+    from the plan of ``spec``, :func:`target_sets`, and admits a segment
+    that the pulse fills exactly, as a carved window may.
     """
-    check_positive(total_time=total_time, pulse_duration=pulse_duration)
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    check_positive(pulse_duration=pulse_duration)
+    depth = len(target_sets(spec))
     rep_bound: int | None = None
-    if mode_count is not None:
-        spec = DDSpec(mode_count, total_time, protected_set=frozenset(protected_set),
-                      truncation_distance=truncation_distance)
-        depth = len(target_sets(spec))
-        if depth:
-            limit = total_time / (2 ** depth * pulse_duration)
-            rep_bound = math.floor(limit) + 1 if limit >= 1.0 else 0
-    ratio = total_time / (pulse_duration * repetitions)
+    if depth:
+        limit = spec.total_time / (2 ** depth * pulse_duration)
+        rep_bound = math.floor(limit) + 1 if limit >= 1.0 else 0
+    ratio = spec.total_time / (pulse_duration * spec.repetitions)
     if ratio <= 1.0:
         return FeasibilityBounds(0, 0, rep_bound)
     exponent = math.floor(math.log2(ratio))

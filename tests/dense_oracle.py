@@ -72,7 +72,7 @@ def hopping_hamiltonian(space: FockSpace,
     lowering = [ladder_operator(space, j) for j in range(space.mode_count)]
     for j in range(space.mode_count):
         for k in range(j):
-            rate = couplings.rate(j, k)
+            rate = couplings.kappa[j, k]
             if rate == 0.0:
                 continue
             cross = lowering[j].conj().T @ lowering[k]
@@ -242,7 +242,7 @@ def pair_creation_hamiltonian(space: FockSpace, couplings: CouplingMatrix
     out = sp.csr_matrix((space.dimension, space.dimension), dtype=complex)
     for j in range(space.mode_count):
         for k in range(j):
-            out = out + 0.5 * HBAR * couplings.rate(j, k) * (raises[j] @ raises[k])
+            out = out + 0.5 * HBAR * couplings.kappa[j, k] * (raises[j] @ raises[k])
     return out.tocsr()
 
 

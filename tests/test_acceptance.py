@@ -336,11 +336,11 @@ def test_property_waveform_round_trips():
 
 def test_property_feasibility_bounds():
     total = hop_window(NARROW)
-    single = feasibility_bounds(total, 1e-6, repetitions=1, mode_count=3)
+    single = feasibility_bounds(DDSpec(3, total), 1e-6)
     assert single.repetition_bound == 33
     assert single.mode_bound == 128
     assert single.eta_bound == 64
-    five = feasibility_bounds(total, 1e-6, repetitions=5)
+    five = feasibility_bounds(DDSpec(3, total, repetitions=5), 1e-6)
     assert five.mode_bound == 16
     assert five.eta_bound == 8
 

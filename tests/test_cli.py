@@ -135,6 +135,14 @@ class TestRun:
         assert res.exit_code == 2, res.output
         assert f"error: demo: {message}" in res.output
 
+    def test_out_path_that_is_a_file_exits_before_running(self, runner, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        res = runner.invoke(main, ["run", "fig3", "--out", str(taken)])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("error: ") and "taken" in res.output
+        assert "fig3: error=" not in res.output
+
     def test_full_populations_flag(self, runner, tmp_path):
         cfg = tmp_path / "demo.cfg"
         cfg.write_text(CHEAP_CFG)
@@ -208,6 +216,15 @@ class TestReport:
         assert "no scenarios selected" in res.output
         assert not (tmp_path / "report.csv").exists()
 
+    def test_out_path_that_is_a_file_exits_before_running(self, runner, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        res = runner.invoke(main, ["report", "--scenarios", "fig3",
+                                   "--out", str(taken)])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("error: ") and "taken" in res.output
+        assert "ran fig3" not in res.output
+
 
 class TestPulseDesign:
     def test_prints_strength_and_phase(self, runner):
@@ -224,6 +241,19 @@ class TestPulseDesign:
         assert res.exit_code == 0, res.output
         text = out.read_text()
         assert text.startswith("t_s,b,omega_rad_s,omega_sq_excess,U0_V,V0_V")
+
+    def test_export_creates_its_directory(self, runner, tmp_path):
+        out = tmp_path / "new" / "wave.csv"
+        res = runner.invoke(main, ["pulse", "design", "--tp-us", "4",
+                                   "--export", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text().startswith("t_s,")
+
+    def test_export_to_a_directory_exits_with_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["pulse", "design", "--tp-us", "4",
+                                   "--export", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "error: " in res.output
 
     def test_infeasible_exits_cleanly(self, runner):
         res = runner.invoke(main, ["pulse", "design", "--tp-us", "0.2",

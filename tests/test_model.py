@@ -124,16 +124,16 @@ class TestChainAndCouplings:
         np.testing.assert_array_equal(cm.kappa, cm.kappa.T)
         assert np.all(np.diag(cm.kappa) == 0.0)
         # nearest neighbour dominates by the cube of the distance ratio
-        assert cm.rate(0, 1) / cm.rate(0, 2) == pytest.approx(8.0, rel=1e-12)
-        assert cm.rate(0, 1) / cm.rate(0, 3) == pytest.approx(27.0, rel=1e-12)
+        assert cm.kappa[0, 1] / cm.kappa[0, 2] == pytest.approx(8.0, rel=1e-12)
+        assert cm.kappa[0, 1] / cm.kappa[0, 3] == pytest.approx(27.0, rel=1e-12)
 
     def test_truncation_zeroes_far_pairs(self):
         cfg = IonChainConfig.equidistant(4, 27.6e-6, truncation_distance=1)
         cm = build_coupling_matrix(cfg)
-        assert cm.rate(0, 1) > 0
-        assert cm.rate(1, 2) > 0
-        assert cm.rate(0, 2) == 0.0
-        assert cm.rate(0, 3) == 0.0
+        assert cm.kappa[0, 1] > 0
+        assert cm.kappa[1, 2] > 0
+        assert cm.kappa[0, 2] == 0.0
+        assert cm.kappa[0, 3] == 0.0
 
     def test_coupling_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -268,7 +268,7 @@ class TestHamiltonians:
         i01 = self.space.index((0, 1, 0))
         got = complex(h[i01, i10]) / HBAR
         assert got.imag == 0.0
-        assert got.real == pytest.approx(self.cm.rate(0, 1) / 2, rel=1e-12,
+        assert got.real == pytest.approx(self.cm.kappa[0, 1] / 2, rel=1e-12,
                                          abs=0)
 
     def test_modulation_drive_prefactor(self):

@@ -237,7 +237,8 @@ class TestScheduleRuns:
         # steps write the ten columns of that sector, every other column
         # stays exactly zero, and each row matches the full-space oracle
         cfg = replace(get_scenario("fig3"), record_samples=64)
-        space, couplings, schedule, initial, engine = build_scenario(cfg)
+        schedule, initial, engine = build_scenario(cfg)
+        space = engine.space
         res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         total = sum(space.mode_occupations(q) for q in range(space.mode_count))
         assert np.count_nonzero(total == 3) == 10
@@ -245,8 +246,8 @@ class TestScheduleRuns:
         assert not res.final_state.amplitudes[total != 3].any()
         dense = dense_populations(res)
         assert np.all(dense[:, total != 3] == 0.0)
-        vals, vecs = np.linalg.eigh(hopping_hamiltonian(space, couplings).toarray()
-                                    / HBAR)
+        hamiltonian = hopping_hamiltonian(space, engine.maps.couplings)
+        vals, vecs = np.linalg.eigh(hamiltonian.toarray() / HBAR)
 
         def oracle(t_end):
             state, t = initial, 0.0
@@ -269,7 +270,8 @@ class TestScheduleRuns:
         # two grid points leave no free step an inner sample; the rows
         # still hold the initial and the final state
         cfg = replace(get_scenario("fig3"), record_samples=2)
-        space, couplings, schedule, initial, engine = build_scenario(cfg)
+        schedule, initial, engine = build_scenario(cfg)
+        space = engine.space
         res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         assert res.times[0] == 0.0
         assert res.times[1] == pytest.approx(schedule.total_evolve_time, rel=1e-12)
@@ -352,7 +354,8 @@ class TestRecord:
 
     def test_mixed_parity_state_through_a_window_records_every_state(self):
         cfg = replace(get_scenario("fig4b"), record_samples=2)
-        space, _, schedule, _, engine = build_scenario(cfg)
+        schedule, _, engine = build_scenario(cfg)
+        space = engine.space
         rng = np.random.default_rng(11)
         amps = rng.normal(size=space.dimension) + 1j * rng.normal(size=space.dimension)
         initial = PhononState(space, amps / np.linalg.norm(amps))
@@ -364,7 +367,8 @@ class TestRecord:
 
     def test_ideal_run_from_two_sectors_records_both(self):
         cfg = replace(get_scenario("fig3"), record_samples=16)
-        space, _, schedule, _, engine = build_scenario(cfg)
+        schedule, _, engine = build_scenario(cfg)
+        space = engine.space
         amps = np.zeros(space.dimension, dtype=complex)
         amps[space.index((2, 1, 0))] = 0.8
         amps[space.index((0, 1, 0))] = 0.6j
@@ -469,3 +473,29 @@ def test_cli_import_loads_no_scipy():
          " print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_and_reports_load_no_numpy_ma(tmp_path):
+    """``np.unique`` imports ``numpy.ma`` on its first call; no run path
+    may call it, so a run, its CSVs and its report leave it unloaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import sys\n"
+        "from phonondd.scenarios import (emit_report, execute_scenario, get_scenario,\n"
+        "                                populations_csv, records_csv)\n"
+        "records = []\n"
+        "for name in ('fig3', 'fig1b'):\n"
+        "    cfg = get_scenario(name)\n"
+        "    record, result = execute_scenario(cfg)\n"
+        "    open(name + '_populations.csv', 'w').write(populations_csv(result, cfg))\n"
+        "    open(name + '_result.csv', 'w').write(records_csv([record]))\n"
+        "    records.append(record)\n"
+        "emit_report(records)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    assert {p.name for p in tmp_path.iterdir()} == {
+        f"{name}_{kind}.csv" for name in ("fig3", "fig1b")
+        for kind in ("populations", "result")}

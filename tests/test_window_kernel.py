@@ -392,7 +392,7 @@ def test_apply_matches_the_fock_recurrence(modes, n_max, strength):
 
 
 def test_apply_matches_the_fock_recurrence_on_a_catalog_window_end():
-    _, _, schedule, _, engine = build_scenario(get_scenario("fig5b"))
+    schedule, _, engine = build_scenario(get_scenario("fig5b"))
     steps = engine.maps.steps(schedule)
     first = next(i for i, (kind, _, _) in enumerate(steps) if kind == "window")
     start = sum(duration for _, duration, _ in steps[:first])
@@ -502,7 +502,7 @@ def first_sampled_window(monkeypatch, name):
     """(engine, state, map stacks) at the first window of the catalog run
     ``name`` that records samples inside it."""
     cfg = get_scenario(name)
-    _, _, schedule, initial, engine = build_scenario(cfg)
+    schedule, initial, engine = build_scenario(cfg)
     calls = []
     apply = SchedulePropagator._apply
 
@@ -922,7 +922,7 @@ def catalog_maps():
     for cfg in scenario_catalog():
         if cfg.pulse_model != "shaped":
             continue
-        _, _, schedule, _, engine = build_scenario(cfg)
+        schedule, _, engine = build_scenario(cfg)
         for ev in schedule.events:
             if not isinstance(ev, Evolve):
                 heis = engine.maps.window_map(ev.modes, schedule.shaped_pulse)
@@ -957,7 +957,7 @@ def test_levels_are_built_up_to_the_top_window_input():
     highest one that any window's input holds, 7 of its 30, and gives
     bit for bit the result of an engine that built all 30 before it."""
     cfg = get_scenario("fig4b")
-    _, _, schedule, initial, lazy = build_scenario(cfg)
+    schedule, initial, lazy = build_scenario(cfg)
     tops = []
     apply = lazy._apply
 
