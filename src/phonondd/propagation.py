@@ -431,9 +431,13 @@ class ModeMaps:
             np.block([[pulsed, pulsed], [-pulsed, -pulsed]]))
         steps, nodes = FIRST_STEPS, generator.nodes(FIRST_STEPS)
         while True:
-            finer = generator.nodes(2 * steps)
-            delta = float(np.abs(_columns(finer[-1]) - _columns(nodes[-1])).max())
-            steps, nodes = 2 * steps, finer
+            # a level is compared by its last node alone, so the coarse
+            # stack is dropped before the finer one is built
+            coarse = _columns(nodes[-1])
+            del nodes
+            steps *= 2
+            nodes = generator.nodes(steps)
+            delta = float(np.abs(_columns(nodes[-1]) - coarse).max())
             if delta / 63.0 <= MAP_TOLERANCE:
                 break
             if steps >= MAX_STEPS:

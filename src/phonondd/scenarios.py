@@ -52,6 +52,14 @@ POPULATION_COLUMN_THRESHOLD = 1e-4
 LEAKAGE_LIMIT = 1e-6
 DEFAULT_RECORD_SAMPLES = 512
 
+# The largest run a config may ask for, checked at parse so that it does
+# not exhaust memory in the engine: the engine's tables peak at about
+# 60 M + 55 bytes per Fock state of M modes (234 B measured at M = 3), and
+# the record holds one float64 per state and sample.  The catalog needs at
+# most 1,331 states and 681,472 record values.
+MAX_FOCK_DIMENSION = 2 ** 20
+MAX_RECORD_VALUES = 2 ** 26
+
 # cycle time of one bare secular oscillation, the natural pulse length unit
 SECULAR_PERIOD = 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY
 
@@ -113,6 +121,15 @@ class ScenarioConfig:
         if any(not 0 <= n <= self.per_mode_cutoff for n in self.initial_occupations):
             raise ScenarioError(f"{self.name}: initial_occupations must lie in"
                                 f" 0..{self.per_mode_cutoff} (the cutoff)")
+        dimension = (self.per_mode_cutoff + 1) ** self.mode_count
+        records = self.record_samples * dimension
+        for key, size, limit, what in (
+                ("per_mode_cutoff", dimension, MAX_FOCK_DIMENSION, "Fock dimension of {:,}"),
+                ("record_samples", records, MAX_RECORD_VALUES, "record of {:,} values")):
+            if size > limit:
+                raise ScenarioError(
+                    f"{self.name}: {key} {getattr(self, key)} on {self.mode_count}"
+                    f" modes gives a {what.format(size)}, above the limit {limit:,}")
         try:  # what the run would reject: pair, samples, plan, couplings, maps
             if self.beam_splitter_pair is not None:
                 check_beam_splitter_pair(self.beam_splitter_pair, self.mode_count)
@@ -413,6 +430,14 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[ResultRecord]:
     return records
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted RFC 4180 style when it holds a
+    comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def records_csv(records) -> str:
     """Stable CSV for a set of result records (wall time omitted)."""
     out = io.StringIO()
@@ -420,13 +445,13 @@ def records_csv(records) -> str:
               "failure,parameters\n")
     for rec in records:
         params = ";".join(f"{k}={v}" for k, v in rec.parameters)
-        cells = [rec.scenario,
+        cells = [_csv_cell(rec.scenario),
                  "" if rec.error_E is None else repr(rec.error_E),
                  "" if rec.error_EB is None else repr(rec.error_EB),
                  "" if rec.norm_drift is None else repr(rec.norm_drift),
                  "" if rec.boundary_leakage is None else repr(rec.boundary_leakage),
-                 rec.failure or "",
-                 params]
+                 _csv_cell(rec.failure or ""),
+                 _csv_cell(params)]
         out.write(",".join(cells) + "\n")
     return out.getvalue()
 
@@ -465,23 +490,24 @@ def emit_report(records, references: dict | None = None) -> tuple[str, bool]:
     all_ok = True
     for rec in sorted(records, key=lambda r: r.scenario):
         entry = table.get(rec.scenario)
+        scenario = _csv_cell(rec.scenario)
         if rec.failure is not None:
-            lines.append(f"{rec.scenario},,,,,error")
+            lines.append(f"{scenario},,,,,error")
             all_ok = False
             continue
         if entry is None:
             value = rec.error_EB if rec.error_EB is not None else rec.error_E
-            lines.append(f"{rec.scenario},error,{value!r},,,")
+            lines.append(f"{scenario},error,{value!r},,,")
             continue
         value = rec.error_EB if entry["metric"] == "error_EB" else rec.error_E
         if value is None:
-            lines.append(f"{rec.scenario},{entry['metric']},,{entry['value']!r},,error")
+            lines.append(f"{scenario},{entry['metric']},,{entry['value']!r},,error")
             all_ok = False
             continue
         ok = _within(value, entry["value"], entry["tolerance"])
         all_ok = all_ok and ok
         ratio = value / entry["value"]
-        lines.append(f"{rec.scenario},{entry['metric']},{value!r},"
+        lines.append(f"{scenario},{entry['metric']},{value!r},"
                      f"{entry['value']!r},{ratio:.3f},"
                      f"{'pass' if ok else 'FAIL'}")
     return "\n".join(lines) + "\n", all_ok

@@ -3,25 +3,29 @@
 A pi phase shift on one mode flips the sign of every hopping term touching
 that mode.  Interleaving free evolution with such shifts makes the signed
 dwell time of a mode pair (the time integral of its coupling sign) vanish,
-canceling the hop to first order.  One synthesizer, :func:`synthesize`,
-builds every schedule from a plan of grouping levels: split the modes in
-half, pulse one half at the midpoint, recurse into each half at the quarter
-points, and close the cycle with a compensation pulse so every mode sees an
-even pulse count.
+canceling the hop to first order.  A plan of grouping levels picks the
+pulsed modes: split the modes in half, pulse one half at the midpoint,
+recurse into each half at the quarter points, and close the cycle with a
+compensation pulse so every mode sees an even pulse count.
 
 A protected subset is left untouched: the plan folds it into one slot, the
 one the default roles never pulse.  An interaction truncated at index
 distance eta needs only enough levels to cancel pairs up to that distance;
-that plan is used when it is shorter than the plain grouping.  All
-schedules are verifiable algebraically with `signed_dwell_check`, which
-never touches the propagator.
+that plan is used when it is shorter than the plain grouping.  Every plan
+takes one form, :func:`sign_matrix`: the sign of each mode in each of the
+cycle's equal segments, whose rows are Walsh functions.
+:func:`synthesize` lays the schedule out from it, and
+:func:`decoupling_failures` reads the signs back off any schedule's events
+and checks them exactly, without the propagator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .model import CouplingMatrix, check_positive
 from .pulses import ShapedPulse
@@ -119,14 +123,6 @@ class PulseSchedule:
     def total_evolve_time(self) -> float:
         return sum(ev.duration for ev in self.events if isinstance(ev, Evolve))
 
-    def pulse_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {q: 0 for q in range(self.mode_count)}
-        for ev in self.events:
-            if isinstance(ev, PhaseShift):
-                for q in ev.modes:
-                    counts[q] += 1
-        return counts
-
 
 def _split_levels(modes: Sequence) -> list[dict]:
     """Binary grouping levels.  Level l maps each element that splits at
@@ -158,42 +154,6 @@ def default_role_swap(width: int) -> tuple[bool, ...]:
     if width == 3:
         return (False, True)
     return (False,) * depth
-
-
-def _target_sets(levels: Sequence[dict[int, int]],
-                 role_swap: Sequence[bool]) -> list[frozenset[int]]:
-    """Pulsed mode set per level: the modes whose bit is the level's role."""
-    if len(role_swap) != len(levels):
-        raise ValueError(f"level_role_swap needs {len(levels)} flags, got {len(role_swap)}")
-    return [frozenset(q for q, b in bits.items() if b == (0 if swap else 1))
-            for swap, bits in zip(role_swap, levels)]
-
-
-def _assemble(level_sets: Sequence[frozenset[int]],
-              total_time: float) -> tuple[ScheduleEvent, ...]:
-    """Lay out one cycle: 2^depth equal segments, pulses at the boundaries.
-
-    The boundary at m * T / 2^depth belongs to level depth - v where v is
-    the 2-adic valuation of m.  Level l contributes 2^(l-1) pulses per
-    member, so only level 1 decides the parity: the closing boundary
-    compensates its set, which makes every count even.  Coincident sets
-    merge by symmetric difference (a mode pulsed twice at one instant is
-    not pulsed).
-    """
-    depth = len(level_sets)
-    nbp = 2 ** depth
-    seg = total_time / nbp
-    events: list[ScheduleEvent] = []
-    for m in range(1, nbp + 1):
-        events.append(Evolve(seg))
-        v = (m & -m).bit_length() - 1
-        level = depth - v
-        pulsed = level_sets[level - 1] if level >= 1 else frozenset()
-        if m == nbp:
-            pulsed = pulsed ^ level_sets[0]
-        if pulsed:
-            events.append(PhaseShift(pulsed))
-    return tuple(events)
 
 
 def _grouping_plan(spec: DDSpec) -> tuple[list[dict[int, int]], tuple[bool, ...]]:
@@ -254,106 +214,112 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
 def target_sets(spec: DDSpec) -> list[frozenset[int]]:
     """Pulsed mode set per level of the plan of ``spec``; none if no levels.
 
-    Uses the truncated-reach levels when they are shorter than the plain
-    grouping.  Raises ValueError when ``spec.level_role_swap`` has the
-    wrong length or would pulse the protected set.
+    A level pulses the modes whose bit is its role.  Uses the
+    truncated-reach levels when they are shorter than the plain grouping.
+    Raises ValueError when ``spec.level_role_swap`` has the wrong length
+    or would pulse the protected set.
     """
     levels, roles = _truncated_plan(spec) or _grouping_plan(spec)
     if not levels:
         return []
-    sets = _target_sets(levels, spec.level_role_swap
-                        if spec.level_role_swap is not None else roles)
+    roles = spec.level_role_swap if spec.level_role_swap is not None else roles
+    if len(roles) != len(levels):
+        raise ValueError(f"level_role_swap needs {len(levels)} flags, got {len(roles)}")
+    sets = [frozenset(q for q, b in bits.items() if b == (0 if swap else 1))
+            for swap, bits in zip(roles, levels)]
     if any(s & spec.protected_set for s in sets):
         raise ValueError("role swap pattern would pulse the protected set")
     return sets
 
 
+def sign_matrix(spec: DDSpec) -> np.ndarray:
+    """The plan of ``spec`` as toggling-frame signs, shape (M, L).
+
+    With d levels from :func:`target_sets` the cycle is L = 2^d equal
+    segments, and S[q, t], the sign of mode q in segment t, is
+    (-1)^popcount(w_q & g(t)): g(t) = t ^ (t >> 1) is the Gray code of t
+    and w_q holds bit d - l for each level l that pulses q.  Each row is
+    a Walsh function, so two rows are orthogonal, and their pair cancels,
+    exactly when their w differ.  Without levels, L = 1 and S is all +.
+    """
+    sets = target_sets(spec)
+    depth = len(sets)
+    weights = [sum(1 << (depth - level) for level, pulsed in enumerate(sets, 1)
+                   if q in pulsed) for q in range(spec.mode_count)]
+    gray = [t ^ (t >> 1) for t in range(2 ** depth)]
+    return np.array([[1 - 2 * ((w & g).bit_count() & 1) for g in gray]
+                     for w in weights])
+
+
 def synthesize(spec: DDSpec) -> PulseSchedule:
     """The decoupling schedule of ``spec``, repeated ``spec.repetitions`` times.
 
-    Pulses the :func:`target_sets` of ``spec``; with nothing to decouple
-    (a single mode, or every mode protected) the schedule is one free
-    segment.
+    One cycle lays out the :func:`sign_matrix` S of ``spec``: one free
+    segment per column, each followed by a pulse on the modes whose sign
+    changes to the next column, cyclically, so the last pulse brings every
+    mode back to +.  Consecutive Gray codes differ in one bit, so each
+    pulse is one level's target set; with nothing to decouple (a single
+    mode, or every mode protected) the schedule is one free segment.
     """
-    sets = target_sets(spec)
-    events = _assemble(sets, spec.total_time) if sets else (Evolve(spec.total_time),)
-    base = PulseSchedule(events=events, mode_count=spec.mode_count,
+    signs = sign_matrix(spec)
+    length = signs.shape[1]
+    segment = Evolve(spec.total_time / length)
+    events: list[ScheduleEvent] = []
+    for t in range(length):
+        events.append(segment)
+        flipped = np.flatnonzero(signs[:, t] != signs[:, (t + 1) % length])
+        if flipped.size:
+            events.append(PhaseShift(frozenset(flipped.tolist())))
+    base = PulseSchedule(events=tuple(events), mode_count=spec.mode_count,
                          shaped_pulse=spec.shaped_pulse)
     return repeat_schedule(base, spec.repetitions)
 
 
-def build_sign_trace(schedule: PulseSchedule
-                     ) -> dict[tuple[int, int], tuple[tuple[float, int], ...]]:
-    """Piecewise-constant coupling sign per mode pair across a schedule.
+def toggling_frame(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The signs of any schedule, read off its events: (S, end).
 
-    Maps each pair (j, k) with j > k to a tuple of (duration, sign) runs
-    covering the whole evolve timeline in order.
+    S has one column per free segment, each mode's sign during it; ``end``
+    is each mode's sign after the last event, + for an even pulse count.
     """
-    m = schedule.mode_count
-    pairs = [(j, k) for j in range(m) for k in range(j)]
-    sign = {p: 1 for p in pairs}
-    runs: dict[tuple[int, int], list[tuple[float, int]]] = {p: [] for p in pairs}
+    sign = np.ones(schedule.mode_count, dtype=int)
+    columns = []
     for ev in schedule.events:
         if isinstance(ev, Evolve):
-            for p in pairs:
-                if runs[p] and runs[p][-1][1] == sign[p]:
-                    d, s = runs[p][-1]
-                    runs[p][-1] = (d + ev.duration, s)
-                else:
-                    runs[p].append((ev.duration, sign[p]))
+            columns.append(sign.copy())
         else:
-            for j, k in pairs:
-                # both modes pulsed at once leaves the pair sign alone
-                if (j in ev.modes) != (k in ev.modes):
-                    sign[(j, k)] = -sign[(j, k)]
-    return {p: tuple(r) for p, r in runs.items()}
+            sign[list(ev.modes)] *= -1
+    return np.array(columns, dtype=int).reshape(-1, schedule.mode_count).T, sign
 
 
-@dataclass(frozen=True)
-class SignedDwellReport:
-    """Algebraic verification of a schedule, no propagation involved."""
+def decoupling_failures(schedule: PulseSchedule,
+                        couplings: CouplingMatrix | None = None,
+                        protected_set: Iterable[int] = ()) -> tuple[str, ...]:
+    """Why ``schedule`` fails to cancel the hopping; empty when it does.
 
-    integrals: Mapping[tuple[int, int], float]
-    pulse_counts: Mapping[int, int]
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def signed_dwell_check(schedule: PulseSchedule,
-                       couplings: CouplingMatrix | None = None,
-                       protected_set: Iterable[int] = ()) -> SignedDwellReport:
-    """Check that every coupled pair cancels and protected pairs never flip.
-
-    A pair must integrate to zero signed dwell unless both members are
-    protected (then the sign must stay +1 throughout) or its coupling rate
-    is zero.  Pulse counts must be even on every mode so the cycle closes.
+    Exact, on the integer signs of :func:`toggling_frame`.  The free
+    segments must share one duration, so a pair's signed dwell is that
+    duration times its entry of S S^T, which must be zero for every pair
+    with a non-protected member (and a nonzero rate, when ``couplings``
+    are given).  Protected modes must stay +, and every mode end at +.
     """
-    protected = frozenset(protected_set)
-    trace = build_sign_trace(schedule)
-    total = schedule.total_evolve_time
-    tol = 1e-12 * total
-    integrals: dict[tuple[int, int], float] = {}
+    signs, end = toggling_frame(schedule)
     failures: list[str] = []
-    for pair, runs in trace.items():
-        integrals[pair] = math.fsum(d * s for d, s in runs)
-        j, k = pair
-        coupled = couplings is None or couplings.kappa[j, k] != 0.0
-        if j in protected and k in protected:
-            if any(s != 1 for _, s in runs):
-                failures.append(f"protected pair {pair} saw a sign flip")
-        elif coupled and abs(integrals[pair]) > tol:
-            failures.append(f"pair {pair} has signed dwell {integrals[pair]:.3e}")
-    counts = schedule.pulse_counts()
-    for q, c in counts.items():
-        if c % 2:
-            failures.append(f"mode {q} has odd pulse count {c}")
-        if q in protected and c:
-            failures.append(f"protected mode {q} was pulsed {c} times")
-    return SignedDwellReport(integrals=integrals, pulse_counts=counts,
-                             failures=tuple(failures))
+    durations = {ev.duration for ev in schedule.events if isinstance(ev, Evolve)}
+    if len(durations) > 1:
+        failures.append(f"free segments have {len(durations)} durations, not one")
+    protected = frozenset(protected_set)
+    gram = signs @ signs.T
+    for j in range(schedule.mode_count):
+        for k in range(j):
+            coupled = couplings is None or couplings.kappa[j, k] != 0.0
+            if coupled and not {j, k} <= protected and gram[j, k]:
+                failures.append(f"pair {(j, k)} has signed dwell of"
+                                f" {gram[j, k]} segments")
+    failures += [f"protected mode {q} changed sign" for q in sorted(protected)
+                 if (signs[q] < 0).any()]
+    failures += [f"mode {q} has an odd pulse count"
+                 for q in np.flatnonzero(end < 0).tolist()]
+    return tuple(failures)
 
 
 @dataclass(frozen=True)
@@ -376,18 +342,19 @@ class FeasibilityBounds:
 def feasibility_bounds(spec: DDSpec, pulse_duration: float) -> FeasibilityBounds:
     """How large a schedule fits when each pulse burns ``pulse_duration``.
 
-    The shortest segment of a depth-d cycle at n_r repetitions is
-    T / (2^d n_r) and must exceed the pulse, so 2^d < T / (T_P n_r); the
-    bounds below restate that for the mode count, the truncation distance
-    and the repetition count of ``spec``.  The repetition bound takes d
-    from the plan of ``spec``, :func:`target_sets`, and admits a segment
+    The shortest segment of an L-segment cycle at n_r repetitions is
+    T / (L n_r) and must exceed the pulse, so L < T / (T_P n_r), with
+    L = 2^d at d grouping levels; the bounds below restate that for the
+    mode count, the truncation distance and the repetition count of
+    ``spec``.  The repetition bound takes L from the plan of ``spec``,
+    :func:`sign_matrix`, and admits a segment
     that the pulse fills exactly, as a carved window may.
     """
     check_positive(pulse_duration=pulse_duration)
-    depth = len(target_sets(spec))
+    length = sign_matrix(spec).shape[1]
     rep_bound: int | None = None
-    if depth:
-        limit = spec.total_time / (2 ** depth * pulse_duration)
+    if length > 1:
+        limit = spec.total_time / (length * pulse_duration)
         rep_bound = math.floor(limit) + 1 if limit >= 1.0 else 0
     ratio = spec.total_time / (pulse_duration * spec.repetitions)
     if ratio <= 1.0:

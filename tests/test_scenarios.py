@@ -1,7 +1,10 @@
 """Scenario catalog, CSV emission, sweeps, report comparisons, config files."""
 
+import csv
+import io
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
 
@@ -13,6 +16,7 @@ from phonondd.model import FockSpace, basis_state
 from phonondd.propagation import PropagationError, SimulationResult
 from phonondd.scenarios import (
     CONFIG_KEYS,
+    MAX_FOCK_DIMENSION,
     POPULATION_COLUMN_THRESHOLD,
     ScenarioConfig,
     ScenarioError,
@@ -464,6 +468,28 @@ class TestSweep:
         assert "wall_time" not in lines[0]  # timings are not reproducible
         assert lines[1].split(",")[1] == ""  # no error value for a failure
 
+    def test_cells_with_commas_are_quoted(self):
+        records = sweep(get_scenario("fig4a"), "d", [-3e-6])
+        failure = records[0].failure
+        assert failure == ("fig4a_d=-3e-06: spacing must be positive and"
+                           " finite, not -3e-06")
+        renamed = replace(records[0], scenario="fig4a, d=-3e-06")
+        rows = list(csv.reader(io.StringIO(records_csv(records + [renamed]))))
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert [row[5] for row in rows[1:]] == [failure, failure]
+        assert rows[2][0] == "fig4a, d=-3e-06"
+        report, _ = emit_report([renamed], load_reference_values())
+        assert list(csv.reader(io.StringIO(report)))[1] == [
+            "fig4a, d=-3e-06", "", "", "", "", "error"]
+
+    def test_oversized_cutoff_gives_a_failure_row(self):
+        records = sweep(replace(get_scenario("fig3"), record_samples=16),
+                        "n_max", [8, 101])
+        assert records[0].failure is None
+        assert records[1].failure == (
+            "fig3_n_max=101: per_mode_cutoff 101 on 3 modes gives a Fock"
+            f" dimension of 1,061,208, above the limit {MAX_FOCK_DIMENSION:,}")
+
 
 class TestReport:
     def test_verdict_modes(self, scenario_cache):
@@ -684,6 +710,24 @@ output.samples = 64
                      "pulse.model = shaped", "propagator.tolerance = 1e-10"):
             with pytest.raises(ScenarioError, match="unknown config key"):
                 parse_config_text(CHEAP + line + "\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("chain.modes = 8\nchain.spacing_um = 43.8\n"
+         "state.occupations = 1,0,0,0,0,0,0,0\n",
+         "per_mode_cutoff 10 on 8 modes gives a Fock dimension of 214,358,881"),
+        (CHEAP.replace("samples = 48", "samples = 100000000000"),
+         "record_samples 100000000000 on 2 modes gives a record of"
+         " 2,500,000,000,000 values, above the limit 67,108,864"),
+    ])
+    def test_oversized_run_rejected_at_parse(self, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=message):
+                parse_config_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_missing_required_key(self):
         with pytest.raises(ScenarioError):

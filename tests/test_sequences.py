@@ -1,24 +1,32 @@
-"""Schedule synthesis, signed dwell checks, serialization, feasibility."""
+"""Schedule synthesis, sign matrices and their exact check, serialization,
+feasibility."""
 
 import math
+from collections import Counter
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, strategies as st
 
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY, IonChainConfig, build_coupling_matrix
 from phonondd.pulses import design_pulse
+from phonondd.scenarios import scenario_catalog
 from phonondd.sequences import (
     DDSpec,
     Evolve,
     PhaseShift,
     PulseSchedule,
-    build_sign_trace,
+    ScheduleEvent,
+    decoupling_failures,
     default_role_swap,
     feasibility_bounds,
     repeat_schedule,
-    signed_dwell_check,
+    sign_matrix,
     synthesize,
+    target_sets,
+    toggling_frame,
 )
 
 from schedule_text import schedule_from_text, schedule_to_text
@@ -36,6 +44,12 @@ def compact(schedule):
         else:
             out.append("P" + "".join(str(m) for m in sorted(ev.modes)))
     return out
+
+
+def pulse_counts(schedule):
+    """Pulses per mode, counted from the events."""
+    return Counter(q for ev in schedule.events if isinstance(ev, PhaseShift)
+                   for q in ev.modes)
 
 
 class TestEventValidation:
@@ -86,7 +100,7 @@ class TestConcatenated:
     @pytest.mark.parametrize("modes", range(2, 9))
     def test_pulse_counts_even(self, modes):
         s = synthesize(DDSpec(modes, T))
-        for mode, count in s.pulse_counts().items():
+        for mode, count in pulse_counts(s).items():
             assert count % 2 == 0, (modes, mode, count)
 
     def test_total_evolve_time_matches_request(self):
@@ -112,7 +126,7 @@ class TestProtected:
     def test_protected_modes_never_pulsed(self):
         for prot in ({0}, {2}, {0, 2}, {1, 2}):
             s = synthesize(DDSpec(3, T, protected_set=frozenset(prot)))
-            counts = s.pulse_counts()
+            counts = pulse_counts(s)
             for mode in prot:
                 assert counts.get(mode, 0) == 0
 
@@ -189,47 +203,137 @@ class TestRepetition:
 class TestSignedDwell:
     @pytest.mark.parametrize("modes", range(2, 9))
     def test_concatenated_cancels_every_pair(self, modes):
-        report = signed_dwell_check(synthesize(DDSpec(modes, T)))
-        assert report.ok, report.failures
-        assert all(abs(v) < 1e-12 for v in report.integrals.values())
+        s = synthesize(DDSpec(modes, T))
+        assert decoupling_failures(s) == ()
+        signs, _ = toggling_frame(s)
+        gram = signs @ signs.T
+        assert (gram == np.diag(np.diag(gram))).all()
 
     @pytest.mark.parametrize("modes,n_r", [(3, 2), (3, 5), (8, 3)])
     def test_repeated_schedules_cancel(self, modes, n_r):
-        report = signed_dwell_check(synthesize(DDSpec(modes, T, repetitions=n_r)))
-        assert report.ok, report.failures
+        failures = decoupling_failures(synthesize(DDSpec(modes, T, repetitions=n_r)))
+        assert not failures, failures
 
     @pytest.mark.parametrize("prot", [{0}, {1}, {0, 1}, {0, 2}])
     def test_protected_schedules(self, prot):
         spec = DDSpec(3, T, protected_set=frozenset(prot))
-        report = signed_dwell_check(synthesize(spec), protected_set=prot)
-        assert report.ok, report.failures
+        failures = decoupling_failures(synthesize(spec), protected_set=prot)
+        assert not failures, failures
 
     @pytest.mark.parametrize("modes,eta", [(4, 1), (8, 2), (8, 1)])
     def test_truncated_schedules_cancel_within_reach(self, modes, eta):
         spec = DDSpec(modes, T, truncation_distance=eta)
         cm = build_coupling_matrix(
             IonChainConfig.equidistant(modes, 43.8e-6, truncation_distance=eta))
-        report = signed_dwell_check(synthesize(spec), couplings=cm)
-        assert report.ok, report.failures
+        failures = decoupling_failures(synthesize(spec), couplings=cm)
+        assert not failures, failures
 
     def test_unbalanced_schedule_flagged(self):
         bad = PulseSchedule(events=(Evolve(0.75), PhaseShift(frozenset({1})),
                                     Evolve(0.25), PhaseShift(frozenset({1}))),
                             mode_count=2)
-        report = signed_dwell_check(bad)
-        assert not report.ok
+        assert decoupling_failures(bad)
 
-    def test_sign_trace_segments_cover_timeline(self):
-        s = synthesize(DDSpec(3, T))
-        trace = build_sign_trace(s)
-        for pair, runs in trace.items():
-            assert sum(d for d, _ in runs) == pytest.approx(T, rel=1e-12)
-            assert all(sign in (-1, 1) for _, sign in runs)
+    def test_uncancelled_pair_odd_count_and_flipped_protected_mode_flagged(self):
+        bad = PulseSchedule(events=(Evolve(0.5), PhaseShift(frozenset({0})),
+                                    Evolve(0.5)), mode_count=3)
+        assert decoupling_failures(bad, protected_set={0}) == (
+            "pair (2, 1) has signed dwell of 2 segments",
+            "protected mode 0 changed sign",
+            "mode 0 has an odd pulse count",
+        )
+
+    def test_pair_sign_is_the_product_of_its_rows(self):
         # pair (2, 1): pulses on 1 alone flip it, pulses on {1,2} leave it,
-        # so the two central quarters merge into one negative run
-        runs = trace[(2, 1)]
-        assert [sign for _, sign in runs] == [1, -1, 1]
-        assert [d for d, _ in runs] == pytest.approx([0.25, 0.5, 0.25])
+        # so the two central quarters are negative: merged, the runs are
+        # +0.25, -0.5, +0.25
+        signs = sign_matrix(DDSpec(3, T))
+        assert (signs[2] * signs[1]).tolist() == [1, -1, -1, 1]
+
+
+def _assemble(level_sets: Sequence[frozenset[int]],
+              total_time: float) -> tuple[ScheduleEvent, ...]:
+    """Lay out one cycle: 2^depth equal segments, pulses at the boundaries.
+
+    The boundary at m * T / 2^depth belongs to level depth - v where v is
+    the 2-adic valuation of m.  Level l contributes 2^(l-1) pulses per
+    member, so only level 1 decides the parity: the closing boundary
+    compensates its set, which makes every count even.  Coincident sets
+    merge by symmetric difference (a mode pulsed twice at one instant is
+    not pulsed).
+    """
+    depth = len(level_sets)
+    nbp = 2 ** depth
+    seg = total_time / nbp
+    events: list[ScheduleEvent] = []
+    for m in range(1, nbp + 1):
+        events.append(Evolve(seg))
+        v = (m & -m).bit_length() - 1
+        level = depth - v
+        pulsed = level_sets[level - 1] if level >= 1 else frozenset()
+        if m == nbp:
+            pulsed = pulsed ^ level_sets[0]
+        if pulsed:
+            events.append(PhaseShift(pulsed))
+    return tuple(events)
+
+
+@st.composite
+def plans(draw):
+    """DDSpec over M <= 16: a protected set or a reach, role swaps of the
+    plan's depth, and n_r."""
+    modes = draw(st.integers(1, 16))
+    protected = draw(st.frozensets(st.integers(0, modes - 1)))
+    reach = None if protected else draw(st.none() | st.integers(1, 16))
+    spec = DDSpec(modes, draw(st.floats(1e-6, 1e-2)),
+                  repetitions=draw(st.integers(1, 5)), protected_set=protected,
+                  truncation_distance=reach)
+    depth = len(target_sets(spec))
+    roles = draw(st.none() | st.tuples(*[st.booleans()] * depth))
+    return replace(spec, level_role_swap=roles)
+
+
+def catalog_examples(test):
+    for cfg in scenario_catalog():
+        test = example(spec=cfg.spec())(test)
+    return test
+
+
+@given(spec=plans())
+@catalog_examples
+def test_layout_of_the_sign_matrix_matches_the_valuation_layout(spec):
+    """The schedule laid out from S is the one placed by 2-adic valuations,
+    and S read back from it is S tiled once per repetition."""
+    try:
+        schedule = synthesize(spec)
+    except ValueError:
+        reject()
+    sets = target_sets(spec)
+    cycle = _assemble(sets, spec.total_time) if sets else (Evolve(spec.total_time),)
+    reference = repeat_schedule(PulseSchedule(cycle, spec.mode_count), spec.repetitions)
+    assert schedule.events == reference.events
+    signs, end = toggling_frame(schedule)
+    assert (signs == np.tile(sign_matrix(spec), spec.repetitions)).all()
+    assert (end == 1).all()
+
+
+@pytest.mark.parametrize("cfg", scenario_catalog(), ids=lambda cfg: cfg.name)
+def test_catalog_plan_is_the_assignment_its_target_sets_name(cfg):
+    """L = 2^d columns, starting all +; the rows that flip after column t
+    are the set of level d - v, v the 2-adic valuation of t + 1, and the
+    cycle closes on the level-1 set."""
+    spec = cfg.spec()
+    sets = target_sets(spec)
+    signs = sign_matrix(spec)
+    depth, length = len(sets), signs.shape[1]
+    assert signs.shape == (cfg.mode_count, 2 ** depth)
+    assert (signs[:, 0] == 1).all()
+    for t in range(length - 1):
+        level = depth - ((t + 1) & -(t + 1)).bit_length() + 1
+        flipped = frozenset(np.flatnonzero(signs[:, t] != signs[:, t + 1]).tolist())
+        assert flipped == sets[level - 1], (t, level)
+    closing = frozenset(np.flatnonzero(signs[:, -1] != signs[:, 0]).tolist())
+    assert closing == (sets[0] if sets else frozenset())
 
 
 class TestSerialization:

@@ -998,9 +998,9 @@ def test_long_chain_map_needs_no_fock_space():
     """The map of the mid-chain mode of a 32-mode chain comes from the
     couplings alone.  The Fock cube at n_max = 1 has 2^32 states, 32 GiB
     for one real vector.  The map's traced peak is set by the nodes of the
-    last two levels, (801, 64, 64) and (401, 64, 64) stacks of 26 MB and
-    13 MB held at once: the step propagators are built in slices of at most
-    96 KiB (40.5 MB measured)."""
+    accepted level, an (801, 64, 64) stack of 26 MB: the level below is
+    dropped before it is built, all but its last node, and the step
+    propagators are built in slices of at most 96 KiB (27.4 MB measured)."""
     couplings = build_coupling_matrix(IonChainConfig.equidistant(32, 43.8e-6))
     tracemalloc.start()
     try:
@@ -1009,6 +1009,6 @@ def test_long_chain_map_needs_no_fock_space():
     finally:
         tracemalloc.stop()
     assert heis.steps == 800
-    assert peak < 55e6
+    assert peak < 32e6
     (a,), (b,), _ = heis.at(())
     assert max(symplectic_residuals(a, b)) <= TIGHT
