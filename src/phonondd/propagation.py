@@ -87,7 +87,10 @@ take alone.  No row reads another, so on the same band of sectors a row
 of a batch is bit for bit the apply of its map alone.
 One loop runs the steps, sampling the populations on record_samples
 evenly spaced points from the start of the schedule to its end, on the
-number sectors the run can reach.
+number sectors the run can reach.  The rows carried up to a step's
+start, the samples inside the step and the final rows are each kept as
+one band: the recorded states in sector order, up to the highest sector
+that holds amplitude on those rows, past which every state is zero.
 """
 
 from __future__ import annotations
@@ -149,6 +152,15 @@ class SimulationResult:
     sector the run can reach, and every other state has population
     exactly zero throughout.
 
+    The record is stored as ``bands``, consecutive blocks of rows from the
+    first row to the last.  Column j of a band is record column
+    ``order[j]``, and a band holds only its first columns in that order:
+    every record column past its width is exactly zero on its rows.  A run
+    orders the columns by number sector, so a band stops at the highest
+    sector its rows occupy.  ``populations`` builds the dense
+    (times x columns) record from them on each call; ``column_maxima``
+    and ``row_chunks`` read the record without building it.
+
     ``norm_drift`` is the largest deviation of the state norm from one.
     On shaped runs it includes, exactly, the population each window has
     pushed past the cutoff, since windows apply the projection P U P; it
@@ -157,7 +169,8 @@ class SimulationResult:
     """
 
     times: np.ndarray
-    populations: np.ndarray
+    bands: list[np.ndarray]
+    order: np.ndarray
     columns: np.ndarray
     space: FockSpace
     final_state: PhononState
@@ -166,6 +179,57 @@ class SimulationResult:
     wall_time: float
     error_E: float | None = None
     error_EB: float | None = None
+
+    @property
+    def populations(self) -> np.ndarray:
+        """The dense record, (times x columns), built from the bands."""
+        dense = np.zeros((self.times.size, self.columns.size))
+        start = 0
+        for band in self.bands:
+            dense[start:start + len(band), self.order[:band.shape[1]]] = band
+            start += len(band)
+        return dense
+
+    def column_maxima(self) -> np.ndarray:
+        """The largest population of each record column over all rows."""
+        peaks = np.zeros(self.order.size)  # in band column order
+        for band in self.bands:
+            if band.size:
+                width = band.shape[1]
+                np.maximum(peaks[:width], band.max(axis=0), out=peaks[:width])
+        out = np.empty_like(peaks)
+        out[self.order] = peaks
+        return out
+
+    def row_chunks(self, states: np.ndarray):
+        """The populations of the basis states ``states``, Fock indices,
+        zero for a state off the record, in successive blocks of rows.
+
+        A block holds as many rows as fit SLICE_BYTES at the width of the
+        record or of ``states``, whichever is larger.  The bands are copied
+        in row order, each once, into one buffer in band column order,
+        whose last column stays zero, and a block is gathered from it each
+        time it fills.
+        """
+        count = self.order.size
+        where = np.full(self.space.dimension, count)  # the zero column
+        where[self.columns[self.order]] = np.arange(count)
+        where = where[states]
+        size = max(1, SLICE_BYTES // (8 * max(len(states), count + 1)))
+        buffer = np.zeros((size, count + 1))
+        filled = 0  # rows of the buffer holding the block so far
+        for band in self.bands:
+            width, lo = band.shape[1], 0
+            while lo < len(band):
+                rows = band[lo:lo + size - filled]
+                buffer[filled:filled + len(rows), :width] = rows
+                buffer[filled:filled + len(rows), width:] = 0.0
+                filled, lo = filled + len(rows), lo + len(rows)
+                if filled == size:
+                    yield np.take(buffer, where, axis=1)
+                    filled = 0
+        if filled:
+            yield np.take(buffer[:filled], where, axis=1)
 
 
 @dataclass(frozen=True)
@@ -792,15 +856,24 @@ class SchedulePropagator:
             reach[np.isin(np.arange(reach.size) % 2, start_sectors % 2)] = True
         else:
             reach[start_sectors] = True
-        # the recorded Fock indices, their positions, and the record
-        # column of each position
-        columns = np.flatnonzero(reach[self._total[self._position]])
-        sel = self._position[columns]
-        column = np.full(self.space.dimension, -1)
-        column[sel] = np.arange(columns.size)
-        # amplitude magnitudes, squared in place once at the end; a free
-        # step writes only its occupied sectors, the rest stay zero
-        pops = np.zeros((times.size, columns.size))
+        # the recorded positions in sector order, the band column of each
+        # position, the record column of each band column, and the band
+        # width up to each sector (entry N + 1 for sector N)
+        recorded = np.flatnonzero(reach[self._total])
+        columns = np.sort(self._fock[recorded])
+        band_column = np.full(self.space.dimension, -1)
+        band_column[recorded] = np.arange(recorded.size)
+        order = np.searchsorted(columns, self._fock[recorded])
+        widths = np.cumsum(np.append(0, reach * np.diff(self._offsets)))
+        # bands of amplitude magnitudes, squared in place once at the end,
+        # and the highest sector the state holds, which only a window moves
+        bands: list[np.ndarray] = []
+        state_top = int(start_sectors.max(initial=-1))
+
+        def keep(rows: np.ndarray, top: int) -> None:
+            """Record a stack of states up to sector ``top``."""
+            bands.append(np.abs(np.take(rows, recorded[:widths[top + 1]], axis=1)))
+
         norm_drift = abs(np.linalg.norm(amps) - 1.0)
         boundary = np.flatnonzero(self._boundary)
         leakage = float(np.sum(np.abs(amps[boundary]) ** 2))
@@ -814,22 +887,29 @@ class SchedulePropagator:
                 continue
             # grid points up to t hold the state after every event at t
             start = np.searchsorted(inside, t, side="right")
-            pops[k:start] = np.abs(amps[sel])
+            if start > k:
+                keep(np.broadcast_to(amps, (start - k, amps.size)), state_top)
             k = np.searchsorted(inside, t + duration)
             inner = inside[start:k]
             if kind == "free":
+                # a free step writes only its occupied sectors
                 after = np.zeros_like(amps)
+                band = np.zeros((k - start, widths[state_top + 1]))
                 dts = np.append(inner - t, duration)  # samples, then the end
                 for rows, states in self._free_states(amps, dts):
-                    pops[start:k, column[rows]] = np.abs(states[:, :-1].T)
+                    band[:, band_column[rows]] = np.abs(states[:, :-1].T)
                     after[rows] = states[:, -1]
+                if len(band):
+                    bands.append(band)
                 amps = after
                 checked = amps[None]
             else:
                 maps = self.maps.window(t, modes, schedule.shaped_pulse, inner)
                 checked, terms, tails = self._apply(amps, maps)
-                pops[start:k] = np.abs(checked[:-1, sel])
+                if len(inner):
+                    keep(checked[:-1], self._band(checked[:-1])[1])
                 amps, kept, dropped = self._trim(checked[-1])
+                state_top = self._band(amps[None])[1]
                 applies += len(checked)
                 raised, bound = raised + int(terms.sum()), bound + float(tails.sum())
                 top, trimmed = max(top, kept), trimmed + dropped
@@ -838,16 +918,18 @@ class SchedulePropagator:
             leakage = max(leakage, float(edge.sum(axis=1).max()))
             t += duration
 
+        keep(np.broadcast_to(amps, (times.size - k, amps.size)), state_top)
+        for band in bands:
+            band **= 2
         LOG.debug("run window_applies=%d top_kept_sector=%d trimmed_weight=%.2e"
-                  " raise_terms=%d raise_bound=%.2e",
-                  applies, top, trimmed, raised, bound)
-        pops[k:] = np.abs(amps[sel])
-        pops **= 2
+                  " raise_terms=%d raise_bound=%.2e record_values=%d/%d",
+                  applies, top, trimmed, raised, bound,
+                  sum(band.size for band in bands), times.size * columns.size)
         times[-1] = t
         final = PhononState(self.space, amps[self._position])
         err = error_overlap(initial, final)
         err_b = error_overlap(reference, final) if reference is not None else None
-        return SimulationResult(times=times, populations=pops, columns=columns,
+        return SimulationResult(times=times, bands=bands, order=order, columns=columns,
                                 space=self.space, final_state=final,
                                 norm_drift=norm_drift,
                                 boundary_leakage=leakage,

@@ -33,7 +33,29 @@ import numpy as np
 
 from .model import DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE
 
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# The 48-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(48) to the
+# bit: its nodes and weights are exactly symmetric, so the 24 positive
+# nodes and their weights are written out and mirrored.  The literals keep
+# numpy.polynomial, and its import, off the run path.
+_NODES = [
+    0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
+    0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
+    0.4086864819907167, 0.4669029047509584, 0.523160974722233, 0.5772247260839727,
+    0.6288673967765136, 0.6778723796326639, 0.7240341309238146, 0.7671590325157404,
+    0.8070662040294426, 0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+    0.9313866907065543, 0.9529877031604308, 0.9705915925462473, 0.9841245837228269,
+    0.9935301722663508, 0.9987710072524261]
+_WEIGHTS = [
+    0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
+    0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
+    0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
+    0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+    0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
+    0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
+    0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
+    0.011477234579234614, 0.007327553901276135, 0.0031533460523098414]
+GAUSS_NODES = np.array([-x for x in reversed(_NODES)] + _NODES)
+GAUSS_WEIGHTS = np.array(_WEIGHTS[::-1] + _WEIGHTS)
 PANELS = 16
 NEWTON_STEPS = 100  # the catalog pulses take 30-36 from the deep end
 

@@ -33,7 +33,6 @@ from .model import (
     coupling_rate,
 )
 from .propagation import (
-    SLICE_BYTES,
     ModeMaps,
     SchedulePropagator,
     SimulationResult,
@@ -54,9 +53,11 @@ DEFAULT_RECORD_SAMPLES = 512
 
 # The largest run a config may ask for, checked at parse so that it does
 # not exhaust memory in the engine: the engine's tables peak at about
-# 60 M + 55 bytes per Fock state of M modes (234 B measured at M = 3), and
-# the record holds one float64 per state and sample.  The catalog needs at
-# most 1,331 states and 681,472 record values.
+# 60 M + 55 bytes per Fock state of M modes (234 B measured at M = 3).  A
+# run stores its record as sector bands, but the dense ``populations``
+# view, which a full CSV still builds, holds one float64 per recorded
+# state and sample, so the record bound guards that view.  The catalog
+# needs at most 1,331 states and 681,472 record values.
 MAX_FOCK_DIMENSION = 2 ** 20
 MAX_RECORD_VALUES = 2 ** 26
 
@@ -281,7 +282,7 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     ``residual`` column so each row still sums to the squared state norm.
     A state off the record, ``result.columns``, is zero on every row.
     """
-    space, pops = result.space, result.populations
+    space = result.space
     # the record column of each basis state, -1 off the record
     slot = np.full(space.dimension, -1)
     slot[result.columns] = np.arange(result.columns.size)
@@ -289,11 +290,24 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
         keep = np.arange(space.dimension)
     else:
         chosen = np.zeros(space.dimension, dtype=bool)
-        chosen[result.columns] = pops.max(axis=0) > POPULATION_COLUMN_THRESHOLD
+        chosen[result.columns] = result.column_maxima() > POPULATION_COLUMN_THRESHOLD
         chosen[[space.index(cfg.initial_occupations), *_hom_outputs(cfg, space)]] = True
         keep = np.flatnonzero(chosen)
     recorded = slot[keep]
-    kept = pops if full else pops[:, recorded[recorded >= 0]]
+    if full:
+        kept = result.populations
+    else:
+        # the kept columns and the dropped states, a state off the record
+        # reading 0.0, from one pass over the record in row chunks of at
+        # most SLICE_BYTES, so the dense record is never built.  Each
+        # residual is the sum of one row's dropped populations over axis 1,
+        # the same terms in the same order as that row's sum alone
+        picked = keep[recorded >= 0]
+        parts, residual = [], []
+        for chunk in result.row_chunks(np.append(picked, np.flatnonzero(~chosen))):
+            parts.append(chunk[:, :picked.size].copy())
+            residual.append(chunk[:, picked.size:].sum(axis=1))
+        kept = np.concatenate(parts)
     labels = space.labels()
     header = ["t_us"] + [labels[i] for i in keep]
     # a column equal on every row (mostly an empty number sector, always a
@@ -307,21 +321,7 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     if not full:
         header.append("residual")
         cells.append("%r")
-        # the dropped columns, gathered from a copy of a block of rows
-        # whose column 0 is zero, so a state off the record reads 0.0 in
-        # its place, and summed over axis 1: each row sum adds the same
-        # terms in the same order as the sum of that row's dropped
-        # populations alone.  The block and the gather each hold at most
-        # SLICE_BYTES, so they stay off the peak memory
-        index = slot[~chosen] + 1
-        rows = max(1, SLICE_BYTES // (8 * max(index.size, pops.shape[1] + 1)))
-        block = np.zeros((rows, pops.shape[1] + 1))
-        sums = []
-        for i in range(0, len(pops), rows):
-            chunk = pops[i:i + rows]
-            block[:len(chunk), 1:] = chunk
-            sums.append(np.take(block[:len(chunk)], index, axis=1).sum(axis=1))
-        live.append(np.concatenate(sums))
+        live.append(np.concatenate(residual))
     # one text of all rows: the literal text between live cells repeats
     # on every row, and the repr of each live column is written into its
     # places with one slice, so no format string is parsed per row
@@ -329,7 +329,7 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     width = 2 * len(chunks) - 1
     row = [""] * width
     row[::2] = chunks
-    parts = [",".join(header) + "\n"] + row * len(pops)
+    parts = [",".join(header) + "\n"] + row * len(result.times)
     for j, values in enumerate(live):
         parts[2 + 2 * j::width] = map(repr, values.tolist())
     return "".join(parts)

@@ -1,6 +1,10 @@
-"""The population record of a run scattered into the whole Fock cube."""
+"""The population record of a run: scattered into the whole Fock cube, or
+built as a banded result from a dense record."""
 
 import numpy as np
+
+from phonondd.model import basis_state
+from phonondd.propagation import SimulationResult
 
 
 def dense_populations(result):
@@ -9,3 +13,25 @@ def dense_populations(result):
     dense = np.zeros((len(result.times), result.space.dimension))
     dense[:, result.columns] = result.populations
     return dense
+
+
+def banded_result(space, times, populations, columns, occupations,
+                  splits=(), order=None):
+    """A result whose dense record is ``populations`` on the basis states
+    ``columns``, held as bands cut before the rows ``splits``.
+
+    Band columns follow ``order`` (record columns, identity by default), and
+    each band is as wide as its rows need: it ends at the last column, in
+    that order, that is nonzero on one of them.
+    """
+    populations = np.asarray(populations, dtype=float)
+    order = np.arange(len(columns)) if order is None else np.asarray(order, dtype=int)
+    bands = []
+    for rows in np.split(populations[:, order], sorted(splits)):
+        used = np.flatnonzero(rows.any(axis=0))
+        bands.append(rows[:, :used[-1] + 1 if used.size else 0].copy())
+    return SimulationResult(
+        times=np.asarray(times, dtype=float), bands=bands, order=order,
+        columns=np.asarray(columns, dtype=int), space=space,
+        final_state=basis_state(space, occupations),
+        norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)

@@ -476,8 +476,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_runs_and_reports_load_no_numpy_ma(tmp_path):
-    """``np.unique`` imports ``numpy.ma`` on its first call; no run path
-    may call it, so a run, its CSVs and its report leave it unloaded."""
+    """``np.unique`` imports ``numpy.ma`` on its first call, and
+    ``numpy.polynomial`` loads on first use; no run path may use either, so
+    a run, its CSVs and its report leave both unloaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     script = (
@@ -492,10 +493,11 @@ def test_runs_and_reports_load_no_numpy_ma(tmp_path):
         "    open(name + '_result.csv', 'w').write(records_csv([record]))\n"
         "    records.append(record)\n"
         "emit_report(records)\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))\n")
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
     assert {p.name for p in tmp_path.iterdir()} == {
         f"{name}_{kind}.csv" for name in ("fig3", "fig1b")
         for kind in ("populations", "result")}

@@ -177,6 +177,13 @@ def quad_phase(tp, tu, td, depth, sharpness=6.0):
     return DEFAULT_SECULAR_FREQUENCY * val
 
 
+def test_gauss_rule_is_leggauss_to_the_bit():
+    """The written-out 48-point rule is numpy's leggauss(48), bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    assert pulses.GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert pulses.GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
 @pytest.mark.parametrize("tp,tu,td", [
     (8.8, 4.4, 4.4), (2.2, 1.0, 1.0), (1.1, 0.5, 0.5),
     (4.0, 1.5, 2.5),  # unequal ramps

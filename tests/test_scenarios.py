@@ -7,13 +7,15 @@ import re
 import tracemalloc
 from dataclasses import fields, replace
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
-from phonondd.model import FockSpace, basis_state
-from phonondd.propagation import PropagationError, SimulationResult
+from phonondd import propagation
+from phonondd.model import FockSpace
+from phonondd.propagation import PropagationError
 from phonondd.scenarios import (
     CONFIG_KEYS,
     MAX_FOCK_DIMENSION,
@@ -38,7 +40,7 @@ from phonondd.sequences import feasibility_bounds, synthesize
 
 from convergence import convergence_check
 from fock_labels import label
-from population_record import dense_populations
+from population_record import banded_result, dense_populations
 
 CHEAP = """
 chain.modes = 2
@@ -276,7 +278,8 @@ CELL_VALUES = [0.0, 1e-05, 5e-324, 1e+16, 1e-4, 2e-4, 0.25, 1.0 / 3.0]
 @st.composite
 def synthetic_results(draw):
     """(result, cfg) with columns that are zero, constant or varying, on a
-    record of every basis state or of a drawn subset."""
+    record of every basis state or of a drawn subset, held as bands of
+    drawn rows, widths and column order."""
     modes = draw(st.integers(1, 3))
     cutoff = draw(st.integers(1, 3))
     space = FockSpace(modes, cutoff)
@@ -305,23 +308,86 @@ def synthetic_results(draw):
     record = draw(st.just(list(range(space.dimension)))
                   | st.lists(st.integers(0, space.dimension - 1),
                              unique=True).map(sorted))
-    result = SimulationResult(
-        times=np.array(times), populations=np.column_stack(columns)[:, record],
-        columns=np.array(record, dtype=int), space=space,
-        final_state=basis_state(space, occupations),
-        norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)
-    return result, cfg
+    populations, splits, order = draw(banding(np.column_stack(columns)[:, record]))
+    return banded_result(space, times, populations, record, occupations,
+                         splits, order), cfg
+
+
+@st.composite
+def banding(draw, populations):
+    """(populations, splits, order): bands cut before the drawn rows
+    ``splits`` (a repeated cut gives a band of no rows), and the record
+    zeroed past a drawn width of each band in the drawn column ``order``."""
+    rows, count = populations.shape
+    order = draw(st.permutations(range(count)))
+    splits = sorted(draw(st.lists(st.integers(0, rows), max_size=4)))
+    populations = populations.copy()
+    for band in np.split(np.arange(rows), splits):
+        populations[np.ix_(band, order[draw(st.integers(0, count)):])] = 0.0
+    return populations, splits, order
+
+
+def fixed_bands():
+    """(result, cfg) on a record of 20 of 27 states, held in five bands of
+    widths 20, 0, 3, 12 and 7, the first two one row long."""
+    space = FockSpace(3, 2)
+    record = [i for i in range(space.dimension) if i % 4]
+    order = [(7 * j) % len(record) for j in range(len(record))]
+    rows = np.arange(1, 12)[:, None] / (1.0 + np.arange(len(record)))
+    widths = [(0, 1, len(record)), (1, 2, 0), (2, 5, 3), (5, 9, 12), (9, 11, 7)]
+    populations = np.zeros_like(rows)
+    for lo, hi, width in widths:
+        populations[lo:hi, order[:width]] = rows[lo:hi, order[:width]]
+    cfg = ScenarioConfig("fixed", 3, 43.8e-6, 2, (1, 1, 0))
+    return banded_result(space, np.linspace(0.0, 1e-4, 11), populations, record,
+                         (1, 1, 0), [1, 2, 5, 9], order), cfg
 
 
 # no shrink phase: minimizing thousands of drawn cells takes minutes, so
 # a failing example is reported as first found
 @settings(max_examples=100, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(case=synthetic_results(), full=st.booleans())
-def test_populations_csv_matches_cell_by_cell(case, full):
+@given(case=synthetic_results(), full=st.booleans(),
+       slice_bytes=st.just(propagation.SLICE_BYTES) | st.integers(1, 4096))
+@example(case=fixed_bands(), full=False, slice_bytes=200)
+@example(case=fixed_bands(), full=True, slice_bytes=200)
+def test_populations_csv_matches_cell_by_cell(case, full, slice_bytes):
+    """The CSV against the cell by cell formatter, with the band reader's
+    row chunks at their own size or drawn down to one row."""
     result, cfg = case
-    assert populations_csv(result, cfg, full=full) == \
-        cell_by_cell_populations_csv(result, cfg, full)
+    with mock.patch.object(propagation, "SLICE_BYTES", slice_bytes):
+        text = populations_csv(result, cfg, full=full)
+    assert text == cell_by_cell_populations_csv(result, cfg, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_band_reader_returns_the_dense_record(data):
+    """Every reader of a banded record gives the dense record it was cut
+    from: the whole of it, its column maxima, and the populations of any
+    basis states, zero off the record, in row chunks of any size."""
+    space = FockSpace(2, 3)
+    record = data.draw(st.lists(st.integers(0, space.dimension - 1),
+                                unique=True).map(sorted))
+    rows = data.draw(st.integers(1, 30))
+    cells = st.lists(st.sampled_from(CELL_VALUES), min_size=len(record),
+                     max_size=len(record))
+    dense = np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)),
+                     dtype=float).reshape(rows, len(record))
+    dense, splits, order = data.draw(banding(dense))
+    result = banded_result(space, np.arange(rows) * 1e-6, dense, record, (0, 0),
+                           splits, order)
+    assert np.array_equal(result.populations, dense)
+    assert np.array_equal(result.column_maxima(), dense.max(axis=0))
+    states = np.array(data.draw(st.lists(st.integers(0, space.dimension - 1))),
+                      dtype=int)
+    # chunks of at most ``size`` rows at the width the reader gathers at
+    size = data.draw(st.integers(1, rows))
+    slice_bytes = 8 * max(len(states), len(record) + 1) * size
+    with mock.patch.object(propagation, "SLICE_BYTES", slice_bytes):
+        chunks = list(result.row_chunks(states))
+    assert max(len(chunk) for chunk in chunks) <= size
+    assert np.array_equal(np.concatenate(chunks), dense_populations(result)[:, states])
 
 
 def table_result(columns, cutoff=2, modes=2, occupations=(1, 0), pair=None):
@@ -331,12 +397,9 @@ def table_result(columns, cutoff=2, modes=2, occupations=(1, 0), pair=None):
     populations = np.array(columns, dtype=float).T
     cfg = ScenarioConfig("table", modes, 43.8e-6, cutoff, occupations,
                          beam_splitter_pair=pair)
-    result = SimulationResult(
-        times=np.linspace(0.0, 1e-4, populations.shape[0]), populations=populations,
-        columns=np.arange(space.dimension), space=space,
-        final_state=basis_state(space, occupations),
-        norm_drift=0.0, boundary_leakage=0.0, wall_time=0.0)
-    return result, cfg
+    times = np.linspace(0.0, 1e-4, populations.shape[0])
+    return banded_result(space, times, populations, np.arange(space.dimension),
+                         occupations), cfg
 
 
 def ramp(rows, scale=1.0):

@@ -69,6 +69,7 @@ from phonondd.scenarios import (
     build_scenario,
     execute_scenario,
     get_scenario,
+    populations_csv,
     scenario_catalog,
 )
 from phonondd.sequences import DDSpec, Evolve, synthesize
@@ -979,19 +980,32 @@ def test_levels_are_built_up_to_the_top_window_input():
 
 
 def test_fig4b_run_traces_no_level_tables_past_its_windows():
-    """One fig4b run, after a first that loads numpy's lazy modules, traces
-    a peak of at most 5.5 MB: 4.59 MB measured with the levels built up to
-    the top window input, 6.79 MB with all 30 built, 2.19 MB of them."""
-    bound = 5.5e6
+    """One fig4b run and its filtered CSV, after a first pair that loads
+    numpy's lazy modules, trace a peak of at most 2.3 MB: 1.89 MB measured
+    with the Gamma(Y) levels built up to the top window input and the
+    record held as sector bands, 36,028 values.  Building all 30 levels
+    adds 2.19 MB, and a dense 512 x 665 record 2.72 MB (4.47 MB measured
+    with it)."""
+    bound = 2.3e6
     cfg = get_scenario("fig4b")
-    execute_scenario(cfg)
+    populations_csv(execute_scenario(cfg)[1], cfg)
     tracemalloc.start()
     try:
-        execute_scenario(cfg)
+        _, result = execute_scenario(cfg)
+        populations_csv(result, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_fig4b_run_logs_its_banded_record(caplog):
+    """The run's debug line counts the record values its bands store
+    against the dense record: on fig4b, 36,028 of 512 x 665 = 340,480."""
+    cfg = get_scenario("fig4b")
+    schedule, initial, engine = build_scenario(cfg)
+    fields = run_fields(caplog, engine, schedule, initial, cfg.record_samples)
+    assert fields["record_values"] == "36028/340480"
 
 
 def test_long_chain_map_needs_no_fock_space():
