@@ -143,23 +143,20 @@ class SimulationResult:
     """Timeline record of one schedule execution.
 
     ``times`` is the record grid, ``record_samples`` evenly spaced points
-    from the start of the schedule to its end; row k of ``populations``
-    holds the float populations of the state at ``times[k]``, after every
-    event at that time.  The last row holds the final state, at the time
-    the steps end on, which can differ from the grid end in the last bit.
-    Column i of ``populations`` is the basis state ``columns[i]``:
-    ``columns`` holds, in ascending Fock order, the states of every number
-    sector the run can reach, and every other state has population
-    exactly zero throughout.
+    from the start of the schedule to its end; record row k holds the
+    float populations of the state at ``times[k]``, after every event at
+    that time.  The last row holds the final state, at the time the steps
+    end on, which can differ from the grid end in the last bit.  Record
+    column i is the basis state ``columns[i]``: ``columns`` holds the
+    states of every number sector the run can reach, in sector order (by
+    total phonon number, Fock index ascending within a sector), and every
+    other state has population exactly zero throughout.
 
     The record is stored as ``bands``, consecutive blocks of rows from the
-    first row to the last.  Column j of a band is record column
-    ``order[j]``, and a band holds only its first columns in that order:
-    every record column past its width is exactly zero on its rows.  A run
-    orders the columns by number sector, so a band stops at the highest
-    sector its rows occupy.  ``populations`` builds the dense
-    (times x columns) record from them on each call; ``column_maxima``
-    and ``row_chunks`` read the record without building it.
+    first row to the last.  A band holds only the first record columns:
+    every column past its width is exactly zero on its rows, so a band
+    stops at the highest sector its rows occupy.  ``column_maxima`` and
+    ``row_chunks`` read the record band by band.
 
     ``norm_drift`` is the largest deviation of the state norm from one.
     On shaped runs it includes, exactly, the population each window has
@@ -170,7 +167,6 @@ class SimulationResult:
 
     times: np.ndarray
     bands: list[np.ndarray]
-    order: np.ndarray
     columns: np.ndarray
     space: FockSpace
     final_state: PhononState
@@ -180,26 +176,14 @@ class SimulationResult:
     error_E: float | None = None
     error_EB: float | None = None
 
-    @property
-    def populations(self) -> np.ndarray:
-        """The dense record, (times x columns), built from the bands."""
-        dense = np.zeros((self.times.size, self.columns.size))
-        start = 0
-        for band in self.bands:
-            dense[start:start + len(band), self.order[:band.shape[1]]] = band
-            start += len(band)
-        return dense
-
     def column_maxima(self) -> np.ndarray:
         """The largest population of each record column over all rows."""
-        peaks = np.zeros(self.order.size)  # in band column order
+        peaks = np.zeros(self.columns.size)
         for band in self.bands:
             if band.size:
                 width = band.shape[1]
                 np.maximum(peaks[:width], band.max(axis=0), out=peaks[:width])
-        out = np.empty_like(peaks)
-        out[self.order] = peaks
-        return out
+        return peaks
 
     def row_chunks(self, states: np.ndarray):
         """The populations of the basis states ``states``, Fock indices,
@@ -207,13 +191,13 @@ class SimulationResult:
 
         A block holds as many rows as fit SLICE_BYTES at the width of the
         record or of ``states``, whichever is larger.  The bands are copied
-        in row order, each once, into one buffer in band column order,
+        in row order, each once, into one buffer of the record columns,
         whose last column stays zero, and a block is gathered from it each
         time it fills.
         """
-        count = self.order.size
+        count = self.columns.size
         where = np.full(self.space.dimension, count)  # the zero column
-        where[self.columns[self.order]] = np.arange(count)
+        where[self.columns] = np.arange(count)
         where = where[states]
         size = max(1, SLICE_BYTES // (8 * max(len(states), count + 1)))
         buffer = np.zeros((size, count + 1))
@@ -812,7 +796,9 @@ class SchedulePropagator:
 
     def _trim(self, amps: np.ndarray) -> tuple[np.ndarray, int, float]:
         """(amps, top sector kept, weight dropped) after zeroing the highest
-        sectors of joint weight at most eps^2 |amps|^2, eps of float64."""
+        sectors of joint weight at most eps^2 |amps|^2, eps of float64.
+        The top sector kept is the highest holding amplitude, -1 if none:
+        the weight from it up exceeds the weight from the sector above."""
         weights = np.bincount(self._total, weights=np.abs(amps) ** 2)
         tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)  # weight from N up
         floor = EPS ** 2 * tail[0]
@@ -856,17 +842,14 @@ class SchedulePropagator:
             reach[np.isin(np.arange(reach.size) % 2, start_sectors % 2)] = True
         else:
             reach[start_sectors] = True
-        # the recorded positions in sector order, the band column of each
-        # position, the record column of each band column, and the band
-        # width up to each sector (entry N + 1 for sector N)
+        # the recorded positions, in sector order, are the record columns;
+        # the record width up to each sector is entry N + 1 for sector N,
+        # so sector N fills record columns widths[N]:widths[N + 1]
         recorded = np.flatnonzero(reach[self._total])
-        columns = np.sort(self._fock[recorded])
-        band_column = np.full(self.space.dimension, -1)
-        band_column[recorded] = np.arange(recorded.size)
-        order = np.searchsorted(columns, self._fock[recorded])
         widths = np.cumsum(np.append(0, reach * np.diff(self._offsets)))
         # bands of amplitude magnitudes, squared in place once at the end,
-        # and the highest sector the state holds, which only a window moves
+        # and the highest sector the state holds: only a window moves it,
+        # and the trim at the window end returns it
         bands: list[np.ndarray] = []
         state_top = int(start_sectors.max(initial=-1))
 
@@ -897,7 +880,8 @@ class SchedulePropagator:
                 band = np.zeros((k - start, widths[state_top + 1]))
                 dts = np.append(inner - t, duration)  # samples, then the end
                 for rows, states in self._free_states(amps, dts):
-                    band[:, band_column[rows]] = np.abs(states[:, :-1].T)
+                    n = self._total[rows.start]
+                    band[:, widths[n]:widths[n + 1]] = np.abs(states[:, :-1].T)
                     after[rows] = states[:, -1]
                 if len(band):
                     bands.append(band)
@@ -908,11 +892,10 @@ class SchedulePropagator:
                 checked, terms, tails = self._apply(amps, maps)
                 if len(inner):
                     keep(checked[:-1], self._band(checked[:-1])[1])
-                amps, kept, dropped = self._trim(checked[-1])
-                state_top = self._band(amps[None])[1]
+                amps, state_top, dropped = self._trim(checked[-1])
                 applies += len(checked)
                 raised, bound = raised + int(terms.sum()), bound + float(tails.sum())
-                top, trimmed = max(top, kept), trimmed + dropped
+                top, trimmed = max(top, state_top), trimmed + dropped
             norm_drift = max(norm_drift, float(np.abs(_norms(checked) - 1.0).max()))
             edge = np.abs(np.take(checked, boundary, axis=1)) ** 2
             leakage = max(leakage, float(edge.sum(axis=1).max()))
@@ -924,12 +907,12 @@ class SchedulePropagator:
         LOG.debug("run window_applies=%d top_kept_sector=%d trimmed_weight=%.2e"
                   " raise_terms=%d raise_bound=%.2e record_values=%d/%d",
                   applies, top, trimmed, raised, bound,
-                  sum(band.size for band in bands), times.size * columns.size)
+                  sum(band.size for band in bands), times.size * recorded.size)
         times[-1] = t
         final = PhononState(self.space, amps[self._position])
         err = error_overlap(initial, final)
         err_b = error_overlap(reference, final) if reference is not None else None
-        return SimulationResult(times=times, bands=bands, order=order, columns=columns,
+        return SimulationResult(times=times, bands=bands, columns=self._fock[recorded],
                                 space=self.space, final_state=final,
                                 norm_drift=norm_drift,
                                 boundary_leakage=leakage,

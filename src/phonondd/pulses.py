@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE
+from .model import (DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE,
+                    check_positive)
 
 # The 48-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(48) to the
 # bit: its nodes and weights are exactly symmetric, so the 24 positive
@@ -288,8 +289,7 @@ def sample_pulse(pulse: ShapedPulse, sample_interval: float = 1e-9) -> PulseWave
         If the scale factor drops to zero or below, or the squared trap
         frequency goes negative anywhere on the grid.
     """
-    if sample_interval <= 0:
-        raise ValueError("sample_interval must be positive")
+    check_positive(sample_interval=sample_interval)
     n = max(2, int(round(pulse.duration / sample_interval)) + 1)
     t = np.linspace(0.0, pulse.duration, n)
     b, _, bdd = scale_factor_derivatives(t, pulse.params)
@@ -326,10 +326,13 @@ class TrapParams:
     dc_parameter: float = 0.002
 
     def __post_init__(self) -> None:
-        if min(self.ion_mass, self.drive_frequency, self.electrode_radius) <= 0:
-            raise ValueError("trap parameters must be positive")
-        if self.axial_frequency < 0:
-            raise ValueError("axial_frequency must be non-negative")
+        check_positive(ion_mass=self.ion_mass, drive_frequency=self.drive_frequency,
+                       electrode_radius=self.electrode_radius)
+        if not 0 <= self.axial_frequency < math.inf:
+            raise ValueError("axial_frequency must be non-negative and finite,"
+                             f" not {self.axial_frequency!r}")
+        if not math.isfinite(self.dc_parameter):
+            raise ValueError(f"dc_parameter must be finite, not {self.dc_parameter!r}")
 
     # voltage scale m W^2 r0^2 / e shared by both stability parameters
     @property
@@ -356,10 +359,11 @@ def stability_parameters(trap: TrapParams, dc_voltage, rf_voltage):
 
 
 def check_stability(a, q) -> None:
-    """Warn outside the comfortable region, raise outside the stable one."""
+    """Warn outside the comfortable region, raise outside the stable one,
+    and on a non-finite a or q."""
     amax = float(np.max(np.abs(a)))
     qmax = float(np.max(np.abs(q)))
-    if amax > STABILITY_MAX_A or qmax > STABILITY_MAX_Q:
+    if not (amax <= STABILITY_MAX_A and qmax <= STABILITY_MAX_Q):  # NaN fails too
         raise TrapStabilityError(
             f"waveform unstable: |a| up to {amax:.4f}, |q| up to {qmax:.4f}")
     if amax > STABILITY_WARN_A or qmax > STABILITY_WARN_Q:

@@ -54,10 +54,9 @@ DEFAULT_RECORD_SAMPLES = 512
 # The largest run a config may ask for, checked at parse so that it does
 # not exhaust memory in the engine: the engine's tables peak at about
 # 60 M + 55 bytes per Fock state of M modes (234 B measured at M = 3).  A
-# run stores its record as sector bands, but the dense ``populations``
-# view, which a full CSV still builds, holds one float64 per recorded
-# state and sample, so the record bound guards that view.  The catalog
-# needs at most 1,331 states and 681,472 record values.
+# run stores its record as sector bands, but the full CSV writes one cell
+# per basis state and sample, so the record bound guards that dump.  The
+# catalog needs at most 1,331 states and 681,472 record values.
 MAX_FOCK_DIMENSION = 2 ** 20
 MAX_RECORD_VALUES = 2 ** 26
 
@@ -283,31 +282,23 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     A state off the record, ``result.columns``, is zero on every row.
     """
     space = result.space
-    # the record column of each basis state, -1 off the record
-    slot = np.full(space.dimension, -1)
-    slot[result.columns] = np.arange(result.columns.size)
-    if full:
-        keep = np.arange(space.dimension)
-    else:
-        chosen = np.zeros(space.dimension, dtype=bool)
+    chosen = np.full(space.dimension, full)
+    if not full:
         chosen[result.columns] = result.column_maxima() > POPULATION_COLUMN_THRESHOLD
         chosen[[space.index(cfg.initial_occupations), *_hom_outputs(cfg, space)]] = True
-        keep = np.flatnonzero(chosen)
-    recorded = slot[keep]
-    if full:
-        kept = result.populations
-    else:
-        # the kept columns and the dropped states, a state off the record
-        # reading 0.0, from one pass over the record in row chunks of at
-        # most SLICE_BYTES, so the dense record is never built.  Each
-        # residual is the sum of one row's dropped populations over axis 1,
-        # the same terms in the same order as that row's sum alone
-        picked = keep[recorded >= 0]
-        parts, residual = [], []
-        for chunk in result.row_chunks(np.append(picked, np.flatnonzero(~chosen))):
-            parts.append(chunk[:, :picked.size].copy())
-            residual.append(chunk[:, picked.size:].sum(axis=1))
-        kept = np.concatenate(parts)
+    keep = np.flatnonzero(chosen)
+    recorded = np.isin(keep, result.columns)
+    # the kept states on the record and the dropped states, a state off the
+    # record reading 0.0, from one pass over the record in row chunks of at
+    # most SLICE_BYTES.  Each residual is the sum of one row's dropped
+    # populations over axis 1, the same terms in the same order as that
+    # row's sum alone; a full dump drops nothing and writes no residual
+    picked = keep[recorded]
+    parts, residual = [], []
+    for chunk in result.row_chunks(np.append(picked, np.flatnonzero(~chosen))):
+        parts.append(chunk[:, :picked.size].copy())
+        residual.append(chunk[:, picked.size:].sum(axis=1))
+    kept = np.concatenate(parts)
     labels = space.labels()
     header = ["t_us"] + [labels[i] for i in keep]
     # a column equal on every row (mostly an empty number sector, always a
@@ -316,7 +307,7 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     const = kept.min(axis=0) == kept.max(axis=0)
     fixed = iter([repr(v) if c else "%r"
                   for v, c in zip(kept[0].tolist(), const.tolist())])
-    cells = ["%r"] + [next(fixed) if s >= 0 else repr(0.0) for s in recorded.tolist()]
+    cells = ["%r"] + [next(fixed) if r else repr(0.0) for r in recorded.tolist()]
     live = [result.times * 1e6] + [kept[:, j] for j in np.flatnonzero(~const)]
     if not full:
         header.append("residual")

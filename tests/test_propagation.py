@@ -44,7 +44,7 @@ from dense_oracle import (
     hopping_hamiltonian,
     lab_frame_oscillator,
 )
-from population_record import dense_populations
+from population_record import dense_populations, record
 
 W0 = DEFAULT_SECULAR_FREQUENCY
 T0 = 1.0 / 2.2e6
@@ -142,7 +142,7 @@ class TestIdealPhase:
         assert np.array_equal(res.final_state.amplitudes, flipped)
         assert np.array_equal(np.abs(state.amplitudes) ** 2, after)
         assert res.times.tolist() == [0.0]
-        assert np.array_equal(res.populations, after[None, :])
+        assert np.array_equal(dense_populations(res), after[None, :])
 
     def test_conjugation_flips_coupling_sign(self):
         # P exp(-i H t) P = exp(-i H' t) with hopping terms through the
@@ -219,7 +219,7 @@ class TestScheduleRuns:
         schedule = synthesize(DDSpec(2, HOP_TIME))
         res = SchedulePropagator(space, ModeMaps(cm)).run(
             schedule, basis_state(space, (2, 1)), record_samples=65)
-        sums = res.populations.sum(axis=1)
+        sums = record(res).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
         assert np.all(np.diff(res.times) > 0)
         assert res.times[0] == 0.0
@@ -242,7 +242,7 @@ class TestScheduleRuns:
         res = engine.run(schedule, initial, record_samples=cfg.record_samples)
         total = sum(space.mode_occupations(q) for q in range(space.mode_count))
         assert np.count_nonzero(total == 3) == 10
-        np.testing.assert_array_equal(res.columns, np.flatnonzero(total == 3))
+        np.testing.assert_array_equal(np.sort(res.columns), np.flatnonzero(total == 3))
         assert not res.final_state.amplitudes[total != 3].any()
         dense = dense_populations(res)
         assert np.all(dense[:, total != 3] == 0.0)
@@ -344,12 +344,24 @@ class TestRecord:
     def totals(space):
         return sum(space.mode_occupations(q) for q in range(space.mode_count))
 
+    def assert_sector_order(self, result):
+        """Record columns by total phonon number, Fock index ascending
+        within a sector."""
+        total = self.totals(result.space)[result.columns]
+        assert np.all(np.diff(total) >= 0)
+        assert np.all(np.diff(result.columns)[np.diff(total) == 0] > 0)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig5b"])
+    def test_columns_are_in_sector_order(self, scenario_cache, name):
+        self.assert_sector_order(scenario_cache.result(name))
+
     def test_shaped_run_records_the_initial_parity(self, scenario_cache):
         # fig5b starts in |2,1,0>, N = 3: the odd sectors of the 1,331 states
         result = scenario_cache.result("fig5b")
         total = self.totals(result.space)
         assert result.columns.size == 665
-        np.testing.assert_array_equal(result.columns, np.flatnonzero(total % 2 == 1))
+        np.testing.assert_array_equal(np.sort(result.columns),
+                                      np.flatnonzero(total % 2 == 1))
         assert not result.final_state.amplitudes[total % 2 == 0].any()
 
     def test_mixed_parity_state_through_a_window_records_every_state(self):
@@ -361,8 +373,9 @@ class TestRecord:
         initial = PhononState(space, amps / np.linalg.norm(amps))
         res = engine.run(schedule, initial, record_samples=2)
         assert space.dimension == 1331
-        np.testing.assert_array_equal(res.columns, np.arange(space.dimension))
-        assert np.array_equal(res.populations[-1],
+        np.testing.assert_array_equal(np.sort(res.columns), np.arange(space.dimension))
+        self.assert_sector_order(res)
+        assert np.array_equal(dense_populations(res)[-1],
                               np.abs(res.final_state.amplitudes) ** 2)
 
     def test_ideal_run_from_two_sectors_records_both(self):
@@ -376,7 +389,7 @@ class TestRecord:
         res = engine.run(schedule, PhononState(space, amps), record_samples=16)
         total = self.totals(space)
         # sector 1 holds 3 states and sector 3 holds 10
-        np.testing.assert_array_equal(res.columns,
+        np.testing.assert_array_equal(np.sort(res.columns),
                                       np.flatnonzero((total == 1) | (total == 3)))
         assert res.columns.size == 13
         dense = dense_populations(res)

@@ -302,3 +302,31 @@ class TestWaveforms:
             TrapParams(drive_frequency=0.0)
         with pytest.raises(ValueError):
             TrapParams(axial_frequency=-1.0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("ion_mass", math.nan, "ion_mass must be positive and finite"),
+        ("ion_mass", math.inf, "ion_mass must be positive and finite"),
+        ("drive_frequency", math.nan, "drive_frequency must be positive and finite"),
+        ("drive_frequency", math.inf, "drive_frequency must be positive and finite"),
+        ("electrode_radius", math.nan, "electrode_radius must be positive and finite"),
+        ("electrode_radius", 0.0, "electrode_radius must be positive and finite"),
+        ("axial_frequency", math.nan, "axial_frequency must be non-negative and finite"),
+        ("axial_frequency", math.inf, "axial_frequency must be non-negative and finite"),
+        ("dc_parameter", math.nan, "dc_parameter must be finite"),
+        ("dc_parameter", -math.inf, "dc_parameter must be finite"),
+    ])
+    def test_trap_params_reject_non_finite_values(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}, not {value!r}$"):
+            TrapParams(**{field: value})
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -1e-9])
+    def test_sample_interval_must_be_positive_and_finite(self, long_pulse, interval):
+        with pytest.raises(ValueError, match="sample_interval must be positive and finite"):
+            sample_pulse(long_pulse, interval)
+
+    @pytest.mark.parametrize("a,q", [(math.nan, 0.2), (0.01, math.nan),
+                                     (math.inf, 0.2), (0.01, -math.inf),
+                                     (np.array([0.01, math.nan]), 0.2)])
+    def test_stability_rejects_non_finite_parameters(self, a, q):
+        with pytest.raises(TrapStabilityError, match="waveform unstable"):
+            check_stability(a, q)

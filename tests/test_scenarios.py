@@ -40,7 +40,7 @@ from phonondd.sequences import feasibility_bounds, synthesize
 
 from convergence import convergence_check
 from fock_labels import label
-from population_record import banded_result, dense_populations
+from population_record import banded_result, dense_populations, record
 
 CHEAP = """
 chain.modes = 2
@@ -174,7 +174,7 @@ class TestExecution:
         cfg = replace(get_scenario(name), record_samples=samples)
         _, result = execute_scenario(cfg)
         assert len(result.times) == samples
-        assert result.populations.shape == (samples, result.columns.size)
+        assert record(result).shape == (samples, result.columns.size)
         assert dense_populations(result).shape == (samples, result.space.dimension)
         assert np.all(np.diff(result.times) > 0)
 
@@ -244,6 +244,26 @@ class TestPopulationsCsv:
         assert len(cols) == 1 + result.space.dimension
         assert "residual" not in cols
 
+    def test_filtered_columns_are_the_full_dump_columns(self, scenario_cache):
+        """On fig5b, whose record is held in 42 bands, every column of the
+        filtered CSV but the residual is, byte for byte, the same column of
+        the full CSV: both dumps read the record through one pass."""
+        cfg = get_scenario("fig5b")
+        result = scenario_cache.result("fig5b")
+        assert len(result.bands) == 42
+
+        def by_label(text):
+            rows = [line.split(",") for line in text.splitlines()]
+            return dict(zip(rows[0], zip(*rows[1:])))
+
+        filtered = by_label(populations_csv(result, cfg))
+        full = by_label(populations_csv(result, cfg, full=True))
+        assert "residual" in filtered and "residual" not in full
+        del filtered["residual"]
+        assert 1 < len(filtered) < len(full)
+        for name, cells in filtered.items():
+            assert cells == full[name], name
+
     @pytest.mark.parametrize("name", ["fig1a", "fig4b"])
     def test_residual_column_matches_the_row_loop(self, scenario_cache, name):
         """The residual column, one sum over axis 1, bit for bit against the
@@ -278,8 +298,8 @@ CELL_VALUES = [0.0, 1e-05, 5e-324, 1e+16, 1e-4, 2e-4, 0.25, 1.0 / 3.0]
 @st.composite
 def synthetic_results(draw):
     """(result, cfg) with columns that are zero, constant or varying, on a
-    record of every basis state or of a drawn subset, held as bands of
-    drawn rows, widths and column order."""
+    record of every basis state or of a drawn subset, in a drawn column
+    order, held as bands of drawn rows and widths."""
     modes = draw(st.integers(1, 3))
     cutoff = draw(st.integers(1, 3))
     space = FockSpace(modes, cutoff)
@@ -305,42 +325,45 @@ def synthetic_results(draw):
     pair = (0, 1) if modes > 1 and draw(st.booleans()) else None
     cfg = ScenarioConfig("synthetic", modes, 43.8e-6, cutoff, occupations,
                          beam_splitter_pair=pair)
-    record = draw(st.just(list(range(space.dimension)))
+    states = draw(st.just(list(range(space.dimension)))
                   | st.lists(st.integers(0, space.dimension - 1),
                              unique=True).map(sorted))
-    populations, splits, order = draw(banding(np.column_stack(columns)[:, record]))
-    return banded_result(space, times, populations, record, occupations,
-                         splits, order), cfg
+    populations, states, splits = draw(
+        banding(np.column_stack(columns)[:, states], states))
+    return banded_result(space, times, populations, states, occupations,
+                         splits), cfg
 
 
 @st.composite
-def banding(draw, populations):
-    """(populations, splits, order): bands cut before the drawn rows
-    ``splits`` (a repeated cut gives a band of no rows), and the record
-    zeroed past a drawn width of each band in the drawn column ``order``."""
+def banding(draw, populations, states):
+    """(populations, states, splits): the record on the basis states
+    ``states`` with its columns in a drawn order, bands cut before the
+    drawn rows ``splits`` (a repeated cut gives a band of no rows), and the
+    record zeroed past a drawn width of each band."""
     rows, count = populations.shape
-    order = draw(st.permutations(range(count)))
+    order = np.array(draw(st.permutations(range(count))), dtype=int)
     splits = sorted(draw(st.lists(st.integers(0, rows), max_size=4)))
-    populations = populations.copy()
+    populations = populations[:, order]
     for band in np.split(np.arange(rows), splits):
-        populations[np.ix_(band, order[draw(st.integers(0, count)):])] = 0.0
-    return populations, splits, order
+        populations[band, draw(st.integers(0, count)):] = 0.0
+    return populations, np.asarray(states, dtype=int)[order], splits
 
 
 def fixed_bands():
-    """(result, cfg) on a record of 20 of 27 states, held in five bands of
-    widths 20, 0, 3, 12 and 7, the first two one row long."""
+    """(result, cfg) on a record of 20 of 27 states in a mixed column
+    order, held in five bands of widths 20, 0, 3, 12 and 7, the first two
+    one row long."""
     space = FockSpace(3, 2)
-    record = [i for i in range(space.dimension) if i % 4]
-    order = [(7 * j) % len(record) for j in range(len(record))]
-    rows = np.arange(1, 12)[:, None] / (1.0 + np.arange(len(record)))
-    widths = [(0, 1, len(record)), (1, 2, 0), (2, 5, 3), (5, 9, 12), (9, 11, 7)]
+    states = np.array([i for i in range(space.dimension) if i % 4])
+    order = [(7 * j) % len(states) for j in range(len(states))]
+    rows = np.arange(1, 12)[:, None] / (1.0 + np.arange(len(states)))
+    widths = [(0, 1, len(states)), (1, 2, 0), (2, 5, 3), (5, 9, 12), (9, 11, 7)]
     populations = np.zeros_like(rows)
     for lo, hi, width in widths:
-        populations[lo:hi, order[:width]] = rows[lo:hi, order[:width]]
+        populations[lo:hi, :width] = rows[lo:hi, order[:width]]
     cfg = ScenarioConfig("fixed", 3, 43.8e-6, 2, (1, 1, 0))
-    return banded_result(space, np.linspace(0.0, 1e-4, 11), populations, record,
-                         (1, 1, 0), [1, 2, 5, 9], order), cfg
+    return banded_result(space, np.linspace(0.0, 1e-4, 11), populations,
+                         states[order], (1, 1, 0), [1, 2, 5, 9]), cfg
 
 
 # no shrink phase: minimizing thousands of drawn cells takes minutes, so
@@ -367,23 +390,23 @@ def test_band_reader_returns_the_dense_record(data):
     from: the whole of it, its column maxima, and the populations of any
     basis states, zero off the record, in row chunks of any size."""
     space = FockSpace(2, 3)
-    record = data.draw(st.lists(st.integers(0, space.dimension - 1),
-                                unique=True).map(sorted))
+    columns = data.draw(st.lists(st.integers(0, space.dimension - 1),
+                                 unique=True).map(sorted))
     rows = data.draw(st.integers(1, 30))
-    cells = st.lists(st.sampled_from(CELL_VALUES), min_size=len(record),
-                     max_size=len(record))
+    cells = st.lists(st.sampled_from(CELL_VALUES), min_size=len(columns),
+                     max_size=len(columns))
     dense = np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)),
-                     dtype=float).reshape(rows, len(record))
-    dense, splits, order = data.draw(banding(dense))
-    result = banded_result(space, np.arange(rows) * 1e-6, dense, record, (0, 0),
-                           splits, order)
-    assert np.array_equal(result.populations, dense)
+                     dtype=float).reshape(rows, len(columns))
+    dense, columns, splits = data.draw(banding(dense, columns))
+    result = banded_result(space, np.arange(rows) * 1e-6, dense, columns, (0, 0),
+                           splits)
+    assert np.array_equal(record(result), dense)
     assert np.array_equal(result.column_maxima(), dense.max(axis=0))
     states = np.array(data.draw(st.lists(st.integers(0, space.dimension - 1))),
                       dtype=int)
     # chunks of at most ``size`` rows at the width the reader gathers at
     size = data.draw(st.integers(1, rows))
-    slice_bytes = 8 * max(len(states), len(record) + 1) * size
+    slice_bytes = 8 * max(len(states), len(columns) + 1) * size
     with mock.patch.object(propagation, "SLICE_BYTES", slice_bytes):
         chunks = list(result.row_chunks(states))
     assert max(len(chunk) for chunk in chunks) <= size
