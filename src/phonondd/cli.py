@@ -15,9 +15,12 @@ from typing import NoReturn
 import click
 
 from .pulses import (
+    DEFAULT_SHARPNESS,
+    DEFAULT_TARGET_PHASE,
     PulseDesignError,
     TrapParams,
     design_pulse,
+    phase_excess,
     waveform_table,
 )
 from .scenarios import (
@@ -72,8 +75,7 @@ def run(scenario: str, out: str | None, full_populations: bool) -> None:
         (out_dir / f"{cfg.name}_result.csv").write_text(records_csv([record]))
     except (ScenarioError, OSError) as exc:
         _fail(exc)
-    metric = record.error_EB if record.error_EB is not None else record.error_E
-    click.echo(f"{cfg.name}: error={metric:.6e} norm_drift={record.norm_drift:.2e}"
+    click.echo(f"{cfg.name}: error={record.error:.6e} norm_drift={record.norm_drift:.2e}"
                f" leakage={record.boundary_leakage:.2e}"
                f" wall={record.wall_time:.1f}s")
     references = load_reference_values()["metrics"]
@@ -138,8 +140,7 @@ def report(scenarios: str | None, out: str | None) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:
             record, _ = execute_scenario(get_scenario(name))
-            click.echo(f"ran {name}: "
-                       f"{record.error_EB if record.error_EB is not None else record.error_E:.6e}")
+            click.echo(f"ran {name}: {record.error:.6e}")
             records.append(record)
         text, ok = emit_report(records)
         (out_dir / "report.csv").write_text(text)
@@ -158,10 +159,10 @@ def pulse() -> None:
 @click.option("--tp-us", required=True, help="Pulse duration in us.")
 @click.option("--tud-us", default=None,
               help="Ramp duration in us (both ramps); default half the pulse.")
-@click.option("--sigma", default=6.0, type=float, help="Ramp sharpness.")
+@click.option("--sigma", default=DEFAULT_SHARPNESS, type=float, help="Ramp sharpness.")
 @click.option("--omega0-mhz", default="2.2",
               help="Secular frequency over 2 pi, in MHz.")
-@click.option("--target-phase", default=math.pi, type=float,
+@click.option("--target-phase", default=DEFAULT_TARGET_PHASE, type=float,
               help="Phase excess to imprint, radians.")
 @click.option("--export", default=None, type=click.Path(),
               help="Write the sampled waveform (with voltages) to this CSV.")
@@ -175,8 +176,8 @@ def pulse_design(tp_us: str, tud_us: str | None, sigma: float,
         shaped = design_pulse(from_micro(tp_us), ramp, ramp, sigma, w0, target_phase)
     except (PulseDesignError, ValueError) as exc:
         _fail(exc)
-    click.echo(f"depth k = {shaped.params.depth:.6f}")
-    click.echo(f"achieved phase = {shaped.achieved_phase():.9f} rad"
+    click.echo(f"depth k = {shaped.depth:.6f}")
+    click.echo(f"achieved phase = {phase_excess(shaped):.9f} rad"
                f" (target {target_phase:.9f})")
     click.echo(f"peak excursion = {shaped.peak_excursion() / (2e3 * math.pi):.3f} kHz")
     if export:

@@ -20,6 +20,10 @@ Because b and its derivatives return to their initial values at both ends,
 every Fock state |n> picks up exactly exp(-i phi (n + 1/2)) with
 phi = w0 * integral dt / b^2, and the design solves for the depth k that
 makes the phase excess over free evolution equal to pi.
+
+One :class:`ShapedPulse` holds the gate, T_P, T_u, T_d, s, k and w0, and
+every function here reads w0 from it: :func:`design_pulse` solves k on the
+shape at depth zero and returns that shape at depth k.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +63,13 @@ GAUSS_NODES = np.array([-x for x in reversed(_NODES)] + _NODES)
 GAUSS_WEIGHTS = np.array(_WEIGHTS[::-1] + _WEIGHTS)
 PANELS = 16
 NEWTON_STEPS = 100  # the catalog pulses take 30-36 from the deep end
+DEFAULT_SHARPNESS = 6.0
+DEFAULT_TARGET_PHASE = math.pi
+# The default pulse grid, and the largest grid sample_pulse builds: a sample
+# peaks at 88 bytes there (its arrays and the floats erf passes through) and
+# about 310 in waveform_table's text.  The catalog pulses take 4,001 at most.
+SAMPLE_INTERVAL = 1e-9
+MAX_PULSE_SAMPLES = 2 ** 20
 
 
 def erf(x):
@@ -84,71 +95,77 @@ class TrapStabilityError(PulseDesignError):
 
 
 @dataclass(frozen=True)
-class BFunctionParams:
-    """Scale factor shape: total duration, ramp times, sharpness, depth.
+class ShapedPulse:
+    """A modulation pulse: the scale factor dip and the bare frequency w0.
 
     Parameters
     ----------
-    total_duration:
+    duration:
         Pulse length T_P in seconds.
     ramp_up, ramp_down:
         Durations T_u and T_d of the entry and exit ramps.  They may
-        overlap (their sum may exceed the total duration); the dip is then
+        overlap (their sum may exceed the duration); the dip is then
         shallower than the nominal depth.
     sharpness:
-        Dimensionless steepness of the erf ramps.
+        Dimensionless steepness s of the erf ramps.
     depth:
-        Dip depth k.  Must stay below one so the scale factor is positive.
+        Dip depth k in [0, 1), so the scale factor stays positive.
+    secular_frequency:
+        Bare angular frequency w0 of the mode, rad/s.
     """
 
-    total_duration: float
+    duration: float
     ramp_up: float
     ramp_down: float
-    sharpness: float = 6.0
+    sharpness: float = DEFAULT_SHARPNESS
     depth: float = 0.0
+    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
 
     def __post_init__(self) -> None:
-        if not 0 < self.total_duration < math.inf:
-            raise ValueError("total_duration must be positive and finite")
-        for name in ("ramp_up", "ramp_down"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError("ramp times must be positive and finite"
-                                 f" ({name} = {value!r})")
-        if not 0 < self.sharpness < math.inf:
-            raise ValueError("sharpness must be positive and finite")
+        check_positive(duration=self.duration, ramp_up=self.ramp_up,
+                       ramp_down=self.ramp_down, sharpness=self.sharpness,
+                       secular_frequency=self.secular_frequency)
         if not 0.0 <= self.depth < 1.0:
-            raise ValueError("depth must lie in [0, 1)")
+            raise ValueError(f"depth must lie in [0, 1), not {self.depth!r}")
+
+    def drive(self, t):
+        """Squared frequency excess at time ``t`` from the pulse start."""
+        return omega_squared(t, self) - self.secular_frequency ** 2
+
+    def peak_excursion(self, samples: int = 2001) -> float:
+        """Largest angular frequency shift from the bare value (rad/s)."""
+        t = np.linspace(0.0, self.duration, samples)
+        w = np.sqrt(omega_squared(t, self))
+        return float(np.max(np.abs(w - self.secular_frequency)))
 
 
-def _ramp_coords(t, params: BFunctionParams):
-    s = params.sharpness
-    u1 = (t / params.ramp_up - 0.5) * s
-    u2 = ((t - (params.total_duration - params.ramp_down)) / params.ramp_down - 0.5) * s
+def _ramp_coords(t, pulse: ShapedPulse):
+    s = pulse.sharpness
+    u1 = (t / pulse.ramp_up - 0.5) * s
+    u2 = ((t - (pulse.duration - pulse.ramp_down)) / pulse.ramp_down - 0.5) * s
     return u1, u2
 
 
-def scale_factor_derivatives(t, params: BFunctionParams):
+def scale_factor_derivatives(t, pulse: ShapedPulse):
     """Return (b, b', b'') evaluated analytically."""
     t = np.asarray(t, dtype=float)
-    s = params.sharpness
-    r1 = s / params.ramp_up
-    r2 = s / params.ramp_down
-    u1, u2 = _ramp_coords(t, params)
+    s = pulse.sharpness
+    r1 = s / pulse.ramp_up
+    r2 = s / pulse.ramp_down
+    u1, u2 = _ramp_coords(t, pulse)
     g1 = np.exp(-u1 * u1)
     g2 = np.exp(-u2 * u2)
-    b = 1.0 - 0.5 * params.depth * (erf(u1) - erf(u2))
-    c = params.depth / math.sqrt(math.pi)
+    b = 1.0 - 0.5 * pulse.depth * (erf(u1) - erf(u2))
+    c = pulse.depth / math.sqrt(math.pi)
     bd = -c * (r1 * g1 - r2 * g2)
     bdd = 2.0 * c * (u1 * r1 * r1 * g1 - u2 * r2 * r2 * g2)
     return b, bd, bdd
 
 
-def omega_squared(t, params: BFunctionParams,
-                  secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
+def omega_squared(t, pulse: ShapedPulse):
     """Instantaneous squared trap frequency that realizes the scale factor."""
-    b, _, bdd = scale_factor_derivatives(t, params)
-    return _frequency_squared(b, bdd, secular_frequency)
+    b, _, bdd = scale_factor_derivatives(t, pulse)
+    return _frequency_squared(b, bdd, pulse.secular_frequency)
 
 
 def _frequency_squared(b, bdd, secular_frequency: float):
@@ -156,47 +173,42 @@ def _frequency_squared(b, bdd, secular_frequency: float):
     return (secular_frequency ** 2 / b ** 3 - bdd) / b
 
 
-def _dip_on_nodes(params: BFunctionParams):
+def _dip_on_nodes(pulse: ShapedPulse):
     """The unit-depth dip g (b = 1 - k g) and the weights on the phase nodes.
 
     The rule is composite Gauss-Legendre: PANELS panels of 48 nodes on each
     smooth piece between the ramp break points, which sums the phase
     integrand to roundoff.
     """
-    tp = params.total_duration
-    cuts = sorted(set(np.clip([0.0, params.ramp_up, tp - params.ramp_down, 0.5 * tp, tp],
+    tp = pulse.duration
+    cuts = sorted(set(np.clip([0.0, pulse.ramp_up, tp - pulse.ramp_down, 0.5 * tp, tp],
                               0.0, tp).tolist()))
     edges = np.array(sorted({x for a, b in zip(cuts, cuts[1:])
                              for x in np.linspace(a, b, PANELS + 1).tolist()}))
     half = 0.5 * np.diff(edges)[:, None]
-    u1, u2 = _ramp_coords((edges[:-1, None] + half * (1.0 + GAUSS_NODES)).ravel(), params)
+    u1, u2 = _ramp_coords((edges[:-1, None] + half * (1.0 + GAUSS_NODES)).ravel(), pulse)
     return 0.5 * (erf(u1) - erf(u2)), (half * GAUSS_WEIGHTS).ravel()
 
 
-def phase_excess(params: BFunctionParams,
-                 secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> float:
+def phase_excess(pulse: ShapedPulse) -> float:
     """Accumulated phase beyond free evolution, w0 * int (1/b^2 - 1) dt."""
-    g, w = _dip_on_nodes(params)
-    return secular_frequency * float(w @ (1.0 / (1.0 - params.depth * g) ** 2 - 1.0))
+    g, w = _dip_on_nodes(pulse)
+    return pulse.secular_frequency * float(w @ (1.0 / (1.0 - pulse.depth * g) ** 2 - 1.0))
 
 
-def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
-                sharpness: float = 6.0,
-                secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
-                target_phase: float = math.pi) -> float:
-    """Find the dip depth whose phase excess equals ``target_phase``.
+def solve_strength(shape: ShapedPulse,
+                   target_phase: float = DEFAULT_TARGET_PHASE) -> float:
+    """The dip depth of ``shape`` (its own depth unread) whose phase excess
+    equals ``target_phase``.
 
     On the phase nodes the excess is w0 sum w (1/(1 - k g)^2 - 1), convex
     and growing in k (a deeper dip means a faster rotating mode), so Newton
     from the deep end of the bracket falls onto the unique root.  Raises
     :class:`PulseInfeasibleError` when even a depth of one is not enough.
     """
-    if not 0 < target_phase < math.inf:
-        raise ValueError("target_phase must be positive and finite")
-    if not 0 < secular_frequency < math.inf:
-        raise ValueError("secular_frequency must be positive and finite")
-    g, w = _dip_on_nodes(BFunctionParams(total_duration, ramp_up, ramp_down, sharpness))
-    w = secular_frequency * w
+    check_positive(target_phase=target_phase)
+    g, w = _dip_on_nodes(shape)
+    w = shape.secular_frequency * w
 
     def f(k: float) -> float:
         return float(w @ (1.0 / (1.0 - k * g) ** 2 - 1.0)) - target_phase
@@ -216,39 +228,12 @@ def solve_strength(total_duration: float, ramp_up: float, ramp_down: float,
     raise PulseDesignError(f"dip depth not converged in {NEWTON_STEPS} Newton steps")
 
 
-@dataclass(frozen=True)
-class ShapedPulse:
-    """A solved modulation pulse: its shape parameters, whose depth fixes the
-    phase it imprints."""
-
-    params: BFunctionParams
-    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
-
-    @property
-    def duration(self) -> float:
-        return self.params.total_duration
-
-    def drive(self, t):
-        """Squared frequency excess at time ``t`` from the pulse start."""
-        return (omega_squared(t, self.params, self.secular_frequency)
-                - self.secular_frequency ** 2)
-
-    def achieved_phase(self) -> float:
-        return phase_excess(self.params, self.secular_frequency)
-
-    def peak_excursion(self, samples: int = 2001) -> float:
-        """Largest angular frequency shift from the bare value (rad/s)."""
-        t = np.linspace(0.0, self.duration, samples)
-        w = np.sqrt(omega_squared(t, self.params, self.secular_frequency))
-        return float(np.max(np.abs(w - self.secular_frequency)))
-
-
 def design_pulse(total_duration: float,
                  ramp_up: float | None = None,
                  ramp_down: float | None = None,
-                 sharpness: float = 6.0,
+                 sharpness: float = DEFAULT_SHARPNESS,
                  secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
-                 target_phase: float = math.pi) -> ShapedPulse:
+                 target_phase: float = DEFAULT_TARGET_PHASE) -> ShapedPulse:
     """Solve for the dip depth and return the finished pulse.
 
     Ramp durations default to half the total duration each, which makes
@@ -256,16 +241,11 @@ def design_pulse(total_duration: float,
     nanosecond grid and rejected if the scale factor or the squared
     frequency ever leaves the physical region.
     """
-    if ramp_up is None:
-        ramp_up = 0.5 * total_duration
-    if ramp_down is None:
-        ramp_down = 0.5 * total_duration
-    depth = solve_strength(total_duration, ramp_up, ramp_down, sharpness,
-                        secular_frequency, target_phase)
-    pulse = ShapedPulse(
-        params=BFunctionParams(total_duration, ramp_up, ramp_down, sharpness, depth),
-        secular_frequency=secular_frequency,
-    )
+    half = 0.5 * total_duration
+    shape = ShapedPulse(total_duration, half if ramp_up is None else ramp_up,
+                        half if ramp_down is None else ramp_down, sharpness,
+                        secular_frequency=secular_frequency)
+    pulse = replace(shape, depth=solve_strength(shape, target_phase))
     sample_pulse(pulse)
     return pulse
 
@@ -280,7 +260,20 @@ class PulseWaveform:
     omega_sq_excess: np.ndarray
 
 
-def sample_pulse(pulse: ShapedPulse, sample_interval: float = 1e-9) -> PulseWaveform:
+def sample_count(duration: float, sample_interval: float = SAMPLE_INTERVAL) -> int:
+    """Points of the grid that samples a ``duration`` long pulse, checked
+    against MAX_PULSE_SAMPLES before any array is built."""
+    check_positive(sample_interval=sample_interval)
+    count = duration / sample_interval  # inf for a subnormal interval
+    if not count < MAX_PULSE_SAMPLES - 0.5:  # so round(count) + 1 <= the cap
+        raise ValueError(f"sample_interval {sample_interval!r} s gives {count + 1:.6g}"
+                         f" samples over {duration!r} s, above the limit"
+                         f" {MAX_PULSE_SAMPLES:,}")
+    return max(2, int(round(count)) + 1)
+
+
+def sample_pulse(pulse: ShapedPulse,
+                 sample_interval: float = SAMPLE_INTERVAL) -> PulseWaveform:
     """Sample the pulse and check it is physical everywhere.
 
     Raises
@@ -289,10 +282,8 @@ def sample_pulse(pulse: ShapedPulse, sample_interval: float = 1e-9) -> PulseWave
         If the scale factor drops to zero or below, or the squared trap
         frequency goes negative anywhere on the grid.
     """
-    check_positive(sample_interval=sample_interval)
-    n = max(2, int(round(pulse.duration / sample_interval)) + 1)
-    t = np.linspace(0.0, pulse.duration, n)
-    b, _, bdd = scale_factor_derivatives(t, pulse.params)
+    t = np.linspace(0.0, pulse.duration, sample_count(pulse.duration, sample_interval))
+    b, _, bdd = scale_factor_derivatives(t, pulse)
     if not np.all(b > 0.0):  # NaN fails too
         raise PulseInvalidError("scale factor is not positive over the pulse")
     wsq = _frequency_squared(b, bdd, pulse.secular_frequency)
@@ -394,7 +385,7 @@ def rf_waveform(omega_sq, trap: TrapParams):
 
 
 def waveform_table(pulse: ShapedPulse, trap: TrapParams | None = None,
-                   sample_interval: float = 1e-9) -> str:
+                   sample_interval: float = SAMPLE_INTERVAL) -> str:
     """CSV text with the sampled pulse and both voltage waveforms.
 
     Columns: t_s, b, omega_rad_s, omega_sq_excess, U0_V, V0_V.  The dc

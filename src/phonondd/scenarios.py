@@ -39,7 +39,8 @@ from .propagation import (
     beam_splitter_reference,
     check_beam_splitter_pair,
 )
-from .pulses import ShapedPulse, design_pulse
+from .pulses import (DEFAULT_SHARPNESS, DEFAULT_TARGET_PHASE, ShapedPulse, design_pulse,
+                     sample_count)
 from .sequences import (
     DDSpec,
     feasibility_bounds,
@@ -64,8 +65,8 @@ MAX_RECORD_VALUES = 2 ** 26
 SECULAR_PERIOD = 2.0 * math.pi / DEFAULT_SECULAR_FREQUENCY
 
 # the pulse settings a shaped config takes when it does not set them
-PULSE_DEFAULTS = {"pulse_sharpness": 6.0, "target_phase": math.pi,
-                  "window_coupling": "rwa"}
+PULSE_DEFAULTS = {"pulse_sharpness": DEFAULT_SHARPNESS,
+                  "target_phase": DEFAULT_TARGET_PHASE, "window_coupling": "rwa"}
 
 
 class ScenarioError(Exception):
@@ -140,6 +141,7 @@ class ScenarioConfig:
                 target_sets(spec)
                 bound = None
             else:
+                sample_count(self.pulse_duration)  # the design grid
                 bound = feasibility_bounds(spec, self.pulse_duration).repetition_bound
             _mode_maps(self)
         except ValueError as exc:
@@ -191,6 +193,11 @@ class ResultRecord:
     boundary_leakage: float | None
     wall_time: float | None
     failure: str | None = None
+
+    @property
+    def error(self) -> float | None:
+        """The reported error: error_EB when it is set, else error_E."""
+        return self.error_EB if self.error_EB is not None else self.error_E
 
 
 def _mode_maps(cfg: ScenarioConfig) -> ModeMaps:
@@ -301,9 +308,9 @@ def populations_csv(result: SimulationResult, cfg: ScenarioConfig,
     kept = np.concatenate(parts)
     labels = space.labels()
     header = ["t_us"] + [labels[i] for i in keep]
-    # a column equal on every row (mostly an empty number sector, always a
-    # state off the record) is formatted once into the row text; "%r"
-    # marks a live cell
+    # a recorded state's column equal on every row (mostly one in an empty
+    # number sector) is formatted once into the row text; "%r" marks a live
+    # cell, and a state off the record is written as 0.0 through recorded
     const = kept.min(axis=0) == kept.max(axis=0)
     fixed = iter([repr(v) if c else "%r"
                   for v, c in zip(kept[0].tolist(), const.tolist())])
@@ -487,8 +494,7 @@ def emit_report(records, references: dict | None = None) -> tuple[str, bool]:
             all_ok = False
             continue
         if entry is None:
-            value = rec.error_EB if rec.error_EB is not None else rec.error_E
-            lines.append(f"{scenario},error,{value!r},,,")
+            lines.append(f"{scenario},error,{rec.error!r},,,")
             continue
         value = rec.error_EB if entry["metric"] == "error_EB" else rec.error_E
         if value is None:

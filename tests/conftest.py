@@ -29,13 +29,6 @@ def scenario_cache():
     return ScenarioCache()
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "known_shortfall: criterion kept at its stated tolerance even though"
-        " the computed value misses it; see the failure message for analysis")
-
-
 _ACCEPTANCE_FILE = "test_acceptance.py"
 
 

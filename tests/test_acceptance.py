@@ -25,6 +25,7 @@ from phonondd.model import (
 )
 from phonondd.propagation import ModeMaps, SchedulePropagator
 from phonondd.pulses import (
+    ShapedPulse,
     TrapParams,
     dc_waveform,
     design_pulse,
@@ -90,9 +91,9 @@ def test_hopping_rate_wide_spacing():
 def catalog_strength(name):
     """Dip depth and (T_P, T_u, T_d) in periods of the pulse ``name`` runs."""
     cfg = get_scenario(name)
-    k = solve_strength(cfg.pulse_duration, cfg.pulse_ramp_up,
-                       cfg.pulse_ramp_down, cfg.pulse_sharpness,
-                       W0, cfg.target_phase)
+    k = solve_strength(ShapedPulse(cfg.pulse_duration, cfg.pulse_ramp_up,
+                                   cfg.pulse_ramp_down, cfg.pulse_sharpness,
+                                   secular_frequency=W0), cfg.target_phase)
     geometry = ", ".join(f"{t / T0:.2f}" for t in (
         cfg.pulse_duration, cfg.pulse_ramp_up, cfg.pulse_ramp_down))
     return k, f"({geometry}) T0"

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 from phonondd import cli
 from phonondd.cli import main
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY
+from phonondd.pulses import design_pulse
+from phonondd.scenarios import build_scenario, parse_config_text
 
 CHEAP_CFG = """
 scenario.name = demo
@@ -261,16 +263,16 @@ class TestPulseDesign:
         assert res.exit_code == 2
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--tp-us", "-1", "total_duration must be positive"),
-        ("--tud-us", "0", "ramp times must be positive"),
+        ("--tp-us", "-1", "duration must be positive"),
+        ("--tud-us", "0", "ramp_up must be positive"),
         ("--sigma", "-2", "sharpness must be positive"),
         ("--target-phase", "0", "target_phase must be positive"),
         # non-finite values fail on the field, not in the Newton solve
         ("--sigma", "inf", "sharpness must be positive and finite"),
         ("--sigma", "nan", "sharpness must be positive and finite"),
         ("--target-phase", "nan", "target_phase must be positive and finite"),
-        ("--tud-us", "nan", "ramp times must be positive and finite (ramp_up = nan)"),
-        ("--tp-us", "nan", "total_duration must be positive and finite"),
+        ("--tud-us", "nan", "ramp_up must be positive and finite, not nan"),
+        ("--tp-us", "nan", "duration must be positive and finite"),
         ("--omega0-mhz", "nan", "secular_frequency must be positive and finite"),
     ])
     def test_bad_value_exits_with_error(self, runner, flag, value, message):
@@ -279,6 +281,25 @@ class TestPulseDesign:
                                    *(word for pair in options.items() for word in pair)])
         assert res.exit_code == 2, res.output
         assert f"error: {message}" in res.output
+
+    def test_defaults_agree_across_config_design_and_cli(self, runner, monkeypatch):
+        # a config that sets only the pulse length, design_pulse and the CLI
+        # take their sharpness, target phase, ramps and w0 from one place
+        cfg = parse_config_text("chain.modes = 2\nchain.spacing_um = 27.6\n"
+                                "state.occupations = 1,0\npulse.total_us = 4\n")
+        configured = build_scenario(cfg)[0].shaped_pulse
+        designed = []
+
+        def spy(*args):
+            designed.append(design(*args))
+            return designed[-1]
+
+        design = cli.design_pulse
+        monkeypatch.setattr(cli, "design_pulse", spy)
+        res = runner.invoke(main, ["pulse", "design", "--tp-us", "4"])
+        assert res.exit_code == 0, res.output
+        assert configured == design_pulse(4e-6) == designed[0]
+        assert res.output.splitlines()[0] == f"depth k = {configured.depth:.6f}"
 
     def test_units_scale_exactly(self, runner, monkeypatch):
         calls = []

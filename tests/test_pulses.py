@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,9 +16,10 @@ from scipy.special import erf
 from phonondd import pulses
 from phonondd.model import DEFAULT_SECULAR_FREQUENCY
 from phonondd.pulses import (
-    BFunctionParams,
+    MAX_PULSE_SAMPLES,
     PulseInfeasibleError,
     PulseInvalidError,
+    ShapedPulse,
     TrapParams,
     TrapStabilityError,
     check_stability,
@@ -25,6 +28,7 @@ from phonondd.pulses import (
     omega_squared,
     phase_excess,
     rf_waveform,
+    sample_count,
     sample_pulse,
     scale_factor_derivatives,
     solve_strength,
@@ -60,28 +64,26 @@ def test_erf_is_math_erf_per_element(x):
 
 class TestScaleFactor:
     def test_endpoints_near_unity(self, long_pulse, short_pulse):
-        for pulse in (long_pulse, short_pulse):
-            p = pulse.params
-            for t in (0.0, p.total_duration):
+        for p in (long_pulse, short_pulse):
+            for t in (0.0, p.duration):
                 assert scale_factor(t, p) == pytest.approx(1.0, abs=1e-4)
 
     def test_plateau_depth(self, long_pulse):
         # flat bottom of the dip sits at 1 - k up to the erf tails
-        p = long_pulse.params
-        mid = scale_factor(p.total_duration / 2, p)
+        p = long_pulse
+        mid = scale_factor(p.duration / 2, p)
         assert mid == pytest.approx(1.0 - p.depth, abs=1e-4)
 
     def test_scale_stays_positive(self, short_pulse):
-        p = short_pulse.params
-        t = np.linspace(0, p.total_duration, 4001)
+        p = short_pulse
+        t = np.linspace(0, p.duration, 4001)
         assert np.all(scale_factor(t, p) > 0)
 
     @pytest.mark.parametrize("which", ["long", "short"])
     def test_analytic_derivatives_match_finite_differences(
             self, which, long_pulse, short_pulse):
-        pulse = long_pulse if which == "long" else short_pulse
-        p = pulse.params
-        t = np.linspace(0.05 * p.total_duration, 0.95 * p.total_duration, 101)
+        p = long_pulse if which == "long" else short_pulse
+        t = np.linspace(0.05 * p.duration, 0.95 * p.duration, 101)
         b, db, ddb = scale_factor_derivatives(t, p)
         h = 1e-4 * p.ramp_up  # balances truncation against roundoff
         fd1 = (scale_factor(t + h, p) - scale_factor(t - h, p)) / (2 * h)
@@ -91,31 +93,36 @@ class TestScaleFactor:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            BFunctionParams(0.0, 1e-6, 1e-6)
+            ShapedPulse(0.0, 1e-6, 1e-6)
         with pytest.raises(ValueError):
-            BFunctionParams(4e-6, -1e-6, 1e-6)
+            ShapedPulse(4e-6, -1e-6, 1e-6)
         with pytest.raises(ValueError):
-            BFunctionParams(4e-6, 1e-6, 1e-6, depth=1.0)
+            ShapedPulse(4e-6, 1e-6, 1e-6, depth=1.0)
         with pytest.raises(ValueError):
-            BFunctionParams(4e-6, 1e-6, 1e-6, sharpness=0.0)
+            ShapedPulse(4e-6, 1e-6, 1e-6, sharpness=0.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field,message", [
-        ("total_duration", "total_duration must be positive and finite"),
-        ("ramp_up", r"ramp times must be positive and finite \(ramp_up = "),
-        ("ramp_down", r"ramp times must be positive and finite \(ramp_down = "),
-        ("sharpness", "sharpness must be positive and finite"),
-    ])
-    def test_params_reject_non_finite(self, field, message, value):
-        fields = dict(total_duration=4e-6, ramp_up=2e-6, ramp_down=2e-6, sharpness=6.0)
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["duration", "ramp_up", "ramp_down", "sharpness",
+                                       "secular_frequency"])
+    def test_pulse_rejects_a_bad_positive_field(self, field, value):
+        fields = dict(duration=4e-6, ramp_up=2e-6, ramp_down=2e-6, sharpness=6.0)
         fields[field] = value
-        with pytest.raises(ValueError, match=message):
-            BFunctionParams(**fields)
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite, not {value!r}$"):
+            ShapedPulse(**fields)
+
+    @pytest.mark.parametrize("depth", [-0.1, -1e-300, 1.0, 1.5, math.nan, math.inf])
+    def test_pulse_rejects_a_depth_outside_the_unit_interval(self, depth):
+        message = f"depth must lie in [0, 1), not {depth!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ShapedPulse(4e-6, 2e-6, 2e-6, depth=depth)
 
     def test_sampling_rejects_a_nan_frequency(self, long_pulse):
         # every comparison with NaN is false, so the checks ask for the
-        # physical region rather than test for leaving it
-        pulse = replace(long_pulse, secular_frequency=math.nan)
+        # physical region rather than test for leaving it.  A pulse rejects
+        # a NaN frequency when built, so it is set past that check here
+        pulse = replace(long_pulse)
+        object.__setattr__(pulse, "secular_frequency", math.nan)
         with pytest.raises(PulseInvalidError, match="squared trap frequency"):
             sample_pulse(pulse)
 
@@ -123,40 +130,43 @@ class TestScaleFactor:
 class TestPhaseRoot:
     def test_phase_strictly_increasing_in_depth(self):
         ks = np.linspace(0.02, 0.9, 23)
-        phis = [phase_excess(BFunctionParams(8.8 * T0, 4.4 * T0, 4.4 * T0,
-                                             depth=k),
-                             DEFAULT_SECULAR_FREQUENCY) for k in ks]
+        phis = [phase_excess(ShapedPulse(8.8 * T0, 4.4 * T0, 4.4 * T0, depth=k,
+                                         secular_frequency=DEFAULT_SECULAR_FREQUENCY))
+                for k in ks]
         assert all(b > a for a, b in zip(phis, phis[1:]))
 
     def test_frozen_roots(self):
-        k_long = solve_strength(8.8 * T0, 4.4 * T0, 4.4 * T0)
-        k_half = solve_strength(2.2 * T0, 1.0 * T0, 1.0 * T0)
+        k_long = solve_strength(ShapedPulse(8.8 * T0, 4.4 * T0, 4.4 * T0))
+        k_half = solve_strength(ShapedPulse(2.2 * T0, 1.0 * T0, 1.0 * T0))
         assert k_long == pytest.approx(0.052922561665665786, rel=1e-9)
         assert k_half == pytest.approx(0.16358236219036065, rel=1e-9)
 
     def test_achieved_phase_hits_target(self, long_pulse, short_pulse):
         for pulse in (long_pulse, short_pulse):
-            assert pulse.achieved_phase() == pytest.approx(math.pi, abs=1e-9)
+            assert phase_excess(pulse) == pytest.approx(math.pi, abs=1e-9)
 
     def test_custom_target_phase(self):
         pulse = design_pulse(8.8 * T0, target_phase=math.pi / 2)
-        assert pulse.achieved_phase() == pytest.approx(math.pi / 2, abs=1e-9)
-        assert pulse.params.depth < 0.0529  # shallower dip for half the phase
+        assert phase_excess(pulse) == pytest.approx(math.pi / 2, abs=1e-9)
+        assert pulse.depth < 0.0529  # shallower dip for half the phase
 
     def test_infeasible_when_dip_too_weak(self):
         # soft, very short window cannot accumulate a pi of extra phase
         with pytest.raises(PulseInfeasibleError):
-            solve_strength(0.5 * T0, 0.25 * T0, 0.25 * T0, sharpness=0.5)
+            solve_strength(ShapedPulse(0.5 * T0, 0.25 * T0, 0.25 * T0, sharpness=0.5))
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
-            solve_strength(8.8 * T0, 4.4 * T0, 4.4 * T0, target_phase=0.0)
+            solve_strength(ShapedPulse(8.8 * T0, 4.4 * T0, 4.4 * T0), target_phase=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["target_phase", "secular_frequency"])
     def test_rejects_non_finite_phase_and_frequency(self, field, value):
+        phase = value if field == "target_phase" else math.pi
+        frequency = value if field == "secular_frequency" else DEFAULT_SECULAR_FREQUENCY
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            solve_strength(8.8 * T0, 4.4 * T0, 4.4 * T0, **{field: value})
+            solve_strength(ShapedPulse(8.8 * T0, 4.4 * T0, 4.4 * T0,
+                                       secular_frequency=frequency), phase)
 
 
 def quad_phase(tp, tu, td, depth, sharpness=6.0):
@@ -194,17 +204,17 @@ def test_fixed_rule_matches_adaptive_quadrature(tp, tu, td):
     tp, tu, td = tp * T0, tu * T0, td * T0
     depth = brentq(lambda k: quad_phase(tp, tu, td, k) - math.pi,
                    1e-6, 0.999999, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    assert abs(solve_strength(tp, tu, td) - depth) <= 1e-12 * depth
+    assert abs(solve_strength(ShapedPulse(tp, tu, td)) - depth) <= 1e-12 * depth
     for k in (0.5 * depth, depth, 0.9):
-        params = BFunctionParams(tp, tu, td, depth=k)
-        assert abs(phase_excess(params) - quad_phase(tp, tu, td, k)) <= 1e-11
+        pulse = ShapedPulse(tp, tu, td, depth=k)
+        assert abs(phase_excess(pulse) - quad_phase(tp, tu, td, k)) <= 1e-11
 
 
 class TestDesignedPulse:
     def test_default_ramps_split_evenly(self):
         pulse = design_pulse(8.8 * T0)
-        assert pulse.params.ramp_up == pytest.approx(4.4 * T0)
-        assert pulse.params.ramp_down == pytest.approx(4.4 * T0)
+        assert pulse.ramp_up == pytest.approx(4.4 * T0)
+        assert pulse.ramp_down == pytest.approx(4.4 * T0)
 
     def test_plateau_excursion_long(self, long_pulse):
         excursion = plateau_excursion(long_pulse)
@@ -219,7 +229,7 @@ class TestDesignedPulse:
     def test_omega_squared_consistent_with_drive(self, long_pulse):
         t = np.linspace(0, long_pulse.duration, 101)
         w0 = DEFAULT_SECULAR_FREQUENCY
-        wsq = omega_squared(t, long_pulse.params, w0)
+        wsq = omega_squared(t, long_pulse)
         np.testing.assert_allclose(long_pulse.drive(t), wsq - w0 ** 2,
                                    rtol=1e-12, atol=1e-3)
 
@@ -246,7 +256,7 @@ class TestWaveforms:
         wf = sample_pulse(pulse)
         w0 = pulse.secular_frequency
         assert np.array_equal(wf.omega_sq_excess,
-                              omega_squared(wf.times, pulse.params, w0) - w0 ** 2)
+                              omega_squared(wf.times, pulse) - w0 ** 2)
 
     def test_voltage_round_trips(self, long_pulse):
         trap = TrapParams()
@@ -323,6 +333,25 @@ class TestWaveforms:
     def test_sample_interval_must_be_positive_and_finite(self, long_pulse, interval):
         with pytest.raises(ValueError, match="sample_interval must be positive and finite"):
             sample_pulse(long_pulse, interval)
+
+    @pytest.mark.parametrize("interval,count", [(5e-324, "inf"), (1e-300, "4e+294")])
+    def test_oversized_grid_rejected_before_any_array(self, long_pulse, interval, count):
+        message = (f"sample_interval {interval!r} s gives {count} samples over"
+                   f" {long_pulse.duration!r} s, above the limit {MAX_PULSE_SAMPLES:,}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample_pulse(long_pulse, interval)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_grid_cap_admits_exactly_the_cap(self):
+        assert sample_count(MAX_PULSE_SAMPLES - 1.0, 1.0) == MAX_PULSE_SAMPLES
+        assert sample_count(MAX_PULSE_SAMPLES - 1.5, 1.0) == MAX_PULSE_SAMPLES - 1
+        with pytest.raises(ValueError, match="above the limit"):
+            sample_count(MAX_PULSE_SAMPLES - 0.5, 1.0)
 
     @pytest.mark.parametrize("a,q", [(math.nan, 0.2), (0.01, math.nan),
                                      (math.inf, 0.2), (0.01, -math.inf),

@@ -16,10 +16,12 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from phonondd import propagation
 from phonondd.model import FockSpace
 from phonondd.propagation import PropagationError
+from phonondd.pulses import MAX_PULSE_SAMPLES, sample_pulse
 from phonondd.scenarios import (
     CONFIG_KEYS,
     MAX_FOCK_DIMENSION,
     POPULATION_COLUMN_THRESHOLD,
+    ResultRecord,
     ScenarioConfig,
     ScenarioError,
     _hom_outputs,
@@ -578,6 +580,14 @@ class TestSweep:
 
 
 class TestReport:
+    def test_reported_error_is_error_EB_when_set(self):
+        rec = ResultRecord("x", (), error_E=1.0, error_EB=None, norm_drift=None,
+                           boundary_leakage=None, wall_time=None)
+        assert rec.error == 1.0
+        assert replace(rec, error_EB=2.0).error == 2.0
+        assert replace(rec, error_EB=0.0).error == 0.0
+        assert replace(rec, error_E=None).error is None
+
     def test_verdict_modes(self, scenario_cache):
         record, _ = scenario_cache("fig3")
         text, ok = emit_report([record], load_reference_values())
@@ -814,6 +824,27 @@ output.samples = 64
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_oversized_pulse_grid_rejected_at_parse(self):
+        # the 1 ns design grid of a 1 s pulse would take 1e9 samples per array
+        message = ("big: sample_interval 1e-09 s gives 1e+09 samples over 1.0 s,"
+                   f" above the limit {MAX_PULSE_SAMPLES:,}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+                ScenarioConfig("big", 2, 27.6e-6, 4, (1, 0), total_time=100.0,
+                               pulse_duration=1.0, pulse_ramp_up=0.5, pulse_ramp_down=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("name", ["fig1a", "fig1b"])  # the long and the short pulse
+    def test_catalog_pulses_sample_at_the_default_interval(self, name):
+        cfg = get_scenario(name)
+        pulse = build_scenario(cfg)[0].shaped_pulse
+        assert len(sample_pulse(pulse).times) == round(cfg.pulse_duration / 1e-9) + 1
+        assert round(cfg.pulse_duration / 1e-9) + 1 <= MAX_PULSE_SAMPLES
 
     def test_missing_required_key(self):
         with pytest.raises(ScenarioError):

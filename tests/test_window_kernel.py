@@ -31,7 +31,7 @@ import itertools
 import logging
 import math
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
@@ -162,9 +162,9 @@ def closed_form_map(pulse, tau):
     little below one, so b(0) and b'(0) are taken as they are.
     """
     w0 = pulse.secular_frequency
-    b0, bd0, _ = scale_factor_derivatives(0.0, pulse.params)
-    b, bd, _ = scale_factor_derivatives(tau, pulse.params)
-    excess, _ = quad(lambda t: 1.0 / float(scale_factor(t, pulse.params)) ** 2 - 1.0,
+    b0, bd0, _ = scale_factor_derivatives(0.0, pulse)
+    b, bd, _ = scale_factor_derivatives(tau, pulse)
+    excess, _ = quad(lambda t: 1.0 / float(scale_factor(t, pulse)) ** 2 - 1.0,
                      0.0, tau, limit=400, epsabs=1e-20, epsrel=1e-13)
     theta = w0 * (tau + excess)
     # coefficients of x0 and P0 in alpha and beta
@@ -725,7 +725,7 @@ class CountingPulse(ShapedPulse):
 
 
 def test_map_reads_the_drive_once_per_level_and_window():
-    pulse = CountingPulse(PULSE.params)
+    pulse = CountingPulse(**{f.name: getattr(PULSE, f.name) for f in fields(PULSE)})
     maps = ModeMaps(build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6)))
     heis = maps.window_map(frozenset({0}), pulse)
     levels = round(math.log2(heis.steps / FIRST_STEPS)) + 1
