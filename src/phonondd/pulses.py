@@ -28,7 +28,6 @@ shape at depth zero and returns that shape at depth k.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -70,6 +69,7 @@ DEFAULT_TARGET_PHASE = math.pi
 # about 310 in waveform_table's text.  The catalog pulses take 4,001 at most.
 SAMPLE_INTERVAL = 1e-9
 MAX_PULSE_SAMPLES = 2 ** 20
+TABLE_BLOCK_ROWS = 1024  # waveform_table formats this many rows at a time
 
 
 def erf(x):
@@ -403,8 +403,16 @@ def waveform_table(pulse: ShapedPulse, trap: TrapParams | None = None,
     _, q_rf = stability_parameters(trap, np.zeros_like(v0), v0)
     check_stability(a_dc, trap.rf_parameter(pulse.secular_frequency))
     check_stability(trap.dc_parameter, q_rf)
-    out = io.StringIO()
-    out.write("t_s,b,omega_rad_s,omega_sq_excess,U0_V,V0_V\n")
-    for row in zip(wf.times, wf.scale, wf.omega, wf.omega_sq_excess, u0, v0):
-        out.write(",".join(repr(float(x)) for x in row) + "\n")
-    return out.getvalue()
+    # one text per block of rows: the separators repeat on every row, and
+    # the repr of each column is written into its places with one slice
+    columns = (wf.times, wf.scale, wf.omega, wf.omega_sq_excess, u0, v0)
+    row = ["", ","] * len(columns)
+    row[-1] = "\n"
+    parts = ["t_s,b,omega_rad_s,omega_sq_excess,U0_V,V0_V\n"]
+    for start in range(0, wf.times.size, TABLE_BLOCK_ROWS):
+        rows = slice(start, start + TABLE_BLOCK_ROWS)
+        block = row * wf.times[rows].size
+        for j, column in enumerate(columns):
+            block[2 * j::len(row)] = map(repr, column[rows].tolist())
+        parts.append("".join(block))
+    return "".join(parts)

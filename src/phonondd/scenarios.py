@@ -45,7 +45,7 @@ from .sequences import (
     DDSpec,
     feasibility_bounds,
     synthesize,
-    target_sets,
+    walsh_indices,
 )
 
 POPULATION_COLUMN_THRESHOLD = 1e-4
@@ -138,7 +138,7 @@ class ScenarioConfig:
                 raise ValueError("record_samples must be at least 2")
             spec = self.spec()
             if self.pulse_duration is None:
-                target_sets(spec)
+                walsh_indices(spec)
                 bound = None
             else:
                 sample_count(self.pulse_duration)  # the design grid

@@ -3,27 +3,30 @@
 A pi phase shift on one mode flips the sign of every hopping term touching
 that mode.  Interleaving free evolution with such shifts makes the signed
 dwell time of a mode pair (the time integral of its coupling sign) vanish,
-canceling the hop to first order.  A plan of grouping levels picks the
-pulsed modes: split the modes in half, pulse one half at the midpoint,
-recurse into each half at the quarter points, and close the cycle with a
-compensation pulse so every mode sees an even pulse count.
+canceling the hop to first order.
 
-A protected subset is left untouched: the plan folds it into one slot, the
-one the default roles never pulse.  An interaction truncated at index
-distance eta needs only enough levels to cancel pairs up to that distance;
-that plan is used when it is shorter than the plain grouping.  Every plan
-takes one form, :func:`sign_matrix`: the sign of each mode in each of the
-cycle's equal segments, whose rows are Walsh functions.
-:func:`synthesize` lays the schedule out from it, and
-:func:`decoupling_failures` reads the signs back off any schedule's events
-and checks them exactly, without the propagator.
+A plan is one Walsh index per mode, :func:`walsh_indices`.  Recursive
+halving of the chain gives each mode a code, one bit per split: pulse one
+half at the midpoint, recurse into each half at the quarter points, and
+close the cycle with a compensation pulse so every mode sees an even pulse
+count.  A protected subset is one slot, the one the default roles never
+pulse.  An interaction truncated at index distance eta needs only enough
+levels to cancel pairs up to that distance: blocks of eta, each code
+prefixed with its block parity, used when that plan is shallower.  With
+depth d the cycle is 2^d equal segments, and :func:`sign_matrix` gives the
+sign of each mode in each: row q is the Walsh function of w_q, so a pair
+cancels exactly when its indices differ.  :func:`synthesize` lays the
+schedule out from the indices, and :func:`decoupling_failures` reads the
+signs back off any schedule's events and checks them exactly, without the
+propagator.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -60,15 +63,17 @@ ScheduleEvent = Union[Evolve, PhaseShift]
 class DDSpec:
     """What to decouple: mode count, cycle time, and scheme options.
 
-    ``level_role_swap`` picks, per grouping level, whether the pulses land
-    on the second half of each split (False, the default role) or the first
-    half (True).  ``None`` selects the built-in default: for three modes the
-    swapped-second-level ordering, which cancels markedly better, and the
-    plain roles otherwise.  ``total_time`` is the full evolve time of the
-    schedule; with ``repetitions`` = n_r the cycle is compressed n_r-fold
-    and repeated, keeping the total unchanged.  The schedule is shaped,
-    each phase shift a window of ``shaped_pulse``, exactly when a pulse is
-    given; without one every phase shift is ideal.
+    ``level_role_swap`` holds one bool per level of the plan, d of them
+    (:func:`walsh_indices`): whether the level pulses the first half of
+    each split (True) or the second (False, the default role).  ``None``
+    selects the built-in default: for three slots the swapped second
+    level, which cancels markedly better, and the plain roles otherwise.
+    ``total_time`` is the full evolve time of the schedule; with
+    ``repetitions`` = n_r the cycle is compressed n_r-fold and repeated,
+    keeping the total unchanged.  The schedule is shaped, each phase shift
+    a window of ``shaped_pulse``, exactly when a pulse is given; without
+    one every phase shift is ideal.  The counts and the reach are
+    integers and the role flags bools, checked when the spec is built.
     """
 
     mode_count: int
@@ -81,16 +86,20 @@ class DDSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protected_set", frozenset(self.protected_set))
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be >= 1")
+        eta = self.truncation_distance
+        for key, value in (("mode_count", self.mode_count), ("repetitions", self.repetitions),
+                           ("truncation_distance", 1 if eta is None else eta)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, not {value!r}")
         check_positive(total_time=self.total_time)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         if any(not 0 <= q < self.mode_count for q in self.protected_set):
             raise ValueError("protected_set indices out of range")
-        if self.truncation_distance is not None and self.truncation_distance < 1:
-            raise ValueError("truncation_distance must be at least 1,"
-                             f" not {self.truncation_distance}")
+        if self.level_role_swap is not None and not all(
+                isinstance(flag, bool) for flag in self.level_role_swap):
+            raise ValueError("level_role_swap flags must be bools,"
+                             f" not {self.level_role_swap!r}")
         if self.protected_set and self.truncation_distance is not None:
             raise ValueError("truncation_distance and protected_set cannot be combined")
 
@@ -124,83 +133,86 @@ class PulseSchedule:
         return sum(ev.duration for ev in self.events if isinstance(ev, Evolve))
 
 
-def _split_levels(modes: Sequence) -> list[dict]:
-    """Binary grouping levels.  Level l maps each element that splits at
-    that level to its bit: 0 for the first (smaller) half, 1 for the rest."""
-    levels: list[dict] = []
-    groups: list[list] = [list(modes)]
-    while any(len(g) > 1 for g in groups):
-        bits: dict = {}
-        nxt: list[list] = []
-        for g in groups:
-            if len(g) == 1:
-                nxt.append(g)
-                continue
-            half = len(g) // 2
-            lo, hi = g[:half], g[half:]
-            for q in lo:
-                bits[q] = 0
-            for q in hi:
-                bits[q] = 1
-            nxt.extend((lo, hi))
-        levels.append(bits)
-        groups = nxt
-    return levels
+def _halving_codes(width: int) -> list[tuple[int, ...]]:
+    """The code of each of ``width`` slots under recursive halving: bit l
+    is 0 for the first (smaller) half of the slot's split at level l + 1,
+    else 1.  A slot has one bit per split it takes part in."""
+    if width == 1:
+        return [()]
+    half = width // 2
+    return ([(0, *code) for code in _halving_codes(half)]
+            + [(1, *code) for code in _halving_codes(width - half)])
 
 
-def default_role_swap(width: int) -> tuple[bool, ...]:
-    """Built-in role-swap pattern for a grouping of ``width`` modes."""
-    depth = max(1, math.ceil(math.log2(width))) if width > 1 else 0
-    if width == 3:
-        return (False, True)
-    return (False,) * depth
+def walsh_indices(spec: DDSpec) -> tuple[tuple[int, ...], int]:
+    """The plan of ``spec``: the Walsh index w_q of each mode, and depth d.
 
-
-def _grouping_plan(spec: DDSpec) -> tuple[list[dict[int, int]], tuple[bool, ...]]:
-    """Binary grouping levels over the chain and their default roles.
-
-    A non-empty protected set is one slot, slot 0: the slot the default
-    roles never pulse, so couplings inside the set stay fully on while
-    every pair with an unprotected member cancels.
+    The plain plan halves the slots recursively, a non-empty protected set
+    being one slot that comes first: its bits are all 0, so the default
+    roles never pulse it, its inner couplings stay on, and every pair with
+    an unprotected member cancels.  A reach eta groups the modes into
+    blocks of eta and prefixes the block parity to the codes inside each
+    block, so the first level cancels every pair across a block boundary;
+    that plan is used when it is shallower.  Level l + 1 pulses a
+    mode whose bit l differs from its role flag, so w_q sums
+    (bit XOR swap_l) << (d - 1 - l) over the mode's bits.  The default
+    roles are all False, except (False, True) for three slots.  Raises
+    ValueError when ``spec.level_role_swap`` has the wrong length or would
+    pulse the protected set.
     """
-    protected = spec.protected_set
-    slots = ([tuple(sorted(protected))] if protected else []) + \
-        [(q,) for q in range(spec.mode_count) if q not in protected]
-    levels = [{q: b for slot, b in bits.items() for q in slot}
-              for bits in _split_levels(slots)]
-    return levels, default_role_swap(len(slots))
+    protected, m, eta = spec.protected_set, spec.mode_count, spec.truncation_distance
+    slots = ([sorted(protected)] if protected else []) + \
+        [[q] for q in range(m) if q not in protected]
+    codes: list[tuple[int, ...]] = [()] * m
+    for slot, code in zip(slots, _halving_codes(len(slots))):
+        for q in slot:
+            codes[q] = code
+    default = (False, True) if len(slots) == 3 else ()
+    if eta is not None:
+        blocks = [_halving_codes(min(eta, m - first)) for first in range(0, m, eta)]
+        blocked = [((q // eta) % 2, *blocks[q // eta][q % eta]) for q in range(m)]
+        if max(map(len, blocked)) < max(map(len, codes)):
+            codes, default = blocked, ()
+    depth = max(map(len, codes))
+    roles = spec.level_role_swap
+    if roles is None:
+        roles = default or (False,) * depth
+    if len(roles) != depth:
+        raise ValueError(f"level_role_swap needs {depth} flags, got {len(roles)}")
+    indices = tuple(sum((bit ^ swap) << (depth - 1 - level)
+                        for level, (bit, swap) in enumerate(zip(code, roles)))
+                    for code in codes)
+    if any(indices[q] for q in protected):
+        raise ValueError("role swap pattern would pulse the protected set")
+    return indices, depth
 
 
-def _truncated_plan(spec: DDSpec) -> tuple[list[dict[int, int]], tuple[bool, ...]] | None:
-    """Levels for couplings truncated at index distance eta, or None.
+def _gray_codes(depth: int) -> list[int]:
+    """The Gray code t ^ (t >> 1) of each of the 2^depth segments."""
+    return [t ^ (t >> 1) for t in range(2 ** depth)]
 
-    Modes are grouped into consecutive blocks of eta (the last block may be
-    short).  Pulsing the odd blocks at the midpoint cancels every pair that
-    straddles a block boundary; the levels below run the plain grouping
-    inside each block simultaneously.  Depth is min(ceil(log2 eta) + 1,
-    ceil(log2 M)); when that equals the full depth the plain grouping is
-    as short, and None says to use it.
+
+def sign_matrix(spec: DDSpec) -> np.ndarray:
+    """The plan of ``spec`` as toggling-frame signs, shape (M, L).
+
+    With the Walsh indices w and depth d of :func:`walsh_indices` the cycle
+    is L = 2^d equal segments, and S[q, t], the sign of mode q in segment
+    t, is (-1)^popcount(w_q & g(t)), g(t) the Gray code of t.  Each row is
+    a Walsh function, so two rows are orthogonal, and their pair cancels,
+    exactly when their w differ.  Without levels, L = 1 and S is all +.
     """
-    eta, m = spec.truncation_distance, spec.mode_count
-    if eta is None:
-        return None
-    full_depth = math.ceil(math.log2(m))
-    depth = min(math.ceil(math.log2(eta)) + 1 if eta > 1 else 1, full_depth)
-    if eta >= m or depth >= full_depth:
-        return None
-    inner = [_split_levels(range(i, min(i + eta, m))) for i in range(0, m, eta)]
-    levels = [{q: (q // eta) % 2 for q in range(m)}]
-    for level in range(2, depth + 1):
-        levels.append({q: b for block in inner if level - 1 <= len(block)
-                       for q, b in block[level - 2].items()})
-    return levels, (False,) * depth
+    indices, depth = walsh_indices(spec)
+    return np.array([[1 - 2 * ((w & g).bit_count() & 1) for g in _gray_codes(depth)]
+                     for w in indices])
 
 
 def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
     """Compress the cycle ``repetitions``-fold and chain that many copies.
 
-    Total evolve time is unchanged; residual error falls roughly with the
-    square of the repetition count.
+    Total evolve time is unchanged.  With ideal pulses, or shaped windows
+    whose kicks balance (see :func:`decoupling_failures`), the residual
+    error falls roughly as n_r^-2; an unbalanced shaped cycle adds its
+    kick again on every copy, and its error grows as n_r^2.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -211,46 +223,6 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
     return replace(base, events=cycle * repetitions)
 
 
-def target_sets(spec: DDSpec) -> list[frozenset[int]]:
-    """Pulsed mode set per level of the plan of ``spec``; none if no levels.
-
-    A level pulses the modes whose bit is its role.  Uses the
-    truncated-reach levels when they are shorter than the plain grouping.
-    Raises ValueError when ``spec.level_role_swap`` has the wrong length
-    or would pulse the protected set.
-    """
-    levels, roles = _truncated_plan(spec) or _grouping_plan(spec)
-    if not levels:
-        return []
-    roles = spec.level_role_swap if spec.level_role_swap is not None else roles
-    if len(roles) != len(levels):
-        raise ValueError(f"level_role_swap needs {len(levels)} flags, got {len(roles)}")
-    sets = [frozenset(q for q, b in bits.items() if b == (0 if swap else 1))
-            for swap, bits in zip(roles, levels)]
-    if any(s & spec.protected_set for s in sets):
-        raise ValueError("role swap pattern would pulse the protected set")
-    return sets
-
-
-def sign_matrix(spec: DDSpec) -> np.ndarray:
-    """The plan of ``spec`` as toggling-frame signs, shape (M, L).
-
-    With d levels from :func:`target_sets` the cycle is L = 2^d equal
-    segments, and S[q, t], the sign of mode q in segment t, is
-    (-1)^popcount(w_q & g(t)): g(t) = t ^ (t >> 1) is the Gray code of t
-    and w_q holds bit d - l for each level l that pulses q.  Each row is
-    a Walsh function, so two rows are orthogonal, and their pair cancels,
-    exactly when their w differ.  Without levels, L = 1 and S is all +.
-    """
-    sets = target_sets(spec)
-    depth = len(sets)
-    weights = [sum(1 << (depth - level) for level, pulsed in enumerate(sets, 1)
-                   if q in pulsed) for q in range(spec.mode_count)]
-    gray = [t ^ (t >> 1) for t in range(2 ** depth)]
-    return np.array([[1 - 2 * ((w & g).bit_count() & 1) for g in gray]
-                     for w in weights])
-
-
 def synthesize(spec: DDSpec) -> PulseSchedule:
     """The decoupling schedule of ``spec``, repeated ``spec.repetitions`` times.
 
@@ -258,18 +230,19 @@ def synthesize(spec: DDSpec) -> PulseSchedule:
     segment per column, each followed by a pulse on the modes whose sign
     changes to the next column, cyclically, so the last pulse brings every
     mode back to +.  Consecutive Gray codes differ in one bit, so each
-    pulse is one level's target set; with nothing to decouple (a single
-    mode, or every mode protected) the schedule is one free segment.
+    pulse is the set of modes whose Walsh index has that bit; with nothing
+    to decouple (a single mode, or every mode protected) the schedule is
+    one free segment.
     """
-    signs = sign_matrix(spec)
-    length = signs.shape[1]
-    segment = Evolve(spec.total_time / length)
+    indices, depth = walsh_indices(spec)
+    gray = _gray_codes(depth)
+    segment = Evolve(spec.total_time / len(gray))
     events: list[ScheduleEvent] = []
-    for t in range(length):
+    for g, following in zip(gray, gray[1:] + gray[:1]):
         events.append(segment)
-        flipped = np.flatnonzero(signs[:, t] != signs[:, (t + 1) % length])
-        if flipped.size:
-            events.append(PhaseShift(frozenset(flipped.tolist())))
+        flipped = frozenset(q for q, w in enumerate(indices) if w & (g ^ following))
+        if flipped:
+            events.append(PhaseShift(flipped))
     base = PulseSchedule(events=tuple(events), mode_count=spec.mode_count,
                          shaped_pulse=spec.shaped_pulse)
     return repeat_schedule(base, spec.repetitions)
@@ -300,7 +273,10 @@ def decoupling_failures(schedule: PulseSchedule,
     segments must share one duration, so a pair's signed dwell is that
     duration times its entry of S S^T, which must be zero for every pair
     with a non-protected member (and a nonzero rate, when ``couplings``
-    are given).  Protected modes must stay +, and every mode end at +.
+    are given).  A shaped window on the pulsed set x adds a kick
+    s_j s_k (x_j - x_k) to pair (j, k), s the signs after it; on the same
+    pairs these must sum to zero, or the kick grows with every repetition.
+    Protected modes must stay +, and every mode end at +.
     """
     signs, end = toggling_frame(schedule)
     failures: list[str] = []
@@ -308,13 +284,26 @@ def decoupling_failures(schedule: PulseSchedule,
     if len(durations) > 1:
         failures.append(f"free segments have {len(durations)} durations, not one")
     protected = frozenset(protected_set)
+    m = schedule.mode_count
     gram = signs @ signs.T
-    for j in range(schedule.mode_count):
+    kicks = np.zeros_like(gram)
+    if schedule.shaped_pulse is not None:
+        pulsed = np.array([[q in ev.modes for q in range(m)] for ev in schedule.events
+                           if isinstance(ev, PhaseShift)], dtype=int).reshape(-1, m)
+        after = np.cumprod(1 - 2 * pulsed, axis=0)
+        kicked = after * pulsed
+        kicks = kicked.T @ after - after.T @ kicked
+    for j in range(m):
         for k in range(j):
             coupled = couplings is None or couplings.kappa[j, k] != 0.0
-            if coupled and not {j, k} <= protected and gram[j, k]:
+            if not coupled or {j, k} <= protected:
+                continue
+            if gram[j, k]:
                 failures.append(f"pair {(j, k)} has signed dwell of"
                                 f" {gram[j, k]} segments")
+            if kicks[j, k]:
+                failures.append(f"pair {(j, k)} has window kick imbalance"
+                                f" of {kicks[j, k]}")
     failures += [f"protected mode {q} changed sign" for q in sorted(protected)
                  if (signs[q] < 0).any()]
     failures += [f"mode {q} has an odd pulse count"
@@ -346,12 +335,12 @@ def feasibility_bounds(spec: DDSpec, pulse_duration: float) -> FeasibilityBounds
     T / (L n_r) and must exceed the pulse, so L < T / (T_P n_r), with
     L = 2^d at d grouping levels; the bounds below restate that for the
     mode count, the truncation distance and the repetition count of
-    ``spec``.  The repetition bound takes L from the plan of ``spec``,
-    :func:`sign_matrix`, and admits a segment
-    that the pulse fills exactly, as a carved window may.
+    ``spec``.  The repetition bound takes d from the plan of ``spec``,
+    :func:`walsh_indices`, and admits a segment that the pulse fills
+    exactly, as a carved window may.
     """
     check_positive(pulse_duration=pulse_duration)
-    length = sign_matrix(spec).shape[1]
+    length = 2 ** walsh_indices(spec)[1]
     rep_bound: int | None = None
     if length > 1:
         limit = spec.total_time / (length * pulse_duration)

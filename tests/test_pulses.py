@@ -288,6 +288,20 @@ class TestWaveforms:
         data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
         assert data.shape[1] == 6
 
+    def test_table_text_matches_a_row_by_row_formatter(self, long_pulse, short_pulse):
+        """Blocks of rows give the text of one row at a time: 4,001 rows
+        (three full blocks and a short one), 1,001 (one short block) and
+        2,001."""
+        trap = TrapParams()
+        for pulse, interval in ((long_pulse, 1e-9), (short_pulse, 1e-9), (long_pulse, 2e-9)):
+            wf = sample_pulse(pulse, interval)
+            wsq = wf.omega ** 2
+            rows = zip(wf.times, wf.scale, wf.omega, wf.omega_sq_excess,
+                       dc_waveform(wsq, trap, pulse.secular_frequency), rf_waveform(wsq, trap))
+            reference = "t_s,b,omega_rad_s,omega_sq_excess,U0_V,V0_V\n" + "".join(
+                ",".join(repr(float(x)) for x in row) + "\n" for row in rows)
+            assert waveform_table(pulse, trap, sample_interval=interval) == reference
+
     def test_stability_zones(self):
         check_stability(0.01, 0.2)  # quiet
         with pytest.warns(UserWarning):

@@ -32,6 +32,7 @@ from phonondd.scenarios import (
     get_scenario,
     load_reference_values,
     output_directory,
+    parse_config_file,
     parse_config_text,
     populations_csv,
     records_csv,
@@ -697,6 +698,17 @@ output.samples = 64
             parse_config_text("chain.modes = 3\nchain.spacing_um = 43.8\n"
                               "state.occupations = 1,0,0\n" + extra, name="demo")
 
+    def test_role_flags_on_a_plan_without_levels_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="one: level_role_swap needs 0 flags, got 1"):
+            ScenarioConfig("one", 1, 43.8e-6, 4, (1,), level_role_swap=(True,),
+                           total_time=1e-4)
+        path = tmp_path / "single.cfg"
+        path.write_text("chain.modes = 1\nchain.spacing_um = 43.8\n"
+                        "state.occupations = 1\nschedule.role_swap = true,false\n")
+        with pytest.raises(ScenarioError,
+                           match="single: level_role_swap needs 0 flags, got 2"):
+            parse_config_file(path)
+
     def test_role_swap_rejects_other_words(self):
         cfg = parse_config_text(CHEAP + "schedule.role_swap = TRUE\n")
         assert cfg.level_role_swap == (True,)
@@ -722,6 +734,10 @@ output.samples = 64
         ("spacing", 1e-306),
         ("spacing", 1e294),
         ("spacing", 1e100),
+        # not integers, or not bools
+        ("repetitions", 2.5),
+        ("truncation_distance", 1.5),
+        ("level_role_swap", ("no", "yes")),
     ])
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):

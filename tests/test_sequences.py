@@ -20,13 +20,12 @@ from phonondd.sequences import (
     PulseSchedule,
     ScheduleEvent,
     decoupling_failures,
-    default_role_swap,
     feasibility_bounds,
     repeat_schedule,
     sign_matrix,
     synthesize,
-    target_sets,
     toggling_frame,
+    walsh_indices,
 )
 
 from schedule_text import schedule_from_text, schedule_to_text
@@ -50,6 +49,14 @@ def pulse_counts(schedule):
     """Pulses per mode, counted from the events."""
     return Counter(q for ev in schedule.events if isinstance(ev, PhaseShift)
                    for q in ev.modes)
+
+
+def target_sets(spec):
+    """Pulsed mode set per level of the plan of ``spec``: level l pulses
+    the modes whose Walsh index has bit d - l."""
+    indices, depth = walsh_indices(spec)
+    return [frozenset(q for q, w in enumerate(indices) if w >> (depth - level) & 1)
+            for level in range(1, depth + 1)]
 
 
 class TestEventValidation:
@@ -92,10 +99,10 @@ class TestConcatenated:
         assert compact(s) == ["E1"]
 
     def test_default_role_swap_widths(self):
-        assert default_role_swap(3) == (False, True)
-        assert default_role_swap(2) == (False,)
-        assert default_role_swap(4) == (False, False)
-        assert default_role_swap(8) == (False, False, False)
+        for width, roles in ((3, (False, True)), (2, (False,)), (4, (False, False)),
+                             (8, (False, False, False))):
+            assert target_sets(DDSpec(width, T)) == \
+                target_sets(DDSpec(width, T, level_role_swap=roles)), width
 
     @pytest.mark.parametrize("modes", range(2, 9))
     def test_pulse_counts_even(self, modes):
@@ -169,6 +176,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="total_time must be positive and finite"):
             DDSpec(2, total)
 
+    @pytest.mark.parametrize("field,value", [
+        ("mode_count", 2.5), ("repetitions", 2.5), ("truncation_distance", 1.5)])
+    def test_integer_fields_reject_other_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, not {value}"):
+            DDSpec(**{"mode_count": 4, "total_time": T, field: value})
+
+    @pytest.mark.parametrize("roles", [("no", "yes"), (0, 2), (np.True_, False)])
+    def test_role_flags_must_be_bools(self, roles):
+        with pytest.raises(ValueError, match="level_role_swap flags must be bools"):
+            DDSpec(3, T, level_role_swap=roles)
+
+    def test_role_flags_on_a_plan_without_levels_rejected(self):
+        for spec, count in ((DDSpec(1, T, level_role_swap=(True,)), 1),
+                            (DDSpec(2, T, protected_set=frozenset({0, 1}),
+                                    level_role_swap=(True, False, True)), 3)):
+            with pytest.raises(ValueError, match=f"needs 0 flags, got {count}"):
+                walsh_indices(spec)
+
     def test_the_pulse_alone_makes_a_schedule_shaped(self):
         shaped = synthesize(DDSpec(2, T, shaped_pulse=PULSE))
         ideal = synthesize(DDSpec(2, T))
@@ -227,6 +252,24 @@ class TestSignedDwell:
             IonChainConfig.equidistant(modes, 43.8e-6, truncation_distance=eta))
         failures = decoupling_failures(synthesize(spec), couplings=cm)
         assert not failures, failures
+
+    @pytest.mark.parametrize("cfg", scenario_catalog(), ids=lambda cfg: cfg.name)
+    def test_catalog_windows_balance_their_kicks(self, cfg):
+        schedule = synthesize(cfg.spec(PULSE))
+        assert decoupling_failures(schedule, protected_set=cfg.protected_set) == ()
+
+    def test_paper_plan_from_four_modes_leaves_window_kicks(self):
+        def kicks(*pairs):
+            return tuple(f"pair {pair} has window kick imbalance of {n}" for pair, n in pairs)
+        four = DDSpec(4, T, shaped_pulse=PULSE)
+        assert decoupling_failures(synthesize(four)) == kicks(((2, 1), 4))
+        # each repetition adds the cycle's imbalance again
+        assert decoupling_failures(synthesize(replace(four, repetitions=3))) == \
+            kicks(((2, 1), 12))
+        assert decoupling_failures(synthesize(DDSpec(8, T, shaped_pulse=PULSE))) == kicks(
+            ((4, 2), 4), ((4, 3), 4), ((5, 2), -4), ((5, 3), 4), ((6, 1), 8))
+        # ideal pulses open no window, so there is no kick to balance
+        assert decoupling_failures(synthesize(replace(four, shaped_pulse=None))) == ()
 
     def test_unbalanced_schedule_flagged(self):
         bad = PulseSchedule(events=(Evolve(0.75), PhaseShift(frozenset({1})),
@@ -288,9 +331,24 @@ def plans(draw):
     spec = DDSpec(modes, draw(st.floats(1e-6, 1e-2)),
                   repetitions=draw(st.integers(1, 5)), protected_set=protected,
                   truncation_distance=reach)
-    depth = len(target_sets(spec))
+    _, depth = walsh_indices(spec)
     roles = draw(st.none() | st.tuples(*[st.booleans()] * depth))
     return replace(spec, level_role_swap=roles)
+
+
+@pytest.mark.parametrize("spec,indices,depth", [
+    (DDSpec(3, T), (0, 3, 2), 2),
+    (DDSpec(3, T, level_role_swap=(False, False)), (0, 2, 3), 2),
+    (DDSpec(3, T, protected_set=frozenset({0, 1})), (0, 0, 1), 1),
+    (DDSpec(4, T, protected_set=frozenset({1, 3})), (3, 0, 2, 0), 2),
+    (DDSpec(5, T), (0, 2, 4, 6, 7), 3),
+    (DDSpec(6, T, truncation_distance=2), (0, 1, 2, 3, 0, 1), 2),
+    (DDSpec(8, T, truncation_distance=2), (0, 1, 2, 3) * 2, 2),
+    (DDSpec(16, T, truncation_distance=3), (0, 2, 3, 4, 6, 7) * 2 + (0, 2, 3, 4), 3),
+], ids=["M3", "M3-uniform-roles", "M3-protected-01", "M4-protected-13", "M5",
+        "M6-reach2", "M8-reach2", "M16-reach3"])
+def test_walsh_indices_of_pinned_plans(spec, indices, depth):
+    assert walsh_indices(spec) == (indices, depth)
 
 
 def catalog_examples(test):
