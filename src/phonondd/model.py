@@ -15,6 +15,7 @@ those digits once, into a table of the states one quantum up and down.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +38,20 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(**values: int) -> None:
+    """Raise ValueError naming the first argument not an integer of at least 1."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class IonChainConfig:
     """Geometry and single-ion parameters of the chain.
@@ -56,6 +71,8 @@ class IonChainConfig:
     def __post_init__(self) -> None:
         if self.mode_count < 1:
             raise ValueError("mode_count must be >= 1")
+        eta = self.truncation_distance
+        check_count(mode_count=self.mode_count, truncation_distance=1 if eta is None else eta)
         if len(self.positions) != self.mode_count:
             raise ValueError("positions length must equal mode_count")
         if not all(map(math.isfinite, self.positions)):
@@ -64,9 +81,6 @@ class IonChainConfig:
             raise ValueError("positions must be strictly increasing")
         check_positive(ion_mass=self.ion_mass,
                         secular_frequency=self.secular_frequency)
-        if self.truncation_distance is not None and self.truncation_distance < 1:
-            raise ValueError("truncation_distance must be at least 1,"
-                             f" not {self.truncation_distance}")
 
     @classmethod
     def equidistant(cls, mode_count: int, spacing: float,
@@ -157,6 +171,7 @@ class FockSpace:
             raise ValueError("mode_count must be >= 1")
         if self.per_mode_cutoff < 1:
             raise ValueError("per_mode_cutoff must be >= 1")
+        check_count(mode_count=self.mode_count, per_mode_cutoff=self.per_mode_cutoff)
 
     @property
     def dimension(self) -> int:

@@ -105,7 +105,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DEFAULT_SECULAR_FREQUENCY, CouplingMatrix, FockSpace, PhononState
+from .model import (DEFAULT_SECULAR_FREQUENCY, CouplingMatrix, FockSpace, PhononState,
+                    check_count, is_integer)
 from .pulses import ShapedPulse
 from .sequences import Evolve, PulseSchedule
 
@@ -383,8 +384,8 @@ class HeisenbergMap:
     delta: float
 
     def at(self, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, B, |det A|^{-1/2}) stacks at each offset in ``taus``, then at
-        the window end.
+        """(A, B, |det A|^{-1/2}) stacks in the interaction picture at each
+        offset in ``taus``, then at the window end.
 
         Each offset is one partial Magnus step from the node below it; all
         share one drive call, and an empty ``taus`` makes none.  The end is
@@ -397,14 +398,10 @@ class HeisenbergMap:
             below = np.clip(np.floor(taus / step).astype(int), 0, self.steps)
             partial = self.generator.propagators(below * step, taus - below * step)
             quads = np.concatenate([partial @ self.nodes[below], quads])
-        return self._rotating(np.append(taus, self.generator.pulse.duration), quads)
-
-    def _rotating(self, taus: np.ndarray, s: np.ndarray):
-        """(A, B, |det A|^{-1/2}) stacks in the interaction picture at the
-        offsets ``taus``, from the stack ``s`` of S there."""
-        cols = _columns(s)
+        cols = _columns(quads)
         m = cols.shape[-1]
-        phase = np.exp(1j * self.generator.frequency * taus)[:, None, None]
+        phase = np.exp(1j * self.generator.frequency
+                       * np.append(taus, self.generator.pulse.duration))[:, None, None]
         a, b = phase * cols[:, :m], phase * cols[:, m:].conj()
         return a, b, 1.0 / np.sqrt(np.abs(np.linalg.det(a)))
 
@@ -574,19 +571,6 @@ class SchedulePropagator:
             return 0, -1
         return int(self._total[nonzero[0]]), int(self._total[nonzero[-1]])
 
-    def _occupied(self, amps: np.ndarray):
-        """(rows, amplitudes, eigenvalues, eigenvectors) of each nonzero sector.
-
-        The sectors are read in one pass from the total phonon number at
-        the nonzero amplitudes.  The hopping block of a sector is real
-        symmetric, so its eigenvectors are real.
-        """
-        for n in sorted(set(self._total[np.flatnonzero(amps)].tolist())):
-            rows = self._rows(n)
-            if n not in self._eigensystems:
-                self._eigensystems[n] = np.linalg.eigh(self._hopping_block(n))
-            yield rows, amps[rows], *self._eigensystems[n]
-
     def _hopping_block(self, n: int) -> np.ndarray:
         """sum_jk (kappa_jk / 2) a_j^dag a_k on number sector n.
 
@@ -608,12 +592,17 @@ class SchedulePropagator:
     def _free_states(self, amps: np.ndarray, dts: np.ndarray):
         """Free evolution through the sector eigensystems, sampled at offsets dts.
 
-        Yields (rows, states) per occupied sector, one state column per
-        offset; the other sectors hold no amplitude and stay zero.
+        Yields (n, rows, states), one state column per offset, for each sector
+        n found in one pass over the nonzero amplitudes; the rest stay zero.
+        A hopping block is real symmetric, so its cached eigenvectors are real.
         """
-        for rows, block, vals, vecs in self._occupied(amps):
-            coeff = vecs.T @ block
-            yield rows, vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
+        for n in sorted(set(self._total[np.flatnonzero(amps)].tolist())):
+            rows = self._rows(n)
+            if n not in self._eigensystems:
+                self._eigensystems[n] = np.linalg.eigh(self._hopping_block(n))
+            vals, vecs = self._eigensystems[n]
+            coeff = vecs.T @ amps[rows]
+            yield n, rows, vecs @ (np.exp(-1j * np.outer(vals, dts)) * coeff[:, None])
 
     def _parity(self, modes: frozenset[int]) -> np.ndarray:
         """The ideal pulse on ``modes``: the exact real sign (-1)^(sum of their n)."""
@@ -826,6 +815,7 @@ class SchedulePropagator:
         """
         if record_samples < 2:
             raise ValueError("record_samples must be at least 2")
+        check_count(record_samples=record_samples)
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
         started = time.perf_counter()
@@ -879,8 +869,7 @@ class SchedulePropagator:
                 after = np.zeros_like(amps)
                 band = np.zeros((k - start, widths[state_top + 1]))
                 dts = np.append(inner - t, duration)  # samples, then the end
-                for rows, states in self._free_states(amps, dts):
-                    n = self._total[rows.start]
+                for n, rows, states in self._free_states(amps, dts):
                     band[:, widths[n]:widths[n + 1]] = np.abs(states[:, :-1].T)
                     after[rows] = states[:, -1]
                 if len(band):
@@ -936,7 +925,8 @@ def error_overlap(initial: PhononState, final: PhononState) -> float:
 
 def check_beam_splitter_pair(pair: tuple[int, int], mode_count: int) -> None:
     """Raise ValueError unless ``pair`` names two distinct modes of the chain."""
-    if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(range(mode_count)):
+    if len(pair) != 2 or pair[0] == pair[1] or not all(
+            is_integer(q) and 0 <= q < mode_count for q in pair):
         raise ValueError("beam_splitter_pair must name two distinct modes in"
                          f" 0..{mode_count - 1}, not {pair}")
 
@@ -957,7 +947,7 @@ def beam_splitter_reference(state: PhononState, pair: tuple[int, int],
     mixer[j, k] = mixer[k, j] = 2.0
     engine = SchedulePropagator(state.space, ModeMaps(CouplingMatrix(mixer)))
     amps = np.zeros_like(state.amplitudes)
-    for rows, states in engine._free_states(state.amplitudes[engine._fock],
-                                            np.array([angle])):
+    for _, rows, states in engine._free_states(state.amplitudes[engine._fock],
+                                               np.array([angle])):
         amps[rows] = states[:, 0]
     return PhononState(state.space, amps[engine._position])

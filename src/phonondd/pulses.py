@@ -15,7 +15,9 @@ drive follows from the scale factor equation
     b'' + w(t)^2 b = w0^2 / b^3
 
 which pins w(t)^2 = (w0^2 / b^3 - b'') / b, realized in hardware by
-modulating either the dc endcap voltage or the rf amplitude of the trap.
+modulating either the dc endcap voltage or the rf amplitude of the trap:
+:class:`TrapParams` writes their Mathieu relation once, and
+:func:`waveform_table` checks stability on its (a, q), then scales to volts.
 Because b and its derivatives return to their initial values at both ends,
 every Fock state |n> picks up exactly exp(-i phi (n + 1/2)) with
 phi = w0 * integral dt / b^2, and the design solves for the depth k that
@@ -23,7 +25,8 @@ makes the phase excess over free evolution equal to pi.
 
 One :class:`ShapedPulse` holds the gate, T_P, T_u, T_d, s, k and w0, and
 every function here reads w0 from it: :func:`design_pulse` solves k on the
-shape at depth zero and returns that shape at depth k.
+shape at depth zero and returns that shape at depth k, whose peak excursion
+reads the 1 ns grid of :func:`sample_pulse`.
 """
 
 from __future__ import annotations
@@ -132,11 +135,9 @@ class ShapedPulse:
         """Squared frequency excess at time ``t`` from the pulse start."""
         return omega_squared(t, self) - self.secular_frequency ** 2
 
-    def peak_excursion(self, samples: int = 2001) -> float:
-        """Largest angular frequency shift from the bare value (rad/s)."""
-        t = np.linspace(0.0, self.duration, samples)
-        w = np.sqrt(omega_squared(t, self))
-        return float(np.max(np.abs(w - self.secular_frequency)))
+    def peak_excursion(self) -> float:
+        """Largest angular frequency shift from w0 (rad/s) on the sample_pulse grid."""
+        return float(np.max(np.abs(sample_pulse(self).omega - self.secular_frequency)))
 
 
 def _ramp_coords(t, pulse: ShapedPulse):
@@ -297,8 +298,8 @@ def sample_pulse(pulse: ShapedPulse,
 # offset, axial confinement from endcaps.  Stability parameters follow the
 # standard quadrupole conventions
 #   a = 4 e U0 / (m W^2 r0^2),  q = 2 e V0 / (m W^2 r0^2)
-# and the radial secular frequency obeys
-#   w^2 = (a + q^2 / 2) W^2 / 4 - wz^2 / 2.
+# and the radial secular frequency w obeys
+#   a + q^2 / 2 = 4 (w^2 + wz^2 / 2) / W^2.
 
 STABILITY_WARN_A = 0.05
 STABILITY_WARN_Q = 0.5
@@ -331,22 +332,26 @@ class TrapParams:
         return (self.ion_mass * self.drive_frequency ** 2
                 * self.electrode_radius ** 2 / ELEMENTARY_CHARGE)
 
+    def _mathieu_sum(self, omega_sq):
+        """a + q^2 / 2 at each squared frequency of ``omega_sq``."""
+        return (4.0 * (np.asarray(omega_sq, dtype=float) + 0.5 * self.axial_frequency ** 2)
+                / self.drive_frequency ** 2)
+
+    def dc_route(self, omega_sq, secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
+        """a realizing each w^2 of ``omega_sq`` at the q of ``secular_frequency``."""
+        q = self.rf_parameter(secular_frequency)
+        return self._mathieu_sum(omega_sq) - 0.5 * q * q
+
+    def rf_route(self, omega_sq):
+        """q realizing each w^2 of ``omega_sq`` at the static dc point."""
+        arg = self._mathieu_sum(omega_sq) - self.dc_parameter
+        if np.any(arg <= 0):
+            raise PulseInvalidError("secular frequency unreachable at this dc point")
+        return np.sqrt(2.0 * arg)
+
     def rf_parameter(self, secular_frequency: float = DEFAULT_SECULAR_FREQUENCY) -> float:
         """q that yields the given radial secular frequency at this dc point."""
-        wsq = secular_frequency ** 2
-        arg = (4.0 * (wsq + 0.5 * self.axial_frequency ** 2)
-               / self.drive_frequency ** 2 - self.dc_parameter)
-        if arg <= 0:
-            raise PulseInvalidError("secular frequency unreachable at this dc point")
-        return math.sqrt(2.0 * arg)
-
-
-def stability_parameters(trap: TrapParams, dc_voltage, rf_voltage):
-    """(a, q) for the given voltages; accepts scalars or arrays."""
-    scale = trap._voltage_scale
-    a = 4.0 * np.asarray(dc_voltage, dtype=float) / scale
-    q = 2.0 * np.asarray(rf_voltage, dtype=float) / scale
-    return a, q
+        return float(self.rf_route(secular_frequency ** 2))
 
 
 def check_stability(a, q) -> None:
@@ -366,22 +371,12 @@ def check_stability(a, q) -> None:
 def dc_waveform(omega_sq, trap: TrapParams,
                 secular_frequency: float = DEFAULT_SECULAR_FREQUENCY):
     """Endcap voltage U0(t) realizing w(t)^2 with the rf amplitude held fixed."""
-    q = trap.rf_parameter(secular_frequency)
-    wsq = np.asarray(omega_sq, dtype=float)
-    a = (4.0 * (wsq + 0.5 * trap.axial_frequency ** 2) / trap.drive_frequency ** 2
-         - 0.5 * q * q)
-    return a * trap._voltage_scale / 4.0
+    return trap.dc_route(omega_sq, secular_frequency) * trap._voltage_scale / 4.0
 
 
 def rf_waveform(omega_sq, trap: TrapParams):
     """Rf amplitude V0(t) realizing w(t)^2 with the dc point held fixed."""
-    wsq = np.asarray(omega_sq, dtype=float)
-    arg = (4.0 * (wsq + 0.5 * trap.axial_frequency ** 2) / trap.drive_frequency ** 2
-           - trap.dc_parameter)
-    if np.any(arg <= 0):
-        raise PulseInvalidError("rf amplitude would vanish along the waveform")
-    q = np.sqrt(2.0 * arg)
-    return q * trap._voltage_scale / 2.0
+    return trap.rf_route(omega_sq) * trap._voltage_scale / 2.0
 
 
 def waveform_table(pulse: ShapedPulse, trap: TrapParams | None = None,
@@ -397,12 +392,11 @@ def waveform_table(pulse: ShapedPulse, trap: TrapParams | None = None,
         trap = TrapParams()
     wf = sample_pulse(pulse, sample_interval)
     wsq = wf.omega ** 2
-    u0 = dc_waveform(wsq, trap, pulse.secular_frequency)
-    v0 = rf_waveform(wsq, trap)
-    a_dc, _ = stability_parameters(trap, u0, np.zeros_like(u0))
-    _, q_rf = stability_parameters(trap, np.zeros_like(v0), v0)
-    check_stability(a_dc, trap.rf_parameter(pulse.secular_frequency))
-    check_stability(trap.dc_parameter, q_rf)
+    a = trap.dc_route(wsq, pulse.secular_frequency)
+    q = trap.rf_route(wsq)
+    check_stability(a, trap.rf_parameter(pulse.secular_frequency))
+    check_stability(trap.dc_parameter, q)
+    u0, v0 = a * trap._voltage_scale / 4.0, q * trap._voltage_scale / 2.0
     # one text per block of rows: the separators repeat on every row, and
     # the repr of each column is written into its places with one slice
     columns = (wf.times, wf.scale, wf.omega, wf.omega_sq_excess, u0, v0)

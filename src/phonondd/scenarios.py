@@ -30,7 +30,9 @@ from .model import (
     IonChainConfig,
     basis_state,
     build_coupling_matrix,
+    check_count,
     coupling_rate,
+    is_integer,
 )
 from .propagation import (
     ModeMaps,
@@ -119,7 +121,8 @@ class ScenarioConfig:
             raise ScenarioError(f"{self.name}: initial state names "
                                 f"{len(self.initial_occupations)} modes, chain has "
                                 f"{self.mode_count}")
-        if any(not 0 <= n <= self.per_mode_cutoff for n in self.initial_occupations):
+        if any(not (is_integer(n) and 0 <= n <= self.per_mode_cutoff)
+               for n in self.initial_occupations):
             raise ScenarioError(f"{self.name}: initial_occupations must lie in"
                                 f" 0..{self.per_mode_cutoff} (the cutoff)")
         dimension = (self.per_mode_cutoff + 1) ** self.mode_count
@@ -136,6 +139,8 @@ class ScenarioConfig:
                 check_beam_splitter_pair(self.beam_splitter_pair, self.mode_count)
             if self.record_samples < 2:
                 raise ValueError("record_samples must be at least 2")
+            check_count(per_mode_cutoff=self.per_mode_cutoff,
+                        record_samples=self.record_samples)
             spec = self.spec()
             if self.pulse_duration is None:
                 walsh_indices(spec)

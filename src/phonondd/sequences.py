@@ -24,13 +24,12 @@ propagator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 import numpy as np
 
-from .model import CouplingMatrix, check_positive
+from .model import CouplingMatrix, check_count, check_positive, is_integer
 from .pulses import ShapedPulse
 
 
@@ -87,14 +86,10 @@ class DDSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "protected_set", frozenset(self.protected_set))
         eta = self.truncation_distance
-        for key, value in (("mode_count", self.mode_count), ("repetitions", self.repetitions),
-                           ("truncation_distance", 1 if eta is None else eta)):
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, not {value!r}")
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, not {value!r}")
+        check_count(mode_count=self.mode_count, repetitions=self.repetitions,
+                    truncation_distance=1 if eta is None else eta)
         check_positive(total_time=self.total_time)
-        if any(not 0 <= q < self.mode_count for q in self.protected_set):
+        if any(not (is_integer(q) and 0 <= q < self.mode_count) for q in self.protected_set):
             raise ValueError("protected_set indices out of range")
         if self.level_role_swap is not None and not all(
                 isinstance(flag, bool) for flag in self.level_role_swap):
@@ -118,8 +113,8 @@ class PulseSchedule:
 
     def __post_init__(self) -> None:
         for ev in self.events:
-            if (isinstance(ev, PhaseShift)
-                    and not ev.modes <= set(range(self.mode_count))):
+            if isinstance(ev, PhaseShift) and not all(
+                    is_integer(q) and 0 <= q < self.mode_count for q in ev.modes):
                 raise ValueError(f"pulse on modes {sorted(ev.modes)} of a"
                                  f" {self.mode_count}-mode schedule")
 

@@ -17,8 +17,7 @@ def convergence_check(cfg: ScenarioConfig, step: int = 2,
     rec_hi, _ = execute_scenario(replace(
         cfg, per_mode_cutoff=cfg.per_mode_cutoff + step,
         initial_occupations=cfg.initial_occupations))
-    lo = rec_lo.error_EB if rec_lo.error_EB is not None else rec_lo.error_E
-    hi = rec_hi.error_EB if rec_hi.error_EB is not None else rec_hi.error_E
+    lo, hi = rec_lo.error, rec_hi.error
     change = abs(hi - lo) / abs(hi) if hi else 0.0
     return {"error": lo, "error_raised_cutoff": hi, "relative_change": change,
             "converged": change < limit}

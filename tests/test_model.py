@@ -154,6 +154,25 @@ class TestFockSpace:
         assert FockSpace(3, 10).dimension == 11 ** 3
         assert FockSpace(2, 14).dimension == 15 ** 2
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: FockSpace(2, 2.5), "per_mode_cutoff must be an integer, not 2.5"),
+        (lambda: FockSpace(2.0, 3), "mode_count must be an integer, not 2.0"),
+        (lambda: FockSpace(True, 3), "mode_count must be an integer, not True"),
+        (lambda: FockSpace(2, math.nan), "per_mode_cutoff must be an integer, not nan"),
+        (lambda: IonChainConfig.equidistant(2, 40e-6, truncation_distance=1.5),
+         "truncation_distance must be an integer, not 1.5"),
+        (lambda: IonChainConfig(True, (0.0,)), "mode_count must be an integer, not True"),
+        # the range messages stay as they were
+        (lambda: FockSpace(0, 3), "mode_count must be >= 1"),
+        (lambda: FockSpace(2, -1), "per_mode_cutoff must be >= 1"),
+        (lambda: IonChainConfig(0, ()), "mode_count must be >= 1"),
+        (lambda: IonChainConfig.equidistant(2, 40e-6, truncation_distance=0),
+         "truncation_distance must be at least 1, not 0"),
+    ])
+    def test_counts_must_be_integers_of_at_least_one(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     @pytest.mark.parametrize("modes,cutoff", [(3, 3), (2, 10), (1, 6)])
     def test_index_bijection(self, modes, cutoff):
         space = FockSpace(modes, cutoff)

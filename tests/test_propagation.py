@@ -289,6 +289,8 @@ class TestScheduleRuns:
         foreign = basis_state(FockSpace(1, 24), (1,))
         with pytest.raises(ValueError, match="record_samples must be at least 2"):
             engine.run(schedule, initial, record_samples=1)
+        with pytest.raises(ValueError, match="record_samples must be an integer, not 3.5"):
+            engine.run(schedule, initial, record_samples=3.5)
         with pytest.raises(ValueError, match="initial state"):
             engine.run(schedule, foreign)
         with pytest.raises(ValueError, match="different spaces"):

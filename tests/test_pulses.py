@@ -32,7 +32,6 @@ from phonondd.pulses import (
     sample_pulse,
     scale_factor_derivatives,
     solve_strength,
-    stability_parameters,
     waveform_table,
 )
 
@@ -315,11 +314,9 @@ class TestWaveforms:
         trap = TrapParams()
         for pulse in (long_pulse, short_pulse):
             wf = sample_pulse(pulse, sample_interval=2e-9)
-            a, q = stability_parameters(trap, dc_waveform(wf.omega ** 2, trap),
-                                        static_voltages(trap)[1])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                check_stability(a, q)
+                check_stability(trap.dc_route(wf.omega ** 2), trap.rf_parameter())
 
     def test_trap_params_validation(self):
         with pytest.raises(ValueError):

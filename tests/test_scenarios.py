@@ -738,6 +738,10 @@ output.samples = 64
         ("repetitions", 2.5),
         ("truncation_distance", 1.5),
         ("level_role_swap", ("no", "yes")),
+        ("per_mode_cutoff", 2.5),
+        ("record_samples", 2.5),
+        ("initial_occupations", (1.5, 0)),
+        ("beam_splitter_pair", (0.0, 1)),
     ])
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):

@@ -73,6 +73,18 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             PhaseShift(frozenset())
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DDSpec(3, T, protected_set={0.5}), "protected_set indices out of range"),
+        (lambda: DDSpec(3, T, protected_set={3}), "protected_set indices out of range"),
+        (lambda: PulseSchedule((Evolve(T), PhaseShift({0.0})), 2),
+         r"pulse on modes \[0.0\] of a 2-mode schedule"),
+        (lambda: PulseSchedule((Evolve(T), PhaseShift({2})), 2),
+         r"pulse on modes \[2\] of a 2-mode schedule"),
+    ])
+    def test_mode_indices_must_be_integers_in_range(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestConcatenated:
     def test_two_modes(self):
@@ -177,7 +189,8 @@ class TestSpecValidation:
             DDSpec(2, total)
 
     @pytest.mark.parametrize("field,value", [
-        ("mode_count", 2.5), ("repetitions", 2.5), ("truncation_distance", 1.5)])
+        ("mode_count", 2.5), ("repetitions", 2.5), ("truncation_distance", 1.5),
+        ("mode_count", True)])
     def test_integer_fields_reject_other_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer, not {value}"):
             DDSpec(**{"mode_count": 4, "total_time": T, field: value})

@@ -13,7 +13,10 @@ of a 32-mode chain, built with no Fock space; and the Fock action against
 four independent constructions: the closed form single mode squeeze, the
 permanent formula for passive maps, the dense exponential of a random
 quadratic generator at a raised, converged cutoff, and the Miatto-Quesada
-recurrence for its matrix elements in extended precision.  Each pair
+recurrence for its matrix elements in extended precision.  Whole shaped
+runs of two and three modes, under both window couplings, match an oracle
+of the direct integration, that recurrence and dense exponentials of the
+hopping between the windows.  Each pair
 series, run to its end, matches the dense exponential of its pair
 operator.  A window's maps applied as one batch match each map applied
 alone, bit for bit, on a catalog window whose rows stop at different
@@ -42,6 +45,7 @@ from scipy.integrate import quad, solve_ivp
 
 from phonondd import propagation
 from phonondd.model import (
+    HBAR,
     CouplingMatrix,
     FockSpace,
     IonChainConfig,
@@ -74,7 +78,8 @@ from phonondd.scenarios import (
 )
 from phonondd.sequences import DDSpec, Evolve, synthesize
 
-from dense_oracle import embed, ladder_operator, phase_distance, project
+from dense_oracle import (embed, hopping_hamiltonian, ladder_operator, phase_distance,
+                          project)
 from fock_labels import occupations
 from population_record import record
 from pulse_checks import scale_factor
@@ -391,6 +396,47 @@ def test_apply_matches_the_fock_recurrence(modes, n_max, strength):
     engine = SchedulePropagator(FockSpace(modes, n_max),
                                 ModeMaps(CouplingMatrix(np.zeros((modes, modes)))))
     check_against_recurrence(engine, random_quadratic(rng, modes, strength)[2])
+
+
+# bound on the distance, up to a global phase, between a shaped run and its
+# mode-map oracle, fixed before any run
+AGREEMENT = 1e-9
+
+
+@pytest.mark.parametrize("modes,n_max,coupling", [(3, 3, "rwa"), (3, 2, "full"),
+                                                  (2, 4, "rwa")])
+def test_shaped_run_matches_the_mode_map_oracle(modes, n_max, coupling):
+    """A whole shaped run against an oracle that shares no kernel with the
+    engine: each window is ``direct_map`` at its start (DOP853 on the M x M
+    equations), made the cube matrix <m|U|n> by the recurrence with
+    c = |det A|^{-1/2}, and each free step a dense exponential of the
+    kron-built hopping Hamiltonian.  The start is a random state over the
+    whole cube."""
+    couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 40e-6))
+    engine = SchedulePropagator(FockSpace(modes, n_max),
+                                ModeMaps(couplings, window_coupling=coupling))
+    space, maps = engine.space, engine.maps
+    schedule = synthesize(DDSpec(modes, 200e-6, shaped_pulse=PULSE))
+    rng = np.random.default_rng(100 * modes + n_max)
+    amps = rng.normal(size=(space.dimension, 2)) @ np.array([1.0, 1j])
+    initial = PhononState(space, amps / np.linalg.norm(amps))
+    hopping = hopping_hamiltonian(space, couplings).toarray() / HBAR
+    steps = maps.steps(schedule)
+    assert {kind for kind, _, _ in steps} == {"free", "window"}
+    state, t = initial.amplitudes, 0.0
+    for kind, duration, pulsed in steps:
+        if kind == "free":
+            state = scipy.linalg.expm(-1j * duration * hopping) @ state
+        else:
+            a, b = direct_map(maps, pulsed, t)
+            window = np.zeros((space.dimension,) * 2, dtype=complex)
+            for n, column in recurrence_columns(
+                    (a, b, 1.0 / np.sqrt(abs(np.linalg.det(a)))), space, modes * n_max):
+                window[:, n] = column
+            state = window @ state
+        t += duration
+    got = engine.run(schedule, initial).final_state.amplitudes
+    assert phase_distance(got, state) <= AGREEMENT
 
 
 def test_apply_matches_the_fock_recurrence_on_a_catalog_window_end():
