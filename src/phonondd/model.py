@@ -69,8 +69,6 @@ class IonChainConfig:
     truncation_distance: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be >= 1")
         eta = self.truncation_distance
         check_count(mode_count=self.mode_count, truncation_distance=1 if eta is None else eta)
         if len(self.positions) != self.mode_count:
@@ -167,10 +165,6 @@ class FockSpace:
     per_mode_cutoff: int
 
     def __post_init__(self) -> None:
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be >= 1")
-        if self.per_mode_cutoff < 1:
-            raise ValueError("per_mode_cutoff must be >= 1")
         check_count(mode_count=self.mode_count, per_mode_cutoff=self.per_mode_cutoff)
 
     @property
@@ -184,8 +178,9 @@ class FockSpace:
         base = self.per_mode_cutoff + 1
         idx = 0
         for j, n in enumerate(reversed(occupations)):
-            if not 0 <= n <= self.per_mode_cutoff:
-                raise ValueError(f"occupation {n} outside [0, {self.per_mode_cutoff}]")
+            if not (is_integer(n) and 0 <= n <= self.per_mode_cutoff):
+                raise ValueError(f"occupation {n} is not an integer"
+                                 f" in [0, {self.per_mode_cutoff}]")
             idx += n * base ** j
         return idx
 

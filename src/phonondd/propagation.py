@@ -813,9 +813,7 @@ class SchedulePropagator:
         sector of the same parity; populations are recorded on those
         sectors alone, in ``SimulationResult.columns``.
         """
-        if record_samples < 2:
-            raise ValueError("record_samples must be at least 2")
-        check_count(record_samples=record_samples)
+        check_record_samples(record_samples)
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
         started = time.perf_counter()
@@ -921,6 +919,13 @@ def error_overlap(initial: PhononState, final: PhononState) -> float:
     if initial.space != final.space:
         raise ValueError("states live in different spaces")
     return 1.0 - abs(np.vdot(initial.amplitudes, final.amplitudes))
+
+
+def check_record_samples(record_samples: int) -> None:
+    """Raise ValueError unless ``record_samples`` is an integer of at least 2."""
+    if record_samples < 2:
+        raise ValueError("record_samples must be at least 2")
+    check_count(record_samples=record_samples)
 
 
 def check_beam_splitter_pair(pair: tuple[int, int], mode_count: int) -> None:

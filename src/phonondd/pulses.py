@@ -391,12 +391,10 @@ def waveform_table(pulse: ShapedPulse, trap: TrapParams | None = None,
     if trap is None:
         trap = TrapParams()
     wf = sample_pulse(pulse, sample_interval)
-    wsq = wf.omega ** 2
-    a = trap.dc_route(wsq, pulse.secular_frequency)
-    q = trap.rf_route(wsq)
-    check_stability(a, trap.rf_parameter(pulse.secular_frequency))
-    check_stability(trap.dc_parameter, q)
-    u0, v0 = a * trap._voltage_scale / 4.0, q * trap._voltage_scale / 2.0
+    wsq, w0 = wf.omega ** 2, pulse.secular_frequency
+    check_stability(trap.dc_route(wsq, w0), trap.rf_parameter(w0))
+    check_stability(trap.dc_parameter, trap.rf_route(wsq))
+    u0, v0 = dc_waveform(wsq, trap, w0), rf_waveform(wsq, trap)
     # one text per block of rows: the separators repeat on every row, and
     # the repr of each column is written into its places with one slice
     columns = (wf.times, wf.scale, wf.omega, wf.omega_sq_excess, u0, v0)

@@ -30,7 +30,6 @@ from .model import (
     IonChainConfig,
     basis_state,
     build_coupling_matrix,
-    check_count,
     coupling_rate,
     is_integer,
 )
@@ -40,6 +39,7 @@ from .propagation import (
     SimulationResult,
     beam_splitter_reference,
     check_beam_splitter_pair,
+    check_record_samples,
 )
 from .pulses import (DEFAULT_SHARPNESS, DEFAULT_TARGET_PHASE, ShapedPulse, design_pulse,
                      sample_count)
@@ -112,35 +112,32 @@ class ScenarioConfig:
             for key, value in PULSE_DEFAULTS.items():
                 if getattr(self, key) is None:
                     object.__setattr__(self, key, value)
-        for key in ("per_mode_cutoff", "pulse_duration", "pulse_ramp_up",
-                    "pulse_ramp_down", "pulse_sharpness", "target_phase"):
+        for key in ("pulse_duration", "pulse_ramp_up", "pulse_ramp_down",
+                    "pulse_sharpness", "target_phase"):
             value = getattr(self, key)
             if value is not None and not (0 < value < math.inf):
                 raise ScenarioError(f"{self.name}: {key} must be positive and finite")
-        if len(self.initial_occupations) != self.mode_count:
-            raise ScenarioError(f"{self.name}: initial state names "
-                                f"{len(self.initial_occupations)} modes, chain has "
-                                f"{self.mode_count}")
-        if any(not (is_integer(n) and 0 <= n <= self.per_mode_cutoff)
-               for n in self.initial_occupations):
-            raise ScenarioError(f"{self.name}: initial_occupations must lie in"
-                                f" 0..{self.per_mode_cutoff} (the cutoff)")
-        dimension = (self.per_mode_cutoff + 1) ** self.mode_count
-        records = self.record_samples * dimension
-        for key, size, limit, what in (
-                ("per_mode_cutoff", dimension, MAX_FOCK_DIMENSION, "Fock dimension of {:,}"),
-                ("record_samples", records, MAX_RECORD_VALUES, "record of {:,} values")):
-            if size > limit:
-                raise ScenarioError(
-                    f"{self.name}: {key} {getattr(self, key)} on {self.mode_count}"
-                    f" modes gives a {what.format(size)}, above the limit {limit:,}")
-        try:  # what the run would reject: pair, samples, plan, couplings, maps
+        try:  # the checks of the run, on the objects the run builds
+            space = FockSpace(self.mode_count, self.per_mode_cutoff)
+            check_record_samples(self.record_samples)
+            if len(self.initial_occupations) != self.mode_count:
+                raise ValueError(f"initial state names {len(self.initial_occupations)}"
+                                 f" modes, chain has {self.mode_count}")
+            if any(not (is_integer(n) and 0 <= n <= self.per_mode_cutoff)
+                   for n in self.initial_occupations):
+                raise ValueError("initial_occupations must lie in"
+                                 f" 0..{self.per_mode_cutoff} (the cutoff)")
+            for key, size, limit, what in (
+                    ("per_mode_cutoff", space.dimension, MAX_FOCK_DIMENSION,
+                     "Fock dimension of {:,}"),
+                    ("record_samples", self.record_samples * space.dimension,
+                     MAX_RECORD_VALUES, "record of {:,} values")):
+                if size > limit:
+                    raise ValueError(f"{key} {getattr(self, key)} on {self.mode_count}"
+                                     f" modes gives a {what.format(size)}, above the"
+                                     f" limit {limit:,}")
             if self.beam_splitter_pair is not None:
                 check_beam_splitter_pair(self.beam_splitter_pair, self.mode_count)
-            if self.record_samples < 2:
-                raise ValueError("record_samples must be at least 2")
-            check_count(per_mode_cutoff=self.per_mode_cutoff,
-                        record_samples=self.record_samples)
             spec = self.spec()
             if self.pulse_duration is None:
                 walsh_indices(spec)
@@ -391,18 +388,20 @@ SWEEP_AXES = ("n_r", "d", "T_P", "n_max")
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
+    """``cfg`` with ``value`` on ``axis``, passed as given, so the config
+    checks it as it would any field it is built with."""
     if axis == "n_r":
-        return replace(cfg, repetitions=int(value))
+        return replace(cfg, repetitions=value)
     if axis == "d":
-        return replace(cfg, spacing=float(value))
+        return replace(cfg, spacing=value)
     if axis == "T_P":
-        factor = float(value) / cfg.pulse_duration
-        return replace(cfg, pulse_duration=float(value),
+        factor = value / cfg.pulse_duration
+        return replace(cfg, pulse_duration=value,
                        pulse_ramp_up=None if cfg.pulse_ramp_up is None
                        else cfg.pulse_ramp_up * factor,
                        pulse_ramp_down=None if cfg.pulse_ramp_down is None
                        else cfg.pulse_ramp_down * factor)
-    return replace(cfg, per_mode_cutoff=int(value))  # n_max
+    return replace(cfg, per_mode_cutoff=value)  # n_max
 
 
 def sweep(base: ScenarioConfig, axis: str, values) -> list[ResultRecord]:

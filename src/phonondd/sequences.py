@@ -16,7 +16,7 @@ prefixed with its block parity, used when that plan is shallower.  With
 depth d the cycle is 2^d equal segments, and :func:`sign_matrix` gives the
 sign of each mode in each: row q is the Walsh function of w_q, so a pair
 cancels exactly when its indices differ.  :func:`synthesize` lays the
-schedule out from the indices, and :func:`decoupling_failures` reads the
+schedule out from those signs, and :func:`decoupling_failures` reads the
 signs back off any schedule's events and checks them exactly, without the
 propagator.
 """
@@ -182,11 +182,6 @@ def walsh_indices(spec: DDSpec) -> tuple[tuple[int, ...], int]:
     return indices, depth
 
 
-def _gray_codes(depth: int) -> list[int]:
-    """The Gray code t ^ (t >> 1) of each of the 2^depth segments."""
-    return [t ^ (t >> 1) for t in range(2 ** depth)]
-
-
 def sign_matrix(spec: DDSpec) -> np.ndarray:
     """The plan of ``spec`` as toggling-frame signs, shape (M, L).
 
@@ -197,8 +192,8 @@ def sign_matrix(spec: DDSpec) -> np.ndarray:
     exactly when their w differ.  Without levels, L = 1 and S is all +.
     """
     indices, depth = walsh_indices(spec)
-    return np.array([[1 - 2 * ((w & g).bit_count() & 1) for g in _gray_codes(depth)]
-                     for w in indices])
+    gray = [t ^ (t >> 1) for t in range(2 ** depth)]
+    return np.array([[1 - 2 * ((w & g).bit_count() & 1) for g in gray] for w in indices])
 
 
 def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
@@ -209,8 +204,7 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
     error falls roughly as n_r^-2; an unbalanced shaped cycle adds its
     kick again on every copy, and its error grows as n_r^2.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    check_count(repetitions=repetitions)
     if repetitions == 1:
         return base
     cycle = tuple(Evolve(ev.duration / repetitions) if isinstance(ev, Evolve) else ev
@@ -229,13 +223,12 @@ def synthesize(spec: DDSpec) -> PulseSchedule:
     to decouple (a single mode, or every mode protected) the schedule is
     one free segment.
     """
-    indices, depth = walsh_indices(spec)
-    gray = _gray_codes(depth)
-    segment = Evolve(spec.total_time / len(gray))
+    columns = sign_matrix(spec).T
+    segment = Evolve(spec.total_time / len(columns))
     events: list[ScheduleEvent] = []
-    for g, following in zip(gray, gray[1:] + gray[:1]):
+    for now, following in zip(columns, np.roll(columns, -1, axis=0)):
         events.append(segment)
-        flipped = frozenset(q for q, w in enumerate(indices) if w & (g ^ following))
+        flipped = frozenset(np.flatnonzero(now != following).tolist())
         if flipped:
             events.append(PhaseShift(flipped))
     base = PulseSchedule(events=tuple(events), mode_count=spec.mode_count,

@@ -1,5 +1,7 @@
 """Command line surface, exercised through the click test runner."""
 
+import csv
+import io
 import math
 
 import pytest
@@ -182,7 +184,7 @@ class TestSweep:
         assert cells[1][5] == "" and float(cells[1][1]) > 0.0
         # values that are not finite and positive fail when the variant is built
         for scenario, axis, values, bad, message in [
-                ("fig3", "n_max", "0,8", "0", "per_mode_cutoff must be positive"),
+                ("fig3", "n_max", "0,8", "0", "per_mode_cutoff must be at least 1, not 0"),
                 ("fig3", "d", "inf,43.8", "inf", "spacing must be positive"),
                 ("fig1b", "d", "inf", "inf", "spacing must be positive"),
                 # finite spacings whose hop rate is 0 or not a float
@@ -194,7 +196,8 @@ class TestSweep:
                                        "--values", values, "--out", str(tmp_path)])
             assert res.exit_code == 2, res.output
             rows = (tmp_path / f"{scenario}_sweep_{axis}.csv").read_text()
-            cells = {c[0]: c for c in (row.split(",") for row in rows.splitlines()[1:])}
+            # a failure holding a comma is one quoted cell
+            cells = {c[0]: c for c in list(csv.reader(io.StringIO(rows)))[1:]}
             rejected = cells.pop(f"{scenario}_{axis}={bad}")
             assert message in rejected[5] and rejected[1] == ""
             assert len(cells) == values.count(",")

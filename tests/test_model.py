@@ -162,10 +162,9 @@ class TestFockSpace:
         (lambda: IonChainConfig.equidistant(2, 40e-6, truncation_distance=1.5),
          "truncation_distance must be an integer, not 1.5"),
         (lambda: IonChainConfig(True, (0.0,)), "mode_count must be an integer, not True"),
-        # the range messages stay as they were
-        (lambda: FockSpace(0, 3), "mode_count must be >= 1"),
-        (lambda: FockSpace(2, -1), "per_mode_cutoff must be >= 1"),
-        (lambda: IonChainConfig(0, ()), "mode_count must be >= 1"),
+        (lambda: FockSpace(0, 3), "mode_count must be at least 1, not 0"),
+        (lambda: FockSpace(2, -1), "per_mode_cutoff must be at least 1, not -1"),
+        (lambda: IonChainConfig(0, ()), "mode_count must be at least 1, not 0"),
         (lambda: IonChainConfig.equidistant(2, 40e-6, truncation_distance=0),
          "truncation_distance must be at least 1, not 0"),
     ])
@@ -236,6 +235,13 @@ class TestFockSpace:
             space.index((0, -1))
         with pytest.raises(ValueError):
             space.index((1, 1, 1))
+
+    def test_index_rejects_non_integer_occupations(self):
+        space = FockSpace(2, 3)
+        with pytest.raises(ValueError, match=r"^occupation 1.0 is not an integer in \[0, 3\]$"):
+            space.index((1.0, 0))
+        with pytest.raises(ValueError, match=r"^occupation 1.5 is not an integer in \[0, 3\]$"):
+            basis_state(space, (1.5, 0))
 
 
 class TestLadderOperators:

@@ -542,6 +542,20 @@ class TestSweep:
         assert "0..1 (the cutoff)" in low.failure and low.error_E is None
         assert high.failure is None and high.error_E is not None
 
+    @pytest.mark.parametrize("axis,good,bad,message", [
+        ("n_r", 1, 2.5, "repetitions must be an integer, not 2.5"),
+        ("n_max", 4, 7.9, "per_mode_cutoff must be an integer, not 7.9"),
+    ])
+    def test_non_integer_count_fails_alone(self, axis, good, bad, message):
+        # the value reaches the config as given, not truncated to an integer
+        records = sweep(cheap_config(), axis, [bad, good])
+        assert [r.scenario for r in records] == [f"cheap_{axis}={good}",
+                                                 f"cheap_{axis}={bad}"]
+        ran, failed = records
+        assert ran.failure is None and ran.error_E is not None
+        assert failed.failure == f"cheap_{axis}={bad}: {message}"
+        assert failed.error_E is None
+
     def test_unknown_axis(self):
         with pytest.raises(ScenarioError):
             sweep(cheap_config(), "voltage", [1.0])
@@ -739,6 +753,7 @@ output.samples = 64
         ("truncation_distance", 1.5),
         ("level_role_swap", ("no", "yes")),
         ("per_mode_cutoff", 2.5),
+        ("per_mode_cutoff", 1e300),
         ("record_samples", 2.5),
         ("initial_occupations", (1.5, 0)),
         ("beam_splitter_pair", (0.0, 1)),

@@ -237,6 +237,14 @@ class TestRepetition:
         via_spec = synthesize(DDSpec(3, T, repetitions=5))
         assert compact(again) == compact(via_spec)
 
+    @pytest.mark.parametrize("n_r,message", [
+        (2.5, "repetitions must be an integer, not 2.5"),
+        (0, "repetitions must be at least 1, not 0"),
+    ])
+    def test_repeat_count_is_checked(self, n_r, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            repeat_schedule(synthesize(DDSpec(3, T)), n_r)
+
 
 class TestSignedDwell:
     @pytest.mark.parametrize("modes", range(2, 9))
