@@ -24,6 +24,7 @@ from .pulses import (
     waveform_table,
 )
 from .scenarios import (
+    CONFIG_KEYS,
     SWEEP_AXES,
     ScenarioError,
     emit_report,
@@ -88,7 +89,7 @@ def run(scenario: str, out: str | None, full_populations: bool) -> None:
 @main.command()
 @click.argument("scenario")
 @click.option("--axis", required=True,
-              type=click.Choice(SWEEP_AXES))
+              type=click.Choice(tuple(SWEEP_AXES)))
 @click.option("--values", required=True,
               help="Comma separated values; d in um, T_P in us.")
 @click.option("--out", default=None)
@@ -96,11 +97,8 @@ def sweep(scenario: str, axis: str, values: str, out: str | None) -> None:
     """Re-run a scenario along one axis and tabulate the errors."""
     try:
         cfg = _resolve(scenario)
-        raw = [v.strip() for v in values.split(",") if v.strip()]
-        if axis in ("n_r", "n_max"):
-            parsed = [int(v) for v in raw]
-        else:  # d and T_P are given in microns and microseconds
-            parsed = [from_micro(v) for v in raw]
+        convert = CONFIG_KEYS[SWEEP_AXES[axis]][1]  # as the axis's config key reads
+        parsed = [convert(v.strip()) for v in values.split(",") if v.strip()]
         out_dir = output_directory(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         records = run_sweep(cfg, axis, parsed)

@@ -32,8 +32,10 @@ DEFAULT_SECULAR_FREQUENCY = 2.0 * math.pi * 2.2e6   # rad/s
 
 
 def check_positive(**values: float) -> None:
-    """Raise ValueError naming the first argument not in (0, inf)."""
+    """Raise ValueError naming the first argument not a non-bool real in (0, inf)."""
     for name, value in values.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, not {value!r}")
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
@@ -198,8 +200,8 @@ class FockSpace:
 
     def mode_occupations(self, mode: int) -> np.ndarray:
         """Occupation of one mode for every basis index, as an int array."""
-        if not 0 <= mode < self.mode_count:
-            raise ValueError("mode out of range")
+        if not (is_integer(mode) and 0 <= mode < self.mode_count):
+            raise ValueError(f"mode {mode!r} is not an integer in [0, {self.mode_count - 1}]")
         base = self.per_mode_cutoff + 1
         idx = np.arange(self.dimension)
         return (idx // base ** mode) % base

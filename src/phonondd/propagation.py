@@ -923,7 +923,7 @@ def error_overlap(initial: PhononState, final: PhononState) -> float:
 
 def check_record_samples(record_samples: int) -> None:
     """Raise ValueError unless ``record_samples`` is an integer of at least 2."""
-    if record_samples < 2:
+    if is_integer(record_samples) and record_samples < 2:
         raise ValueError("record_samples must be at least 2")
     check_count(record_samples=record_samples)
 

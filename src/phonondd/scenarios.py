@@ -30,6 +30,7 @@ from .model import (
     IonChainConfig,
     basis_state,
     build_coupling_matrix,
+    check_positive,
     coupling_rate,
     is_integer,
 )
@@ -112,12 +113,10 @@ class ScenarioConfig:
             for key, value in PULSE_DEFAULTS.items():
                 if getattr(self, key) is None:
                     object.__setattr__(self, key, value)
-        for key in ("pulse_duration", "pulse_ramp_up", "pulse_ramp_down",
-                    "pulse_sharpness", "target_phase"):
-            value = getattr(self, key)
-            if value is not None and not (0 < value < math.inf):
-                raise ScenarioError(f"{self.name}: {key} must be positive and finite")
         try:  # the checks of the run, on the objects the run builds
+            check_positive(**{key: getattr(self, key) for key in (
+                "pulse_duration", "pulse_ramp_up", "pulse_ramp_down", "pulse_sharpness",
+                "target_phase") if getattr(self, key) is not None})
             space = FockSpace(self.mode_count, self.per_mode_cutoff)
             check_record_samples(self.record_samples)
             if len(self.initial_occupations) != self.mode_count:
@@ -141,22 +140,21 @@ class ScenarioConfig:
             spec = self.spec()
             if self.pulse_duration is None:
                 walsh_indices(spec)
-                bound = None
             else:
                 sample_count(self.pulse_duration)  # the design grid
                 bound = feasibility_bounds(spec, self.pulse_duration).repetition_bound
             _mode_maps(self)
+            if self.pulse_duration is None:
+                for key in ("pulse_ramp_up", "pulse_ramp_down", *PULSE_DEFAULTS):
+                    if getattr(self, key) is not None:
+                        raise ValueError(f"{key} is set, but an ideal"
+                                         " pulse_model has no pulse")
+            elif self.repetitions >= bound:
+                raise ValueError(f"{self.repetitions} repetitions reach the repetition bound"
+                                 f" {bound}: a carved pulse window no longer fits in the"
+                                 " shortest segment of the schedule")
         except ValueError as exc:
             raise ScenarioError(f"{self.name}: {exc}") from exc
-        for key in ("pulse_ramp_up", "pulse_ramp_down", *PULSE_DEFAULTS):
-            if self.pulse_duration is None and getattr(self, key) is not None:
-                raise ScenarioError(f"{self.name}: {key} is set, but an ideal"
-                                    " pulse_model has no pulse")
-        if bound is not None and self.repetitions >= bound:
-            raise ScenarioError(
-                f"{self.name}: {self.repetitions} repetitions reach the"
-                f" repetition bound {bound}: a carved pulse window no longer"
-                " fits in the shortest segment of the schedule")
 
     def spec(self, pulse: ShapedPulse | None = None) -> DDSpec:
         """The decoupling plan of this run, shaped by ``pulse`` when given.
@@ -384,24 +382,21 @@ def get_scenario(name: str) -> ScenarioConfig:
         raise ScenarioError(f"unknown scenario {name!r}") from None
 
 
-SWEEP_AXES = ("n_r", "d", "T_P", "n_max")
+# sweep axis -> the config key whose converter reads its values
+SWEEP_AXES = {"n_r": "schedule.repetitions", "d": "chain.spacing_um",
+              "T_P": "pulse.total_us", "n_max": "propagator.n_max"}
 
 
 def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """``cfg`` with ``value`` on ``axis``, passed as given, so the config
-    checks it as it would any field it is built with."""
-    if axis == "n_r":
-        return replace(cfg, repetitions=value)
-    if axis == "d":
-        return replace(cfg, spacing=value)
-    if axis == "T_P":
+    """``cfg`` with ``value`` on the field of ``axis``, passed as given, so
+    the config checks it as it would any field it is built with."""
+    changes = {CONFIG_KEYS[SWEEP_AXES[axis]][0]: value}
+    if axis == "T_P":  # the ramps scale with the pulse
         factor = value / cfg.pulse_duration
-        return replace(cfg, pulse_duration=value,
-                       pulse_ramp_up=None if cfg.pulse_ramp_up is None
-                       else cfg.pulse_ramp_up * factor,
-                       pulse_ramp_down=None if cfg.pulse_ramp_down is None
-                       else cfg.pulse_ramp_down * factor)
-    return replace(cfg, per_mode_cutoff=value)  # n_max
+        for key in ("pulse_ramp_up", "pulse_ramp_down"):
+            ramp = getattr(cfg, key)
+            changes[key] = None if ramp is None else ramp * factor
+    return replace(cfg, **changes)
 
 
 def sweep(base: ScenarioConfig, axis: str, values) -> list[ResultRecord]:
@@ -413,7 +408,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[ResultRecord]:
     if not values:
         raise ScenarioError("sweep needs at least one value")
     if axis not in SWEEP_AXES:
-        raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+        raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
     if axis == "T_P" and base.pulse_duration is None:
         raise ScenarioError("T_P sweep needs a shaped scenario")
     records = []

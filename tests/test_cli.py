@@ -123,6 +123,7 @@ class TestRun:
         ([("modes = 2", "modes = 3"),
           ("occupations = 1,0", "occupations = 1,0,0\nschedule.role_swap = true")],
          "level_role_swap needs 2 flags, got 1"),
+        ([("samples = 32", "samples = 0")], "record_samples must be at least 2"),
     ])
     def test_config_rejected_at_parse_exits_with_error(self, runner, tmp_path,
                                                        monkeypatch, edits, message):

@@ -19,6 +19,8 @@ from phonondd.model import (
     coupling_rate,
 )
 from phonondd.propagation import ModeMaps, SchedulePropagator
+from phonondd.pulses import ShapedPulse
+from phonondd.sequences import Evolve
 
 from dense_oracle import hopping_hamiltonian, ladder_operator, modulation_hamiltonian
 from fock_labels import label, occupations
@@ -88,6 +90,20 @@ class TestCouplingRate:
     def test_rejects_a_non_finite_input_by_name(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             coupling_rate(*args)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Evolve(True), "duration must be a real number, not True"),
+        (lambda: Evolve("1e-6"), "duration must be a real number, not '1e-6'"),
+        (lambda: ShapedPulse(True, 1e-6, 1e-6), "duration must be a real number, not True"),
+        (lambda: ShapedPulse("4e-6", 1e-6, 1e-6),
+         "duration must be a real number, not '4e-6'"),
+        (lambda: IonChainConfig.equidistant(2, True), "spacing must be a real number, not True"),
+        (lambda: IonChainConfig.equidistant(2, "4e-5"),
+         "spacing must be a real number, not '4e-5'"),
+    ])
+    def test_reals_must_be_real_numbers(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     @pytest.mark.parametrize("spacing", [1e-306, 1e-106, 1e294])
     def test_rejects_a_spacing_without_a_float_rate(self, spacing):

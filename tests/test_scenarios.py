@@ -757,6 +757,12 @@ output.samples = 64
         ("record_samples", 2.5),
         ("initial_occupations", (1.5, 0)),
         ("beam_splitter_pair", (0.0, 1)),
+        # not real numbers: strings and a bool from the Python API
+        ("record_samples", "48"),
+        ("pulse_duration", "4e-6"),
+        ("spacing", "4e-5"),
+        ("total_time", "1e-3"),
+        ("pulse_duration", True),
     ])
     def test_bad_field_rejected_at_parse(self, field, value):
         with pytest.raises(ScenarioError, match=field):

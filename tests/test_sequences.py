@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, strategies as st
 
-from phonondd.model import DEFAULT_SECULAR_FREQUENCY, IonChainConfig, build_coupling_matrix
+from phonondd.model import (DEFAULT_SECULAR_FREQUENCY, FockSpace, IonChainConfig,
+                            build_coupling_matrix)
 from phonondd.pulses import design_pulse
 from phonondd.scenarios import scenario_catalog
 from phonondd.sequences import (
@@ -80,6 +81,10 @@ class TestEventValidation:
          r"pulse on modes \[0.0\] of a 2-mode schedule"),
         (lambda: PulseSchedule((Evolve(T), PhaseShift({2})), 2),
          r"pulse on modes \[2\] of a 2-mode schedule"),
+        (lambda: FockSpace(2, 3).mode_occupations(0.5),
+         r"mode 0.5 is not an integer in \[0, 1\]"),
+        (lambda: FockSpace(2, 3).mode_occupations(True),
+         r"mode True is not an integer in \[0, 1\]"),
     ])
     def test_mode_indices_must_be_integers_in_range(self, build, message):
         with pytest.raises(ValueError, match=message):
