@@ -31,13 +31,24 @@ DEFAULT_ION_MASS = 40.0 * ATOMIC_MASS_UNIT          # 40Ca+
 DEFAULT_SECULAR_FREQUENCY = 2.0 * math.pi * 2.2e6   # rad/s
 
 
+def check_real(**values: float) -> None:
+    """Raise ValueError naming the first argument not a real number."""
+    for name, value in values.items():
+        if not is_real(value):
+            raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
 def check_positive(**values: float) -> None:
     """Raise ValueError naming the first argument not a non-bool real in (0, inf)."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number, not {value!r}")
+        check_real(**{name: value})
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, not {value!r}")
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def is_integer(value) -> bool:

@@ -1,13 +1,12 @@
 """Executes pulse schedules on phonon states in the interaction picture.
 
 The engine has two layers.  :class:`ModeMaps` needs no Fock space, only
-the coupling matrix: it lowers a schedule into (kind, duration, modes)
-steps, free segments, parity phases (ideal pulses) and windows (shaped
-pulses), and finds the M x M mode map of each window.  A window replaces
-the trailing portion of its preceding free segment, as the feasibility
-bounds of :mod:`phonondd.sequences` assume, so the wall clock of the
-schedule is its evolve time.  :class:`SchedulePropagator` binds those
-maps to one truncated Fock space and runs the steps on a state.
+the coupling matrix: it finds the M x M mode map of each window.
+:class:`SchedulePropagator` binds those maps to one truncated Fock space
+and runs on a state the steps of a schedule, :meth:`PulseSchedule.steps`:
+free segments, parity phases (ideal pulses) and windows, each of its own
+shaped pulse and carved from the tail of the free segment before it, so
+the wall clock of the schedule is its evolve time.
 
 A shaped pulse opens a window in which the trap drive of the pulsed modes
 acts without the rotating wave reduction,
@@ -108,7 +107,7 @@ import numpy as np
 from .model import (DEFAULT_SECULAR_FREQUENCY, CouplingMatrix, FockSpace, PhononState,
                     check_count, is_integer)
 from .pulses import ShapedPulse
-from .sequences import Evolve, PulseSchedule
+from .sequences import PulseSchedule
 
 
 WINDOW_COUPLINGS = ("rwa", "full")
@@ -136,7 +135,7 @@ LOG = logging.getLogger(__name__)
 
 
 class PropagationError(Exception):
-    """Raised when a schedule cannot be executed as specified."""
+    """Raised when a window cannot be integrated to its tolerance."""
 
 
 @dataclass
@@ -408,7 +407,7 @@ class HeisenbergMap:
 
 @dataclass(frozen=True, eq=False)
 class ModeMaps:
-    """Schedule steps and window maps of one chain, with no Fock space.
+    """Window maps of one chain, with no Fock space.
 
     Caches the Heisenberg map of each (pulsed-mode set, pulse) window.
     """
@@ -424,35 +423,6 @@ class ModeMaps:
             raise ValueError("window_coupling must be one of"
                              f" {', '.join(WINDOW_COUPLINGS)},"
                              f" not {self.window_coupling!r}")
-
-    def steps(self, schedule: PulseSchedule
-              ) -> list[tuple[str, float, frozenset[int] | None]]:
-        """The schedule as (kind, duration, modes) steps.
-
-        A kind is "free", "parity" (an ideal pulse) or "window" (a shaped
-        pulse).  A window takes the trailing pulse duration of the free
-        step before it, so the steps last ``schedule.total_evolve_time``.
-        """
-        pulse = schedule.shaped_pulse
-        steps: list[tuple[str, float, frozenset[int] | None]] = []
-        for ev in schedule.events:
-            if isinstance(ev, Evolve):
-                steps.append(("free", ev.duration, None))
-            elif pulse is None:
-                steps.append(("parity", 0.0, ev.modes))
-            else:
-                if not steps or steps[-1][0] != "free":
-                    raise PropagationError(
-                        "pulse event has no preceding segment to carve")
-                _, duration, _ = steps.pop()
-                lead = duration - pulse.duration
-                if lead < -1e-12 * duration:
-                    raise PropagationError(
-                        "pulse window does not fit inside its segment")
-                if lead > 0:
-                    steps.append(("free", lead, None))
-                steps.append(("window", pulse.duration, ev.modes))
-        return steps
 
     def window_map(self, modes: frozenset[int], pulse: ShapedPulse) -> HeisenbergMap:
         """The window map, by Magnus steps doubled from FIRST_STEPS.
@@ -517,7 +487,7 @@ class SchedulePropagator:
     offsets[N]:offsets[N + 1].  ``run`` converts from and to the Fock order
     of :class:`FockSpace` at its two ends.  Caches, for each sector a state
     reaches, the eigensystem of its hopping block; then replays any
-    schedule on that chain, with the steps and window maps of ``maps``.
+    schedule on that chain, with the window maps of ``maps``.
     The ladder ``_down``/``_up`` (M x dimension), built once from the
     base-(n_max + 1) digits of the Fock index, holds the positions of
     n - e_j and n + e_j, -1 off the cube; the sector hopping blocks, the
@@ -817,7 +787,6 @@ class SchedulePropagator:
         if initial.space != self.space:
             raise ValueError("initial state lives in a different Fock space")
         started = time.perf_counter()
-        steps = self.maps.steps(schedule)
         # distinct: a schedule that takes no time has one grid point
         times = np.array(sorted(set(np.linspace(0.0, schedule.total_evolve_time,
                                                 record_samples).tolist())))
@@ -826,10 +795,9 @@ class SchedulePropagator:
         # the sectors the run can reach, see above
         reach = np.zeros(self._offsets.size - 1, dtype=bool)
         start_sectors = self._total[np.flatnonzero(amps)]
-        if any(kind == "window" for kind, _, _ in steps):
+        reach[start_sectors] = True
+        if schedule.pulse_model == "shaped":
             reach[np.isin(np.arange(reach.size) % 2, start_sectors % 2)] = True
-        else:
-            reach[start_sectors] = True
         # the recorded positions, in sector order, are the record columns;
         # the record width up to each sector is entry N + 1 for sector N,
         # so sector N fills record columns widths[N]:widths[N + 1]
@@ -852,9 +820,9 @@ class SchedulePropagator:
         applies, top, trimmed = 0, -1, 0.0  # window applies, and trims at their ends
         raised, bound = 0, 0.0  # raising terms taken, and their tail bounds
 
-        for kind, duration, modes in steps:
+        for kind, duration, shift in schedule.steps():
             if kind == "parity":
-                amps = amps * self._parity(modes)
+                amps = amps * self._parity(shift.modes)
                 continue
             # grid points up to t hold the state after every event at t
             start = np.searchsorted(inside, t, side="right")
@@ -875,7 +843,7 @@ class SchedulePropagator:
                 amps = after
                 checked = amps[None]
             else:
-                maps = self.maps.window(t, modes, schedule.shaped_pulse, inner)
+                maps = self.maps.window(t, shift.modes, shift.pulse, inner)
                 checked, terms, tails = self._apply(amps, maps)
                 if len(inner):
                     keep(checked[:-1], self._band(checked[:-1])[1])

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY, ELEMENTARY_CHARGE,
-                    check_positive)
+                    check_positive, check_real)
 
 # The 48-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(48) to the
 # bit: its nodes and weights are exactly symmetric, so the 24 positive
@@ -128,6 +128,7 @@ class ShapedPulse:
         check_positive(duration=self.duration, ramp_up=self.ramp_up,
                        ramp_down=self.ramp_down, sharpness=self.sharpness,
                        secular_frequency=self.secular_frequency)
+        check_real(depth=self.depth)
         if not 0.0 <= self.depth < 1.0:
             raise ValueError(f"depth must lie in [0, 1), not {self.depth!r}")
 
@@ -320,6 +321,7 @@ class TrapParams:
     def __post_init__(self) -> None:
         check_positive(ion_mass=self.ion_mass, drive_frequency=self.drive_frequency,
                        electrode_radius=self.electrode_radius)
+        check_real(axial_frequency=self.axial_frequency, dc_parameter=self.dc_parameter)
         if not 0 <= self.axial_frequency < math.inf:
             raise ValueError("axial_frequency must be non-negative and finite,"
                              f" not {self.axial_frequency!r}")

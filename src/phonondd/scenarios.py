@@ -149,7 +149,7 @@ class ScenarioConfig:
                     if getattr(self, key) is not None:
                         raise ValueError(f"{key} is set, but an ideal"
                                          " pulse_model has no pulse")
-            elif self.repetitions >= bound:
+            elif bound is not None and self.repetitions >= bound:
                 raise ValueError(f"{self.repetitions} repetitions reach the repetition bound"
                                  f" {bound}: a carved pulse window no longer fits in the"
                                  " shortest segment of the schedule")
@@ -391,8 +391,8 @@ def _apply_axis(cfg: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     """``cfg`` with ``value`` on the field of ``axis``, passed as given, so
     the config checks it as it would any field it is built with."""
     changes = {CONFIG_KEYS[SWEEP_AXES[axis]][0]: value}
-    if axis == "T_P":  # the ramps scale with the pulse
-        factor = value / cfg.pulse_duration
+    if axis == "T_P":  # the ramps scale with the pulse, once the config takes it
+        factor = replace(cfg, **changes).pulse_duration / cfg.pulse_duration
         for key in ("pulse_ramp_up", "pulse_ramp_down"):
             ramp = getattr(cfg, key)
             changes[key] = None if ramp is None else ramp * factor

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -45,9 +45,10 @@ class Evolve:
 
 @dataclass(frozen=True)
 class PhaseShift:
-    """Simultaneous pi phase shift on a set of modes."""
+    """Simultaneous pi phase shift on a set of modes: a window of ``pulse``, else ideal."""
 
     modes: frozenset[int]
+    pulse: ShapedPulse | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", frozenset(self.modes))
@@ -69,9 +70,8 @@ class DDSpec:
     level, which cancels markedly better, and the plain roles otherwise.
     ``total_time`` is the full evolve time of the schedule; with
     ``repetitions`` = n_r the cycle is compressed n_r-fold and repeated,
-    keeping the total unchanged.  The schedule is shaped, each phase shift
-    a window of ``shaped_pulse``, exactly when a pulse is given; without
-    one every phase shift is ideal.  The counts and the reach are
+    keeping the total unchanged.  With ``shaped_pulse`` every phase shift
+    is a window of that pulse, else ideal.  The counts and the reach are
     integers and the role flags bools, checked when the spec is built.
     """
 
@@ -103,29 +103,49 @@ class DDSpec:
 class PulseSchedule:
     """Ordered event timeline produced by the synthesizer.
 
-    Each phase shift is a window of ``shaped_pulse`` when the schedule
-    carries one, and ideal otherwise.
+    A window, a phase shift with a pulse, is carved from the free segment
+    right before it and must fit in it, to within 1e-12 of it; with no
+    free segment right before it, a window fits in 0 s.
     """
 
     events: tuple[ScheduleEvent, ...]
     mode_count: int
-    shaped_pulse: ShapedPulse | None = None
 
     def __post_init__(self) -> None:
-        for ev in self.events:
-            if isinstance(ev, PhaseShift) and not all(
-                    is_integer(q) and 0 <= q < self.mode_count for q in ev.modes):
+        for before, ev in zip((None, *self.events), self.events):
+            if isinstance(ev, Evolve):
+                continue
+            if not all(is_integer(q) and 0 <= q < self.mode_count for q in ev.modes):
                 raise ValueError(f"pulse on modes {sorted(ev.modes)} of a"
                                  f" {self.mode_count}-mode schedule")
+            segment = before.duration if isinstance(before, Evolve) else 0.0
+            if ev.pulse is not None and segment - ev.pulse.duration < -1e-12 * segment:
+                raise ValueError(f"a {ev.pulse.duration:g} s pulse window does not"
+                                 f" fit in the {segment:g} s free segment before it")
 
     @property
     def pulse_model(self) -> str:
-        """The pulse model: "shaped" when there is a pulse, else "ideal"."""
-        return "ideal" if self.shaped_pulse is None else "shaped"
+        """The pulse model: "shaped" when any phase shift has a pulse, else "ideal"."""
+        return "shaped" if any(kind == "window" for kind, _, _ in self.steps()) else "ideal"
 
     @property
     def total_evolve_time(self) -> float:
         return sum(ev.duration for ev in self.events if isinstance(ev, Evolve))
+
+    def steps(self) -> Iterator[tuple[str, float, PhaseShift | None]]:
+        """The (kind, duration, phase shift) steps: "free" (with no phase
+        shift), "parity" (an ideal pulse) or "window".  A window takes the
+        tail of the segment before it, so the steps last the evolve time."""
+        for ev, following in zip(self.events, (*self.events[1:], None)):
+            if isinstance(ev, Evolve):
+                carved = following.pulse if isinstance(following, PhaseShift) else None
+                lead = ev.duration - (0.0 if carved is None else carved.duration)
+                if lead > 0:
+                    yield "free", lead, None
+            elif ev.pulse is None:
+                yield "parity", 0.0, ev
+            else:
+                yield "window", ev.pulse.duration, ev
 
 
 def _halving_codes(width: int) -> list[tuple[int, ...]]:
@@ -205,8 +225,6 @@ def repeat_schedule(base: PulseSchedule, repetitions: int) -> PulseSchedule:
     kick again on every copy, and its error grows as n_r^2.
     """
     check_count(repetitions=repetitions)
-    if repetitions == 1:
-        return base
     cycle = tuple(Evolve(ev.duration / repetitions) if isinstance(ev, Evolve) else ev
                   for ev in base.events)
     return replace(base, events=cycle * repetitions)
@@ -230,10 +248,8 @@ def synthesize(spec: DDSpec) -> PulseSchedule:
         events.append(segment)
         flipped = frozenset(np.flatnonzero(now != following).tolist())
         if flipped:
-            events.append(PhaseShift(flipped))
-    base = PulseSchedule(events=tuple(events), mode_count=spec.mode_count,
-                         shaped_pulse=spec.shaped_pulse)
-    return repeat_schedule(base, spec.repetitions)
+            events.append(PhaseShift(flipped, spec.shaped_pulse))
+    return repeat_schedule(PulseSchedule(tuple(events), spec.mode_count), spec.repetitions)
 
 
 def toggling_frame(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +277,10 @@ def decoupling_failures(schedule: PulseSchedule,
     segments must share one duration, so a pair's signed dwell is that
     duration times its entry of S S^T, which must be zero for every pair
     with a non-protected member (and a nonzero rate, when ``couplings``
-    are given).  A shaped window on the pulsed set x adds a kick
-    s_j s_k (x_j - x_k) to pair (j, k), s the signs after it; on the same
-    pairs these must sum to zero, or the kick grows with every repetition.
+    are given).  A window on the pulsed set x adds a kick
+    s_j s_k (x_j - x_k) to pair (j, k), s the signs after it, and an ideal
+    pulse flips the signs but adds none; on the same pairs the kicks must
+    sum to zero, or the kick grows with every repetition.
     Protected modes must stay +, and every mode end at +.
     """
     signs, end = toggling_frame(schedule)
@@ -274,13 +291,13 @@ def decoupling_failures(schedule: PulseSchedule,
     protected = frozenset(protected_set)
     m = schedule.mode_count
     gram = signs @ signs.T
-    kicks = np.zeros_like(gram)
-    if schedule.shaped_pulse is not None:
-        pulsed = np.array([[q in ev.modes for q in range(m)] for ev in schedule.events
-                           if isinstance(ev, PhaseShift)], dtype=int).reshape(-1, m)
-        after = np.cumprod(1 - 2 * pulsed, axis=0)
-        kicked = after * pulsed
-        kicks = kicked.T @ after - after.T @ kicked
+    shifts = [ev for ev in schedule.events if isinstance(ev, PhaseShift)]
+    pulsed = np.array([[q in ev.modes for q in range(m)] for ev in shifts],
+                      dtype=int).reshape(-1, m)
+    after = np.cumprod(1 - 2 * pulsed, axis=0)
+    windows = np.array([ev.pulse is not None for ev in shifts], dtype=int)
+    kicked = after * pulsed * windows[:, None]
+    kicks = kicked.T @ after - after.T @ kicked
     for j in range(m):
         for k in range(j):
             coupled = couplings is None or couplings.kappa[j, k] != 0.0
@@ -325,7 +342,8 @@ def feasibility_bounds(spec: DDSpec, pulse_duration: float) -> FeasibilityBounds
     mode count, the truncation distance and the repetition count of
     ``spec``.  The repetition bound takes d from the plan of ``spec``,
     :func:`walsh_indices`, and admits a segment that the pulse fills
-    exactly, as a carved window may.
+    exactly, as :class:`PulseSchedule` admits a window that fills its
+    segment.
     """
     check_positive(pulse_duration=pulse_duration)
     length = 2 ** walsh_indices(spec)[1]

@@ -282,9 +282,10 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
     """Final state of a schedule, propagated over the full Fock space.
 
     Free segments go through :func:`evolve_constant`, ideal pulses through
-    :func:`apply_ideal_phase` and shaped windows through
-    :func:`evolve_shaped`, each window carved from the tail of the
-    segment before it.
+    :func:`apply_ideal_phase` and windows through :func:`evolve_shaped`,
+    each window with its own pulse, carved from the tail of the segment
+    before it.  The carving is read off the events, not taken from
+    :meth:`PulseSchedule.steps`, so that the oracle checks the steps too.
     With ``window_cutoff`` each window runs in a space of that cutoff and
     is projected back, so it approaches P U P as the cutoff grows.
     """
@@ -294,24 +295,22 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
     wide_hop = hopping_hamiltonian(wide, couplings)
     pairs = (pair_creation_hamiltonian(wide, couplings)
              if window_coupling == "full" else None)
-    pulse = schedule.shaped_pulse
-    shaped = pulse is not None
     events = schedule.events
     state, t = initial, 0.0
     for i, ev in enumerate(events):
         if isinstance(ev, Evolve):
             duration = ev.duration
-            if (shaped and i + 1 < len(events)
-                    and isinstance(events[i + 1], PhaseShift)):
-                duration = max(duration - pulse.duration, 0.0)
+            following = events[i + 1] if i + 1 < len(events) else None
+            if isinstance(following, PhaseShift) and following.pulse is not None:
+                duration = max(duration - following.pulse.duration, 0.0)
             state = evolve_constant(state, hop, duration)
             t += duration
-        elif shaped:
-            state = project(evolve_shaped(embed(state, wide), pulse, ev.modes,
+        elif ev.pulse is not None:
+            state = project(evolve_shaped(embed(state, wide), ev.pulse, ev.modes,
                                           background=wide_hop,
                                           secular_frequency=secular_frequency,
                                           start_time=t, pair_creation=pairs), space)
-            t += pulse.duration
+            t += ev.pulse.duration
         else:
             state = apply_ideal_phase(state, ev.modes)
     return state

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from phonondd.pulses import ShapedPulse, omega_squared
+from phonondd.sequences import PhaseShift, PulseSchedule
 
 erf = np.vectorize(math.erf, otypes=[float])
 
@@ -20,6 +21,12 @@ def scale_factor(t, pulse: ShapedPulse):
     u1 = (t / pulse.ramp_up - 0.5) * s
     u2 = ((t - (pulse.duration - pulse.ramp_down)) / pulse.ramp_down - 0.5) * s
     return 1.0 - 0.5 * pulse.depth * (erf(u1) - erf(u2))
+
+
+def window_pulse(schedule: PulseSchedule) -> ShapedPulse:
+    """The one pulse that every window of ``schedule`` carries."""
+    (pulse,) = {ev.pulse for ev in schedule.events if isinstance(ev, PhaseShift)}
+    return pulse
 
 
 def plateau_excursion(pulse: ShapedPulse, samples: int = 2001) -> float:

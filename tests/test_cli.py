@@ -13,6 +13,8 @@ from phonondd.model import DEFAULT_SECULAR_FREQUENCY
 from phonondd.pulses import design_pulse
 from phonondd.scenarios import build_scenario, parse_config_text
 
+from pulse_checks import window_pulse
+
 CHEAP_CFG = """
 scenario.name = demo
 chain.modes = 2
@@ -291,7 +293,7 @@ class TestPulseDesign:
         # take their sharpness, target phase, ramps and w0 from one place
         cfg = parse_config_text("chain.modes = 2\nchain.spacing_um = 27.6\n"
                                 "state.occupations = 1,0\npulse.total_us = 4\n")
-        configured = build_scenario(cfg)[0].shaped_pulse
+        configured = window_pulse(build_scenario(cfg)[0])
         designed = []
 
         def spy(*args):

@@ -19,7 +19,7 @@ from phonondd.model import (
     coupling_rate,
 )
 from phonondd.propagation import ModeMaps, SchedulePropagator
-from phonondd.pulses import ShapedPulse
+from phonondd.pulses import ShapedPulse, TrapParams
 from phonondd.sequences import Evolve
 
 from dense_oracle import hopping_hamiltonian, ladder_operator, modulation_hamiltonian
@@ -100,6 +100,14 @@ class TestCouplingRate:
         (lambda: IonChainConfig.equidistant(2, True), "spacing must be a real number, not True"),
         (lambda: IonChainConfig.equidistant(2, "4e-5"),
          "spacing must be a real number, not '4e-5'"),
+        (lambda: TrapParams(axial_frequency="1"),
+         "axial_frequency must be a real number, not '1'"),
+        (lambda: TrapParams(axial_frequency=True),
+         "axial_frequency must be a real number, not True"),
+        (lambda: TrapParams(dc_parameter="0.002"),
+         "dc_parameter must be a real number, not '0.002'"),
+        (lambda: ShapedPulse(4e-6, 1e-6, 1e-6, depth="0.1"),
+         "depth must be a real number, not '0.1'"),
     ])
     def test_reals_must_be_real_numbers(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

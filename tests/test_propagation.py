@@ -26,7 +26,6 @@ from phonondd.model import (
 )
 from phonondd.propagation import (
     ModeMaps,
-    PropagationError,
     SchedulePropagator,
     beam_splitter_reference,
     error_overlap,
@@ -306,21 +305,16 @@ class TestScheduleRuns:
 
     def test_shaped_carve_needs_room(self):
         # pulses are carved out of the preceding segment, which must fit
-        space, cm = two_mode_setup(4)
         pulse = design_pulse(8.8 * T0)
-        schedule = synthesize(DDSpec(2, 2 * T0, shaped_pulse=pulse))
-        with pytest.raises(PropagationError):
-            SchedulePropagator(space, ModeMaps(cm)).run(schedule,
-                                                        basis_state(space, (1, 0)))
+        with pytest.raises(ValueError, match=r"a 4e-06 s pulse window does not fit in"
+                                             r" the 4.54545e-07 s free segment before it"):
+            synthesize(DDSpec(2, 2 * T0, shaped_pulse=pulse))
 
     def test_leading_pulse_rejected_on_carve(self):
-        space, cm = two_mode_setup(4)
         pulse = design_pulse(8.8 * T0)
-        bad = PulseSchedule(events=(PhaseShift(frozenset({1})), Evolve(HOP_TIME)),
-                            mode_count=2, shaped_pulse=pulse)
-        with pytest.raises(PropagationError):
-            SchedulePropagator(space, ModeMaps(cm)).run(bad,
-                                                        basis_state(space, (1, 0)))
+        with pytest.raises(ValueError, match="does not fit in the 0 s free segment"):
+            PulseSchedule(events=(PhaseShift(frozenset({1}), pulse), Evolve(HOP_TIME)),
+                          mode_count=2)
 
     def test_full_window_coupling_close_to_rwa(self):
         space, cm = two_mode_setup(8)

@@ -15,7 +15,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from phonondd import propagation
 from phonondd.model import FockSpace
-from phonondd.propagation import PropagationError
 from phonondd.pulses import MAX_PULSE_SAMPLES, sample_pulse
 from phonondd.scenarios import (
     CONFIG_KEYS,
@@ -44,6 +43,7 @@ from phonondd.sequences import feasibility_bounds, synthesize
 from convergence import convergence_check
 from fock_labels import label
 from population_record import banded_result, dense_populations, record
+from pulse_checks import window_pulse
 
 CHEAP = """
 chain.modes = 2
@@ -479,6 +479,13 @@ class TestChunkWriterEdges:
 
 
 class TestRepetitionBound:
+    def test_a_plan_without_levels_has_no_bound(self):
+        # one mode has nothing to decouple, so its schedule has no window
+        cfg = replace(get_scenario("fig1a"), mode_count=1, initial_occupations=(1,),
+                      repetitions=50)
+        assert feasibility_bounds(cfg.spec(), cfg.pulse_duration).repetition_bound is None
+        assert build_scenario(cfg)[0].pulse_model == "ideal"
+
     @pytest.mark.parametrize("name,segment_pulses", [
         ("fig1a", None), ("fig4b", None), ("fig6b", None), ("fig4b", 3)])
     def test_parse_rejects_what_the_carved_steps_reject(self, name, segment_pulses):
@@ -489,14 +496,13 @@ class TestRepetitionBound:
         if segment_pulses is not None:
             cfg = replace(cfg, total_time=4 * segment_pulses * cfg.pulse_duration)
         bound = feasibility_bounds(cfg.spec(), cfg.pulse_duration).repetition_bound
-        schedule, _, engine = build_scenario(cfg)
+        spec = cfg.spec(window_pulse(build_scenario(cfg)[0]))
         fits = []
         for n in range(1, bound + 3):
             try:
-                engine.maps.steps(synthesize(replace(
-                    cfg.spec(schedule.shaped_pulse), repetitions=n)))
+                synthesize(replace(spec, repetitions=n))
                 fits.append(True)
-            except PropagationError as exc:
+            except ValueError as exc:
                 assert "does not fit" in str(exc)
                 fits.append(False)
             try:
@@ -554,6 +560,13 @@ class TestSweep:
         ran, failed = records
         assert ran.failure is None and ran.error_E is not None
         assert failed.failure == f"cheap_{axis}={bad}: {message}"
+        assert failed.error_E is None
+
+    def test_non_real_pulse_duration_fails_alone(self):
+        # the config rejects the value before the ramps scale with it
+        (failed,) = sweep(get_scenario("fig1b"), "T_P", ["1e-6"])
+        assert failed.failure == ("fig1b_T_P=1e-6: pulse_duration must be a real"
+                                  " number, not '1e-6'")
         assert failed.error_E is None
 
     def test_unknown_axis(self):
@@ -883,7 +896,7 @@ output.samples = 64
     @pytest.mark.parametrize("name", ["fig1a", "fig1b"])  # the long and the short pulse
     def test_catalog_pulses_sample_at_the_default_interval(self, name):
         cfg = get_scenario(name)
-        pulse = build_scenario(cfg)[0].shaped_pulse
+        pulse = window_pulse(build_scenario(cfg)[0])
         assert len(sample_pulse(pulse).times) == round(cfg.pulse_duration / 1e-9) + 1
         assert round(cfg.pulse_duration / 1e-9) + 1 <= MAX_PULSE_SAMPLES
 

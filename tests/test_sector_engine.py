@@ -83,12 +83,11 @@ def chains(draw, shaped=False):
 def window_spans(schedule):
     """(start, end) of each shaped window on the clock of the run."""
     spans, t = [], 0.0
-    duration = schedule.shaped_pulse.duration
     for ev in schedule.events:
         if isinstance(ev, Evolve):
             t += ev.duration
         else:
-            spans.append((t - duration, t))
+            spans.append((t - ev.pulse.duration, t))
     return spans
 
 

@@ -74,6 +74,24 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             PhaseShift(frozenset())
 
+    @pytest.mark.parametrize("events,segment", [
+        ((Evolve(2.6e-6), PhaseShift({0}, PULSE)), "2.6e-06"),  # too short
+        ((PhaseShift({0}, PULSE), Evolve(T)), "0"),  # leading
+        ((Evolve(T), PhaseShift({0}, PULSE), PhaseShift({1}, PULSE)), "0"),  # after a window
+        ((Evolve(T), PhaseShift({0}), PhaseShift({1}, PULSE)), "0"),  # after an ideal pulse
+    ])
+    def test_a_window_must_fit_in_the_free_segment_right_before_it(self, events, segment):
+        with pytest.raises(ValueError, match=f"^a 4e-06 s pulse window does not fit in"
+                                             f" the {segment} s free segment before it$"):
+            PulseSchedule(events, 2)
+
+    def test_a_window_may_fill_its_segment(self):
+        # the free segment before the window is used up, so no free step is left
+        schedule = PulseSchedule((Evolve(PULSE.duration), PhaseShift({0}, PULSE),
+                                  Evolve(T), PhaseShift({0})), 2)
+        assert [(kind, duration) for kind, duration, _ in schedule.steps()] == [
+            ("window", PULSE.duration), ("free", T), ("parity", 0.0)]
+
     @pytest.mark.parametrize("build,message", [
         (lambda: DDSpec(3, T, protected_set={0.5}), "protected_set indices out of range"),
         (lambda: DDSpec(3, T, protected_set={3}), "protected_set indices out of range"),
@@ -215,9 +233,11 @@ class TestSpecValidation:
     def test_the_pulse_alone_makes_a_schedule_shaped(self):
         shaped = synthesize(DDSpec(2, T, shaped_pulse=PULSE))
         ideal = synthesize(DDSpec(2, T))
-        assert shaped.shaped_pulse is PULSE and shaped.pulse_model == "shaped"
-        assert ideal.shaped_pulse is None and ideal.pulse_model == "ideal"
-        assert shaped.events == ideal.events
+        assert shaped.pulse_model == "shaped" and ideal.pulse_model == "ideal"
+        assert {ev.pulse for ev in shaped.events if isinstance(ev, PhaseShift)} == {PULSE}
+        assert {ev.pulse for ev in ideal.events if isinstance(ev, PhaseShift)} == {None}
+        # the text form holds the modes and exact durations, not the pulses
+        assert schedule_to_text(shaped) == schedule_to_text(ideal)
         with pytest.raises(AttributeError):
             ideal.pulse_model = "shaped"
         with pytest.raises(TypeError):
@@ -296,6 +316,20 @@ class TestSignedDwell:
             ((4, 2), 4), ((4, 3), 4), ((5, 2), -4), ((5, 3), 4), ((6, 1), 8))
         # ideal pulses open no window, so there is no kick to balance
         assert decoupling_failures(synthesize(replace(four, shaped_pulse=None))) == ()
+
+    def test_only_a_window_kicks(self):
+        # every phase shift flips the signs, but only a window adds a kick:
+        # the two windows of this cycle balance, and either one alone does not
+        def cycle(first, second):
+            return PulseSchedule((Evolve(T / 2), PhaseShift({1}, first),
+                                  Evolve(T / 2), PhaseShift({1}, second)), 2)
+
+        assert decoupling_failures(cycle(PULSE, PULSE)) == ()
+        assert decoupling_failures(cycle(None, None)) == ()
+        assert decoupling_failures(cycle(PULSE, None)) == (
+            "pair (1, 0) has window kick imbalance of -1",)
+        assert decoupling_failures(cycle(None, PULSE)) == (
+            "pair (1, 0) has window kick imbalance of 1",)
 
     def test_unbalanced_schedule_flagged(self):
         bad = PulseSchedule(events=(Evolve(0.75), PhaseShift(frozenset({1})),
@@ -435,8 +469,9 @@ class TestSerialization:
         assert schedule_to_text(back) == text
 
     def test_round_trip_of_a_shaped_schedule_drops_the_pulse(self):
-        s = synthesize(DDSpec(3, T, repetitions=2, shaped_pulse=PULSE))
-        assert schedule_from_text(schedule_to_text(s)) == replace(s, shaped_pulse=None)
+        spec = DDSpec(3, T, repetitions=2, shaped_pulse=PULSE)
+        back = schedule_from_text(schedule_to_text(synthesize(spec)))
+        assert back == synthesize(replace(spec, shaped_pulse=None))
 
     def test_durations_survive_exactly(self):
         s = synthesize(DDSpec(3, math.pi * 1.7e-4, repetitions=3))

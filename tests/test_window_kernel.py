@@ -34,7 +34,7 @@ import itertools
 import logging
 import math
 import tracemalloc
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -76,7 +76,7 @@ from phonondd.scenarios import (
     populations_csv,
     scenario_catalog,
 )
-from phonondd.sequences import DDSpec, Evolve, synthesize
+from phonondd.sequences import DDSpec, Evolve, PhaseShift, synthesize
 
 from dense_oracle import (embed, hopping_hamiltonian, ladder_operator, phase_distance,
                           project)
@@ -124,8 +124,9 @@ def test_map_stays_symplectic(case, fractions):
         assert max(symplectic_residuals(a, b)) <= TIGHT
 
 
-def direct_map(maps, pulsed, start):
-    """(A, B) integrated from absolute time ``start`` with absolute phases."""
+def direct_map(maps, pulse, pulsed, start):
+    """(A, B) of a window of ``pulse`` on the modes ``pulsed``, integrated
+    from absolute time ``start`` with absolute phases."""
     m, w0 = maps.couplings.mode_count, maps.secular_frequency
     kappa = maps.couplings.kappa / 2.0
     mask = np.array([q in pulsed for q in range(m)], dtype=float)
@@ -133,14 +134,14 @@ def direct_map(maps, pulsed, start):
 
     def rhs(t, y):
         a, b = y[:m * m].reshape(m, m), y[m * m:].reshape(m, m)
-        g = PULSE.drive(t - start) / (4.0 * w0)
+        g = pulse.drive(t - start) / (4.0 * w0)
         h = kappa + np.diag(2.0 * g * mask)
         pair = np.exp(2j * w0 * t) * (np.diag(2.0 * g * mask) + (kappa if full else 0.0))
         return -1j * np.concatenate([(h @ a + pair @ b.conj()).ravel(),
                                      (h @ b + pair @ a.conj()).ravel()])
 
     y0 = np.concatenate([np.eye(m).ravel(), np.zeros(m * m)]).astype(complex)
-    sol = solve_ivp(rhs, (start, start + PULSE.duration), y0, method="DOP853",
+    sol = solve_ivp(rhs, (start, start + pulse.duration), y0, method="DOP853",
                     rtol=1e-12, atol=ATOL, max_step=STEP_CAP)
     end = sol.y[:, -1]
     return end[:m * m].reshape(m, m), end[m * m:].reshape(m, m)
@@ -152,7 +153,7 @@ def test_gauge_identity_against_direct_integration(case, start_us):
     maps, pulsed = case
     start = start_us * 1e-6
     a, b = (x[0] for x in maps.window_map(pulsed, PULSE).at(())[:2])
-    a_direct, b_direct = direct_map(maps, pulsed, start)
+    a_direct, b_direct = direct_map(maps, PULSE, pulsed, start)
     gauge = cmath.exp(2j * maps.secular_frequency * start)
     assert np.linalg.norm(a - a_direct) <= TIGHT
     assert np.linalg.norm(b * gauge - b_direct) <= TIGHT
@@ -403,32 +404,40 @@ def test_apply_matches_the_fock_recurrence(modes, n_max, strength):
 AGREEMENT = 1e-9
 
 
-@pytest.mark.parametrize("modes,n_max,coupling", [(3, 3, "rwa"), (3, 2, "full"),
-                                                  (2, 4, "rwa")])
-def test_shaped_run_matches_the_mode_map_oracle(modes, n_max, coupling):
+@pytest.mark.parametrize("modes,n_max,coupling,pulses", [
+    (3, 3, "rwa", (PULSE,)), (3, 2, "full", (PULSE,)), (2, 4, "rwa", (PULSE,)),
+    (2, 4, "rwa", (PULSE, design_pulse(2.2 * T0)))],
+    ids=["3-3-rwa", "3-2-full", "2-4-rwa", "2-4-rwa-two-pulses"])
+def test_shaped_run_matches_the_mode_map_oracle(modes, n_max, coupling, pulses):
     """A whole shaped run against an oracle that shares no kernel with the
-    engine: each window is ``direct_map`` at its start (DOP853 on the M x M
-    equations), made the cube matrix <m|U|n> by the recurrence with
-    c = |det A|^{-1/2}, and each free step a dense exponential of the
-    kron-built hopping Hamiltonian.  The start is a random state over the
-    whole cube."""
+    engine: each window is ``direct_map`` of its own pulse at its start
+    (DOP853 on the M x M equations), made the cube matrix <m|U|n> by the
+    recurrence with c = |det A|^{-1/2}, and each free step a dense
+    exponential of the kron-built hopping Hamiltonian.  The windows take
+    ``pulses`` in turn.  The start is a random state over the whole
+    cube."""
     couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 40e-6))
     engine = SchedulePropagator(FockSpace(modes, n_max),
                                 ModeMaps(couplings, window_coupling=coupling))
     space, maps = engine.space, engine.maps
-    schedule = synthesize(DDSpec(modes, 200e-6, shaped_pulse=PULSE))
+    turns = itertools.cycle(pulses)
+    schedule = synthesize(DDSpec(modes, 200e-6))
+    schedule = replace(schedule, events=tuple(
+        replace(ev, pulse=next(turns)) if isinstance(ev, PhaseShift) else ev
+        for ev in schedule.events))
     rng = np.random.default_rng(100 * modes + n_max)
     amps = rng.normal(size=(space.dimension, 2)) @ np.array([1.0, 1j])
     initial = PhononState(space, amps / np.linalg.norm(amps))
     hopping = hopping_hamiltonian(space, couplings).toarray() / HBAR
-    steps = maps.steps(schedule)
+    steps = list(schedule.steps())
     assert {kind for kind, _, _ in steps} == {"free", "window"}
+    assert {shift.pulse for kind, _, shift in steps if kind == "window"} == set(pulses)
     state, t = initial.amplitudes, 0.0
-    for kind, duration, pulsed in steps:
+    for kind, duration, shift in steps:
         if kind == "free":
             state = scipy.linalg.expm(-1j * duration * hopping) @ state
         else:
-            a, b = direct_map(maps, pulsed, t)
+            a, b = direct_map(maps, shift.pulse, shift.modes, t)
             window = np.zeros((space.dimension,) * 2, dtype=complex)
             for n, column in recurrence_columns(
                     (a, b, 1.0 / np.sqrt(abs(np.linalg.det(a)))), space, modes * n_max):
@@ -441,11 +450,12 @@ def test_shaped_run_matches_the_mode_map_oracle(modes, n_max, coupling):
 
 def test_apply_matches_the_fock_recurrence_on_a_catalog_window_end():
     schedule, _, engine = build_scenario(get_scenario("fig5b"))
-    steps = engine.maps.steps(schedule)
+    steps = list(schedule.steps())
     first = next(i for i, (kind, _, _) in enumerate(steps) if kind == "window")
     start = sum(duration for _, duration, _ in steps[:first])
+    shift = steps[first][2]
     # a window with no sample inside is a batch of one
-    (a,), (b,), (norm,) = engine.maps.window(start, steps[first][2], schedule.shaped_pulse)
+    (a,), (b,), (norm,) = engine.maps.window(start, shift.modes, shift.pulse)
     check_against_recurrence(engine, (a, b, norm))
 
 
@@ -637,7 +647,7 @@ def shaped_run():
     couplings = build_coupling_matrix(IonChainConfig.equidistant(2, 30e-6))
     schedule = synthesize(DDSpec(2, 50e-6, repetitions=2, shaped_pulse=PULSE))
     engine = SchedulePropagator(space, ModeMaps(couplings))
-    windows = sum(kind == "window" for kind, _, _ in engine.maps.steps(schedule))
+    windows = sum(kind == "window" for kind, _, _ in schedule.steps())
     return engine, schedule, basis_state(space, (2, 1)), windows
 
 
@@ -732,7 +742,7 @@ def test_run_counts_each_map_of_a_window_as_an_apply(caplog):
     samples = 101
     inside = np.linspace(0.0, schedule.total_evolve_time, samples)[:-1]
     t, within = 0.0, 0
-    for kind, duration, _ in engine.maps.steps(schedule):
+    for kind, duration, _ in schedule.steps():
         if kind == "window":
             within += int(np.sum((inside > t) & (inside < t + duration)))
         t += duration
@@ -973,7 +983,7 @@ def catalog_maps():
         schedule, _, engine = build_scenario(cfg)
         for ev in schedule.events:
             if not isinstance(ev, Evolve):
-                heis = engine.maps.window_map(ev.modes, schedule.shaped_pulse)
+                heis = engine.maps.window_map(ev.modes, ev.pulse)
                 yield cfg.name, round(cfg.pulse_duration / T0, 1), heis
 
 
