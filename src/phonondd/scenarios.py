@@ -170,6 +170,28 @@ class ScenarioConfig:
         return DDSpec(self.mode_count, cycle, self.repetitions, self.protected_set,
                       self.truncation_distance, self.level_role_swap, pulse)
 
+    @functools.cached_property
+    def parameters(self) -> tuple[tuple[str, str], ...]:
+        """The run's settings as the (key, text) pairs of its records.
+
+        Formatted once per config, on first use, and shared by every
+        record the config runs; ``replace`` builds a new config, which
+        formats its own.  Equality, hashing and ``asdict`` read the fields
+        only, so the stored tuple changes none of them.
+        """
+        return (
+            ("modes", str(self.mode_count)),
+            ("spacing_um", to_micro(self.spacing)),
+            ("n_max", str(self.per_mode_cutoff)),
+            ("repetitions", str(self.repetitions)),
+            ("model", self.pulse_model),
+            ("coupling", self.window_coupling or ""),
+            ("total_time_us", to_micro(self.spec().total_time)),
+            ("pulse_us", "" if self.pulse_duration is None
+             else to_micro(self.pulse_duration)),
+            ("initial", "".join(str(n) for n in self.initial_occupations)),
+        )
+
     @property
     def pulse_model(self) -> str:
         """The pulse model: "shaped" when a pulse duration is set, else "ideal"."""
@@ -181,9 +203,15 @@ class ScenarioConfig:
         return math.pi / (2.0 * kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRecord:
-    """Deterministic summary of one run, CSV friendly."""
+    """Summary of one run, CSV friendly.
+
+    Everything but ``wall_time`` is deterministic, and :func:`records_csv`
+    writes everything but ``wall_time``.  The records of one config share
+    its ``parameters`` tuple; a failed sweep record holds its one
+    ``(axis, value)`` pair.
+    """
 
     scenario: str
     parameters: tuple[tuple[str, str], ...]
@@ -238,19 +266,7 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
             f"{cfg.name}: population leaked to the Fock cutoff boundary"
             f" ({result.boundary_leakage:.3e} > {LEAKAGE_LIMIT:.0e});"
             " raise per_mode_cutoff")
-    params = (
-        ("modes", str(cfg.mode_count)),
-        ("spacing_um", to_micro(cfg.spacing)),
-        ("n_max", str(cfg.per_mode_cutoff)),
-        ("repetitions", str(cfg.repetitions)),
-        ("model", cfg.pulse_model),
-        ("coupling", cfg.window_coupling or ""),
-        ("total_time_us", to_micro(cfg.spec().total_time)),
-        ("pulse_us", to_micro(cfg.pulse_duration)
-         if cfg.pulse_duration is not None else ""),
-        ("initial", "".join(str(n) for n in cfg.initial_occupations)),
-    )
-    record = ResultRecord(scenario=cfg.name, parameters=params,
+    record = ResultRecord(scenario=cfg.name, parameters=cfg.parameters,
                           error_E=float(result.error_E),
                           error_EB=(None if result.error_EB is None
                                     else float(result.error_EB)),

@@ -1,11 +1,12 @@
 """Scenario catalog, CSV emission, sweeps, report comparisons, config files."""
 
 import csv
+import gc
 import io
 import math
 import re
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from decimal import Decimal
 from unittest import mock
 
@@ -141,6 +142,39 @@ class TestExecution:
         params = dict(execute_scenario(cfg)[0].parameters)
         assert [params[key] for key in ("spacing_um", "total_time_us", "pulse_us")] \
             == ["43.8", "100.1", "4.4"]
+
+    def test_records_of_one_config_share_its_parameters(self):
+        cfg = get_scenario("fig3")
+        first, _ = execute_scenario(cfg)
+        second, _ = execute_scenario(cfg)
+        assert first.parameters is second.parameters is cfg.parameters
+        # the stored tuple is no field: equality and hashing are unchanged
+        fresh = replace(cfg)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert "parameters" not in asdict(cfg)
+        moved = replace(cfg, spacing=50e-6)
+        record, _ = execute_scenario(moved)
+        assert record.parameters is moved.parameters is not cfg.parameters
+        assert dict(record.parameters)["spacing_um"] == "50"
+        assert dict(cfg.parameters)["spacing_um"] == "43.8"
+
+    def test_kept_records_hold_no_copy_of_the_parameters(self):
+        # a record of shared parameters holds its own floats only, about
+        # 310 B; one that formats its own nine pairs holds about 1.3 KB
+        bound, count = 512, 200
+        cfg = get_scenario("fig3")
+        execute_scenario(cfg)  # lazy set-up, and the config's own tuple
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            kept = [execute_scenario(cfg)[0] for _ in range(count)]
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == count
+        assert (after - before) / count <= bound
 
     def test_beam_splitter_pair_engages_reference(self):
         extra = "schedule.protected = 0,1\noutput.beam_splitter_pair = 0,1\n"
@@ -561,6 +595,7 @@ class TestSweep:
         assert ran.failure is None and ran.error_E is not None
         assert failed.failure == f"cheap_{axis}={bad}: {message}"
         assert failed.error_E is None
+        assert failed.parameters == ((axis, str(bad)),)
 
     def test_non_real_pulse_duration_fails_alone(self):
         # the config rejects the value before the ramps scale with it
