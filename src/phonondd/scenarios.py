@@ -170,28 +170,6 @@ class ScenarioConfig:
         return DDSpec(self.mode_count, cycle, self.repetitions, self.protected_set,
                       self.truncation_distance, self.level_role_swap, pulse)
 
-    @functools.cached_property
-    def parameters(self) -> tuple[tuple[str, str], ...]:
-        """The run's settings as the (key, text) pairs of its records.
-
-        Formatted once per config, on first use, and shared by every
-        record the config runs; ``replace`` builds a new config, which
-        formats its own.  Equality, hashing and ``asdict`` read the fields
-        only, so the stored tuple changes none of them.
-        """
-        return (
-            ("modes", str(self.mode_count)),
-            ("spacing_um", to_micro(self.spacing)),
-            ("n_max", str(self.per_mode_cutoff)),
-            ("repetitions", str(self.repetitions)),
-            ("model", self.pulse_model),
-            ("coupling", self.window_coupling or ""),
-            ("total_time_us", to_micro(self.spec().total_time)),
-            ("pulse_us", "" if self.pulse_duration is None
-             else to_micro(self.pulse_duration)),
-            ("initial", "".join(str(n) for n in self.initial_occupations)),
-        )
-
     @property
     def pulse_model(self) -> str:
         """The pulse model: "shaped" when a pulse duration is set, else "ideal"."""
@@ -208,19 +186,39 @@ class ResultRecord:
     """Summary of one run, CSV friendly.
 
     Everything but ``wall_time`` is deterministic, and :func:`records_csv`
-    writes everything but ``wall_time``.  The records of one config share
-    its ``parameters`` tuple; a failed sweep record holds its one
-    ``(axis, value)`` pair.
+    writes everything but ``wall_time``.  ``source`` is the config the
+    record ran, or, for a sweep value that failed, its one
+    ``(axis, value)`` pair: a record keeps a reference to its config, not
+    a formatted copy of it.
     """
 
     scenario: str
-    parameters: tuple[tuple[str, str], ...]
+    source: ScenarioConfig | tuple[tuple[str, str], ...]
     error_E: float | None
     error_EB: float | None
     norm_drift: float | None
     boundary_leakage: float | None
     wall_time: float | None
     failure: str | None = None
+
+    @property
+    def parameters(self) -> tuple[tuple[str, str], ...]:
+        """The run's settings as (key, text) pairs, formatted on each read."""
+        cfg = self.source
+        if not isinstance(cfg, ScenarioConfig):
+            return cfg
+        return (
+            ("modes", str(cfg.mode_count)),
+            ("spacing_um", to_micro(cfg.spacing)),
+            ("n_max", str(cfg.per_mode_cutoff)),
+            ("repetitions", str(cfg.repetitions)),
+            ("model", cfg.pulse_model),
+            ("coupling", cfg.window_coupling or ""),
+            ("total_time_us", to_micro(cfg.spec().total_time)),
+            ("pulse_us", to_micro(cfg.pulse_duration)
+             if cfg.pulse_duration is not None else ""),
+            ("initial", "".join(str(n) for n in cfg.initial_occupations)),
+        )
 
     @property
     def error(self) -> float | None:
@@ -266,7 +264,7 @@ def execute_scenario(cfg: ScenarioConfig) -> tuple[ResultRecord, SimulationResul
             f"{cfg.name}: population leaked to the Fock cutoff boundary"
             f" ({result.boundary_leakage:.3e} > {LEAKAGE_LIMIT:.0e});"
             " raise per_mode_cutoff")
-    record = ResultRecord(scenario=cfg.name, parameters=cfg.parameters,
+    record = ResultRecord(scenario=cfg.name, source=cfg,
                           error_E=float(result.error_E),
                           error_EB=(None if result.error_EB is None
                                     else float(result.error_EB)),
@@ -434,8 +432,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[ResultRecord]:
             record, _ = execute_scenario(_apply_axis(replace(base, name=name),
                                                      axis, value))
         except ScenarioError as exc:
-            record = ResultRecord(scenario=name,
-                                  parameters=((axis, str(value)),),
+            record = ResultRecord(scenario=name, source=((axis, str(value)),),
                                   error_E=None, error_EB=None, norm_drift=None,
                                   boundary_leakage=None, wall_time=None,
                                   failure=str(exc))

@@ -6,7 +6,7 @@ import io
 import math
 import re
 import tracemalloc
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from unittest import mock
 
@@ -143,37 +143,35 @@ class TestExecution:
         assert [params[key] for key in ("spacing_um", "total_time_us", "pulse_us")] \
             == ["43.8", "100.1", "4.4"]
 
-    def test_records_of_one_config_share_its_parameters(self):
+    def test_records_keep_their_config(self):
         cfg = get_scenario("fig3")
         first, _ = execute_scenario(cfg)
         second, _ = execute_scenario(cfg)
-        assert first.parameters is second.parameters is cfg.parameters
-        # the stored tuple is no field: equality and hashing are unchanged
-        fresh = replace(cfg)
-        assert cfg == fresh and hash(cfg) == hash(fresh)
-        assert "parameters" not in asdict(cfg)
+        assert first.source is second.source is cfg
+        assert first.parameters == second.parameters
         moved = replace(cfg, spacing=50e-6)
         record, _ = execute_scenario(moved)
-        assert record.parameters is moved.parameters is not cfg.parameters
+        assert record.source is moved
         assert dict(record.parameters)["spacing_um"] == "50"
-        assert dict(cfg.parameters)["spacing_um"] == "43.8"
+        assert dict(first.parameters)["spacing_um"] == "43.8"
 
-    def test_kept_records_hold_no_copy_of_the_parameters(self):
-        # a record of shared parameters holds its own floats only, about
-        # 310 B; one that formats its own nine pairs holds about 1.3 KB
-        bound, count = 512, 200
+    def test_kept_sweep_records_hold_no_formatted_parameters(self):
+        # a fig3 sweep record that keeps its config holds about 600 B; one
+        # that formats its own nine (key, text) pairs holds about 1,350 B
+        bound, count = 1024, 200
         cfg = get_scenario("fig3")
-        execute_scenario(cfg)  # lazy set-up, and the config's own tuple
+        values = [cfg.spacing + 1e-8 * (i + 1) for i in range(count)]
+        sweep(cfg, "d", values[:2])  # lazy set-up
         tracemalloc.start()
         try:
             gc.collect()
             before, _ = tracemalloc.get_traced_memory()
-            kept = [execute_scenario(cfg)[0] for _ in range(count)]
+            kept = sweep(cfg, "d", values)
             gc.collect()
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(kept) == count
+        assert len(kept) == count and all(r.failure is None for r in kept)
         assert (after - before) / count <= bound
 
     def test_beam_splitter_pair_engages_reference(self):
