@@ -14,6 +14,7 @@ from typing import NoReturn
 
 import click
 
+from .model import DEFAULT_SECULAR_FREQUENCY
 from .pulses import (
     DEFAULT_SHARPNESS,
     DEFAULT_TARGET_PHASE,
@@ -158,18 +159,20 @@ def pulse() -> None:
 @click.option("--tud-us", default=None,
               help="Ramp duration in us (both ramps); default half the pulse.")
 @click.option("--sigma", default=DEFAULT_SHARPNESS, type=float, help="Ramp sharpness.")
-@click.option("--omega0-mhz", default="2.2",
-              help="Secular frequency over 2 pi, in MHz.")
+@click.option("--omega0-mhz", default=None,
+              help="Secular frequency over 2 pi, in MHz; default"
+                   f" {DEFAULT_SECULAR_FREQUENCY / (2e6 * math.pi):g}, the model's.")
 @click.option("--target-phase", default=DEFAULT_TARGET_PHASE, type=float,
               help="Phase excess to imprint, radians.")
 @click.option("--export", default=None, type=click.Path(),
               help="Write the sampled waveform (with voltages) to this CSV.")
 def pulse_design(tp_us: str, tud_us: str | None, sigma: float,
-                 omega0_mhz: str, target_phase: float,
+                 omega0_mhz: str | None, target_phase: float,
                  export: str | None) -> None:
     """Solve the modulation depth for a pi phase shift pulse."""
     try:
-        w0 = 2.0 * math.pi * from_micro(omega0_mhz, exponent=6)
+        w0 = (DEFAULT_SECULAR_FREQUENCY if omega0_mhz is None
+              else 2.0 * math.pi * from_micro(omega0_mhz, exponent=6))
         ramp = from_micro(tud_us) if tud_us is not None else None
         shaped = design_pulse(from_micro(tp_us), ramp, ramp, sigma, w0, target_phase)
     except (PulseDesignError, ValueError) as exc:

@@ -25,7 +25,6 @@ import numpy as np
 ELEMENTARY_CHARGE = 1.602176634e-19     # C
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 ATOMIC_MASS_UNIT = 1.66053906660e-27    # kg
-HBAR = 1.054571817e-34                  # J s
 
 DEFAULT_ION_MASS = 40.0 * ATOMIC_MASS_UNIT          # 40Ca+
 DEFAULT_SECULAR_FREQUENCY = 2.0 * math.pi * 2.2e6   # rad/s
@@ -67,7 +66,8 @@ def check_count(**values: int) -> None:
 
 @dataclass(frozen=True)
 class IonChainConfig:
-    """Geometry and single-ion parameters of the chain.
+    """Geometry of the chain, whose ions all have the model's
+    ``DEFAULT_ION_MASS`` and ``DEFAULT_SECULAR_FREQUENCY``.
 
     ``positions`` are equilibrium coordinates along the trap axis in meters,
     strictly increasing.  ``truncation_distance`` limits which mode pairs
@@ -77,8 +77,6 @@ class IonChainConfig:
 
     mode_count: int
     positions: tuple[float, ...]
-    ion_mass: float = DEFAULT_ION_MASS
-    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY
     truncation_distance: int | None = None
 
     def __post_init__(self) -> None:
@@ -90,38 +88,32 @@ class IonChainConfig:
             raise ValueError("positions must be finite")
         if any(b - a <= 0 for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
-        check_positive(ion_mass=self.ion_mass,
-                        secular_frequency=self.secular_frequency)
 
     @classmethod
     def equidistant(cls, mode_count: int, spacing: float,
-                    ion_mass: float = DEFAULT_ION_MASS,
-                    secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
                     truncation_distance: int | None = None) -> "IonChainConfig":
         """Chain with uniform spacing, the layout used by every built-in scenario."""
         check_positive(spacing=spacing)
         return cls(mode_count=mode_count,
                    positions=tuple(j * spacing for j in range(mode_count)),
-                   ion_mass=ion_mass,
-                   secular_frequency=secular_frequency,
                    truncation_distance=truncation_distance)
 
     def distance(self, j: int, k: int) -> float:
         return abs(self.positions[j] - self.positions[k])
 
 
-def coupling_rate(spacing: float, ion_mass: float, secular_frequency: float) -> float:
-    """Phonon hopping rate (rad/s) between two modes a distance ``spacing`` apart.
+def coupling_rate(spacing: float) -> float:
+    """Phonon hopping rate (rad/s) between two modes a distance ``spacing``
+    apart, for the model's ion mass and secular frequency.
 
     Raises ValueError unless the rate is a finite positive float: a spacing
     whose cube overflows or underflows has none.
     """
-    check_positive(spacing=spacing, ion_mass=ion_mass,
-                    secular_frequency=secular_frequency)
+    check_positive(spacing=spacing)
     e = ELEMENTARY_CHARGE
     try:
-        rate = e * e / (4.0 * math.pi * VACUUM_PERMITTIVITY
-                        * spacing ** 3 * ion_mass * secular_frequency)
+        rate = e * e / (4.0 * math.pi * VACUUM_PERMITTIVITY * spacing ** 3
+                        * DEFAULT_ION_MASS * DEFAULT_SECULAR_FREQUENCY)
     except ArithmeticError:  # spacing ** 3 overflows, or the product is 0
         rate = math.nan
     if not 0 < rate < math.inf:
@@ -158,9 +150,7 @@ def build_coupling_matrix(config: IonChainConfig) -> CouplingMatrix:
         for k in range(j):
             if eta is not None and j - k > eta:
                 continue
-            rate = coupling_rate(config.distance(j, k), config.ion_mass,
-                                 config.secular_frequency)
-            kappa[j, k] = kappa[k, j] = rate
+            kappa[j, k] = kappa[k, j] = coupling_rate(config.distance(j, k))
     return CouplingMatrix(kappa)
 
 

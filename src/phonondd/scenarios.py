@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
-    DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
     FockSpace,
     IonChainConfig,
@@ -177,8 +176,7 @@ class ScenarioConfig:
 
     def hop_time(self) -> float:
         """Nearest neighbor 50:50 exchange time, the default cycle length."""
-        kappa = coupling_rate(self.spacing, DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY)
-        return math.pi / (2.0 * kappa)
+        return math.pi / (2.0 * coupling_rate(self.spacing))
 
 
 @dataclass(frozen=True, slots=True)

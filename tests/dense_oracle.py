@@ -24,13 +24,15 @@ from scipy.linalg import eigh
 
 from phonondd.model import (
     DEFAULT_SECULAR_FREQUENCY,
-    HBAR,
     CouplingMatrix,
     FockSpace,
     PhononState,
 )
 from phonondd.propagation import PropagationError
 from phonondd.sequences import Evolve, PhaseShift, PulseSchedule
+
+# CODATA 2018, J s: the engine works in rates and never reads it
+HBAR = 1.054571817e-34
 
 #: Matrices act on a :class:`FockSpace`; sparse and dense are both accepted.
 OperatorMatrix = Union[np.ndarray, sp.spmatrix]

@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from hypothesis import example, given, reject, strategies as st
 
 from phonondd.model import (
-    DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
     FockSpace,
     IonChainConfig,
@@ -58,7 +57,7 @@ known_shortfall = pytest.mark.known_shortfall
 
 
 def hop_window(spacing):
-    return math.pi / (2 * coupling_rate(spacing, DEFAULT_ION_MASS, W0))
+    return math.pi / (2 * coupling_rate(spacing))
 
 
 def within_factor(value, reference, factor):
@@ -68,7 +67,7 @@ def within_factor(value, reference, factor):
 # --- hopping rates ---------------------------------------------------------
 
 def test_hopping_rate_narrow_spacing():
-    got = coupling_rate(NARROW, DEFAULT_ION_MASS, W0) / (2 * math.pi)
+    got = coupling_rate(NARROW) / (2 * math.pi)
     assert abs(got - 1.9e3) / 1.9e3 <= 0.01, f"kappa/2pi = {got:.4f} Hz"
 
 
@@ -78,7 +77,7 @@ def test_hopping_rate_wide_spacing():
     quote, quote_half_step = 470.0, 5.0
     spacing_half_step = 0.05e-6
     band = quote_half_step + quote * 3 * spacing_half_step / WIDE
-    got = coupling_rate(WIDE, DEFAULT_ION_MASS, W0) / (2 * math.pi)
+    got = coupling_rate(WIDE) / (2 * math.pi)
     assert abs(got - quote) <= band, (
         f"kappa/2pi = {got:.4f} Hz is {abs(got - quote):.3f} Hz from the "
         f"0.47 kHz quote; the band of {band:.3f} Hz is the quote's half-step "

@@ -13,9 +13,7 @@ import pytest
 import scipy.linalg
 
 from phonondd.model import (
-    DEFAULT_ION_MASS,
     DEFAULT_SECULAR_FREQUENCY,
-    HBAR,
     CouplingMatrix,
     FockSpace,
     IonChainConfig,
@@ -35,6 +33,7 @@ from phonondd.scenarios import build_scenario, get_scenario
 from phonondd.sequences import DDSpec, Evolve, PhaseShift, PulseSchedule, synthesize
 
 from dense_oracle import (
+    HBAR,
     StaircaseDrive,
     apply_ideal_phase,
     evolve_constant,
@@ -48,7 +47,7 @@ from population_record import dense_populations, record
 W0 = DEFAULT_SECULAR_FREQUENCY
 T0 = 1.0 / 2.2e6
 SPACING = 43.8e-6
-KAPPA = coupling_rate(SPACING, DEFAULT_ION_MASS, W0)
+KAPPA = coupling_rate(SPACING)
 HOP_TIME = math.pi / (2 * KAPPA)
 
 

@@ -22,7 +22,6 @@ import scipy.linalg
 from hypothesis import Phase, given, settings, strategies as st
 
 from phonondd.model import (
-    HBAR,
     FockSpace,
     IonChainConfig,
     PhononState,
@@ -38,7 +37,8 @@ from phonondd.propagation import (
 from phonondd.pulses import design_pulse
 from phonondd.sequences import DDSpec, Evolve, synthesize
 
-from dense_oracle import dense_run, hopping_hamiltonian, ladder_operator, phase_distance
+from dense_oracle import (HBAR, dense_run, hopping_hamiltonian, ladder_operator,
+                          phase_distance)
 from population_record import dense_populations, record
 
 T0 = 1.0 / 2.2e6

@@ -45,7 +45,6 @@ from scipy.integrate import quad, solve_ivp
 
 from phonondd import propagation
 from phonondd.model import (
-    HBAR,
     CouplingMatrix,
     FockSpace,
     IonChainConfig,
@@ -78,8 +77,8 @@ from phonondd.scenarios import (
 )
 from phonondd.sequences import DDSpec, Evolve, PhaseShift, synthesize
 
-from dense_oracle import (embed, hopping_hamiltonian, ladder_operator, phase_distance,
-                          project)
+from dense_oracle import (HBAR, embed, hopping_hamiltonian, ladder_operator,
+                          phase_distance, project)
 from fock_labels import occupations
 from population_record import record
 from pulse_checks import scale_factor
@@ -126,8 +125,9 @@ def test_map_stays_symplectic(case, fractions):
 
 def direct_map(maps, pulse, pulsed, start):
     """(A, B) of a window of ``pulse`` on the modes ``pulsed``, integrated
-    from absolute time ``start`` with absolute phases."""
-    m, w0 = maps.couplings.mode_count, maps.secular_frequency
+    from absolute time ``start`` with absolute phases, in the frame of the
+    secular frequency the pulse was designed at."""
+    m, w0 = maps.couplings.mode_count, pulse.secular_frequency
     kappa = maps.couplings.kappa / 2.0
     mask = np.array([q in pulsed for q in range(m)], dtype=float)
     full = maps.window_coupling == "full"
@@ -154,7 +154,7 @@ def test_gauge_identity_against_direct_integration(case, start_us):
     start = start_us * 1e-6
     a, b = (x[0] for x in maps.window_map(pulsed, PULSE).at(())[:2])
     a_direct, b_direct = direct_map(maps, PULSE, pulsed, start)
-    gauge = cmath.exp(2j * maps.secular_frequency * start)
+    gauge = cmath.exp(2j * PULSE.secular_frequency * start)
     assert np.linalg.norm(a - a_direct) <= TIGHT
     assert np.linalg.norm(b * gauge - b_direct) <= TIGHT
 
@@ -402,20 +402,24 @@ def test_apply_matches_the_fock_recurrence(modes, n_max, strength):
 # bound on the distance, up to a global phase, between a shaped run and its
 # mode-map oracle, fixed before any run
 AGREEMENT = 1e-9
+# a pulse of 1.1 of its own periods designed at 2 pi x 2.0 MHz, off the
+# model's w0: its windows turn in its own frame
+SLOW_PULSE = design_pulse(0.55e-6, 0.275e-6, 0.275e-6,
+                          secular_frequency=2.0 * math.pi * 2.0e6)
 
 
 @pytest.mark.parametrize("modes,n_max,coupling,pulses", [
     (3, 3, "rwa", (PULSE,)), (3, 2, "full", (PULSE,)), (2, 4, "rwa", (PULSE,)),
-    (2, 4, "rwa", (PULSE, design_pulse(2.2 * T0)))],
-    ids=["3-3-rwa", "3-2-full", "2-4-rwa", "2-4-rwa-two-pulses"])
+    (2, 4, "rwa", (PULSE, design_pulse(2.2 * T0))), (2, 4, "full", (SLOW_PULSE,))],
+    ids=["3-3-rwa", "3-2-full", "2-4-rwa", "2-4-rwa-two-pulses", "2-4-full-2.0MHz"])
 def test_shaped_run_matches_the_mode_map_oracle(modes, n_max, coupling, pulses):
     """A whole shaped run against an oracle that shares no kernel with the
     engine: each window is ``direct_map`` of its own pulse at its start
     (DOP853 on the M x M equations), made the cube matrix <m|U|n> by the
     recurrence with c = |det A|^{-1/2}, and each free step a dense
     exponential of the kron-built hopping Hamiltonian.  The windows take
-    ``pulses`` in turn.  The start is a random state over the whole
-    cube."""
+    ``pulses`` in turn, each in the frame of its own w0.  The start is a
+    random state over the whole cube."""
     couplings = build_coupling_matrix(IonChainConfig.equidistant(modes, 40e-6))
     engine = SchedulePropagator(FockSpace(modes, n_max),
                                 ModeMaps(couplings, window_coupling=coupling))
@@ -930,14 +934,14 @@ def nested_omega(l0, l1, lengths, f):
     return a1 + a3 / 12.0 + commutator(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
 
 
-def complex_blocks(maps, pulsed):
+def complex_blocks(maps, pulsed, pulse):
     """The lab frame generators of [A; conj B]: -i [[W, K], [-K, -W]] and
-    -i [[P, P], [-P, -P]], with W = w0 + kappa/2 and K = kappa/2 under full
-    coupling, else 0."""
+    -i [[P, P], [-P, -P]], with W = w0 + kappa/2, w0 that of ``pulse``,
+    and K = kappa/2 under full coupling, else 0."""
     m = maps.couplings.mode_count
     hop = maps.couplings.kappa / 2.0
     cross = hop if maps.window_coupling == "full" else np.zeros((m, m))
-    diagonal = maps.secular_frequency * np.eye(m) + hop
+    diagonal = pulse.secular_frequency * np.eye(m) + hop
     p = np.diag([float(q in pulsed) for q in range(m)])
     return (-1j * np.block([[diagonal, cross], [-cross, -diagonal]]),
             -1j * np.block([[p, p], [-p, -p]]))
@@ -951,7 +955,7 @@ def test_real_generators_are_the_turned_complex_blocks(case):
     m = maps.couplings.mode_count
     eye = np.eye(m)
     turn = np.block([[eye, -1j * eye], [-1j * eye, eye]]) / math.sqrt(2.0)
-    for real, block in zip(basis[:2], complex_blocks(maps, pulsed)):
+    for real, block in zip(basis[:2], complex_blocks(maps, pulsed, PULSE)):
         assert real.dtype == float
         expected = turn @ block @ turn.conj().T
         assert np.abs(real - expected).max() <= 1e-15 * np.abs(expected).max()
