@@ -321,3 +321,22 @@ class TestPulseDesign:
         assert res.exit_code == 0, res.output
         assert calls == [(3.3e-6, 1.5e-6, 1.5e-6, 6.0, DEFAULT_SECULAR_FREQUENCY,
                           math.pi)]
+
+    def test_omega0_sets_the_design_frequency(self, runner, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return design(*args)
+
+        design = cli.design_pulse
+        monkeypatch.setattr(cli, "design_pulse", spy)
+        res = runner.invoke(main, ["pulse", "design", "--tp-us", "4",
+                                   "--omega0-mhz", "2.0"])
+        assert res.exit_code == 0, res.output
+        assert calls[0][4] == 2.0 * math.pi * 2.0e6
+
+    def test_help_states_the_model_w0_as_the_default(self, runner):
+        res = runner.invoke(main, ["pulse", "design", "--help"])
+        assert res.exit_code == 0, res.output
+        assert "default 2.2, the model's" in " ".join(res.output.split())

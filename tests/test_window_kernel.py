@@ -186,9 +186,12 @@ def closed_form_map(pulse, tau):
             phase * 0.5 * (xx - pp + 1j * (px + xp)))
 
 
-@pytest.mark.parametrize("pulse", [design_pulse(8.8 * T0),
-                                   design_pulse(2.2 * T0, 1.0 * T0, 1.0 * T0)],
-                         ids=["8.8T0", "2.2T0"])
+@pytest.mark.parametrize("pulse", [
+    design_pulse(8.8 * T0), design_pulse(2.2 * T0, 1.0 * T0, 1.0 * T0),
+    # designed off the model's w0, the map turns in the pulse's own frame
+    design_pulse(8.8 * T0, secular_frequency=2.0 * math.pi * 2.0e6),
+    design_pulse(2.2 * T0, 1.0 * T0, 1.0 * T0, secular_frequency=2.0 * math.pi * 2.6e6)],
+    ids=["8.8T0", "2.2T0", "8.8T0-2.0MHz", "2.2T0-2.6MHz"])
 def test_lone_mode_map_matches_lewis_riesenfeld(pulse):
     maps = ModeMaps(CouplingMatrix(np.zeros((1, 1))))
     heis = maps.window_map(frozenset({0}), pulse)
