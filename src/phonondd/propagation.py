@@ -14,8 +14,9 @@ acts without the rotating wave reduction,
     H_I(t)/hbar = H_hop/hbar
         + sum_j g_j(t) (a_j^2 e^{-2 i w0 t} + a_j^dag^2 e^{+2 i w0 t} + 2 n_j + 1)
 
-with g_j(t) the squared frequency excess over 4 w0, w0 the secular
-frequency of the window's pulse.  Every term is
+with g_j(t) the squared frequency excess over 4 w0, w0 the model's
+``DEFAULT_SECULAR_FREQUENCY``: a pulse supplies only its drive, whatever
+w0 it was designed at.  Every term is
 quadratic in the ladder operators, so the window is a Gaussian unitary U
 fixed by two M x M matrices: U^dag a U = A a + B a^dag.  The mode layer
 finds (A, B) once per pulsed-mode set and pulse, for a window that starts
@@ -105,7 +106,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CouplingMatrix, FockSpace, PhononState, check_count, is_integer
+from .model import (DEFAULT_SECULAR_FREQUENCY, CouplingMatrix, FockSpace, PhononState,
+                    check_count, is_integer)
 from .pulses import ShapedPulse
 from .sequences import PulseSchedule
 
@@ -224,11 +226,11 @@ class WindowGenerator:
     propagator U of [A; conj B] is real: dS/dt = (L0 + f(t) L1) S, S(0) = 1,
     f = drive / (2 w0), L0 = [[K, W], [-W, -K]] with W = w0 + kappa/2 and
     K = kappa/2 with full coupling, else 0, and L1 = [[P, P], [-P, -P]], P
-    the projector onto the pulsed modes, with w0 the secular frequency
-    ``pulse`` was designed at.  In this frame only f varies within a step.
-    ``basis`` holds L0, L1 and the eight commutators that a sixth-order
-    Magnus step of L0 + f L1 is a fixed combination of: a2 and a3 are
-    multiples of L1, [L1, L1] = 0, and L1^2 = 0 removes a ninth,
+    the projector onto the pulsed modes, with w0 the model's
+    ``DEFAULT_SECULAR_FREQUENCY``.  In this frame only f varies within a
+    step.  ``basis`` holds L0, L1 and the eight commutators that a
+    sixth-order Magnus step of L0 + f L1 is a fixed combination of: a2 and
+    a3 are multiples of L1, [L1, L1] = 0, and L1^2 = 0 removes a ninth,
     [L1, [L1, [L0, L1]]].
     """
 
@@ -276,7 +278,7 @@ class WindowGenerator:
         length], one row per step, from one ``pulse.drive`` call."""
         points = starts[:, None] + lengths[:, None] * GAUSS_NODES
         return (self.pulse.drive(points.ravel()).reshape(-1, 3)
-                / (2.0 * self.pulse.secular_frequency))
+                / (2.0 * DEFAULT_SECULAR_FREQUENCY))
 
     def propagators(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """exp(Omega) of one Magnus step over each [start, start + length]."""
@@ -392,17 +394,16 @@ class HeisenbergMap:
         the last node.
         """
         taus = np.asarray(taus, dtype=float)
-        pulse = self.generator.pulse
         quads = self.nodes[-1:]
         if taus.size:
-            step = pulse.duration / self.steps
+            step = self.generator.pulse.duration / self.steps
             below = np.clip(np.floor(taus / step).astype(int), 0, self.steps)
             partial = self.generator.propagators(below * step, taus - below * step)
             quads = np.concatenate([partial @ self.nodes[below], quads])
         cols = _columns(quads)
         m = cols.shape[-1]
-        phase = np.exp(1j * pulse.secular_frequency
-                       * np.append(taus, pulse.duration))[:, None, None]
+        phase = np.exp(1j * DEFAULT_SECULAR_FREQUENCY
+                       * np.append(taus, self.generator.pulse.duration))[:, None, None]
         a, b = phase * cols[:, :m], phase * cols[:, m:].conj()
         return a, b, 1.0 / np.sqrt(np.abs(np.linalg.det(a)))
 
@@ -411,8 +412,10 @@ class HeisenbergMap:
 class ModeMaps:
     """Window maps of one chain, with no Fock space.
 
-    Caches the Heisenberg map of each (pulsed-mode set, pulse) window, in
-    the frame of the w0 its pulse was designed at.
+    Caches the Heisenberg map of each (pulsed-mode set, pulse) window.  The
+    chain and its frame are at the model's ``DEFAULT_SECULAR_FREQUENCY``;
+    a pulse designed at another w0 adds its drive there, as the designed
+    waveform would in a trap it was not designed for.
     """
 
     couplings: CouplingMatrix
@@ -438,7 +441,7 @@ class ModeMaps:
             return self._cache[key]
         started = time.perf_counter()
         m = self.couplings.mode_count
-        w0 = pulse.secular_frequency
+        w0 = DEFAULT_SECULAR_FREQUENCY
         hop = self.couplings.kappa / 2.0
         pulsed = np.diag([float(q in modes) for q in range(m)])
         cross = hop if self.window_coupling == "full" else np.zeros((m, m))
@@ -478,7 +481,7 @@ class ModeMaps:
         """
         heis = self.window_map(modes, pulse)
         a, b, norms = heis.at(np.asarray(t_eval, dtype=float) - start)
-        return a, b * cmath.exp(2j * pulse.secular_frequency * start), norms
+        return a, b * cmath.exp(2j * DEFAULT_SECULAR_FREQUENCY * start), norms
 
 
 class SchedulePropagator:

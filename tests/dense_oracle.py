@@ -135,24 +135,22 @@ class StaircaseDrive:
 
 def evolve_shaped(state: PhononState, pulse, target_modes: Iterable[int],
                   background: OperatorMatrix | None = None,
-                  secular_frequency: float | None = None,
                   start_time: float = 0.0,
                   pair_creation: OperatorMatrix | None = None) -> PhononState:
     """Propagate one shaped window over the full Fock space.
 
     ``pulse`` needs a ``duration`` and a ``drive(tau)`` giving the squared
     frequency excess ``tau`` seconds into the window; both the designed
-    pulse and :class:`StaircaseDrive` qualify.  ``background`` is a bare
-    Hamiltonian in joules, defaulting to no coupling at all.
+    pulse and :class:`StaircaseDrive` qualify.  The modes and the frame are
+    at the model's w0, whatever w0 a designed pulse was designed at.
+    ``background`` is a bare Hamiltonian in joules, defaulting to no
+    coupling at all.
     ``pair_creation`` is the counter rotating hopping part that creates
     two quanta, in joules; it rotates at e^{+2 i w0 t} and its adjoint at
     e^{-2 i w0 t}.
     """
     space = state.space
-    if secular_frequency is None:
-        secular_frequency = getattr(pulse, "secular_frequency",
-                                    DEFAULT_SECULAR_FREQUENCY)
-    w0 = secular_frequency
+    w0 = DEFAULT_SECULAR_FREQUENCY
     modes = frozenset(target_modes)
     if any(not 0 <= q < space.mode_count for q in modes):
         raise ValueError("target mode out of range")
@@ -279,7 +277,6 @@ def phase_distance(got: np.ndarray, expected: np.ndarray) -> float:
 
 def dense_run(schedule: PulseSchedule, initial: PhononState,
               couplings: CouplingMatrix, window_coupling: str = "rwa",
-              secular_frequency: float = DEFAULT_SECULAR_FREQUENCY,
               window_cutoff: int | None = None) -> PhononState:
     """Final state of a schedule, propagated over the full Fock space.
 
@@ -309,9 +306,8 @@ def dense_run(schedule: PulseSchedule, initial: PhononState,
             t += duration
         elif ev.pulse is not None:
             state = project(evolve_shaped(embed(state, wide), ev.pulse, ev.modes,
-                                          background=wide_hop,
-                                          secular_frequency=secular_frequency,
-                                          start_time=t, pair_creation=pairs), space)
+                                          background=wide_hop, start_time=t,
+                                          pair_creation=pairs), space)
             t += ev.pulse.duration
         else:
             state = apply_ideal_phase(state, ev.modes)

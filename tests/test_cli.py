@@ -335,8 +335,3 @@ class TestPulseDesign:
                                    "--omega0-mhz", "2.0"])
         assert res.exit_code == 0, res.output
         assert calls[0][4] == 2.0 * math.pi * 2.0e6
-
-    def test_help_states_the_model_w0_as_the_default(self, runner):
-        res = runner.invoke(main, ["pulse", "design", "--help"])
-        assert res.exit_code == 0, res.output
-        assert "default 2.2, the model's" in " ".join(res.output.split())

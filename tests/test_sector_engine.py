@@ -14,6 +14,7 @@ suffice (at most 4,096 states).
 """
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -44,6 +45,10 @@ from population_record import dense_populations, record
 T0 = 1.0 / 2.2e6
 PULSE = design_pulse(1.1 * T0, ramp_up=0.55 * T0, ramp_down=0.55 * T0)
 LONG_PULSE = design_pulse(8.8 * T0, ramp_up=4.4 * T0, ramp_down=4.4 * T0)
+# the 1.1 T0 pulse designed at 2 pi x 2.0 MHz, off the model's w0: the
+# chain stays at the model's w0 and takes only its drive
+SLOW_PULSE = design_pulse(0.55e-6, 0.275e-6, 0.275e-6,
+                          secular_frequency=2.0 * math.pi * 2.0e6)
 AGREEMENT = 1e-9
 # per mode count of a shaped case: the test pulse, the largest n_max, and
 # the oracle window cutoffs above n_max for the result and its convergence
@@ -144,8 +149,9 @@ def test_sector_engine_matches_dense_oracle(pulse_model, coupling, data, total_u
     assert sums[-1] == pytest.approx(kept, abs=AGREEMENT)
 
 
+@pytest.mark.parametrize("pulse", [PULSE, SLOW_PULSE], ids=["2.2MHz", "2.0MHz"])
 @pytest.mark.parametrize("coupling", WINDOW_COUPLINGS)
-def test_shaped_record_keeps_one_parity_and_matches_the_oracle(coupling):
+def test_shaped_record_keeps_one_parity_and_matches_the_oracle(coupling, pulse):
     """A shaped run from odd sectors records the odd sectors alone.
 
     Scattered into the cube, its last row is within AGREEMENT of the
@@ -158,7 +164,7 @@ def test_shaped_record_keeps_one_parity_and_matches_the_oracle(coupling):
     amps[space.index((2, 1))] = 0.8
     amps[space.index((0, 1))] = 0.6j
     initial = PhononState(space, amps)
-    schedule = synthesize(DDSpec(2, 40e-6, shaped_pulse=PULSE))
+    schedule = synthesize(DDSpec(2, 40e-6, shaped_pulse=pulse))
     result = SchedulePropagator(space, ModeMaps(couplings, window_coupling=coupling)
                                 ).run(schedule, initial, record_samples=9)
     odd = sum(space.mode_occupations(q) for q in range(2)) % 2 == 1
